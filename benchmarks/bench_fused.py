@@ -19,10 +19,10 @@ projection — docs/BENCHMARKS.md); CI gates on its measured
 ``speedup_process_vs_thread`` (the parallel-edge threshold applies
 only on runners with enough cores to express it).
 
-The ``compiled`` section re-times the fused decode with the inner
-loop on the compiled kernel twin (DESIGN.md §19) when a toolchain
-(numba or a C compiler) is present; the section always records
-``available``/``toolchain`` so a fallback run is visible in the JSON.
+The ``compiled`` section re-times the fused decode on the compiled C
+walk (DESIGN.md §19) when a C compiler is present; the section always
+records ``available``/``toolchain``/``host_cpus`` so a fallback run
+is visible in the JSON.
 
 The JSON this emits is the perf trajectory future PRs regress
 against; CI runs it in smoke mode.  Usage::
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import time
 
@@ -169,12 +170,13 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
     )
 
     # -- compiled kernel column (DESIGN.md §19) -------------------------
-    # Same fused decode, inner loop on the compiled twin.  Warm-up
+    # Same fused decode, whole walk on the compiled kernel.  Warm-up
     # happens before timing; the compile-event counter must stay
     # frozen across the timed region or the measurement is invalid.
     compiled_col: dict = {
         "available": compiled.kernel_available(),
         "toolchain": compiled.toolchain(),
+        "host_cpus": os.cpu_count(),
     }
     if compiled.kernel_available():
         compiled.warm_up()

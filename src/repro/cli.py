@@ -343,6 +343,18 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _add_backend_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    """``--backend`` for the serving commands, defaulting to the
+    service's own default (:attr:`ServiceConfig.decode_backend`)."""
+    from repro.serve.service import DECODE_BACKENDS, ServiceConfig
+
+    parser.add_argument(
+        "--backend", default=ServiceConfig.decode_backend,
+        choices=compiled.backend_choices(DECODE_BACKENDS),
+        help=f"{help} (default: %(default)s)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recoil",
@@ -393,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent-client counts to sweep")
     b.add_argument("--repeats", type=int, default=2,
                    help="best-of repeat count per measurement")
-    b.add_argument("--backend", default="fused",
-                   choices=compiled.backend_choices(("fused", "thread", "process")),
-                   help="batch execution backend: one in-process fused "
-                   "kernel call, a thread fan-out, or sharded worker "
-                   "processes over shared memory")
+    _add_backend_flag(
+        b, "batch execution backend: one in-process fused kernel call, "
+        "a thread fan-out, or sharded worker processes over shared "
+        "memory; '+compiled' runs the C kernel",
+    )
     b.add_argument("--workers", type=int, default=8,
                    help="fan-out worker count for thread/process backends")
     b.add_argument("--faults", default=None, metavar="SPEC",
@@ -421,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "RETRY_AFTER")
     v.add_argument("--drain-timeout", type=float, default=5.0,
                    help="grace (s) for in-flight requests at shutdown")
-    v.add_argument("--backend", default="fused",
-                   choices=compiled.backend_choices(("fused", "thread", "process")),
-                   help="batch execution backend")
+    _add_backend_flag(v, "batch execution backend")
     v.add_argument("--workers", type=int, default=2,
                    help="fan-out worker count for thread/process backends")
     v.add_argument("--demo-assets", type=int, default=2,
@@ -479,9 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="offered request rate (Poisson arrivals, Hz)")
     lb.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length in seconds")
-    lb.add_argument("--backend", default="fused",
-                    choices=compiled.backend_choices(("fused", "thread", "process")),
-                    help="batch execution backend")
+    _add_backend_flag(lb, "batch execution backend")
     lb.add_argument("--workers", type=int, default=2,
                     help="fan-out worker count for thread/process backends")
     lb.add_argument("--max-connections", type=int, default=64,

@@ -112,6 +112,8 @@ class RecoilMetadata:
 
     def validate(self) -> None:
         """Check ordering/consistency invariants of the entries."""
+        if self.lanes < 1:
+            raise MetadataError(f"lanes must be >= 1, got {self.lanes}")
         prev_S = 0
         prev_off = -1
         for k, e in enumerate(self.entries):

@@ -1,36 +1,36 @@
-"""Compiled twins of the steady-state kernel loops (DESIGN.md §19).
+"""Compiled kernels behind the ``compiled`` backend (DESIGN.md §19).
 
 The fused kernels (:mod:`repro.parallel.fused`, ``fused_encode``,
 :mod:`repro.tans.fused`) are numpy straight-line code: tens of numpy
-dispatches per steady-state step, far from memory-bandwidth-bound.
-This module provides compiled equivalents of exactly those steady
-loops — nothing else: head/tail phases, planning, event
-reconstruction and the stitch stay in numpy, where masks and
-allocation patterns make a compiled rewrite risk without payoff.
+dispatches per step, far from memory-bandwidth-bound.  This module
+holds their compiled counterparts:
 
-Two toolchains are probed, in order:
+- the whole rANS decode walk of a task batch — activations, partial
+  groups, commit ranges, renormalization reads, terminal drain —
+  with every word read, output store and model-id read
+  bounds-checked (:func:`rans_walk`);
+- the rANS encode sweep and the tANS safe run, twins of the steady
+  inner loops of ``fused_encode.run_blocks`` and
+  ``fused_speculative_pass``.
 
-- **numba** — ``@njit(nogil=True, cache=True)`` twins, compiled
-  eagerly with explicit signatures at warm-up so no lazy compile can
-  land inside a timed region;
-- **cc** — a small C source compiled once into a shared library with
-  the host C compiler and driven through :mod:`ctypes` (foreign calls
-  release the GIL exactly like njit'd code).  The library is cached
-  under the system temp directory keyed by a source hash, so later
-  processes only pay a ``dlopen``.
+They are C, compiled once into a shared library with the host C
+compiler and driven through :mod:`ctypes` (foreign calls release the
+GIL).  The library is cached under the system temp directory keyed by
+a source hash, so later processes only pay a ``dlopen``.
 
-When neither is available every entry point returns ``False`` (run
-the numpy loop) and :func:`effective_kernel` resolves ``"compiled"``
-to ``"numpy"`` with a one-time logged notice — the knob surface keeps
-working everywhere, it just reports what actually ran.
+When no C compiler is available :func:`kernel_available` is false,
+the callers run their numpy loops, and :func:`effective_kernel`
+resolves ``"compiled"`` to ``"numpy"`` with a one-time logged notice
+— the knob surface keeps working everywhere, it just reports what
+actually ran.
 
-Bit-identity contract: on success paths the compiled loops perform
-the *same* arithmetic in the same order as the numpy loops they twin
-(uint64 wraparound, descending-lane renormalization reads, truncating
-output stores), so the differential suites assert identical streams,
-split events and overlap stats across kernels.  On error paths
-(bitstream exhaustion) both raise; intermediate buffer contents are
-then unobservable and may differ.
+Bit-identity contract: on success paths the compiled code performs
+the *same* arithmetic in the same order as the numpy kernels (uint64
+wraparound, descending-lane renormalization reads, truncating output
+stores), so the differential suites assert identical streams, split
+events, outputs and work counters across kernels.  On error paths
+(corrupt input) both raise a :class:`~repro.errors.DecodeError`;
+intermediate buffer contents are then unobservable and may differ.
 """
 
 from __future__ import annotations
@@ -50,17 +50,12 @@ log = logging.getLogger("repro.compiled")
 #: kernel implementations selectable through every ``backend=`` knob.
 KERNELS = ("numpy", "compiled")
 
-#: pool backends a composed backend string may name (mirrors
-#: :data:`repro.parallel.executor.BACKENDS` plus the serve-level
-#: ``"fused"`` direct path).
-_POOLS = ("thread", "process", "fused")
-
-_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|numba|cc|none
+_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|cc|none
 
 _lock = threading.Lock()
 _state: dict = {
-    "toolchain": None,  # resolved lazily: "numba" | "cc" | "none"
-    "impl": None,  # dict of callables once a toolchain is up
+    "toolchain": None,  # resolved lazily: "cc" | "none"
+    "impl": None,  # dict of callables once the library is up
     "compile_events": 0,
     "warned_fallback": False,
 }
@@ -131,25 +126,14 @@ def _find_cc() -> str | None:
 
 def _detect_toolchain() -> str:
     forced = os.environ.get(_ENV_TOOLCHAIN, "auto").lower()
-    if forced == "none":
-        return "none"
-    if forced in ("numba", "auto"):
-        try:
-            import numba  # noqa: F401
-
-            return "numba"
-        except Exception:
-            if forced == "numba":
-                return "none"
-    if forced in ("cc", "auto"):
-        if _find_cc() is not None:
-            return "cc"
+    if forced in ("cc", "auto") and _find_cc() is not None:
+        return "cc"
     return "none"
 
 
 def toolchain() -> str:
-    """The compiled toolchain in use: ``"numba"``, ``"cc"`` or
-    ``"none"`` (override with ``REPRO_COMPILED_TOOLCHAIN``)."""
+    """The compiled toolchain in use: ``"cc"`` or ``"none"``
+    (override with ``REPRO_COMPILED_TOOLCHAIN=auto|cc|none``)."""
     with _lock:
         if _state["toolchain"] is None:
             _state["toolchain"] = _detect_toolchain()
@@ -165,7 +149,7 @@ def effective_kernel(requested: str) -> str:
     """Resolve a requested kernel to the one that will run.
 
     ``"compiled"`` degrades to ``"numpy"`` (with a one-time logged
-    notice) when no toolchain is available or the build failed.
+    notice) when no C compiler is available or the build failed.
 
     :raises ValueError: a kernel name outside :data:`KERNELS`.
     """
@@ -181,25 +165,23 @@ def effective_kernel(requested: str) -> str:
         if not _state["warned_fallback"]:
             _state["warned_fallback"] = True
             log.warning(
-                "compiled kernel requested but no toolchain is available "
-                "(numba not importable, no C compiler on PATH); "
-                "falling back to the numpy kernels"
+                "compiled kernel requested but no C compiler is "
+                "available on PATH; falling back to the numpy kernels"
             )
     return "numpy"
 
 
 def compile_events() -> int:
-    """Monotonic count of actual kernel compilations (numba eager
-    compiles and C-compiler invocations; cache hits do not count).
-    Benchmarks and the serve path assert this stays constant across
-    timed regions after :func:`warm_up`."""
+    """Monotonic count of actual C-compiler invocations (cache hits
+    do not count).  Benchmarks and the serve path assert this stays
+    constant across timed regions after :func:`warm_up`."""
     with _lock:
         return _state["compile_events"]
 
 
-def _count_compile(n: int = 1) -> None:
+def _count_compile() -> None:
     with _lock:
-        _state["compile_events"] += n
+        _state["compile_events"] += 1
 
 
 def reset_for_tests() -> None:
@@ -212,60 +194,141 @@ def reset_for_tests() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The C leg.
+# The C source.
 # ---------------------------------------------------------------------------
+
+#: ``recoil_rans_walk`` return codes (0 = success), mirroring the enum
+#: in the C source; see :func:`rans_walk`.
+WALK_READ, WALK_STORE, WALK_MODEL, WALK_LANE = 1, 2, 3, 4
+WALK_DRAIN, WALK_CONSUMED, WALK_FINAL = 5, 6, 7
 
 _C_SOURCE = r"""
 #include <stdint.h>
 
-/* Steady-state rANS decode (twin of the fused.py steady loop).
-   Per iteration, per task: renormalization reads in descending lane
-   order, then Eq. 2 via the slot-indexed uint64 tables, then the
-   truncating little-endian output store.  Returns 1 when the stream
-   exhausts (caller raises), else 0. */
-int64_t recoil_rans_steady(
-    uint64_t *x, int64_t *pos,
-    const uint64_t *words, int64_t W,
-    const uint64_t *freq, const uint64_t *bias, const uint64_t *sym,
-    const uint64_t *ids,  /* NULL for a static model */
-    uint64_t slot_count, uint64_t slot_mask,
-    uint64_t shift, uint64_t rb, uint64_t lbound,
-    uint8_t *out, int64_t itemsize,
-    int64_t *out_idx,
-    int64_t T, int64_t K, int64_t iters)
+enum { WALK_READ = 1, WALK_STORE, WALK_MODEL, WALK_LANE,
+       WALK_DRAIN, WALK_CONSUMED, WALK_FINAL };
+
+static inline int64_t floordiv(int64_t a, int64_t b)
 {
-    for (int64_t it = 0; it < iters; ++it) {
-        for (int64_t t = 0; t < T; ++t) {
-            uint64_t *xr = x + t * K;
-            int64_t *oi = out_idx + t * K;
+    int64_t q = a / b;
+    return (a % b != 0 && a < 0) ? q - 1 : q;  /* b > 0 */
+}
+
+static inline void store(void *out, int64_t o, int64_t itemsize,
+                         uint64_t v)
+{
+    switch (itemsize) {
+    case 1: ((uint8_t *)out)[o] = (uint8_t)v; break;
+    case 2: ((uint16_t *)out)[o] = (uint16_t)v; break;
+    case 4: ((uint32_t *)out)[o] = (uint32_t)v; break;
+    default: ((uint64_t *)out)[o] = v; break;
+    }
+}
+
+/* The whole fused rANS decode walk (DESIGN.md §7/§19), one task after
+   another: tasks share only the read-only word stream and disjoint
+   output ranges, so each runs its own walk end to end with the exact
+   per-iteration semantics of fused.py's generic loop.  Per task:
+   install initial states, then per interleave group (descending)
+   install due activations, renormalize the group's active lanes in
+   descending lane order, decode them (Eq. 2), commit the symbols
+   inside [commit_lo, commit_hi]; finally the terminal drain.  Every
+   word read, output store and model-id read is bounds-checked.
+   counters: [symbols decoded, words read, max task iterations,
+   failing task, drain position]; returns 0 or a WALK_* error code. */
+int64_t recoil_rans_walk(
+    const uint16_t *words, int64_t W,
+    const uint64_t *freq, const uint64_t *bias, const uint64_t *sym,
+    uint64_t table_len, uint64_t slot_count, uint64_t slot_mask,
+    const uint64_t *ids, int64_t n_ids,  /* ids NULL: static model */
+    uint64_t shift, uint64_t rb, uint64_t lbound,
+    void *out, int64_t n_out, int64_t itemsize,
+    int64_t T, int64_t K, const int64_t *geom,
+    const uint64_t *init, const uint8_t *has_init,
+    const int64_t *act_ptr, const int64_t *act_iter,
+    const int64_t *act_lane, const uint64_t *act_state,
+    uint64_t *x, uint8_t *active, int64_t *counters)
+{
+    int64_t symbols = 0, words_read = 0, max_r = 0;
+    int64_t err = 0, t = 0;
+    for (; t < T; ++t) {
+        const int64_t *g = geom + 8 * t;
+        int64_t pos = g[0], cur = g[1];
+        const int64_t lo = g[2], c_hi = g[3], c_lo = g[4], off = g[5];
+        int64_t a = act_ptr[t];
+        const int64_t a_end = act_ptr[t + 1];
+        for (int64_t l = 0; l < K; ++l) {
+            x[l] = init[K * t + l];
+            active[l] = has_init[t];
+        }
+        int64_t r = 0;
+        for (; cur >= lo; ++r) {
+            for (; a < a_end && act_iter[a] <= r; ++a) {
+                const int64_t ln = act_lane[a];
+                if (ln < 0 || ln >= K) { err = WALK_LANE; goto fail; }
+                x[ln] = act_state[a];
+                active[ln] = 1;
+            }
+            const int64_t base = floordiv(cur - 1, K) * K;
+            const int64_t sl = lo > base + 1 ? lo : base + 1;
+            const int64_t la = sl - base - 1, lb = cur - base - 1;
             int64_t cnt = 0;
-            for (int64_t l = K - 1; l >= 0; --l) {
-                if (xr[l] < lbound) {
-                    int64_t src = pos[t] - cnt;
-                    cnt++;
-                    if (src < 0) src = 0;
-                    if (src >= W) src = W - 1;
-                    xr[l] = (xr[l] << rb) | words[src];
+            for (int64_t l = lb; l >= la; --l) {
+                if (active[l] && x[l] < lbound) {
+                    const int64_t src = pos - cnt++;
+                    if (src < 0 || src >= W) { err = WALK_READ; goto fail; }
+                    x[l] = (x[l] << rb) | words[src];
                 }
             }
-            pos[t] -= cnt;
-            if (pos[t] < -1) return 1;
-            for (int64_t l = 0; l < K; ++l) {
-                uint64_t xv = xr[l];
-                uint64_t slot = xv & slot_mask;
-                uint64_t fl = ids
-                    ? ids[oi[l]] * slot_count + slot
-                    : slot;
-                uint64_t sv = sym[fl];
-                xr[l] = freq[fl] * (xv >> shift) + bias[fl];
-                uint8_t *dst = out + oi[l] * itemsize;
-                for (int64_t b = 0; b < itemsize; ++b)
-                    dst[b] = (uint8_t)(sv >> (8 * b));
-                oi[l] -= K;
+            pos -= cnt;
+            words_read += cnt;
+            for (int64_t l = la; l <= lb; ++l) {
+                if (!active[l])
+                    continue;
+                const uint64_t xv = x[l];
+                uint64_t fl = xv & slot_mask;
+                if (ids) {
+                    int64_t gi = off + base + l;
+                    if (gi >= n_ids) gi = n_ids - 1;
+                    if (gi < 0) gi = 0;
+                    if (gi >= n_ids) { err = WALK_MODEL; goto fail; }
+                    fl += ids[gi] * slot_count;
+                }
+                if (fl >= table_len) { err = WALK_MODEL; goto fail; }
+                x[l] = freq[fl] * (xv >> shift) + bias[fl];
+                const int64_t li = base + l + 1;
+                if (li >= c_lo && li <= c_hi) {
+                    const int64_t o = off + li - 1;
+                    if (o < 0 || o >= n_out) { err = WALK_STORE; goto fail; }
+                    store(out, o, itemsize, sym[fl]);
+                }
+                ++symbols;
             }
+            cur = sl - 1;
+        }
+        if (r > max_r)
+            max_r = r;
+        if (g[6]) {  /* terminal drain back to the initial state L */
+            const int64_t term = g[7];
+            for (int64_t l = K - 1; l >= 0; --l) {
+                while (x[l] < lbound) {
+                    if (pos <= term) { err = WALK_DRAIN; goto fail; }
+                    if (pos < 0 || pos >= W) { err = WALK_READ; goto fail; }
+                    x[l] = (x[l] << rb) | words[pos--];
+                    ++words_read;
+                }
+            }
+            if (pos != term) { counters[4] = pos; err = WALK_CONSUMED; goto fail; }
+            for (int64_t l = 0; l < K; ++l)
+                if (x[l] != lbound) { err = WALK_FINAL; goto fail; }
         }
     }
-    return 0;
+fail:
+    counters[0] = symbols;
+    counters[1] = words_read;
+    counters[2] = max_r;
+    counters[3] = t;
+    return err;
 }
 
 /* Steady-phase rANS encode sweep (twin of run_blocks' zip loop):
@@ -362,10 +425,10 @@ def _build_cc_lib():
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
     u64 = ctypes.c_uint64
-    lib.recoil_rans_steady.restype = i64
-    lib.recoil_rans_steady.argtypes = [
-        p, p, p, i64, p, p, p, p, u64, u64, u64, u64, u64,
-        p, i64, p, i64, i64, i64,
+    lib.recoil_rans_walk.restype = i64
+    lib.recoil_rans_walk.argtypes = [
+        p, i64, p, p, p, u64, u64, u64, p, i64, u64, u64, u64,
+        p, i64, i64, i64, i64, p, p, p, p, p, p, p, p, p, p,
     ]
     lib.recoil_rans_encode_sweep.restype = None
     lib.recoil_rans_encode_sweep.argtypes = [
@@ -375,20 +438,6 @@ def _build_cc_lib():
     lib.recoil_tans_safe_run.argtypes = [
         p, p, i64, p, p, p, i64, p, i64, i64, i64,
     ]
-
-    def rans_steady(x, pos, words, freq, bias, sym, ids,
-                    slot_count, slot_mask, shift, rb, lbound,
-                    out8, itemsize, out_idx, iters):
-        T, K = x.shape
-        return int(lib.recoil_rans_steady(
-            x.ctypes.data, pos.ctypes.data,
-            words.ctypes.data, len(words),
-            freq.ctypes.data, bias.ctypes.data, sym.ctypes.data,
-            ids.ctypes.data if ids is not None else None,
-            slot_count, slot_mask, shift, rb, lbound,
-            out8.ctypes.data, itemsize, out_idx.ctypes.data,
-            T, K, iters,
-        ))
 
     def encode_sweep(X, bb, fb, cb, db, need, rb, bg, W):
         lib.recoil_rans_encode_sweep(
@@ -408,150 +457,14 @@ def _build_cc_lib():
         ))
 
     return {
-        "rans_steady": rans_steady,
-        "encode_sweep": encode_sweep,
-        "tans_safe": tans_safe,
-    }
-
-
-# ---------------------------------------------------------------------------
-# The numba leg.
-# ---------------------------------------------------------------------------
-
-
-def _build_numba_lib():
-    try:
-        import numba
-        from numba import types
-    except Exception:
-        return None
-
-    u64a = types.uint64[::1]
-    u642 = types.uint64[:, ::1]
-    i64a = types.int64[::1]
-    i642 = types.int64[:, ::1]
-    u8a = types.uint8[::1]
-    b2 = types.boolean[:, ::1]
-    i64 = types.int64
-    u64 = types.uint64
-
-    steady_sig = i64(
-        u642, i64a, u64a, u64a, u64a, u64a, u64a, types.boolean,
-        u64, u64, u64, u64, u64, u8a, i64, i642, i64,
-    )
-    sweep_sig = types.void(
-        u642, u642, u642, u642, u642, b2, u64, i64, i64
-    )
-    tans_sig = i64(i642, i642, i64a, i64a, i64a, i64, i64a, i64, i64, i64)
-
-    try:
-        @numba.njit(steady_sig, nogil=True, cache=True)
-        def _steady(x, pos, words, freq, bias, sym, ids, use_ids,
-                    slot_count, slot_mask, shift, rb, lbound,
-                    out8, itemsize, out_idx, iters):
-            T, K = x.shape
-            W = np.int64(len(words))
-            for _ in range(iters):
-                for t in range(T):
-                    cnt = np.int64(0)
-                    for l in range(K - 1, -1, -1):
-                        if x[t, l] < lbound:
-                            src = pos[t] - cnt
-                            cnt += 1
-                            if src < 0:
-                                src = 0
-                            if src >= W:
-                                src = W - 1
-                            x[t, l] = (x[t, l] << rb) | words[src]
-                    pos[t] -= cnt
-                    if pos[t] < -1:
-                        return 1
-                    for l in range(K):
-                        xv = x[t, l]
-                        slot = xv & slot_mask
-                        if use_ids:
-                            fl = ids[out_idx[t, l]] * slot_count + slot
-                        else:
-                            fl = slot
-                        sv = sym[fl]
-                        x[t, l] = freq[fl] * (xv >> shift) + bias[fl]
-                        base = out_idx[t, l] * itemsize
-                        for b in range(itemsize):
-                            out8[base + b] = np.uint8(
-                                sv >> np.uint64(8 * b)
-                            )
-                        out_idx[t, l] -= K
-            return 0
-
-        @numba.njit(sweep_sig, nogil=True, cache=True)
-        def _sweep(X, bb, fb, cb, db, need, rb, bg, W):
-            for i in range(bg):
-                for w in range(W):
-                    x0 = X[i, w]
-                    keep = x0 < bb[i, w]
-                    need[i, w] = keep
-                    if keep:
-                        xr = x0
-                    else:
-                        xr = x0 >> rb
-                    q = xr // fb[i, w]
-                    X[i + 1, w] = xr + q * cb[i, w] + db[i, w]
-
-        @numba.njit(tans_sig, nogil=True, cache=True)
-        def _tans(traj_pos, traj_state, pos, state, pk,
-                  table_size, win24, live, step, safe):
-            for _ in range(safe):
-                for k in range(live):
-                    p = pos[k]
-                    xx = state[k]
-                    traj_pos[step, k] = p
-                    traj_state[step, k] = xx
-                    g = pk[xx - table_size]
-                    nb = (g >> 17) & 31
-                    sh = 24 - (p & 7) - nb
-                    state[k] = (g >> 22) + (
-                        (win24[p >> 3] >> sh) & (g & 0x1FFFF)
-                    )
-                    pos[k] = p + nb
-                step += 1
-            return step
-    except Exception as exc:  # pragma: no cover - numba version drift
-        log.warning("numba kernel compilation failed: %s", exc)
-        return None
-    # Three eager compiles (explicit signatures) just happened.
-    _count_compile(3)
-
-    _empty_u64 = np.empty(0, dtype=np.uint64)
-
-    def rans_steady(x, pos, words, freq, bias, sym, ids,
-                    slot_count, slot_mask, shift, rb, lbound,
-                    out8, itemsize, out_idx, iters):
-        use_ids = ids is not None
-        return _steady(
-            x, pos, words, freq, bias, sym,
-            ids if use_ids else _empty_u64, use_ids,
-            np.uint64(slot_count), np.uint64(slot_mask),
-            np.uint64(shift), np.uint64(rb), np.uint64(lbound),
-            out8, itemsize, out_idx, iters,
-        )
-
-    def encode_sweep(X, bb, fb, cb, db, need, rb, bg, W):
-        _sweep(X, bb, fb, cb, db, need, np.uint64(rb), bg, W)
-
-    def tans_safe(traj_pos, traj_state, pos, state, pk,
-                  table_size, win24, live, step, safe):
-        return _tans(traj_pos, traj_state, pos, state, pk,
-                     table_size, win24, live, step, safe)
-
-    return {
-        "rans_steady": rans_steady,
+        "rans_walk": lib.recoil_rans_walk,
         "encode_sweep": encode_sweep,
         "tans_safe": tans_safe,
     }
 
 
 def _impl() -> dict | None:
-    """The active toolchain's kernel table (built once), or None."""
+    """The kernel table (built once), or None without a toolchain."""
     with _lock:
         impl = _state["impl"]
         if impl is not None:
@@ -559,16 +472,9 @@ def _impl() -> dict | None:
         if _state["toolchain"] is None:
             _state["toolchain"] = _detect_toolchain()
         tc = _state["toolchain"]
-    # Build outside the lock: compilation can take seconds and the
-    # builders only touch process-wide caches idempotently.
-    if tc == "numba":
-        impl = _build_numba_lib()
-        if impl is None:  # numba present but broken: degrade to cc
-            impl = _build_cc_lib()
-    elif tc == "cc":
-        impl = _build_cc_lib()
-    else:
-        impl = None
+    # Build outside the lock: compilation can take a while, and
+    # _build_cc_lib only touches process-wide caches idempotently.
+    impl = _build_cc_lib() if tc == "cc" else None
     with _lock:
         if _state["impl"] is None:
             _state["impl"] = impl if impl is not None else {}
@@ -584,18 +490,20 @@ def warm_up() -> str:
     impl = _impl()
     if impl is None:
         return "numpy"
-    # rANS steady: 1 task x 1 lane, one iteration over a synthetic
-    # always-above-threshold state (no renormalization read fires).
-    words = np.zeros(1, dtype=np.uint64)
+    # rANS walk: 1 task x 1 lane decoding one symbol from an
+    # above-threshold initial state (no renormalization read fires),
+    # once per model kind.
+    words = np.zeros(1, dtype=np.uint16)
     tab = np.ones(2, dtype=np.uint64)
-    out8 = np.zeros(8, dtype=np.uint8)
-    for ids in (None, np.zeros(2, dtype=np.uint64)):
-        x = np.full((1, 1), 1 << 16, dtype=np.uint64)
-        pos = np.zeros(1, dtype=np.int64)
-        oi = np.zeros((1, 1), dtype=np.int64)
-        impl["rans_steady"](
-            x, pos, words, tab, tab, tab, ids,
-            1, 1, 1, 16, 1 << 16, out8, 1, oi, 1,
+    geom = np.array([[0, 1, 1, 1, 1, 0, 0, -1]], dtype=np.int64)
+    for ids in (None, np.zeros(1, dtype=np.uint64)):
+        rans_walk(
+            words, tab, tab, tab, 2, 1, ids, 1, 16, 1 << 16,
+            np.zeros(1, dtype=np.uint8), 1, geom,
+            np.full((1, 1), 1 << 16, dtype=np.uint64),
+            np.ones(1, dtype=np.uint8), np.zeros(2, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.uint64),
         )
     X = np.full((2, 1), 1 << 16, dtype=np.uint64)
     ops = np.ones((1, 1), dtype=np.uint64)
@@ -612,8 +520,7 @@ def warm_up() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Kernel entry points used by the numpy kernels.  Each returns a
-# "did it run compiled" verdict; False means "use the numpy loop".
+# Kernel entry points.
 # ---------------------------------------------------------------------------
 
 
@@ -636,57 +543,123 @@ def _u64_view(arr: np.ndarray) -> np.ndarray:
     return conv
 
 
-def rans_steady(
-    x: np.ndarray,
-    pos: np.ndarray,
-    words_u64: np.ndarray,
+def walk_output_supported(out: np.ndarray) -> bool:
+    """Whether :func:`rans_walk` can store into ``out`` directly: a
+    C-contiguous, aligned, native-endian integer array."""
+    return bool(
+        out.dtype.kind in "ui"
+        and out.dtype.isnative
+        and out.dtype.itemsize in (1, 2, 4, 8)
+        and out.flags["C_CONTIGUOUS"]
+        and out.flags["ALIGNED"]
+    )
+
+
+def rans_walk(
+    words: np.ndarray,
     freq: np.ndarray,
     bias: np.ndarray,
     sym: np.ndarray,
-    ids: np.ndarray | None,
     slot_count: int,
     slot_mask: int,
+    ids: np.ndarray | None,
     quant_bits: int,
     renorm_bits: int,
     lbound: int,
     out: np.ndarray,
-    out_idx: np.ndarray,
-    iters: int,
-) -> bool:
-    """Run the full steady-state decode window compiled.
+    lanes: int,
+    geom: np.ndarray,
+    init: np.ndarray,
+    has_init: np.ndarray,
+    act_ptr: np.ndarray,
+    act_iter: np.ndarray,
+    act_lane: np.ndarray,
+    act_state: np.ndarray,
+) -> np.ndarray:
+    """Run the whole decode walk of a task batch in one C call.
 
-    Mutates ``x``, ``pos``, ``out`` and ``out_idx`` exactly as
-    ``iters`` passes of the numpy steady loop would.  Returns False
-    (nothing mutated) when no toolchain is up or a buffer layout is
-    unsupported; raises :class:`~repro.errors.DecodeError` on stream
-    exhaustion like the numpy loop.
+    ``geom`` is the ``(T, 8)`` int64 task matrix (columns as in
+    :class:`repro.parallel.fused.TaskColumns`); ``init``/``has_init``
+    the ``(T, K)`` initial states and which rows carry them;
+    ``act_*`` the activations, grouped per task by ``act_ptr``
+    (``(T+1,)`` offsets) and ordered by iteration within a task.
+    ``ids`` is the dense model-id array (``None`` for a static
+    model); ``words`` a uint16 stream and ``out`` an array passing
+    :func:`walk_output_supported`.
+
+    :returns: int64 counters ``[symbols decoded, words read, max task
+        iterations]``.
+    :raises DecodeError: a read outside the stream, an output store
+        outside ``out``, a model id outside the table, an activation
+        lane outside ``[0, K)``, or a failed terminal drain.
+    :raises ValueError: arrays whose dtype, layout or shape the C
+        code would misread (a caller bug, checked before any pointer
+        is passed).
     """
     impl = _impl()
-    if impl is None or iters <= 0:
-        return iters <= 0 and impl is not None
-    if not (
-        out.flags["C_CONTIGUOUS"]
-        and x.flags["C_CONTIGUOUS"]
-        and out_idx.flags["C_CONTIGUOUS"]
-        and words_u64.flags["C_CONTIGUOUS"]
-        and out.dtype.kind in "ui"
-    ):
-        return False
-    freq = _u64_view(freq)
-    bias = _u64_view(bias)
+    if impl is None:
+        raise RuntimeError("compiled kernel unavailable")
     sym = _u64_view(sym)
-    if ids is not None:
-        ids = _u64_view(ids)
-    err = impl["rans_steady"](
-        x, pos, words_u64, freq, bias, sym, ids,
-        slot_count, slot_mask, quant_bits, renorm_bits, lbound,
-        out.view(np.uint8), out.dtype.itemsize, out_idx, iters,
+    T = len(geom)
+    typed = [
+        (words, np.uint16), (freq, np.uint64), (bias, np.uint64),
+        (sym, np.uint64), (geom, np.int64), (init, np.uint64),
+        (has_init, np.uint8), (act_ptr, np.int64), (act_iter, np.int64),
+        (act_lane, np.int64), (act_state, np.uint64),
+    ] + ([] if ids is None else [(ids, np.uint64)])
+    if not (
+        all(
+            a.dtype == dt and a.flags["C_CONTIGUOUS"] and a.flags["ALIGNED"]
+            for a, dt in typed
+        )
+        and walk_output_supported(out)
+        and lanes >= 1
+        and geom.shape == (T, 8)
+        and init.shape == (T, lanes)
+        and has_init.shape == (T,)
+        and act_ptr.shape == (T + 1,)
+        and len(freq) == len(bias) == len(sym)
+        and act_ptr[0] == 0
+        and act_ptr[-1] == len(act_iter) == len(act_lane) == len(act_state)
+        and bool(np.all(act_ptr[1:] >= act_ptr[:-1]))
+    ):
+        raise ValueError("rans_walk arguments violate the kernel's layout")
+    n_ids = 0 if ids is None else len(ids)
+    x = np.empty(lanes, dtype=np.uint64)
+    active = np.empty(lanes, dtype=np.uint8)
+    counters = np.zeros(5, dtype=np.int64)
+    err = impl["rans_walk"](
+        words.ctypes.data, len(words),
+        freq.ctypes.data, bias.ctypes.data, sym.ctypes.data,
+        len(freq), slot_count, slot_mask,
+        None if ids is None else ids.ctypes.data, n_ids,
+        quant_bits, renorm_bits, lbound,
+        out.ctypes.data, len(out), out.dtype.itemsize,
+        len(geom), lanes, geom.ctypes.data,
+        init.ctypes.data, has_init.ctypes.data,
+        act_ptr.ctypes.data, act_iter.ctypes.data,
+        act_lane.ctypes.data, act_state.ctypes.data,
+        x.ctypes.data, active.ctypes.data, counters.ctypes.data,
     )
     if err:
         from repro.errors import DecodeError
 
-        raise DecodeError("bitstream exhausted during renormalization")
-    return True
+        t = int(counters[3])
+        raise DecodeError(f"task {t}: " + {
+            WALK_READ: "stream read out of range during "
+                       "renormalization (corrupt metadata or "
+                       "truncated payload)",
+            WALK_STORE: f"output position outside the {len(out)}-symbol "
+                        f"output",
+            WALK_MODEL: "model id outside the provider's decode tables",
+            WALK_LANE: f"activation lane outside [0, {lanes})",
+            WALK_DRAIN: "stream exhausted in terminal drain",
+            WALK_CONSUMED: f"stream region not fully consumed (pos "
+                           f"{int(counters[4])}, expected "
+                           f"{int(geom[t, 7])})",
+            WALK_FINAL: "lanes did not return to the initial state L",
+        }[err])
+    return counters[:3]
 
 
 def encode_sweep(

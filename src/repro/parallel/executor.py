@@ -48,7 +48,7 @@ class PoolDecodeResult:
     #: backend that actually ran (``"thread"`` after a graceful
     #: fallback from an unavailable ``"process"`` request).
     backend: str = "thread"
-    #: inner-loop kernel that actually ran (``"numpy"`` after a
+    #: decode kernel that actually ran (``"numpy"`` after a
     #: graceful fallback from an unavailable ``"compiled"`` request).
     kernel: str = "numpy"
 
@@ -90,7 +90,7 @@ def decode_with_pool(
         ``strategy="cost"`` + ``backend="process"``.
     :param backend: ``"thread"`` or ``"process"``, optionally with a
         ``"+compiled"`` suffix (``"thread+compiled"``) to run the
-        compiled inner-loop kernel; bare ``"compiled"`` means
+        compiled decode kernel; bare ``"compiled"`` means
         ``"thread+compiled"``.  A ``"compiled"`` request silently
         degrades to the numpy kernel when no toolchain is available
         (check ``result.kernel``).  A ``"process"`` request falls

@@ -30,6 +30,14 @@ Structure of one run:
 Phase boundaries are computed analytically from the task geometry
 before the loop starts, so the steady loop carries no per-iteration
 phase checks.
+
+``kernel="compiled"`` replaces all three phases with one C call that
+walks every task end to end (:func:`repro.parallel.compiled.rans_walk`,
+DESIGN.md §19): tasks share only the read-only word stream and
+disjoint output ranges, so the compiled walk needs neither lockstep
+masks nor the global steady window.  Its input is the columnar
+:class:`TaskColumns` form of the task list; this numpy path stays the
+portable fallback and the oracle the compiled walk is tested against.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 
 from repro import faults
 from repro.errors import DecodeError
+from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.simd import EngineStats, ThreadTask
 from repro.rans.adaptive import AdaptiveModelProvider
@@ -131,8 +140,8 @@ def fused_run(
         position is written by exactly one task.
     :param arena: caller-owned scratch buffers (not thread-safe —
         one arena per concurrently running kernel, DESIGN.md §9).
-    :param kernel: ``"numpy"`` (default) or ``"compiled"`` — run the
-        steady-state window through the compiled twin
+    :param kernel: ``"numpy"`` (default) or ``"compiled"`` — walk
+        every task in one call to the compiled kernel
         (:mod:`repro.parallel.compiled`) when a toolchain is up;
         bit-identical either way, silently numpy otherwise.
     :returns: work counters (iterations, symbols, words read).
@@ -141,6 +150,9 @@ def fused_run(
         mid-walk, or a terminal drain that does not return every lane
         to the initial state ``L``.
     """
+    columns = TaskColumns.from_tasks(tasks, lanes)
+    if _runs_compiled(kernel, out):
+        return _compiled_walk(provider, lanes, words, columns, out)
     K = lanes
     T = len(tasks)
     stats = EngineStats(tasks=T)
@@ -174,61 +186,23 @@ def fused_run(
     words_u64[:] = words
 
     # ---- task state -----------------------------------------------------
-    for ti, t in enumerate(tasks):
-        if t.start_pos >= W:
-            raise DecodeError(
-                f"task {ti}: start position {t.start_pos} beyond "
-                f"stream of {W} words"
-            )
-    pos = np.array([t.start_pos for t in tasks], dtype=np.int64)
-    cur = np.array([t.walk_hi for t in tasks], dtype=np.int64)
-    lo = np.array([t.walk_lo for t in tasks], dtype=np.int64)
-    c_hi = np.array([t.commit_hi for t in tasks], dtype=np.int64)
-    c_lo = np.array([t.commit_lo for t in tasks], dtype=np.int64)
-    offs = np.array([t.global_offset for t in tasks], dtype=np.int64)
+    geom = columns.geom
+    _check_starts(geom, W)
+    pos = geom[:, 0].copy()
+    cur = geom[:, 1].copy()
+    lo, c_hi, c_lo, offs = geom[:, 2], geom[:, 3], geom[:, 4], geom[:, 5]
 
     x = arena.get("x", (T, K), np.uint64)
-    x[:] = L_BOUND
+    x[:] = columns.init
     active = arena.get("active", (T, K), bool)
-    active[:] = False
-    for ti, t in enumerate(tasks):
-        if t.initial_states is not None:
-            st = np.asarray(t.initial_states, dtype=np.uint64)
-            if st.shape != (K,):
-                raise DecodeError(
-                    f"task {ti}: initial_states must have shape ({K},)"
-                )
-            x[ti] = st
-            active[ti] = True
+    np.not_equal(columns.has_init[:, None], 0, out=active)
 
-    # ---- activation schedule -------------------------------------------
-    act_task: list[int] = []
-    act_lane: list[int] = []
-    act_state: list[int] = []
-    act_iter: list[int] = []
-    for ti, t in enumerate(tasks):
-        g0 = _group(t.walk_hi, K)
-        for idx, lane, state in t.activations:
-            if not t.walk_lo <= idx <= t.walk_hi:
-                raise DecodeError(
-                    f"task {ti}: activation index {idx} outside walk "
-                    f"range [{t.walk_lo}, {t.walk_hi}]"
-                )
-            act_task.append(ti)
-            act_lane.append(lane)
-            act_state.append(state)
-            act_iter.append(g0 - _group(idx, K))
-    if act_task:
-        a_iter = np.array(act_iter)
-        order = np.argsort(a_iter, kind="stable")
-        a_iter = a_iter[order]
-        a_task = np.array(act_task)[order]
-        a_lane = np.array(act_lane)[order]
-        a_state = np.array(act_state, dtype=np.uint64)[order]
-    else:
-        a_iter = np.empty(0, dtype=np.int64)
-        a_task = a_lane = np.empty(0, dtype=np.int64)
-        a_state = np.empty(0, dtype=np.uint64)
+    # ---- activation schedule: every task's, by install iteration -------
+    order = np.argsort(columns.act_iter, kind="stable")
+    a_iter = columns.act_iter[order]
+    a_task = np.repeat(np.arange(T), np.diff(columns.act_ptr))[order]
+    a_lane = columns.act_lane[order]
+    a_state = columns.act_state[order]
     a_ptr = 0
 
     _, R_total, H, S = _plan_phases(tasks, K)
@@ -324,31 +298,13 @@ def fused_run(
         # output positions advance by exactly -K per iteration.
         out_idx[:] = (offs + cur - K)[:, None] + lane_col
         pos_sum_before = int(pos.sum())
-
-        ran_compiled = False
-        if kernel == "compiled":
-            from repro.parallel import compiled
-
-            if static:
-                ran_compiled = compiled.rans_steady(
-                    x, pos, words_u64, f1, b1, s1, None,
-                    int(slot_count), int(slot_mask), n, RENORM_BITS,
-                    L_BOUND, out, out_idx, steady_iters,
-                )
-            else:
-                ran_compiled = compiled.rans_steady(
-                    x, pos, words_u64, f_flat, b_flat, s_flat,
-                    ids_dense, int(slot_count), int(slot_mask), n,
-                    RENORM_BITS, L_BOUND, out, out_idx, steady_iters,
-                )
-        if not ran_compiled:
-            _numpy_steady(
-                arena, x, pos, out, out_idx, words_u64, steady_iters,
-                static, tables, slot_mask, lbound, n64, rb, slot_count,
-                None if static else ids_dense,
-                (f1, b1, s1) if static else (f_flat, b_flat, s_flat),
-                T, K,
-            )
+        _numpy_steady(
+            arena, x, pos, out, out_idx, words_u64, steady_iters,
+            static, tables, slot_mask, lbound, n64, rb, slot_count,
+            None if static else ids_dense,
+            (f1, b1, s1) if static else (f_flat, b_flat, s_flat),
+            T, K,
+        )
 
         words_read += pos_sum_before - int(pos.sum())
         symbols_decoded += steady_iters * T * K
@@ -396,10 +352,9 @@ def _numpy_steady(
     static, tables, slot_mask, lbound, n64, rb, slot_count,
     ids_dense, gather_tables, T, K,
 ):
-    """The numpy steady-state loop (the compiled twin's reference).
+    """The numpy steady-state loop.
 
-    Mutates ``x``, ``pos``, ``out`` and ``out_idx`` in place, exactly
-    like :func:`repro.parallel.compiled.rans_steady` does.
+    Mutates ``x``, ``pos``, ``out`` and ``out_idx`` in place.
     """
     need = arena.get("need", (T, K), bool)
     cbuf = arena.get("cbuf", (T, K), np.int64)
@@ -471,6 +426,189 @@ def _numpy_steady(
 
 
 # ---------------------------------------------------------------------------
+# The compiled walk: columnar tasks, vectorized plan checks, one C call.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TaskColumns:
+    """A task list in the columnar form the compiled walk reads.
+
+    ``geom[t]`` holds task ``t``'s ``start_pos``, ``walk_hi``,
+    ``walk_lo``, ``commit_hi``, ``commit_lo``, ``global_offset``,
+    ``check_terminal`` and ``terminal_pos``; ``init`` its initial
+    states (``L`` where ``has_init[t]`` is 0).  The
+    activations of task ``t`` are ``act_*[act_ptr[t]:act_ptr[t+1]]``,
+    ordered by ``act_iter`` — the walk iteration that installs them —
+    with ties in list order.  Building the columns checks the
+    stream-independent plan invariants, so a cached instance is
+    already validated; :func:`_compiled_walk` checks start positions
+    against the stream it runs on.
+    """
+
+    geom: np.ndarray  # (T, 8) int64
+    init: np.ndarray  # (T, K) uint64
+    has_init: np.ndarray  # (T,) uint8
+    act_ptr: np.ndarray  # (T + 1,) int64
+    act_iter: np.ndarray  # (A,) int64
+    act_lane: np.ndarray  # (A,) int64
+    act_state: np.ndarray  # (A,) uint64
+
+    @classmethod
+    def from_tasks(
+        cls, tasks: list[ThreadTask], lanes: int
+    ) -> "TaskColumns":
+        """Columns of ``tasks`` (O(T) Python, vectorized checks).
+
+        :raises DecodeError: ``lanes < 1``, ``initial_states`` not of
+            shape ``(lanes,)``, or an activation index outside its
+            task's walk range.
+        """
+        K = lanes
+        if K < 1:
+            raise DecodeError(f"lanes must be >= 1, got {K}")
+        T = len(tasks)
+        geom = np.array(
+            [
+                (t.start_pos, t.walk_hi, t.walk_lo, t.commit_hi,
+                 t.commit_lo, t.global_offset, t.check_terminal,
+                 t.terminal_pos)
+                for t in tasks
+            ],
+            dtype=np.int64,
+        ).reshape(T, 8)
+        init = np.full((T, K), L_BOUND, dtype=np.uint64)
+        has_init = np.zeros(T, dtype=np.uint8)
+        counts = np.zeros(T, dtype=np.int64)
+        acts: list[tuple[int, int, int]] = []
+        for ti, t in enumerate(tasks):
+            if t.initial_states is not None:
+                st = np.asarray(t.initial_states, dtype=np.uint64)
+                if st.shape != (K,):
+                    raise DecodeError(
+                        f"task {ti}: initial_states must have shape ({K},)"
+                    )
+                init[ti] = st
+                has_init[ti] = 1
+            counts[ti] = len(t.activations)
+            acts += t.activations
+        idx, lane, state = zip(*acts) if acts else ((), (), ())
+        act_idx = np.array(idx, dtype=np.int64)
+        act_task = np.repeat(np.arange(T), counts)
+        hi = geom[act_task, 1]
+        lo = geom[act_task, 2]
+        bad = np.flatnonzero((act_idx < lo) | (act_idx > hi))
+        if bad.size:
+            a = bad[0]
+            raise DecodeError(
+                f"task {act_task[a]}: activation index {act_idx[a]} "
+                f"outside walk range [{lo[a]}, {hi[a]}]"
+            )
+        act_iter = (hi - 1) // K - (act_idx - 1) // K
+        order = np.lexsort((act_iter, act_task))
+        return cls(
+            geom=geom,
+            init=init,
+            has_init=has_init,
+            act_ptr=np.concatenate(([0], np.cumsum(counts))),
+            act_iter=act_iter[order],
+            act_lane=np.array(lane, dtype=np.int64)[order],
+            act_state=np.array(state, dtype=np.uint64)[order],
+        )
+
+    @classmethod
+    def concat(
+        cls, parts: list[tuple["TaskColumns", int, int]]
+    ) -> "TaskColumns":
+        """Stack ``(columns, word_base, sym_base)`` parts into one
+        batch, shifting stream positions by the word base and output
+        positions by the symbol base (the :func:`fuse_segments`
+        rebasing, O(parts) numpy calls)."""
+        if len(parts) == 1 and parts[0][1] == 0 and parts[0][2] == 0:
+            return parts[0][0]
+        cols = [c for c, _, _ in parts]
+        tasks = [len(c.geom) for c in cols]
+        geom = np.concatenate([c.geom for c in cols])
+        word_shift = np.repeat([wb for _, wb, _ in parts], tasks)
+        geom[:, 0] += word_shift
+        geom[:, 7] += word_shift
+        geom[:, 5] += np.repeat([sb for _, _, sb in parts], tasks)
+        act_base = np.cumsum([0] + [c.act_ptr[-1] for c in cols])
+        return cls(
+            geom=geom,
+            init=np.concatenate([c.init for c in cols]),
+            has_init=np.concatenate([c.has_init for c in cols]),
+            act_ptr=np.concatenate(
+                [[0]] + [c.act_ptr[1:] + b for c, b in zip(cols, act_base)]
+            ),
+            act_iter=np.concatenate([c.act_iter for c in cols]),
+            act_lane=np.concatenate([c.act_lane for c in cols]),
+            act_state=np.concatenate([c.act_state for c in cols]),
+        )
+
+
+def _check_starts(geom: np.ndarray, W: int) -> None:
+    """Every task's start position must lie below the stream end."""
+    bad = np.flatnonzero(geom[:, 0] >= W)
+    if bad.size:
+        t = bad[0]
+        raise DecodeError(
+            f"task {t}: start position {geom[t, 0]} beyond stream of "
+            f"{W} words"
+        )
+
+
+def _runs_compiled(kernel: str, out: np.ndarray) -> bool:
+    """Whether this call takes the compiled walk."""
+    return (
+        kernel == "compiled"
+        and compiled.kernel_available()
+        and compiled.walk_output_supported(out)
+    )
+
+
+def _compiled_walk(
+    provider: AdaptiveModelProvider,
+    lanes: int,
+    words: np.ndarray,
+    columns: TaskColumns,
+    out: np.ndarray,
+) -> EngineStats:
+    """:func:`fused_run` on the compiled kernel: check the start
+    positions against ``words`` (vectorized), then one C call."""
+    words = np.require(words, np.uint16, "CA")
+    geom = columns.geom
+    _check_starts(geom, len(words))
+    n = provider.quant_bits
+    tables = provider.decode_tables
+    if provider.is_static:
+        gather = (
+            tables.freq_slot[0], tables.bias_slot[0], tables.sym_slot[0]
+        )
+        ids = None
+    else:
+        gather = (
+            tables.freq_slot.ravel(), tables.bias_slot.ravel(),
+            tables.sym_slot.ravel(),
+        )
+        ids = provider.dense_model_ids(len(out))
+    counters = compiled.rans_walk(
+        words, *gather, tables.slot_count, (1 << n) - 1, ids, n,
+        RENORM_BITS, L_BOUND, out, lanes, geom, columns.init,
+        columns.has_init, columns.act_ptr, columns.act_iter,
+        columns.act_lane, columns.act_state,
+    )
+    symbols, words_read, iterations = (int(c) for c in counters)
+    return EngineStats(
+        iterations=iterations,
+        symbols_decoded=symbols,
+        words_read=words_read,
+        tasks=len(geom),
+        max_task_iterations=iterations,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Multi-buffer fusion: tasks spanning several independent word streams.
 # ---------------------------------------------------------------------------
 
@@ -478,7 +616,7 @@ def _numpy_steady(
 def geometry_bucket(tasks, lanes: int) -> int:
     """Walk-geometry bucket for fusion grouping.
 
-    The fused kernel's steady-state fast path covers the intersection
+    The numpy kernel's steady-state fast path covers the intersection
     of all tasks' steady windows (DESIGN.md §8): fusing a
     capacity-1 decode (one task walking the whole sequence) with a
     capacity-64 decode (64 short tasks) collapses that intersection
@@ -487,8 +625,9 @@ def geometry_bucket(tasks, lanes: int) -> int:
     walks a similar number of interleave groups; this returns the
     power-of-two band of that length (≤2x spread within a bucket), so
     same-shape decodes always share a bucket while pathologically
-    unequal ones never do.  Used by the serve batcher and the
-    multi-frame decoder.
+    unequal ones never do.  The compiled walk runs each task on its
+    own and has no such window; the bucket only matters on the numpy
+    path.  Used by the serve batcher and the multi-frame decoder.
     """
     longest = max(
         (t.walk_hi - t.walk_lo) // lanes + 1 for t in tasks
@@ -511,6 +650,10 @@ class StreamSegment:
     words: np.ndarray
     tasks: list[ThreadTask] = field(repr=False)
     num_symbols: int
+    #: ``tasks`` in columnar form when the caller caches it (the
+    #: serve path keeps one per shrunk variant); built on demand by
+    #: the compiled walk otherwise.
+    columns: TaskColumns | None = field(default=None, repr=False)
 
     @property
     def lane_count(self) -> int:
@@ -528,6 +671,38 @@ class MultiRunResult:
 
     def segment_outputs(self) -> list[np.ndarray]:
         return [self.out[s] for s in self.slices]
+
+
+def _stack_streams(
+    segments: list[StreamSegment],
+) -> tuple[np.ndarray, list[tuple[int, int]], list[slice], int]:
+    """Concatenate the segments' word streams and lay out one output.
+
+    Returns ``(words, bases, out_slices, total_symbols)`` where
+    ``bases[i]`` is segment ``i``'s ``(word_base, sym_base)``.
+    Segments sharing one word-buffer *object* share one copy of it.
+    """
+    word_arrays: list[np.ndarray] = []
+    word_bases: dict[int, int] = {}  # id(words) -> assigned base
+    bases: list[tuple[int, int]] = []
+    out_slices: list[slice] = []
+    next_base = 0
+    sym_base = 0
+    for seg in segments:
+        word_base = word_bases.get(id(seg.words))
+        if word_base is None:
+            w = np.asarray(seg.words, dtype=np.uint16)
+            word_arrays.append(w)
+            word_bases[id(seg.words)] = word_base = next_base
+            next_base += len(w)
+        bases.append((word_base, sym_base))
+        out_slices.append(slice(sym_base, sym_base + seg.num_symbols))
+        sym_base += seg.num_symbols
+    if word_arrays:
+        words = np.concatenate(word_arrays)
+    else:
+        words = np.empty(0, dtype=np.uint16)
+    return words, bases, out_slices, sym_base
 
 
 def fuse_segments(
@@ -549,35 +724,18 @@ def fuse_segments(
 
     Returns ``(words, tasks, out_slices, total_symbols)``.
     """
-    word_arrays: list[np.ndarray] = []
-    word_bases: dict[int, int] = {}  # id(words) -> assigned base
-    fused_tasks: list[ThreadTask] = []
-    out_slices: list[slice] = []
-    next_base = 0
-    sym_base = 0
-    for seg in segments:
-        word_base = word_bases.get(id(seg.words))
-        if word_base is None:
-            w = np.asarray(seg.words, dtype=np.uint16)
-            word_arrays.append(w)
-            word_bases[id(seg.words)] = word_base = next_base
-            next_base += len(w)
-        for t in seg.tasks:
-            fused_tasks.append(
-                replace(
-                    t,
-                    start_pos=t.start_pos + word_base,
-                    global_offset=t.global_offset + sym_base,
-                    terminal_pos=t.terminal_pos + word_base,
-                )
-            )
-        out_slices.append(slice(sym_base, sym_base + seg.num_symbols))
-        sym_base += seg.num_symbols
-    if word_arrays:
-        words = np.concatenate(word_arrays)
-    else:
-        words = np.empty(0, dtype=np.uint16)
-    return words, fused_tasks, out_slices, sym_base
+    words, bases, out_slices, total = _stack_streams(segments)
+    fused_tasks = [
+        replace(
+            t,
+            start_pos=t.start_pos + word_base,
+            global_offset=t.global_offset + sym_base,
+            terminal_pos=t.terminal_pos + word_base,
+        )
+        for seg, (word_base, sym_base) in zip(segments, bases)
+        for t in seg.tasks
+    ]
+    return words, fused_tasks, out_slices, total
 
 
 def fused_run_multi(
@@ -622,13 +780,27 @@ def fused_run_multi(
             "multi-segment fusion requires a static model provider; "
             "adaptive-model decodes must be dispatched individually"
         )
-    words, tasks, out_slices, total_symbols = fuse_segments(segments)
     if out_dtype is None:
         out_dtype = provider.out_dtype
     # Results escape to callers, so the output is a fresh allocation
     # (arena rule 2, DESIGN.md §9); segment views share this buffer.
-    out = np.empty(total_symbols, dtype=out_dtype)
-    stats = fused_run(
-        provider, lanes, words, tasks, out, arena, kernel=kernel
-    )
+    out = np.empty(sum(s.num_symbols for s in segments), dtype=out_dtype)
+    if _runs_compiled(kernel, out):
+        # Columnar rebasing: O(segments) numpy calls, no per-task
+        # ThreadTask copies.
+        words, bases, out_slices, _ = _stack_streams(segments)
+        columns = TaskColumns.concat([
+            (
+                seg.columns
+                if seg.columns is not None
+                else TaskColumns.from_tasks(seg.tasks, lanes),
+                word_base,
+                sym_base,
+            )
+            for seg, (word_base, sym_base) in zip(segments, bases)
+        ])
+        stats = _compiled_walk(provider, lanes, words, columns, out)
+    else:
+        words, tasks, out_slices, _ = fuse_segments(segments)
+        stats = fused_run(provider, lanes, words, tasks, out, arena)
     return MultiRunResult(out=out, slices=out_slices, stats=stats)

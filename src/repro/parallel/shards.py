@@ -804,7 +804,7 @@ class ShardedExecutor:
 
         :param workers: shards for this decode (default: pool size).
         :param strategy: ``"cost"`` (LPT) or ``"round_robin"``.
-        :param kernel: inner-loop kernel (``"numpy"`` or
+        :param kernel: decode kernel (``"numpy"`` or
             ``"compiled"``) each worker's engine runs — callers must
             pass an *effective* kernel
             (:func:`repro.parallel.compiled.effective_kernel`); the

@@ -99,6 +99,7 @@ class DecodeRequest:
             words=self.asset.words,
             tasks=self.variant.tasks,
             num_symbols=self.asset.num_symbols,
+            columns=self.variant.columns,
         )
 
     # -- completion (a stdlib Future carries the handoff) --------------

@@ -50,7 +50,7 @@ def run_serve_bench(
     num_splits: int = 256,
     repeats: int = 2,
     seed: int = 11,
-    backend: str = "fused",
+    backend: str = ServiceConfig.decode_backend,
     workers: int = 8,
     faults: str | None = None,
 ) -> dict:

@@ -55,6 +55,7 @@ from repro.errors import (
 )
 from repro.serve import protocol
 from repro.serve.client import RecoilClient
+from repro.serve.service import RecoilService, ServiceConfig
 from repro.trace.hist import LatencyHistogram
 
 #: default persona mix: mostly honest, a pinch of hostile.
@@ -434,7 +435,7 @@ def run_load_bench(
     duration_s: float = 2.0,
     capacities: tuple[int, ...] = (1, 4, 16),
     personas: dict[str, float] | None = None,
-    backend: str = "fused",
+    backend: str = ServiceConfig.decode_backend,
     workers: int = 2,
     max_connections: int = 64,
     faults: str | None = None,
@@ -457,7 +458,6 @@ def run_load_bench(
     """
     from repro.data import text_surrogate
     from repro.serve.net import NetConfig, NetServer
-    from repro.serve.service import RecoilService, ServiceConfig
 
     chaos = bool(faults and faults.strip())
     if chaos:

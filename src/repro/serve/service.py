@@ -96,12 +96,13 @@ class ServiceConfig:
     #: threads; ``"process"`` — fan it across ``decode_workers`` shard
     #: processes (DESIGN.md §14; falls back to ``"thread"`` when
     #: shared memory is unavailable).  Any of them may carry a
-    #: ``"+compiled"`` suffix (bare ``"compiled"`` means
-    #: ``"fused+compiled"``) to run the compiled inner-loop kernel
-    #: (DESIGN.md §19); without a toolchain the service degrades to
-    #: the numpy kernel and reports it under
+    #: ``"+compiled"`` suffix to run the bounds-checked C decode walk
+    #: instead of the numpy kernel (DESIGN.md §19).  The default,
+    #: bare ``"compiled"``, means ``"fused+compiled"``: one C call
+    #: per batch on the dispatcher thread.  Without a C compiler the
+    #: service degrades to the numpy kernel and reports it under
     #: ``metrics_snapshot()["resilience"]["kernel"]``.
-    decode_backend: str = "fused"
+    decode_backend: str = "compiled"
     #: worker count for the ``"thread"``/``"process"`` backends.
     decode_workers: int = 8
     #: seconds after a process→thread degradation before the service
@@ -204,7 +205,7 @@ class RecoilService:
         #: what the operator asked for — ``decode_backend`` may differ
         #: after a degradation, and re-promotion aims back at this.
         self._configured_backend = pool_backend
-        #: inner-loop kernel: requested vs what actually runs.  The
+        #: decode kernel: requested vs what actually runs.  The
         #: warm-up also front-loads the one-time compile (DESIGN.md
         #: §19) so it never lands inside a request's timed path.
         self._configured_kernel = kernel

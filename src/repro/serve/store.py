@@ -28,6 +28,7 @@ request batcher can go straight to the fused kernel.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -42,6 +43,7 @@ from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import serialize_metadata
 from repro.errors import MetadataError, ServeError
 from repro.parallel.costmodel import estimate_task_symbols
+from repro.parallel.fused import TaskColumns
 from repro.parallel.simd import ThreadTask
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import DEFAULT_LANES
@@ -74,6 +76,12 @@ class ShrunkVariant:
     #: (:func:`repro.parallel.costmodel.estimate_task_symbols`).
     cost_symbols: int
     asset: "StoredAsset" = field(repr=False, default=None)
+
+    @functools.cached_property
+    def columns(self) -> TaskColumns:
+        """``tasks`` in the compiled walk's columnar form, built on
+        the variant's first decode and reused by every later one."""
+        return TaskColumns.from_tasks(self.tasks, self.asset.lanes)
 
 
 @dataclass

@@ -9,12 +9,12 @@ from repro.parallel import compiled
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.model import SymbolModel
 
-#: skip marker for tests that need a working compiled-kernel toolchain
-#: (numba or a C compiler) — CI's fallback leg runs with
+#: skip marker for tests that need a working compiled kernel (a C
+#: compiler on PATH) — CI's fallback leg runs with
 #: ``REPRO_COMPILED_TOOLCHAIN=none`` and must skip these cleanly.
 needs_compiled = pytest.mark.skipif(
     not compiled.kernel_available(),
-    reason="no compiled-kernel toolchain (numba or cc) available",
+    reason="no compiled-kernel toolchain (C compiler) available",
 )
 
 #: inner-loop kernels to parametrize differential suites over.  Every

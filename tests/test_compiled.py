@@ -12,12 +12,14 @@ backend-parametrized differential suites (``test_fused*``,
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
-from repro.errors import ParallelismError
+from repro.errors import DecodeError, ParallelismError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
 from repro.parallel.simd import LaneEngine
@@ -71,6 +73,25 @@ class TestSplitBackend:
 
     def test_effective_kernel_numpy_is_identity(self):
         assert compiled.effective_kernel("numpy") == "numpy"
+
+    def test_served_default_in_one_place(self):
+        """The service default is the compiled kernel, and every
+        serving command takes its ``--backend`` default from it."""
+        from repro.cli import build_parser
+        from repro.serve.bench import run_serve_bench
+        from repro.serve.loadgen import run_load_bench
+        from repro.serve.service import ServiceConfig
+
+        default = ServiceConfig().decode_backend
+        assert compiled.split_backend(default, "fused") == (
+            "fused", "compiled"
+        )
+        parser = build_parser()
+        for cmd in ("serve", "serve-bench", "load-bench"):
+            assert parser.parse_args([cmd]).backend == default
+        for fn in (run_serve_bench, run_load_bench):
+            backend = inspect.signature(fn).parameters["backend"]
+            assert backend.default == default
 
     def test_executor_rejects_bad_suffix_as_parallelism_error(
         self, skewed_bytes, provider11
@@ -132,14 +153,15 @@ class TestFallbackWithoutToolchain:
         assert np.array_equal(res.symbols, data)
 
     def test_service_reports_configured_vs_effective(self, forced_none):
-        from repro.serve import RecoilService, ServiceConfig
+        """A default service asks for the compiled kernel; without a
+        toolchain it serves bit-identically on numpy and says so."""
+        from repro.serve import RecoilService
 
         r = np.random.default_rng(77)
         data = np.minimum(
             np.floor(r.exponential(9.0, 5_000)), 255
         ).astype(np.uint8)
-        cfg = ServiceConfig(decode_backend="compiled")
-        with RecoilService(config=cfg) as svc:
+        with RecoilService() as svc:
             svc.put_asset("a", data)
             assert np.array_equal(svc.decompress("a", 8), data)
             snap = svc.metrics_snapshot()
@@ -209,3 +231,95 @@ class TestWarmUpContract:
             assert np.array_equal(svc.decompress("a", 8), data)
             assert compiled.compile_events() == events
             assert svc.decode_kernel == "compiled"
+
+
+@needs_compiled
+class TestWalkBoundsChecks:
+    """The compiled walk bounds-checks every read, store, model-id read
+    and activation lane, and turns each failure into a DecodeError —
+    including task shapes no container can produce, where the numpy
+    kernel would raise IndexError or wrap a negative index."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, skewed_bytes, provider11):
+        data = skewed_bytes[:3_000]
+        return data, RecoilEncoder(provider11, lanes=4).encode(
+            data, num_threads=1
+        )
+
+    def _task(self, enc, **changes):
+        (task,) = build_thread_tasks(
+            enc.metadata, len(enc.words), enc.final_states
+        )
+        for name, value in changes.items():
+            setattr(task, name, value)
+        return task
+
+    def _decode(self, provider, enc, task, n=None):
+        out = np.zeros(enc.num_symbols if n is None else n, np.uint8)
+        LaneEngine(provider, 4, kernel="compiled").run(
+            enc.words, [task], out
+        )
+        return out
+
+    def test_clean_task_decodes(self, stream, provider11):
+        data, enc = stream
+        assert np.array_equal(
+            self._decode(provider11, enc, self._task(enc)), data
+        )
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"global_offset": 5}, "output position outside"),
+            ({"global_offset": -1}, "output position outside"),
+            ({"start_pos": 3}, "stream read out of range"),
+            ({"terminal_pos": -5}, "not fully consumed"),
+            ({"initial_states": None,
+              "activations": [(3_000, 4, 1 << 16)]},
+             "activation lane outside"),
+            ({"start_pos": 10**6}, "beyond stream"),
+            ({"activations": [(0, 0, 1 << 16)]}, "outside walk range"),
+            ({"initial_states": np.ones(3, np.uint64)}, "shape"),
+        ],
+    )
+    def test_hostile_task_fails_typed(
+        self, stream, provider11, changes, message
+    ):
+        _, enc = stream
+        with pytest.raises(DecodeError, match=message):
+            self._decode(provider11, enc, self._task(enc, **changes))
+
+    def test_model_id_outside_bank(self, stream, model11):
+        from repro.rans.adaptive import IndexedModelProvider
+
+        class OutOfBank(IndexedModelProvider):
+            def model_ids_for_range(self, start, stop):
+                return np.full(stop - start, 7, dtype=np.intp)
+
+        _, enc = stream
+        provider = OutOfBank([model11] * 2, np.zeros(3_000, np.intp))
+        with pytest.raises(DecodeError, match="model id outside"):
+            self._decode(provider, enc, self._task(enc))
+
+    def test_layout_violation_rejected_before_c(self):
+        """A caller passing arrays the C code would misread gets a
+        ValueError, not an out-of-bounds access."""
+        z64 = np.zeros(0, np.int64)
+        args = dict(
+            words=np.zeros(4, np.uint16), freq=np.ones(2, np.uint64),
+            bias=np.ones(2, np.uint64), sym=np.ones(2, np.uint64),
+            slot_count=2, slot_mask=1, ids=None, quant_bits=1,
+            renorm_bits=16, lbound=1 << 16, out=np.zeros(4, np.uint8),
+            lanes=1, geom=np.zeros((1, 8), np.int64),
+            init=np.zeros((1, 1), np.uint64),
+            has_init=np.zeros(1, np.uint8),
+            act_ptr=np.array([0, 3]), act_iter=z64, act_lane=z64,
+            act_state=np.zeros(0, np.uint64),
+        )
+        with pytest.raises(ValueError, match="layout"):
+            compiled.rans_walk(**args)  # act_ptr runs past act_*
+        args["act_ptr"] = np.zeros(2, np.int64)
+        args["geom"] = np.zeros((1, 8), np.int32)
+        with pytest.raises(ValueError, match="layout"):
+            compiled.rans_walk(**args)

@@ -20,7 +20,9 @@ import pytest
 from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
+from repro.parallel.buffers import ScratchArena
 from repro.parallel.executor import decode_with_pool
+from repro.parallel.fused import StreamSegment, fuse_segments, fused_run_multi
 from repro.parallel.simd import LaneEngine, ThreadTask
 from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
@@ -234,3 +236,140 @@ class TestFusedEdgeCases:
         dec = InterleavedDecoder(provider, lanes=32)
         with pytest.raises(DecodeError):
             dec.decode(enc.words, bad, enc.num_symbols)
+
+
+def _run_both(provider, lanes, words, tasks, n, kernel):
+    """Decode ``tasks`` with ``kernel`` and with the reference loop.
+
+    Either both raise :class:`DecodeError`, or outputs (zero-filled
+    first, so uncommitted positions compare too) and work counters
+    are identical.  Returns the kernel's ``(out, stats)``, or None
+    when both raised.
+    """
+    engine = LaneEngine(provider, lanes, kernel=kernel)
+    out_k = np.zeros(n, dtype=np.uint8)
+    out_r = np.zeros(n, dtype=np.uint8)
+    try:
+        sr = engine.run_reference(words, tasks, out_r)
+    except DecodeError:
+        with pytest.raises(DecodeError):
+            engine.run(words, tasks, out_k)
+        return None
+    sk = engine.run(words, tasks, out_k)
+    assert np.array_equal(out_k, out_r)
+    assert _stats_tuple(sk) == _stats_tuple(sr)
+    return out_k, sk
+
+
+class TestWholeWalkBatches:
+    """Batches the old global steady window ``[H, S)`` could not
+    cover: the compiled walk runs every task end to end, so each must
+    match the reference loop exactly on both kernels."""
+
+    def test_multi_segment_mixed_capacities(self, payload, kernel_backend):
+        provider = _provider("static", payload, None)
+        enc = RecoilEncoder(provider).encode(payload, num_threads=64)
+        segments = [
+            StreamSegment(
+                enc.words,
+                build_thread_tasks(
+                    enc.metadata.combine(cap), len(enc.words),
+                    enc.final_states,
+                ),
+                enc.num_symbols,
+            )
+            for cap in (1, 4, 64)
+        ]
+        res = fused_run_multi(
+            provider, 32, segments, ScratchArena(), kernel=kernel_backend
+        )
+        for seg_out in res.segment_outputs():
+            assert np.array_equal(seg_out, payload)
+        words, tasks, _, total = fuse_segments(segments)
+        out_r = np.empty(total, dtype=np.uint8)
+        sr = LaneEngine(provider, 32).run_reference(words, tasks, out_r)
+        assert np.array_equal(res.out, out_r)
+        assert _stats_tuple(res.stats) == _stats_tuple(sr)
+
+    def test_lane_never_activates(self, payload, kernel_backend):
+        provider = _provider("static", payload, None)
+        enc = RecoilEncoder(provider, lanes=4).encode(
+            payload, num_threads=4
+        )
+        tasks = build_thread_tasks(
+            enc.metadata, len(enc.words), enc.final_states
+        )
+        mid = tasks[1]
+        mid.activations = [a for a in mid.activations if a[1] != 2]
+        assert _run_both(
+            provider, 4, enc.words, tasks, enc.num_symbols, kernel_backend
+        )
+
+    def test_degenerate_tasks(self, payload, kernel_backend):
+        provider = _provider("static", payload, None)
+        enc = InterleavedEncoder(provider, lanes=32).encode(payload)
+        full = ThreadTask(
+            start_pos=len(enc.words) - 1,
+            walk_hi=enc.num_symbols,
+            walk_lo=1,
+            commit_hi=enc.num_symbols,
+            commit_lo=1,
+            initial_states=enc.final_states,
+            check_terminal=True,
+        )
+        dead = ThreadTask(
+            start_pos=0, walk_hi=5, walk_lo=9, commit_hi=5, commit_lo=9
+        )
+        # walk_hi < walk_lo with a terminal check: no walk, only the
+        # drain of lanes already at L, consuming nothing.
+        empty = ThreadTask(
+            start_pos=-1, walk_hi=0, walk_lo=1, commit_hi=0, commit_lo=1,
+            initial_states=np.full(32, 1 << 16, dtype=np.uint64),
+            check_terminal=True, terminal_pos=-1,
+        )
+        out, stats = _run_both(
+            provider, 32, enc.words, [dead, full, empty],
+            enc.num_symbols, kernel_backend,
+        )
+        assert np.array_equal(out, payload)
+        assert stats.tasks == 3
+
+    def test_initial_states_and_activations(self, payload, kernel_backend):
+        """Lanes live from the start, then re-seeded mid-walk."""
+        provider = _provider("static", payload, None)
+        enc = RecoilEncoder(provider).encode(payload, num_threads=2)
+        tasks = build_thread_tasks(
+            enc.metadata, len(enc.words), enc.final_states
+        )
+        first = tasks[0]
+        assert first.activations and first.initial_states is None
+        first.initial_states = np.full(32, 1 << 20, dtype=np.uint64)
+        # The early lanes read words the activations expected to find,
+        # so the walk decodes garbage: skip the terminal check and
+        # compare what both kernels make of it.
+        first.check_terminal = False
+        assert _run_both(
+            provider, 32, enc.words, tasks, enc.num_symbols, kernel_backend
+        )
+
+    def test_adaptive_segment(
+        self, payload, adaptive_provider, kernel_backend
+    ):
+        enc = RecoilEncoder(adaptive_provider).encode(
+            payload, num_threads=8
+        )
+        tasks = build_thread_tasks(
+            enc.metadata.combine(4), len(enc.words), enc.final_states
+        )
+        res = fused_run_multi(
+            adaptive_provider, 32,
+            [StreamSegment(enc.words, tasks, enc.num_symbols)],
+            ScratchArena(), kernel=kernel_backend,
+        )
+        out_r = np.empty(enc.num_symbols, dtype=np.uint8)
+        sr = LaneEngine(adaptive_provider, 32).run_reference(
+            enc.words, tasks, out_r
+        )
+        assert np.array_equal(res.out, payload)
+        assert np.array_equal(res.out, out_r)
+        assert _stats_tuple(res.stats) == _stats_tuple(sr)

@@ -1,28 +1,38 @@
 """Failure injection: corrupted inputs must fail *controlled*.
 
-A decoder facing random corruption may either (a) raise a library
-error (:class:`~repro.errors.ReproError` — preferred), (b) raise a
-bounded builtin (`ValueError`/`OverflowError`/`MemoryError` from a
-nonsense length field hitting numpy), or (c) decode to output that
-differs from the original.  What it must never do is hang, crash the
+A rANS container decoder facing random corruption, on either kernel,
+may either (a) raise a library error
+(:class:`~repro.errors.ReproError`) or (b) decode to output that
+differs from the original; the two kernels must agree on which, and
+on the output.  The tANS multians decoder may still raise a bounded
+builtin (``ACCEPTABLE``).  What no decoder may do is hang, crash the
 interpreter, or silently return the *right* data from wrong bytes
 when integrity checks could have caught it.
 """
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import RecoilCodec, parse_container, recoil_shrink
+from repro.core.decoder import RecoilDecoder
 from repro.errors import (
     ContainerError,
     MetadataError,
     ModelError,
     ReproError,
 )
+from repro.rans.model import SymbolModel
 from repro.tans import MultiansCodec, TansTable
 
+from conftest import needs_compiled
+
+#: what the tANS multians fuzz tolerates besides a ReproError.
 ACCEPTABLE = (ReproError, ValueError, OverflowError, MemoryError, IndexError)
 
 
@@ -42,31 +52,49 @@ def _flip(blob: bytes, pos: int, mask: int = 0xFF) -> bytes:
     return bytes(b)
 
 
+def _decompress(codec, blob: bytes, engine: str) -> np.ndarray:
+    """``codec.decompress`` on the named decode engine."""
+    parsed = parse_container(blob, provider=codec.provider)
+    return RecoilDecoder(codec.provider, codec.lanes).decode(
+        parsed.words(blob), parsed.final_states, parsed.metadata,
+        engine=engine,
+    ).symbols
+
+
 class TestContainerFuzz:
+    """Corrupt containers decoded on the numpy kernel; the subclass
+    below repeats every case on the compiled one.  Both must fail
+    typed: a :class:`ReproError`, never a builtin."""
+
+    engine = "fused"
+
     @pytest.mark.parametrize("seed", range(24))
     def test_random_byte_corruption(self, codec, blob, skewed_bytes, seed):
         r = np.random.default_rng(seed)
         pos = int(r.integers(0, len(blob)))
         bad = _flip(blob, pos, int(r.integers(1, 256)))
         try:
-            out = codec.decompress(bad)
-        except ACCEPTABLE:
+            out = _decompress(codec, bad, self.engine)
+        except ReproError:
             return
         assert not np.array_equal(out, skewed_bytes[:20_000]) or bad == blob
 
     @pytest.mark.parametrize("cut", [1, 7, 64, 1000])
     def test_truncation(self, codec, blob, cut):
-        with pytest.raises(ACCEPTABLE):
-            codec.decompress(blob[:-cut])
+        with pytest.raises(ReproError):
+            _decompress(codec, blob[:-cut], self.engine)
 
     def test_empty_blob(self, codec):
-        with pytest.raises(ACCEPTABLE):
-            codec.decompress(b"")
+        with pytest.raises(ReproError):
+            _decompress(codec, b"", self.engine)
 
     def test_garbage_blob(self, codec):
         r = np.random.default_rng(0)
-        with pytest.raises(ACCEPTABLE):
-            codec.decompress(bytes(r.integers(0, 256, 500, dtype=np.uint8)))
+        with pytest.raises(ReproError):
+            _decompress(
+                codec, bytes(r.integers(0, 256, 500, dtype=np.uint8)),
+                self.engine,
+            )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_shrink_of_corrupt_blob(self, blob, seed):
@@ -76,7 +104,7 @@ class TestContainerFuzz:
         try:
             small = recoil_shrink(bad, 4)
             parse_container(small, require_model=False)
-        except ACCEPTABLE:
+        except ReproError:
             pass
 
     def test_header_field_corruption_each_byte(self, codec, blob,
@@ -85,10 +113,107 @@ class TestContainerFuzz:
         for pos in range(12):
             bad = _flip(blob, pos)
             try:
-                out = codec.decompress(bad)
-            except ACCEPTABLE:
+                out = _decompress(codec, bad, self.engine)
+            except ReproError:
                 continue
             assert not np.array_equal(out, skewed_bytes[:20_000])
+
+
+@needs_compiled
+class TestContainerFuzzCompiled(TestContainerFuzz):
+    """Every :class:`TestContainerFuzz` case on the compiled kernel."""
+
+    engine = "compiled"
+
+
+#: corrupted containers per differential chunk, and the capacities
+#: every container the store accepts is decoded at.
+DIFF_CONTAINERS = 40
+DIFF_CAPACITIES = (1, 4, 64)
+
+
+def differential_chunk(first_seed: int, count: int) -> dict:
+    """Decode corrupted containers on both kernels; they must agree.
+
+    Container ``seed`` gets 1-3 random byte flips, half of them inside
+    the header and metadata.  One that ``put_container`` accepts is
+    decoded on the serve path (shrink, then :func:`fused_run_multi`)
+    at every capacity in :data:`DIFF_CAPACITIES`, on the numpy and on
+    the compiled kernel: both must raise a :class:`ReproError`, or
+    both return identical symbols and :class:`EngineStats`.  Runs in
+    a subprocess of the test, so a crash fails one chunk.
+    """
+    from repro.parallel.buffers import ScratchArena
+    from repro.parallel.fused import StreamSegment, fused_run_multi
+    from repro.serve import AssetStore
+
+    r = np.random.default_rng(1)
+    data = np.minimum(np.floor(r.exponential(12.0, 8_000)), 255)
+    blob = RecoilCodec(
+        SymbolModel.from_data(data.astype(np.uint8), 11, 256)
+    ).compress(data.astype(np.uint8), 64)
+    arena = ScratchArena()
+    tally = {"rejected": 0, "typed": 0, "identical": 0}
+
+    def decode(asset, tasks, kernel):
+        try:
+            res = fused_run_multi(
+                asset.provider, asset.lanes,
+                [StreamSegment(asset.words, tasks, asset.num_symbols)],
+                arena, out_dtype=asset.out_dtype, kernel=kernel,
+            )
+        except ReproError as exc:
+            return type(exc)
+        s = res.stats
+        return res.out, (s.iterations, s.symbols_decoded, s.words_read,
+                         s.tasks, s.max_task_iterations)
+
+    for seed in range(first_seed, first_seed + count):
+        r = np.random.default_rng(seed)
+        bad = bytearray(blob)
+        hi = len(blob) if seed % 2 else 600
+        for _ in range(int(r.integers(1, 4))):
+            bad[int(r.integers(0, hi))] ^= int(r.integers(1, 256))
+        try:
+            asset = AssetStore().put_container("x", bytes(bad))
+        except ReproError:
+            tally["rejected"] += 1
+            continue
+        for cap in DIFF_CAPACITIES:
+            tasks = asset.shrink(cap).tasks
+            a = decode(asset, tasks, "numpy")
+            b = decode(asset, tasks, "compiled")
+            if isinstance(a, type) and isinstance(b, type):
+                tally["typed"] += 1
+                continue
+            assert not isinstance(a, type) and not isinstance(b, type), (
+                f"seed {seed} capacity {cap}: numpy -> {a!r:.80}, "
+                f"compiled -> {b!r:.80}"
+            )
+            assert np.array_equal(a[0], b[0]), f"seed {seed} cap {cap}"
+            assert a[1] == b[1], f"seed {seed} cap {cap}: {a[1]} {b[1]}"
+            tally["identical"] += 1
+    return tally
+
+
+@needs_compiled
+@pytest.mark.parametrize("chunk", range(4))
+def test_kernels_agree_on_corrupt_containers(chunk):
+    here = pathlib.Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path[:0] = [{str(here.parent / 'src')!r}, "
+        f"{str(here)!r}]; import test_fuzz; "
+        f"print(test_fuzz.differential_chunk("
+        f"{chunk * DIFF_CONTAINERS}, {DIFF_CONTAINERS}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, (
+        f"exit status {proc.returncode} (negative: killed by that "
+        f"signal)\n{proc.stdout[-2000:]}{proc.stderr[-4000:]}"
+    )
 
 
 class TestMultiansFuzz:
@@ -187,6 +312,32 @@ class TestIngestStrictErrorSurface:
         )
         with pytest.raises(ContainerError, match="model"):
             parse_container(evil)
+
+    def test_zero_lane_container_rejected_typed(self, blob):
+        """A well-formed container claiming 0 lanes would make every
+        decoder divide by zero (the C walk by a hardware trap that
+        kills the server): ingest must refuse it typed."""
+        from repro.bitio.varint import encode_uvarint
+        from repro.core.container import MAGIC, VERSION
+        from repro.serve import AssetStore
+
+        p = parse_container(blob)
+        geometry = encode_uvarint(p.num_symbols) + encode_uvarint(
+            p.num_words
+        )
+        evil = (
+            MAGIC
+            + bytes([VERSION, blob[5], p.quant_bits])
+            + encode_uvarint(0)  # lanes, hence no final states
+            + geometry
+            + p.provider.models[0].to_bytes()
+            + encode_uvarint(0) + geometry + encode_uvarint(0)  # metadata
+            + blob[p.payload_offset:]
+        )
+        with pytest.raises(STRICT, match="lanes"):
+            parse_container(evil)
+        with pytest.raises(STRICT, match="lanes"):
+            AssetStore().put_container("x", evil)
 
     def test_implausible_entry_count_rejected_typed(self):
         from repro.bitio.varint import encode_uvarint
@@ -304,6 +455,32 @@ class TestWireProtocolFuzz:
             sock = self._open(server)
             sock.sendall(bytes(r.integers(0, 256, 64, dtype=np.uint8)))
             self._expect_error_or_close(sock)
+        _assert_server_healthy(server, payload)
+
+    def test_corrupt_container_put_then_decode(self, net_server):
+        """A hostile upload that parses (OP_PUT succeeds) but whose
+        final states are corrupt: the OP_DECODE walking them must be
+        answered with a typed error frame, and the server keeps
+        serving."""
+        from repro.bitio.varint import encode_uvarint
+        from repro.core import recoil_compress
+        from repro.errors import DecodeError
+        from repro.serve import RecoilClient
+
+        server, payload = net_server
+        blob = bytearray(recoil_compress(payload, num_splits=16))
+        parsed = parse_container(bytes(blob))
+        states_at = 7 + sum(
+            len(encode_uvarint(v))
+            for v in (parsed.lanes, parsed.num_symbols, parsed.num_words)
+        )
+        blob[states_at] ^= 0x5A
+        host, port = server.address
+        with RecoilClient(host, port, timeout_s=30) as client:
+            client.put_container("hostile", bytes(blob))
+            for _ in range(2):
+                with pytest.raises(DecodeError):
+                    client.decompress("hostile", 1)
         _assert_server_healthy(server, payload)
 
     def test_bad_magic(self, net_server):
