@@ -6,18 +6,15 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 - ``scalar``       — the single-state pure-Python reference decoder;
 - ``interleaved``  — one 32-lane coder, full-stream decode (fused);
 - ``pooled``       — 8 recoil tasks on 8 real threads (fused engines);
-- ``sharded``      — the same 8 tasks on 8 shard *processes* over
-  shared memory (``decode_with_pool(backend="process")``);
 - ``fused``        — 8 recoil tasks, one fused wide-lane kernel;
 - ``seed_engine``  — the same 8 tasks on the pre-fusion reference
   engine (``LaneEngine.run_reference``), i.e. the seed hot path.
 
-The ``backend_shootout`` section compares the thread and process
-fan-out backends on the same LPT shard plan (measured wall-clock,
-plus symmetric solo-shard makespans for the clearly-labelled
-projection — docs/BENCHMARKS.md); CI gates on its measured
-``speedup_process_vs_thread`` (the parallel-edge threshold applies
-only on runners with enough cores to express it).
+The ``thread_pool`` section times ``decode_with_pool`` on each kernel
+at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
+``POOL_SYMBOLS``-symbol input: the median and quartiles of
+``POOL_ROUNDS`` alternating rounds (the config order reverses every
+round), every output verified (docs/BENCHMARKS.md).
 
 The ``compiled`` section re-times the fused decode on the compiled C
 walk (DESIGN.md §19) when a C compiler is present; the section always
@@ -37,6 +34,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -50,11 +48,15 @@ from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 from repro.rans.scalar import ScalarDecoder, ScalarEncoder
-from repro.stats.timing import measure_backend_shootout
 
 QUANT_BITS = 11
 LANES = 32
 SCALAR_CAP = 30_000  # the pure-Python decoder is ~1000x slower
+POOL_SPLITS = (16, 64)
+POOL_ROUNDS = 9
+#: large enough that a pool call's fixed cost (thread start, the
+#: GIL-held task setup) stays small next to the decode itself.
+POOL_SYMBOLS = 2_000_000
 
 
 def _rate(fn, check, repeats: int) -> float:
@@ -67,6 +69,73 @@ def _rate(fn, check, repeats: int) -> float:
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return len(out) / best
+
+
+def _thread_pool() -> dict:
+    """``decode_with_pool`` on each kernel x 1..host_cpus workers x
+    ``POOL_SPLITS`` splits: median and quartiles of symbols/second over
+    ``POOL_ROUNDS`` alternating rounds, every output verified."""
+    host_cpus = os.cpu_count() or 1
+    data = text_surrogate(POOL_SYMBOLS, target_entropy=5.29, seed=77)
+    provider = StaticModelProvider(
+        SymbolModel.from_data(data, QUANT_BITS, alphabet_size=256)
+    )
+    enc = RecoilEncoder(provider, LANES).encode(
+        data, num_threads=max(POOL_SPLITS)
+    )
+    plans = {
+        splits: build_thread_tasks(
+            enc.metadata.combine(splits), len(enc.words), enc.final_states
+        )
+        for splits in POOL_SPLITS
+    }
+    kernels = ["numpy"]
+    if compiled.kernel_available():
+        compiled.warm_up()
+        kernels.append("compiled")
+    configs = [
+        (kernel, splits, workers)
+        for kernel in kernels
+        for splits in POOL_SPLITS
+        for workers in range(1, host_cpus + 1)
+    ]
+
+    def rate(config) -> float:
+        kernel, splits, workers = config
+        t0 = time.perf_counter()
+        res = decode_with_pool(
+            provider, LANES, enc.words, plans[splits], enc.num_symbols,
+            np.uint8, workers, kernel=kernel,
+        )
+        elapsed = time.perf_counter() - t0
+        if res.kernel != kernel or not np.array_equal(res.symbols, data):
+            raise AssertionError(f"thread-pool decode mismatch at {config}")
+        return len(data) / elapsed
+
+    for config in configs:  # warm-up, and correctness before speed
+        rate(config)
+    samples: dict[tuple, list[float]] = {c: [] for c in configs}
+    for r in range(POOL_ROUNDS):
+        for config in configs if r % 2 == 0 else configs[::-1]:
+            samples[config].append(rate(config))
+    rows = []
+    for (kernel, splits, workers), rates in samples.items():
+        q1, median, q3 = statistics.quantiles(rates, n=4)
+        rows.append({
+            "kernel": kernel,
+            "splits": splits,
+            "workers": workers,
+            "median": round(median, 1),
+            "q1": round(q1, 1),
+            "q3": round(q3, 1),
+        })
+    return {
+        "host_cpus": host_cpus,
+        "symbols": POOL_SYMBOLS,
+        "rounds": POOL_ROUNDS,
+        "unit": "symbols/s",
+        "rows": rows,
+    }
 
 
 def run(symbols: int, threads: int, repeats: int) -> dict:
@@ -117,14 +186,6 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         check(data),
         repeats,
     )
-    rates["sharded"] = _rate(
-        lambda: decode_with_pool(
-            provider, LANES, enc.words, tasks, enc.num_symbols,
-            np.uint8, threads, backend="process",
-        ).symbols,
-        check(data),
-        repeats,
-    )
     rates["fused"] = _rate(
         lambda: decoder.decode(
             enc.words, enc.final_states, md, engine="fused"
@@ -163,11 +224,7 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
             ), 1),
         }
 
-    # -- backend shootout: thread vs process fan-out, same shard plan --
-    shootout = measure_backend_shootout(
-        provider, LANES, enc.words, tasks, enc.num_symbols, np.uint8,
-        workers=threads, repeats=repeats, expected=data,
-    )
+    thread_pool = _thread_pool()
 
     # -- compiled kernel column (DESIGN.md §19) -------------------------
     # Same fused decode, whole walk on the compiled kernel.  Warm-up
@@ -211,11 +268,8 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         "speedup_fused_vs_seed": round(
             rates["fused"] / rates["seed_engine"], 3
         ),
-        "backend_shootout": shootout,
-        "speedup_process_vs_thread": shootout[
-            "speedup_process_vs_thread"
-        ],
         "threads_sweep_symbols_per_sec": sweep,
+        "thread_pool": thread_pool,
         "compiled": compiled_col,
     }
 

@@ -4,7 +4,7 @@ Drives the network front-end (``repro.serve.net``) with the open-loop
 load generator (``repro.serve.loadgen``): Poisson arrivals at a fixed
 offered rate, Zipf asset popularity, mixed client capacities, and
 hostile personas (slow readers, kill -9'd clients) — once clean and
-once under a ``net.*`` + ``worker.crash`` chaos spec, side by side.
+once under a ``net.*`` + ``kernel.exec`` chaos spec, side by side.
 Latency is measured from each request's *scheduled* arrival, so server
 queueing counts against the tail (no coordinated omission — see
 docs/BENCHMARKS.md).  Every verified response in both runs must be
@@ -15,8 +15,8 @@ against; CI runs a short clean smoke and gates on p99 + zero protocol
 errors.  Usage::
 
     python benchmarks/bench_latency.py [--symbols 50000] [--rate 100]
-        [--duration 2.0] [--faults SPEC|none] [--trace trace.json]
-        [--out BENCH_latency.json]
+        [--duration 2.0] [--kernel compiled] [--faults SPEC|none]
+        [--trace trace.json] [--out BENCH_latency.json]
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ import argparse
 import json
 import pathlib
 
+from repro.parallel.compiled import KERNELS
 from repro.serve.loadgen import render_load_table, run_load_bench
+from repro.serve.service import ServiceConfig
 
 #: default chaos spec for the faulted run: all four net.* points plus
-#: a worker crash, the ISSUE 7 acceptance mix.
+#: a failed kernel call.
 DEFAULT_FAULTS = (
     "net.accept:p=0.05,net.read:p=0.05,net.write:p=0.05,"
-    "net.stall:p=0.1,worker.crash:nth=2"
+    "net.stall:p=0.1,kernel.exec:nth=2"
 )
 
 
@@ -44,15 +46,14 @@ def main(argv=None) -> int:
                     help="offered request rate (Poisson arrivals, Hz)")
     ap.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length (s) per condition")
-    ap.add_argument("--backend", default="fused",
-                    choices=("fused", "thread", "process"))
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--kernel", default=ServiceConfig.decode_kernel,
+                    choices=KERNELS)
     ap.add_argument("--faults", default=DEFAULT_FAULTS,
                     help="chaos spec for the faulted run; 'none' skips it")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--trace", default=None, metavar="FILE",
                     help="also write a Perfetto-loadable Chrome trace "
-                    "of the run (spans from accept to worker to write)")
+                    "of the run (spans from accept to kernel to write)")
     ap.add_argument(
         "--out",
         default=str(pathlib.Path(__file__).resolve().parents[1]
@@ -61,16 +62,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     faults = None if args.faults in (None, "", "none") else args.faults
-    if faults and "worker.crash" in faults and args.backend != "process":
-        from repro.parallel.shards import sharding_available
-
-        if sharding_available():
-            args.backend = "process"  # worker.crash needs real workers
-        else:
-            faults = ",".join(
-                rule for rule in faults.split(",")
-                if not rule.startswith("worker.")
-            )
 
     result = run_load_bench(
         symbols=args.symbols,
@@ -78,8 +69,7 @@ def main(argv=None) -> int:
         num_splits=args.splits,
         rate_hz=args.rate,
         duration_s=args.duration,
-        backend=args.backend,
-        workers=args.workers,
+        kernel=args.kernel,
         faults=faults,
         seed=args.seed,
         trace_path=args.trace,

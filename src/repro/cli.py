@@ -118,8 +118,7 @@ def _cmd_serve_bench(args) -> int:
         symbols=args.symbols,
         clients=tuple(args.clients),
         repeats=args.repeats,
-        backend=args.backend,
-        workers=args.workers,
+        kernel=args.kernel,
         faults=args.faults,
     )
     if args.json:
@@ -147,8 +146,7 @@ def _cmd_serve(args) -> int:
     if args.trace:
         trace.enable()
     config = ServiceConfig(
-        decode_backend=args.backend,
-        decode_workers=args.workers,
+        decode_kernel=args.kernel,
         store_dir=args.store_dir,
         resident_bytes=args.resident_bytes,
     )
@@ -294,8 +292,7 @@ def _cmd_load_bench(args) -> int:
         num_assets=args.assets,
         rate_hz=args.rate,
         duration_s=args.duration,
-        backend=args.backend,
-        workers=args.workers,
+        kernel=args.kernel,
         max_connections=args.max_connections,
         faults=args.faults,
         seed=args.seed,
@@ -321,8 +318,7 @@ def _cmd_trace(args) -> int:
         stats = validate_chrome_trace_file(args.validate)
         print(
             f"{args.validate}: OK — {stats['events']} events, "
-            f"{stats['spans']} spans, {len(stats['pids'])} pids "
-            f"({len(stats['worker_pids'])} workers), "
+            f"{stats['spans']} spans, {len(stats['pids'])} pids, "
             f"{stats['requests']} requests"
         )
         return 0
@@ -336,22 +332,22 @@ def _cmd_trace(args) -> int:
         fh.write("\n")
     print(
         f"{args.out}: {stats['events']} events, {stats['spans']} spans, "
-        f"{len(stats['pids'])} pids ({len(stats['worker_pids'])} "
-        f"workers), {stats['requests']} requests — load in "
-        "https://ui.perfetto.dev"
+        f"{len(stats['pids'])} pids, {stats['requests']} requests — "
+        "load in https://ui.perfetto.dev"
     )
     return 0
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser, help: str) -> None:
-    """``--backend`` for the serving commands, defaulting to the
-    service's own default (:attr:`ServiceConfig.decode_backend`)."""
-    from repro.serve.service import DECODE_BACKENDS, ServiceConfig
+def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
+    """``--kernel`` for the serving commands, defaulting to the
+    service's own default (:attr:`ServiceConfig.decode_kernel`)."""
+    from repro.serve.service import ServiceConfig
 
     parser.add_argument(
-        "--backend", default=ServiceConfig.decode_backend,
-        choices=compiled.backend_choices(DECODE_BACKENDS),
-        help=f"{help} (default: %(default)s)",
+        "--kernel", default=ServiceConfig.decode_kernel,
+        choices=compiled.KERNELS,
+        help="decode kernel each batch runs on: the bounds-checked C "
+        "walk or numpy (default: %(default)s)",
     )
 
 
@@ -405,16 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent-client counts to sweep")
     b.add_argument("--repeats", type=int, default=2,
                    help="best-of repeat count per measurement")
-    _add_backend_flag(
-        b, "batch execution backend: one in-process fused kernel call, "
-        "a thread fan-out, or sharded worker processes over shared "
-        "memory; '+compiled' runs the C kernel",
-    )
-    b.add_argument("--workers", type=int, default=8,
-                   help="fan-out worker count for thread/process backends")
+    _add_kernel_flag(b)
     b.add_argument("--faults", default=None, metavar="SPEC",
                    help="chaos spec armed during the client sweep, e.g. "
-                   "'worker.crash:nth=3,shm.alloc:p=0.05:seed=7' — "
+                   "'kernel.exec:nth=3,batch.dispatch:p=0.05:seed=7' — "
                    "measures the service under injected failures "
                    "(see repro.faults)")
     b.add_argument("--json", action="store_true",
@@ -433,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "RETRY_AFTER")
     v.add_argument("--drain-timeout", type=float, default=5.0,
                    help="grace (s) for in-flight requests at shutdown")
-    _add_backend_flag(v, "batch execution backend")
-    v.add_argument("--workers", type=int, default=2,
-                   help="fan-out worker count for thread/process backends")
+    _add_kernel_flag(v)
     v.add_argument("--demo-assets", type=int, default=2,
                    help="surrogate assets encoded at startup (asset0..N-1)")
     v.add_argument("--symbols", type=int, default=50_000,
@@ -489,9 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="offered request rate (Poisson arrivals, Hz)")
     lb.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length in seconds")
-    _add_backend_flag(lb, "batch execution backend")
-    lb.add_argument("--workers", type=int, default=2,
-                    help="fan-out worker count for thread/process backends")
+    _add_kernel_flag(lb)
     lb.add_argument("--max-connections", type=int, default=64,
                     help="server connection cap")
     lb.add_argument("--faults", default=None, metavar="SPEC",

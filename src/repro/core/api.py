@@ -221,7 +221,7 @@ def recoil_service(
     :param assets: name → symbol array, each encoded on ingest.
     :param num_splits: encode-side parallelism for every asset.
     :param config: service tunables (batch window, admission bound,
-        ``decode_backend``/``decode_workers`` fan-out knobs).
+        ``decode_kernel``).
     :returns: a running :class:`repro.serve.RecoilService`.
     :raises EncodeError: an asset failed to encode (the service is
         closed before re-raising).

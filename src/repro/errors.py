@@ -80,8 +80,8 @@ class DeadlineError(ServeError):
 
 class TraceError(ReproError):
     """A trace document failed schema validation (:mod:`repro.trace`):
-    missing required fields, unbalanced begin/end events, negative
-    durations, or worker spans sharing the serve process id."""
+    missing required fields, unbalanced begin/end events, or negative
+    durations."""
 
 
 class FaultInjected(ReproError):

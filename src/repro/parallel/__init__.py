@@ -16,11 +16,10 @@
 - :mod:`repro.parallel.buffers` — the scratch-buffer arena backing the
   kernels (DESIGN.md §9).
 - :mod:`repro.parallel.executor` — pooled execution of decode tasks
-  on real OS threads or shard processes, cost-balanced via the cost
-  model (``backend={"thread","process"}``).
-- :mod:`repro.parallel.shards` — the sharded multi-process executor
-  (DESIGN.md §14): persistent worker processes running the fused
-  kernels zero-copy over ``multiprocessing.shared_memory``.
+  on real OS threads, cost-balanced via the cost model, on either
+  kernel (``kernel={"numpy","compiled"}``).
+- :mod:`repro.parallel.compiled` — the C twins of the inner loops
+  (DESIGN.md §19), driven through ``ctypes``.
 - :mod:`repro.parallel.costmodel` — analytical device profiles used to
   project Figure-7-style GB/s numbers from counted work, plus the
   task-assignment cost heuristics.
@@ -34,7 +33,6 @@ from repro.parallel.fused import (
     fused_run_multi,
 )
 from repro.parallel.executor import PoolDecodeResult, decode_with_pool
-from repro.parallel.shards import ShardedExecutor, sharding_available
 from repro.parallel.simd import LaneEngine, ThreadTask, EngineStats
 from repro.parallel.costmodel import (
     DeviceProfile,

@@ -1,4 +1,4 @@
-"""Compiled kernels behind the ``compiled`` backend (DESIGN.md §19).
+"""Compiled kernels behind ``kernel="compiled"`` (DESIGN.md §19).
 
 The fused kernels (:mod:`repro.parallel.fused`, ``fused_encode``,
 :mod:`repro.tans.fused`) are numpy straight-line code: tens of numpy
@@ -47,7 +47,7 @@ import numpy as np
 
 log = logging.getLogger("repro.compiled")
 
-#: kernel implementations selectable through every ``backend=`` knob.
+#: kernel implementations selectable through every ``kernel=`` knob.
 KERNELS = ("numpy", "compiled")
 
 _ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|cc|none
@@ -65,49 +65,6 @@ _state: dict = {
 # recycled.  Bounded: one entry per live DecodeTables (per provider).
 _U64_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _U64_CACHE_MAX = 64
-
-
-# ---------------------------------------------------------------------------
-# Backend-string parsing: one knob selects pool and kernel together.
-# ---------------------------------------------------------------------------
-
-
-def split_backend(
-    backend: str, default_pool: str = "thread"
-) -> tuple[str, str]:
-    """Parse a ``backend`` knob into ``(pool, kernel)``.
-
-    Accepted forms: a bare pool (``"thread"``, ``"process"``,
-    ``"fused"``), the shorthand ``"compiled"`` (= ``default_pool``
-    with the compiled kernel), or ``"<pool>+compiled"``.  Pool names
-    are *not* validated against any particular surface here — callers
-    check the pool against their own supported set so their error
-    types stay unchanged.
-
-    :raises ValueError: a ``+``-composed suffix other than
-        ``compiled`` (e.g. ``"thread+gpu"``).
-    """
-    if backend == "compiled":
-        return default_pool, "compiled"
-    pool, plus, kern = backend.partition("+")
-    if not plus:
-        return backend, "numpy"
-    if kern != "compiled":
-        raise ValueError(
-            f"unknown kernel suffix {kern!r} in backend {backend!r}; "
-            f"expected '<pool>+compiled'"
-        )
-    return pool, "compiled"
-
-
-def backend_choices(pools: tuple[str, ...]) -> tuple[str, ...]:
-    """All backend strings valid for a surface supporting ``pools``:
-    the pools themselves, ``"compiled"``, and every composed form."""
-    return (
-        tuple(pools)
-        + ("compiled",)
-        + tuple(f"{p}+compiled" for p in pools)
-    )
 
 
 # ---------------------------------------------------------------------------

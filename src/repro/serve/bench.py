@@ -1,13 +1,13 @@
 """Serving benchmark harness: batched vs. unbatched delivery.
 
 Measures end-to-end multi-client decode throughput of the
-content-delivery service at several concurrency levels, against the
-pre-subsystem baseline — serving each request one at a time through
-:func:`repro.core.recoil_decompress` (fresh container parse, fresh
-decoder, solo kernel per request), exactly what the old
-``examples/content_delivery.py`` loop did.
+content-delivery service at several concurrency levels, with and
+without cross-request fusion: the baseline is the same service on the
+same kernel with ``ServiceConfig(batching=False)``, which runs one
+request per kernel call in arrival order.  The speedup therefore
+measures batching alone, never a kernel difference.
 
-Every batched response is verified bit-identical to the
+Every response of both services is verified bit-identical to the
 ``recoil_decompress`` reference before any timing is recorded.
 
 Both ``recoil serve-bench`` and ``benchmarks/bench_serve.py`` (which
@@ -18,6 +18,7 @@ emits ``BENCH_serve.json``, the number CI gates on) call
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.core.api import recoil_decompress
 from repro.data import text_surrogate
 from repro.errors import ReproError
 from repro.serve.service import RecoilService, ServiceConfig
-from repro.stats.timing import measure_backend_shootout
 
 #: client classes cycled across concurrent requests (advertised
 #: decoder capacities, as in the paper's content-delivery scenario).
@@ -50,31 +50,20 @@ def run_serve_bench(
     num_splits: int = 256,
     repeats: int = 2,
     seed: int = 11,
-    backend: str = ServiceConfig.decode_backend,
-    workers: int = 8,
+    kernel: str = ServiceConfig.decode_kernel,
     faults: str | None = None,
 ) -> dict:
     """Benchmark batched vs. unbatched serving; returns a JSON-able dict.
 
     For each concurrency level ``C`` the same ``C`` requests (client
-    capacities cycling through ``capacities``) are timed two ways:
+    capacities cycling through ``capacities``) are submitted
+    concurrently to two services sharing one asset store and one
+    ``kernel`` (:attr:`~repro.serve.service.ServiceConfig.decode_kernel`):
 
-    - ``unbatched``: one at a time via ``recoil_decompress`` on the
-      served (shrunk) container bytes;
-    - ``batched``: submitted concurrently to a :class:`RecoilService`
-      and fused by the request batcher into wide-lane kernel calls.
-
-    ``backend`` selects the service's batch-execution backend for the
-    client sweep (``"fused"``, ``"thread"``, or ``"process"`` —
-    :class:`~repro.serve.service.ServiceConfig.decode_backend`).  Two
-    extra sections compare the fan-out backends at ``workers`` workers
-    on the max-clients batch: ``backends`` times the end-to-end
-    service with each backend, and ``backend_shootout`` measures the
-    decode fan-out itself (thread vs process on the identical fused
-    task set — docs/BENCHMARKS.md); CI gates on the shootout's
-    measured ``speedup_process_vs_thread`` (the parallel-edge
-    threshold applies only on runners with enough cores to express
-    it).
+    - ``unbatched``: ``batching=False`` — one request per kernel call,
+      in arrival order;
+    - ``batched``: the request batcher fuses them into multi-request
+      kernel calls.
 
     ``faults`` optionally arms a chaos spec
     (:func:`repro.faults.parse_spec` format) for the duration of the
@@ -93,31 +82,32 @@ def run_serve_bench(
     data = text_surrogate(symbols, target_entropy=5.29, seed=seed)
     out_bytes = data.nbytes
 
-    # Fork the shared shard pool NOW, while this process is still
-    # single-threaded — the shootout below runs inside the service
-    # context, where the dispatcher thread makes forking unsafe.
-    from repro.parallel import shards
-
-    shards.default_executor(workers)
-
     results: dict[str, dict] = {}
-    config = ServiceConfig(decode_backend=backend, decode_workers=workers)
-    with RecoilService(config=config) as service:
+    with contextlib.ExitStack() as stack:
+        service = stack.enter_context(
+            RecoilService(config=ServiceConfig(decode_kernel=kernel))
+        )
+        solo_service = stack.enter_context(
+            RecoilService(
+                store=service.store,
+                config=ServiceConfig(decode_kernel=kernel, batching=False),
+            )
+        )
         service.put_asset("asset", data, num_splits=num_splits)
-        served = {c: service.serve("asset", c) for c in set(capacities)}
-
-        # Correctness first: every served variant and every batched
-        # response must equal the reference decode.
-        reference = recoil_decompress(served[capacities[0]])
+        reference = recoil_decompress(service.serve("asset", capacities[0]))
         if not np.array_equal(reference, data):
             raise AssertionError("reference decode mismatch")
+
+        # Correctness first: every response of both services must
+        # equal the reference decode.
         probe_caps = [c for c in capacities for _ in range(2)]
-        probes = [service.submit("asset", c) for c in probe_caps]
-        for cap, probe in zip(probe_caps, probes):
-            if not np.array_equal(probe.result(300), reference):
-                raise AssertionError(
-                    f"batched decode mismatch at capacity {cap}"
-                )
+        for label, svc in (("batched", service), ("unbatched", solo_service)):
+            probes = [svc.submit("asset", c) for c in probe_caps]
+            for cap, probe in zip(probe_caps, probes):
+                if not np.array_equal(probe.result(300), reference):
+                    raise AssertionError(
+                        f"{label} decode mismatch at capacity {cap}"
+                    )
 
         chaos_stack = (
             fault_injection.inject_spec(faults)
@@ -131,16 +121,12 @@ def run_serve_bench(
                     for i in range(num_clients)
                 ]
 
-                def unbatched() -> None:
-                    for c in caps:
-                        recoil_decompress(served[c])
-
-                def batched() -> None:
+                def drive(svc: RecoilService) -> None:
                     nonlocal failed_requests
                     requests = []
                     for c in caps:
                         try:
-                            requests.append(service.submit("asset", c))
+                            requests.append(svc.submit("asset", c))
                         except ReproError:
                             if not chaos:
                                 raise
@@ -158,8 +144,8 @@ def run_serve_bench(
                                 "corrupt response under fault injection"
                             )
 
-                t_unbatched = _best_of(unbatched, repeats)
-                t_batched = _best_of(batched, repeats)
+                t_unbatched = _best_of(lambda: drive(solo_service), repeats)
+                t_batched = _best_of(lambda: drive(service), repeats)
                 total = num_clients * out_bytes
                 results[str(num_clients)] = {
                     "unbatched_s": round(t_unbatched, 4),
@@ -173,42 +159,9 @@ def run_serve_bench(
 
         snapshot = service.metrics_snapshot()
 
-        # -- fan-out backends on the max-clients batch -----------------
-        max_caps = [
-            capacities[i % len(capacities)] for i in range(max(clients))
-        ]
-        shootout = _serve_backend_shootout(
-            service, max_caps, data, workers, repeats
-        )
-
-    backends: dict[str, dict] = {}
-    for fan_backend in ("thread", "process"):
-        cfg = ServiceConfig(
-            decode_backend=fan_backend, decode_workers=workers
-        )
-        with RecoilService(config=cfg) as fan_service:
-            fan_service.put_asset("asset", data, num_splits=num_splits)
-
-            def fan_batched() -> None:
-                requests = [
-                    fan_service.submit("asset", c) for c in max_caps
-                ]
-                for request in requests:
-                    request.result(600)
-
-            fan_batched()  # warm (shrink cache, shard provider ship)
-            t = _best_of(fan_batched, repeats)
-            backends[fan_backend] = {
-                "effective_backend": fan_service.decode_backend,
-                "batched_s": round(t, 4),
-                "batched_mb_s": round(
-                    len(max_caps) * out_bytes / t / 1e6, 2
-                ),
-            }
-
     from repro.serve.loadgen import stage_breakdown
 
-    tiered = _tiered_cold_warm(symbols, seed, backend, workers)
+    tiered = _tiered_cold_warm(symbols, seed, kernel)
 
     max_clients = str(max(clients))
     chaos_section = (
@@ -227,8 +180,8 @@ def run_serve_bench(
             "num_splits": num_splits,
             "client_capacities": list(capacities),
             "repeats": repeats,
-            "backend": backend,
-            "fanout_workers": workers,
+            "kernel": kernel,
+            "host_cpus": os.cpu_count(),
             "faults": faults,
         },
         "faults": chaos_section,
@@ -236,18 +189,13 @@ def run_serve_bench(
         "speedup_batched_vs_unbatched_max_clients": results[max_clients][
             "speedup"
         ],
-        "backends": backends,
-        "backend_shootout": shootout,
-        "speedup_process_vs_thread": shootout["speedup_process_vs_thread"],
         "service_metrics": snapshot,
         "stage_breakdown": stage_breakdown(snapshot),
         "tiered": tiered,
     }
 
 
-def _tiered_cold_warm(
-    symbols: int, seed: int, backend: str, workers: int
-) -> dict:
+def _tiered_cold_warm(symbols: int, seed: int, kernel: str) -> dict:
     """Cold-start vs warm serving through the durable tiered store.
 
     Populates a disk store with several assets, then serves the SAME
@@ -273,9 +221,7 @@ def _tiered_cold_warm(
     try:
         names = [f"zipf{i}" for i in range(num_assets)]
         datasets: dict[str, np.ndarray] = {}
-        write_cfg = ServiceConfig(
-            decode_backend=backend, decode_workers=workers, store_dir=root
-        )
+        write_cfg = ServiceConfig(decode_kernel=kernel, store_dir=root)
         with RecoilService(config=write_cfg) as writer:
             for i, name in enumerate(names):
                 datasets[name] = text_surrogate(
@@ -325,8 +271,7 @@ def _tiered_cold_warm(
             }
 
         serve_cfg = ServiceConfig(
-            decode_backend=backend,
-            decode_workers=workers,
+            decode_kernel=kernel,
             store_dir=root,
             resident_bytes=budget,
         )
@@ -351,45 +296,6 @@ def _tiered_cold_warm(
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _serve_backend_shootout(
-    service: RecoilService,
-    caps: list[int],
-    data: np.ndarray,
-    workers: int,
-    repeats: int,
-) -> dict:
-    """Thread vs process fan-out on the service's own fused batch.
-
-    Builds exactly the task set the dispatcher would fuse for ``caps``
-    concurrent clients (shrunk variants rebased onto one virtual
-    stream) and hands it to
-    :func:`repro.stats.timing.measure_backend_shootout`.
-    """
-    from repro.parallel.fused import fuse_segments
-    from repro.serve.batcher import DecodeRequest
-
-    variants = [service.store.shrunk("asset", c)[0] for c in caps]
-    segments = [
-        DecodeRequest(v.asset, v).segment() for v in variants
-    ]
-    words, tasks, _, total = fuse_segments(segments)
-    first = variants[0].asset
-    expected = np.concatenate([data] * len(caps)).astype(
-        first.out_dtype, copy=False
-    )
-    return measure_backend_shootout(
-        first.provider,
-        first.lanes,
-        words,
-        tasks,
-        total,
-        first.out_dtype,
-        workers=workers,
-        repeats=repeats,
-        expected=expected,
-    )
-
-
 def render_table(result: dict) -> str:
     """Human-readable summary of a :func:`run_serve_bench` result."""
     lines = [
@@ -408,15 +314,9 @@ def render_table(result: dict) -> str:
         f"hit rate {m['shrink']['hit_rate']:.0%}"
     )
     res = m.get("resilience")
-    if res and (
-        res["degradations"]
-        or res["poison_batches"]
-        or res["deadline_expired"]
-    ):
+    if res and (res["poison_batches"] or res["deadline_expired"]):
         lines.append(
-            f"resilience: {res['degradations']} degradations, "
-            f"{res['promotions']} promotions, "
-            f"{res['poison_batches']} poison batches "
+            f"resilience: {res['poison_batches']} poison batches "
             f"({res['poison_isolated']} isolated), "
             f"{res['deadline_expired']} deadline-expired"
         )
@@ -448,16 +348,5 @@ def render_table(result: dict) -> str:
             f"{tiered['warm']['wall_s'] * 1000:.0f} ms (hit rate "
             f"{tiered['warm']['tier_hit_rate']:.0%}) -> "
             f"{tiered['speedup_warm_vs_cold']:.2f}x"
-        )
-    shootout = result.get("backend_shootout")
-    if shootout:
-        lines.append(
-            f"fan-out at {shootout['workers']} workers (host has "
-            f"{shootout['host_cpus']} CPUs): thread "
-            f"{shootout['thread_s'] * 1000:.1f} ms, process "
-            f"{shootout['process_s'] * 1000:.1f} ms -> "
-            f"{shootout['speedup_process_vs_thread']:.2f}x measured "
-            f"({shootout['projected_parallel_speedup']:.2f}x "
-            "projected at one core per shard)"
         )
     return "\n".join(lines)

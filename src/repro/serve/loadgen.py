@@ -435,8 +435,7 @@ def run_load_bench(
     duration_s: float = 2.0,
     capacities: tuple[int, ...] = (1, 4, 16),
     personas: dict[str, float] | None = None,
-    backend: str = ServiceConfig.decode_backend,
-    workers: int = 2,
+    kernel: str = ServiceConfig.decode_kernel,
     max_connections: int = 64,
     faults: str | None = None,
     seed: int = 11,
@@ -463,13 +462,7 @@ def run_load_bench(
     if chaos:
         fault_injection.parse_spec(faults)  # fail fast on a bad spec
 
-    if backend == "process":
-        # Fork the shared pool while still single-threaded.
-        from repro.parallel import shards
-
-        shards.default_executor(workers)
-
-    config = ServiceConfig(decode_backend=backend, decode_workers=workers)
+    config = ServiceConfig(decode_kernel=kernel)
     assets: dict[str, np.ndarray] = {}
     fault_report: list[dict] = []
     if trace_path is not None:
@@ -511,18 +504,16 @@ def run_load_bench(
                         seed=seed + 1,
                     )
                     fault_report = fault_injection.snapshot()
-            network = server.metrics.snapshot()
+        # After the with block: the server has drained, so no
+        # connection is still closing when the counters are read.
+        network = server.metrics.snapshot()
         service_metrics = service.metrics_snapshot()
 
     trace_report = None
     if trace_path is not None:
-        import os
-
         spans = trace.drain()
         trace.disable()
-        doc = trace.write_chrome_trace(
-            trace_path, spans, main_pid=os.getpid()
-        )
+        doc = trace.write_chrome_trace(trace_path, spans)
         trace_report = {
             "path": trace_path,
             "spans": len(spans),
@@ -546,8 +537,7 @@ def run_load_bench(
             "duration_s": duration_s,
             "capacities": list(capacities),
             "personas": dict(personas or DEFAULT_PERSONAS),
-            "backend": backend,
-            "workers": workers,
+            "kernel": kernel,
             "max_connections": max_connections,
             "seed": seed,
         },
@@ -612,8 +602,7 @@ def render_load_table(result: dict) -> str:
     if tr:
         lines.append(
             f"trace: {tr['spans']} spans -> {tr['path']} "
-            f"({len(tr['validation']['worker_pids'])} worker pids, "
-            f"{tr['dropped']} dropped)"
+            f"({tr['dropped']} dropped)"
         )
     chaos = result.get("faults")
     if chaos:

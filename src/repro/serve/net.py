@@ -53,7 +53,6 @@ them alongside the serve/resilience sections.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -479,8 +478,10 @@ class NetServer:
         finally:
             conn.close()
             with self._lock:
+                # Under the lock: shutdown() sees this connection gone
+                # only once the metrics count it closed.
                 self._conns.discard(conn)
-            self.metrics.connection_closed()
+                self.metrics.connection_closed()
             if self._draining.is_set():
                 conn.record_drain_once(
                     self.metrics, forced=conn.forced
@@ -616,7 +617,7 @@ class NetServer:
             elif ftype == protocol.OP_TRACE:
                 clear = protocol.parse_trace_request(body)
                 spans = trace.drain() if clear else trace.snapshot()
-                doc = trace.chrome_trace(spans, main_pid=os.getpid())
+                doc = trace.chrome_trace(spans)
                 payload = json.dumps(doc).encode("utf-8")
                 frames = self._stream_frames(
                     protocol.KIND_BYTES, "", payload, len(payload)

@@ -18,16 +18,15 @@ DESIGN.md §12:
 Clients are threads in the same process: ``decompress`` blocks for the
 result, ``submit`` returns a request handle for async use.  A single
 dispatcher thread owns the kernel-side scratch arena (arena rule 1,
-DESIGN.md §9) and executes batches serially — the fused kernel is
-already the width-optimal way to spend one core's time, and numpy
-releases the GIL inside the wide ops, so client threads keep running.
+DESIGN.md §9) and executes each batch as one
+:func:`~repro.parallel.fused.fused_run_multi` call — by default one
+GIL-releasing call into the C decode walk (DESIGN.md §19), so client
+threads keep running.
 
 Failure semantics (DESIGN.md §15): a failed fused batch is retried
-request-by-request so only the poisoned request errors; a dead shard
-pool degrades the service to the thread backend and a cooldown probe
-re-promotes it once the pool has healed; per-request deadlines are
-enforced *before* kernel dispatch, so an expired request never
-occupies kernel time.  All of it is visible in
+request-by-request so only the poisoned request errors; per-request
+deadlines are enforced *before* kernel dispatch, so an expired
+request never occupies kernel time.  All of it is visible in
 :meth:`RecoilService.metrics_snapshot` under ``"resilience"``.
 """
 
@@ -40,28 +39,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults, trace
-from repro.errors import (
-    AdmissionError,
-    DeadlineError,
-    ParallelismError,
-    ServeError,
-)
+from repro.errors import AdmissionError, DeadlineError, ServeError
 from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
-from repro.parallel.executor import decode_with_pool
-from repro.parallel.fused import MultiRunResult, fuse_segments, fused_run_multi
+from repro.parallel.fused import MultiRunResult, fused_run_multi
 from repro.rans.model import SymbolModel
 from repro.serve.batcher import BatchPolicy, DecodeRequest, RequestBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import AssetStore, StoredAsset
 
-#: decode backends a service dispatcher can fan batches out to.
-DECODE_BACKENDS = ("fused", "thread", "process")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one service instance (see DESIGN.md §12, §14)."""
+    """Tunables of one service instance (see DESIGN.md §12)."""
 
     #: how long the oldest pending request may wait for companions.
     batch_window_s: float = 0.002
@@ -90,56 +80,21 @@ class ServiceConfig:
     #: this bound (requires a ``store_dir`` to evict to; ``None`` =
     #: everything stays resident).
     resident_bytes: int | None = None
-    #: how a fused batch executes: ``"fused"`` — one in-process kernel
-    #: call on the dispatcher thread (width-optimal for one core);
-    #: ``"thread"`` — fan the batch across ``decode_workers`` OS
-    #: threads; ``"process"`` — fan it across ``decode_workers`` shard
-    #: processes (DESIGN.md §14; falls back to ``"thread"`` when
-    #: shared memory is unavailable).  Any of them may carry a
-    #: ``"+compiled"`` suffix to run the bounds-checked C decode walk
-    #: instead of the numpy kernel (DESIGN.md §19).  The default,
-    #: bare ``"compiled"``, means ``"fused+compiled"``: one C call
-    #: per batch on the dispatcher thread.  Without a C compiler the
+    #: the kernel each batch runs on, as one call on the dispatcher
+    #: thread: ``"compiled"`` — the bounds-checked C decode walk
+    #: (DESIGN.md §19) — or ``"numpy"``.  Without a C compiler the
     #: service degrades to the numpy kernel and reports it under
     #: ``metrics_snapshot()["resilience"]["kernel"]``.
-    decode_backend: str = "compiled"
-    #: worker count for the ``"thread"``/``"process"`` backends.
-    decode_workers: int = 8
-    #: seconds after a process→thread degradation before the service
-    #: probes the shard pool for re-promotion (doubles per failed
-    #: probe, capped at ``repromote_cooldown_cap_s``).
-    repromote_cooldown_s: float = 5.0
-    #: ceiling on the re-promotion probe backoff.
-    repromote_cooldown_cap_s: float = 60.0
+    decode_kernel: str = "compiled"
     #: how long :meth:`RecoilService.close` waits for the dispatcher
     #: thread before raising instead of hanging.
     close_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
-        try:
-            pool, _ = compiled.split_backend(
-                self.decode_backend, default_pool="fused"
-            )
-        except ValueError:
-            pool = self.decode_backend  # bad "+" suffix → report below
-        if pool not in DECODE_BACKENDS:
+        if self.decode_kernel not in compiled.KERNELS:
             raise ServeError(
-                f"unknown decode backend {self.decode_backend!r}; "
-                f"expected one of "
-                f"{compiled.backend_choices(DECODE_BACKENDS)}"
-            )
-        if self.decode_workers < 1:
-            raise ServeError(
-                f"decode_workers must be >= 1, got {self.decode_workers}"
-            )
-        if self.repromote_cooldown_s <= 0:
-            raise ServeError(
-                f"repromote_cooldown_s must be > 0, got "
-                f"{self.repromote_cooldown_s}"
-            )
-        if self.repromote_cooldown_cap_s < self.repromote_cooldown_s:
-            raise ServeError(
-                "repromote_cooldown_cap_s must be >= repromote_cooldown_s"
+                f"unknown decode kernel {self.decode_kernel!r}; "
+                f"expected one of {compiled.KERNELS}"
             )
         if self.close_timeout_s <= 0:
             raise ServeError(
@@ -174,7 +129,7 @@ class RecoilService:
         config: ServiceConfig | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.store = store or AssetStore(
+        self.store = store if store is not None else AssetStore(
             shrink_cache_entries=self.config.shrink_cache_entries,
             shrink_cache_bytes=self.config.shrink_cache_bytes,
             store_dir=self.config.store_dir,
@@ -194,58 +149,20 @@ class RecoilService:
         self._close_owner: threading.Thread | None = None
         self._close_done = threading.Event()
         self._net_metrics = None
-        # The shard pool (when requested) starts BEFORE the dispatcher
-        # thread: forking from a single-threaded process is the only
-        # portable-safe moment.  Unavailable shared memory degrades to
-        # the thread backend (``decode_backend`` reports the truth).
-        pool_backend, kernel = compiled.split_backend(
-            self.config.decode_backend, default_pool="fused"
-        )
-        self._backend = pool_backend
-        #: what the operator asked for — ``decode_backend`` may differ
-        #: after a degradation, and re-promotion aims back at this.
-        self._configured_backend = pool_backend
-        #: decode kernel: requested vs what actually runs.  The
-        #: warm-up also front-loads the one-time compile (DESIGN.md
-        #: §19) so it never lands inside a request's timed path.
-        self._configured_kernel = kernel
+        #: the kernel that actually runs.  The warm-up also
+        #: front-loads the one-time compile (DESIGN.md §19) so it
+        #: never lands inside a request's timed path.
         self._kernel = (
-            compiled.warm_up() if kernel == "compiled" else "numpy"
+            compiled.warm_up()
+            if self.config.decode_kernel == "compiled"
+            else "numpy"
         )
-        self._repromote_at = 0.0
-        self._promote_fails = 0
-        self._shards = None
-        if self._backend == "process":
-            from repro.parallel import shards as shards_mod
-
-            if shards_mod.sharding_available():
-                try:
-                    self._shards = shards_mod.ShardedExecutor(
-                        self.config.decode_workers
-                    )
-                except ParallelismError:
-                    self._shards = None
-            if self._shards is None:
-                self._backend = "thread"
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name="recoil-serve-dispatch",
             daemon=True,
         )
         self._dispatcher.start()
-
-    @property
-    def decode_backend(self) -> str:
-        """Backend batches actually execute on.
-
-        Reports ``"thread"`` after a graceful fallback from an
-        unavailable ``"process"`` request — including mid-life, when a
-        shard worker dies and the pool degrades the service to the
-        thread fan-out.  The degradation is temporary: once
-        ``repromote_cooldown_s`` has elapsed the dispatcher probes the
-        (self-healing) pool and promotes back to ``"process"`` when it
-        answers — watch ``metrics_snapshot()["resilience"]``."""
-        return self._backend
 
     @property
     def decode_kernel(self) -> str:
@@ -276,8 +193,7 @@ class RecoilService:
         teardown it is waiting for.
 
         The winner joins the dispatcher thread (bounded by
-        ``close_timeout_s``), stops the shard pool (process backend),
-        and fails queued requests with
+        ``close_timeout_s``) and fails queued requests with
         :class:`~repro.errors.ServeError`.
 
         :raises ServeError: (winner only) the dispatcher thread did
@@ -310,8 +226,6 @@ class RecoilService:
                 self._dispatcher.is_alive()
                 and self._dispatcher is not threading.current_thread()
             )
-            if self._shards is not None:
-                self._shards.close()
             with self._cond:
                 leftovers = self._batcher.drain()
                 self._inflight_symbols = 0
@@ -325,7 +239,7 @@ class RecoilService:
                     f"dispatcher thread {self._dispatcher.name!r} did "
                     f"not exit within {self.config.close_timeout_s:.3g}s "
                     f"of close(); it is leaked (likely stuck in a "
-                    f"kernel or a hung worker pipe)"
+                    f"kernel)"
                 )
         finally:
             # Set done even on a teardown error: waiters must not hang
@@ -615,12 +529,8 @@ class RecoilService:
             else None
         )
         snap["store"] = self.store.metrics()
-        snap["resilience"]["backend"] = {
-            "configured": self._configured_backend,
-            "effective": self._backend,
-        }
         snap["resilience"]["kernel"] = {
-            "configured": self._configured_kernel,
+            "configured": self.config.decode_kernel,
             "effective": self._kernel,
         }
         # Flat numerics: the resilience section is all-zero on a clean
@@ -635,13 +545,6 @@ class RecoilService:
         snap["resilience"]["store_memory_only"] = int(
             self.store.memory_only
         )
-        shards = self._shards
-        if shards is not None:
-            snap["resilience"]["shards"] = {
-                "respawns": shards.respawns,
-                "dead_workers": shards.dead_workers(),
-                "pool_broken": shards.broken,
-            }
         return snap
 
     # -- dispatcher ----------------------------------------------------
@@ -690,145 +593,45 @@ class RecoilService:
                 )
                 self.metrics.record_completion(req.latency_s, ok=False)
             if batch:
-                self._maybe_repromote()
                 self._execute(batch, arena)
                 with self._cond:
                     for req in batch:
                         self._inflight_symbols -= req.cost_symbols
                     self._cond.notify_all()
 
-    # -- self-healing (DESIGN.md §15) ----------------------------------
-
-    def _degrade(self) -> None:
-        """Record a process→thread fall and schedule the first
-        re-promotion probe (dispatcher thread only)."""
-        self.metrics.record_degradation()
-        self._backend = "thread"
-        self._promote_fails = 0
-        self._repromote_at = (
-            time.perf_counter() + self.config.repromote_cooldown_s
-        )
-
-    def _maybe_repromote(self) -> None:
-        """Probe the shard pool after a degradation cooldown and
-        promote back to the process backend when it answers.
-
-        Runs on the dispatcher thread just before a batch executes —
-        so a promotion applies to real traffic immediately.  A failed
-        probe doubles the cooldown (capped).  A terminally broken or
-        closed pool is replaced with a fresh one (safe here: the
-        executor spawn-guards against forking a threaded process).
-        """
-        if (
-            self._configured_backend != "process"
-            or self._backend == "process"
-            or self._shards is None
-            or time.perf_counter() < self._repromote_at
-        ):
-            return
-        self.metrics.record_promotion_probe()
-        try:
-            if self._shards.broken or self._shards.closed:
-                from repro.parallel import shards as shards_mod
-
-                fresh = shards_mod.ShardedExecutor(
-                    self.config.decode_workers
-                )
-                self._shards.close()
-                self._shards = fresh
-            self._shards.warm()
-        except ParallelismError:
-            self._promote_fails += 1
-            cooldown = min(
-                self.config.repromote_cooldown_s
-                * 2**self._promote_fails,
-                self.config.repromote_cooldown_cap_s,
-            )
-            self._repromote_at = time.perf_counter() + cooldown
-            return
-        self._backend = "process"
-        self._promote_fails = 0
-        self.metrics.record_promotion()
-
     def _run_batch(
         self, batch: list[DecodeRequest], arena: ScratchArena
     ) -> MultiRunResult:
-        """Execute one fused batch on the configured backend.
-
-        ``"fused"`` dispatches a single in-process kernel call;
-        ``"thread"``/``"process"`` rebase the batch onto one virtual
-        stream (:func:`~repro.parallel.fused.fuse_segments`) and fan
-        the fused tasks across ``decode_workers`` — the same LPT shard
-        plan either way, bit-identical output on every path.
-        """
+        """Execute one fused batch: a single kernel call on the
+        dispatcher thread."""
         faults.fire(faults.BATCH_DISPATCH)
         for req in batch:
             faults.fire(faults.SERVE_REQUEST, key=req.asset.name)
         first = batch[0].asset
-        segments = [req.segment() for req in batch]
-        if self._backend == "fused":
-            return fused_run_multi(
-                first.provider,
-                first.lanes,
-                segments,
-                arena,
-                out_dtype=first.out_dtype,
-                kernel=self._kernel,
-            )
-        from repro.parallel.shards import combine_stats
-
-        words, tasks, slices, total = fuse_segments(segments)
-        pooled = decode_with_pool(
+        return fused_run_multi(
             first.provider,
             first.lanes,
-            words,
-            tasks,
-            total,
-            first.out_dtype,
-            workers=self.config.decode_workers,
-            backend=(
-                self._backend + "+compiled"
-                if self._kernel == "compiled"
-                else self._backend
-            ),
-            executor=self._shards,
+            [req.segment() for req in batch],
+            arena,
+            out_dtype=first.out_dtype,
+            kernel=self._kernel,
         )
-        if (
-            tasks
-            and self._backend == "process"
-            and pooled.backend != "process"
-        ):
-            # A shard worker died (or shm ran dry) and decode_with_pool
-            # fell back to threads: record the degradation and schedule
-            # a re-promotion probe — the output is still bit-identical.
-            self._degrade()
-        stats = combine_stats(pooled.per_worker_stats)
-        stats.tasks = len(tasks)
-        return MultiRunResult(out=pooled.symbols, slices=slices, stats=stats)
 
     def _traced_run_batch(
         self, batch: list[DecodeRequest], arena: ScratchArena
     ) -> MultiRunResult:
-        """:meth:`_run_batch` under a ``serve.batch`` span whose id is
-        published as the thread's implicit parent, so shard-worker
-        spans recorded layers below attach to this dispatch.  With
-        tracing disabled this is a direct call — no span, no scope."""
-        sid = trace.next_span_id()
-        if sid is None:
+        """:meth:`_run_batch` under a ``serve.batch`` span.  With
+        tracing disabled this is a direct call — no span."""
+        if not trace.enabled():
             return self._run_batch(batch, arena)
         t0 = time.perf_counter()
         try:
-            with trace.parent_scope(sid):
-                return self._run_batch(batch, arena)
+            return self._run_batch(batch, arena)
         finally:
             trace.record_span(
                 "serve.batch",
                 t0,
-                sid=sid,
-                args={
-                    "requests": len(batch),
-                    "backend": self._backend,
-                },
+                args={"requests": len(batch), "kernel": self._kernel},
             )
 
     def _finish_stages(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -54,122 +53,3 @@ def measure_throughput(
         "best_bytes_per_second": payload_bytes / t.best if t.best else 0.0,
     }
 
-
-def measure_backend_shootout(
-    provider,
-    lanes: int,
-    words,
-    tasks,
-    num_symbols: int,
-    out_dtype,
-    workers: int = 8,
-    repeats: int = 3,
-    expected=None,
-) -> dict:
-    """Thread vs. process fan-out of one decode, same LPT shard plan.
-
-    Times :func:`repro.parallel.executor.decode_with_pool` on both
-    backends at ``workers`` workers.  The headline
-    ``speedup_process_vs_thread`` is the directly measured wall-clock
-    ratio ``thread_s / process_s`` on this host — nothing else.  On a
-    host with fewer cores than workers the OS serializes the shards
-    and that ratio sits near 1 regardless of backend quality; only a
-    ``host_cpus >= workers`` run can show the parallel edge.
-
-    Separately, every shard bucket of the plan is timed *solo* (one
-    worker, nothing else running) on **both** backends, and the two
-    makespans ``max(solo)`` feed ``projected_parallel_speedup`` — the
-    plan's ratio if every shard had its own core, with the identical
-    composition applied to both backends.  The projection is generous
-    to threads (a solo thread shard pays no GIL contention, which a
-    real multi-core thread run does — DESIGN.md §14), so it lower-
-    bounds the process edge, but it is a projection, not a
-    measurement; never quote it as one (docs/BENCHMARKS.md).
-
-    Output of both backends is verified against ``expected`` (when
-    given) before any timing.
-
-    :returns: a JSON-able dict (seconds, speedups, host CPU count).
-    :raises AssertionError: a backend's output was not bit-identical
-        to ``expected``.
-    """
-    import numpy as np
-
-    from repro.parallel import shards
-    from repro.parallel.costmodel import assign_tasks
-    from repro.parallel.executor import decode_with_pool
-
-    pool = shards.default_executor(workers)
-    if pool is not None:
-        pool.warm()  # process startup stays outside the timed region
-
-    def run(backend, run_tasks, run_workers=workers):
-        return decode_with_pool(
-            provider, lanes, words, run_tasks, num_symbols, out_dtype,
-            workers=run_workers, backend=backend, executor=pool,
-        )
-
-    process_backend = run("process", tasks).backend  # "thread" if no shm
-    if expected is not None:
-        for backend in ("thread", process_backend):
-            if not np.array_equal(run(backend, tasks).symbols, expected):
-                raise AssertionError(
-                    f"{backend} backend decode mismatch in benchmark"
-                )
-
-    def best_of(fn):
-        t = Timer()
-        for _ in range(repeats):
-            with t:
-                fn()
-        return t.best
-
-    thread_s = best_of(lambda: run("thread", tasks))
-    process_s = best_of(lambda: run(process_backend, tasks))
-
-    # Solo-shard makespans, symmetric across backends: each bucket of
-    # the real shard plan, timed alone on one worker of each backend
-    # (process solos include their share of shm setup + IPC).
-    buckets = assign_tasks(tasks, workers)
-    thread_solo = [
-        best_of(lambda b=b: run("thread", b, 1)) for b in buckets
-    ]
-    process_solo = [
-        best_of(lambda b=b: run(process_backend, b, 1)) for b in buckets
-    ]
-    thread_makespan = max(thread_solo) if thread_solo else 0.0
-    process_makespan = max(process_solo) if process_solo else 0.0
-
-    measured = thread_s / process_s if process_s else 0.0
-    proj_thread = (
-        min(thread_s, thread_makespan) if thread_makespan else thread_s
-    )
-    proj_process = (
-        min(process_s, process_makespan) if process_makespan else process_s
-    )
-    projected = proj_thread / proj_process if proj_process else 0.0
-    return {
-        "workers": workers,
-        "host_cpus": os.cpu_count(),
-        "process_backend_available": process_backend == "process",
-        "thread_s": round(thread_s, 4),
-        "process_s": round(process_s, 4),
-        "speedup_process_vs_thread": round(measured, 3),
-        "thread_shard_solo_s": [round(s, 4) for s in thread_solo],
-        "process_shard_solo_s": [round(s, 4) for s in process_solo],
-        "thread_shard_makespan_s": round(thread_makespan, 4),
-        "process_shard_makespan_s": round(process_makespan, 4),
-        "projected_parallel_speedup": round(projected, 3),
-        "method": (
-            "speedup_process_vs_thread = thread_s / process_s, both "
-            "measured wall-clock at the same worker count on this "
-            "host (near 1 by construction when host_cpus < workers). "
-            "projected_parallel_speedup = min(thread_s, "
-            "thread_shard_makespan_s) / min(process_s, "
-            "process_shard_makespan_s), each makespan the max over "
-            "the plan's buckets of that bucket's solo wall-clock on "
-            "that backend — a symmetric every-shard-has-a-core "
-            "projection, generous to threads (solo shards pay no GIL "
-            "contention); a projection, not a measurement"
-        ),
-    }

@@ -12,26 +12,17 @@ Span model:
 
 - A **request id** (``new_request()``) names one client request as it
   crosses layers: the network read, the service queue, the fused
-  batch, the shard workers, the response write all tag their spans
-  with it, so a timeline can be filtered to one request end-to-end.
+  batch, the response write all tag their spans with it, so a
+  timeline can be filtered to one request end-to-end.
 - A **span id** names one span; ``parent`` links child spans (a
-  kernel dispatch inside a request, a shard execution inside a
-  dispatch) into a tree.  Ids are allocated from one process-wide
-  counter — worker processes never allocate ids; their spans are
-  measured worker-side and *registered parent-side* when the reply
-  ships back over the pipe (one registry, one id space, exactly like
-  the fault-verdict discipline of DESIGN.md §15).
-- Timestamps are ``time.perf_counter()``.  On Linux that is
-  ``CLOCK_MONOTONIC``, which is system-wide: parent and worker
-  timestamps share one clock domain, so cross-process spans stitch
-  without offset correction.  (On platforms where the clock is
-  per-process, worker spans still export but may be skewed; the
-  serving stack targets Linux.)
+  kernel dispatch inside a request) into a tree.  Ids are allocated
+  from one process-wide counter.
+- Timestamps are ``time.perf_counter()`` seconds.
 
 Spans record as ``X`` (complete) events in the Chrome trace-event
-sense — one record per finished span, never begin/end pairs — so a
-crashed worker can lose only its own unreported span, never unbalance
-the stream.
+sense — one record per finished span, never begin/end pairs — so an
+interrupted operation can lose only its own unreported span, never
+unbalance the stream.
 """
 
 from __future__ import annotations
@@ -101,11 +92,6 @@ _ids = itertools.count(1)
 #: spans evicted from the ring since enable() (overflow visibility).
 _dropped = 0
 
-#: per-thread implicit parent span (the serve dispatcher publishes its
-#: batch span here so the shard layer can parent worker spans without
-#: threading ids through every call signature).
-_ctx = threading.local()
-
 
 def enabled() -> bool:
     """Whether spans are being collected (lock-free)."""
@@ -173,16 +159,13 @@ def record_span(
     parent: int | None = None,
     args: dict | None = None,
     sid: int | None = None,
-    pid: int | None = None,
-    tid: int | None = None,
 ) -> int | None:
     """Record one finished span; returns its span id.
 
     ``t0``/``t1`` are ``perf_counter`` seconds (``t1`` defaults to
     now).  ``sid`` registers a pre-reserved id
-    (:func:`next_span_id`); ``pid``/``tid`` override the recording
-    identity for spans measured in another process (shard workers).
-    No-op returning ``None`` when disabled — callers never branch.
+    (:func:`next_span_id`).  No-op returning ``None`` when disabled —
+    callers never branch.
     """
     if not _enabled:
         return None
@@ -200,8 +183,8 @@ def record_span(
             cat,
             t0,
             max(t1 - t0, 0.0),
-            pid if pid is not None else os.getpid(),
-            tid if tid is not None else threading.get_native_id(),
+            os.getpid(),
+            threading.get_native_id(),
             sid,
             parent,
             req,
@@ -222,35 +205,13 @@ def record_instant(
     parent: int | None = None,
     args: dict | None = None,
 ) -> int | None:
-    """Record a zero-duration marker (a worker respawn, a shed)."""
+    """Record a zero-duration marker (an accepted connection)."""
     if not _enabled:
         return None
     now = time.perf_counter()
     return record_span(
         name, now, now, cat=cat, req=req, parent=parent, args=args
     )
-
-
-# -- implicit dispatch context ----------------------------------------------
-
-
-@contextmanager
-def parent_scope(sid: int | None):
-    """Publish ``sid`` as the current thread's implicit parent span
-    (read by :func:`current_parent` in layers below the call chain)."""
-    prev = getattr(_ctx, "parent", None)
-    _ctx.parent = sid
-    try:
-        yield
-    finally:
-        _ctx.parent = prev
-
-
-def current_parent() -> int | None:
-    """The innermost :func:`parent_scope` span id on this thread."""
-    if not _enabled:
-        return None
-    return getattr(_ctx, "parent", None)
 
 
 # -- draining ---------------------------------------------------------------

@@ -5,17 +5,13 @@ trace-event JSON format — ``{"traceEvents": [...]}`` with ``X``
 (complete), ``i`` (instant) and ``M`` (metadata) events — loadable in
 ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev).
 
-Spans recorded in shard worker processes carry their real worker pid,
-so the viewer lays each worker out as its own process track; ``M``
-``process_name`` events label the parent ``recoil-serve`` and the
-workers ``shard-worker``.  Parent/child span ids and the request id
-ride in each event's ``args``, which is where Perfetto surfaces them
-on click.
+An ``M`` ``process_name`` event labels the recording process
+``recoil-serve``.  Parent/child span ids and the request id ride in
+each event's ``args``, which is where Perfetto surfaces them on click.
 
 :func:`validate_chrome_trace` is the schema checker the tests and the
 ``recoil trace --validate`` CLI share: field presence and types, B/E
-balance (per pid/tid, name-matched), non-negative ``dur``, distinct
-worker pids when worker spans are present.
+balance (per pid/tid, name-matched), non-negative ``dur``.
 """
 
 from __future__ import annotations
@@ -25,20 +21,12 @@ import json
 from ..errors import TraceError
 from .core import Span
 
-#: category assigned to spans measured inside shard worker processes.
-WORKER_CAT = "shard"
-
-
-def chrome_trace(spans: list[Span], *, main_pid: int | None = None) -> dict:
+def chrome_trace(spans: list[Span]) -> dict:
     """Render spans as a Chrome trace-event document (dict)."""
     events: list[dict] = []
-    pids: dict[int, str] = {}
-    if main_pid is None and spans:
-        # heuristic: the serve process recorded the first span.
-        main_pid = spans[0].pid
+    pids: set[int] = set()
     for s in spans:
-        role = "recoil-serve" if s.pid == main_pid else "shard-worker"
-        pids.setdefault(s.pid, role)
+        pids.add(s.pid)
         args = {"span_id": s.sid}
         if s.parent is not None:
             args["parent_id"] = s.parent
@@ -60,16 +48,16 @@ def chrome_trace(spans: list[Span], *, main_pid: int | None = None) -> dict:
         else:
             ev["s"] = "t"  # instant scope: thread
         events.append(ev)
-    meta = []
-    for pid, role in sorted(pids.items()):
-        name = role if role == "recoil-serve" else f"{role}-{pid}"
-        meta.append({
+    meta = [
+        {
             "name": "process_name",
             "ph": "M",
             "pid": pid,
             "tid": 0,
-            "args": {"name": name},
-        })
+            "args": {"name": "recoil-serve"},
+        }
+        for pid in sorted(pids)
+    ]
     return {
         "traceEvents": meta + events,
         "displayTimeUnit": "ms",
@@ -77,11 +65,9 @@ def chrome_trace(spans: list[Span], *, main_pid: int | None = None) -> dict:
     }
 
 
-def write_chrome_trace(
-    path: str, spans: list[Span], *, main_pid: int | None = None
-) -> dict:
+def write_chrome_trace(path: str, spans: list[Span]) -> dict:
     """Write spans as Chrome trace JSON to ``path``; returns the doc."""
-    doc = chrome_trace(spans, main_pid=main_pid)
+    doc = chrome_trace(spans)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -100,10 +86,9 @@ def validate_chrome_trace(doc: dict) -> dict:
 
     Checks: top-level shape, required fields per phase
     (name/ph/ts/pid/tid; dur on ``X``), numeric types, non-negative
-    durations, B/E balance per (pid, tid) with matching names, and —
-    when worker-category spans are present — that they run under pids
-    distinct from the serve process.  Returns summary stats
-    (event/span counts, pids, request ids) for callers that print.
+    durations, and B/E balance per (pid, tid) with matching names.
+    Returns summary stats (event/span counts, pids, request ids) for
+    callers that print.
     """
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise TraceError("trace document must be a dict with 'traceEvents'")
@@ -113,8 +98,6 @@ def validate_chrome_trace(doc: dict) -> dict:
 
     open_stacks: dict[tuple, list[str]] = {}
     pids: set[int] = set()
-    worker_pids: set[int] = set()
-    serve_pids: set[int] = set()
     requests: set[int] = set()
     spans = 0
     for i, ev in enumerate(events):
@@ -166,10 +149,6 @@ def validate_chrome_trace(doc: dict) -> dict:
         args = ev.get("args")
         if isinstance(args, dict) and "request_id" in args:
             requests.add(args["request_id"])
-        if ev.get("cat") == WORKER_CAT:
-            worker_pids.add(ev["pid"])
-        else:
-            serve_pids.add(ev["pid"])
     unbalanced = {
         key: stack for key, stack in open_stacks.items() if stack
     }
@@ -178,16 +157,10 @@ def validate_chrome_trace(doc: dict) -> dict:
             f"unbalanced B/E events: {len(unbalanced)} thread(s) with open "
             f"spans, e.g. {next(iter(unbalanced.values()))!r}"
         )
-    if worker_pids and worker_pids & serve_pids:
-        raise TraceError(
-            "worker spans share a pid with serve spans: "
-            f"{sorted(worker_pids & serve_pids)}"
-        )
     return {
         "events": len(events),
         "spans": spans,
         "pids": sorted(pids),
-        "worker_pids": sorted(worker_pids),
         "requests": len(requests),
     }
 

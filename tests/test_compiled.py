@@ -1,12 +1,12 @@
-"""Tests for the compiled kernel backend surface (DESIGN.md §19).
+"""Tests for the compiled kernel surface (DESIGN.md §19).
 
-Covers the knob itself — ``split_backend`` parsing, ``backend_choices``
-— the graceful numpy fallback when no toolchain exists (forced via
+Covers the knob itself — kernel resolution and the served default —
+the graceful numpy fallback when no toolchain exists (forced via
 ``REPRO_COMPILED_TOOLCHAIN=none``), and the warm-up contract: after
 :func:`repro.parallel.compiled.warm_up` no compile may ever land
 inside a timed region (asserted through the compile-event counter).
 Bit-identity of the compiled loops themselves is asserted by the
-backend-parametrized differential suites (``test_fused*``,
+kernel-parametrized differential suites (``test_fused*``,
 ``test_golden``), not here.
 """
 
@@ -28,44 +28,7 @@ from conftest import needs_compiled
 
 
 class TestSplitBackend:
-    @pytest.mark.parametrize(
-        "backend,pool,kernel",
-        [
-            ("thread", "thread", "numpy"),
-            ("process", "process", "numpy"),
-            ("fused", "fused", "numpy"),
-            ("compiled", "thread", "compiled"),
-            ("thread+compiled", "thread", "compiled"),
-            ("process+compiled", "process", "compiled"),
-            ("fused+compiled", "fused", "compiled"),
-        ],
-    )
-    def test_parse(self, backend, pool, kernel):
-        assert compiled.split_backend(backend) == (pool, kernel)
-
-    def test_bare_compiled_uses_default_pool(self):
-        assert compiled.split_backend(
-            "compiled", default_pool="fused"
-        ) == ("fused", "compiled")
-
-    @pytest.mark.parametrize("bad", ["thread+gpu", "process+numba", "x+"])
-    def test_unknown_suffix_rejected(self, bad):
-        with pytest.raises(ValueError):
-            compiled.split_backend(bad)
-
-    def test_unknown_pool_passes_through(self):
-        # Pool validation belongs to the caller (it owns the error
-        # type); the parser only splits.
-        assert compiled.split_backend("gpu") == ("gpu", "numpy")
-
-    def test_backend_choices(self):
-        assert compiled.backend_choices(("thread", "process")) == (
-            "thread",
-            "process",
-            "compiled",
-            "thread+compiled",
-            "process+compiled",
-        )
+    """The kernel knob: resolution and the served default."""
 
     def test_effective_kernel_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -74,33 +37,34 @@ class TestSplitBackend:
     def test_effective_kernel_numpy_is_identity(self):
         assert compiled.effective_kernel("numpy") == "numpy"
 
+    def test_executor_rejects_bad_suffix_as_parallelism_error(
+        self, provider11
+    ):
+        # The pool reports an unknown kernel as a ParallelismError (not
+        # effective_kernel's ValueError), even with no tasks to run.
+        for kernel in ("compiled+gpu", "thread+gpu"):
+            with pytest.raises(ParallelismError):
+                decode_with_pool(
+                    provider11, 32, np.zeros(4, np.uint16), [], 0,
+                    np.uint8, 2, kernel=kernel,
+                )
+
     def test_served_default_in_one_place(self):
         """The service default is the compiled kernel, and every
-        serving command takes its ``--backend`` default from it."""
+        serving surface takes its ``kernel`` default from it."""
         from repro.cli import build_parser
         from repro.serve.bench import run_serve_bench
         from repro.serve.loadgen import run_load_bench
         from repro.serve.service import ServiceConfig
 
-        default = ServiceConfig().decode_backend
-        assert compiled.split_backend(default, "fused") == (
-            "fused", "compiled"
-        )
+        default = ServiceConfig().decode_kernel
+        assert default == "compiled"
         parser = build_parser()
         for cmd in ("serve", "serve-bench", "load-bench"):
-            assert parser.parse_args([cmd]).backend == default
+            assert parser.parse_args([cmd]).kernel == default
         for fn in (run_serve_bench, run_load_bench):
-            backend = inspect.signature(fn).parameters["backend"]
-            assert backend.default == default
-
-    def test_executor_rejects_bad_suffix_as_parallelism_error(
-        self, skewed_bytes, provider11
-    ):
-        with pytest.raises(ParallelismError):
-            decode_with_pool(
-                provider11, 32, np.zeros(4, np.uint16), [], 0,
-                np.uint8, 2, backend="thread+gpu",
-            )
+            kernel = inspect.signature(fn).parameters["kernel"]
+            assert kernel.default == default
 
 
 @pytest.fixture
@@ -147,7 +111,7 @@ class TestFallbackWithoutToolchain:
         )
         res = decode_with_pool(
             provider11, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, 2, backend="thread+compiled",
+            np.uint8, 2, kernel="compiled",
         )
         assert res.kernel == "numpy"
         assert np.array_equal(res.symbols, data)
@@ -208,7 +172,7 @@ class TestWarmUpContract:
         )
         res = decode_with_pool(
             provider11, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, 2, backend="thread+compiled",
+            np.uint8, 2, kernel="compiled",
         )
         # -- end timed region ----------------------------------------
         assert np.array_equal(res.symbols, data)
@@ -224,7 +188,7 @@ class TestWarmUpContract:
         data = np.minimum(
             np.floor(r.exponential(9.0, 5_000)), 255
         ).astype(np.uint8)
-        cfg = ServiceConfig(decode_backend="fused+compiled")
+        cfg = ServiceConfig(decode_kernel="compiled")
         with RecoilService(config=cfg) as svc:
             events = compiled.compile_events()
             svc.put_asset("a", data)

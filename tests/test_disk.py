@@ -513,7 +513,7 @@ class TestFaultsAndDegradation:
 class TestServiceColdStart:
     def test_restart_recovers_and_decodes(self, tmp_path, payloads):
         root = tmp_path / "store"
-        cfg = ServiceConfig(store_dir=root, decode_workers=2)
+        cfg = ServiceConfig(store_dir=root)
         with RecoilService(config=cfg) as svc:
             for name, data in payloads.items():
                 svc.put_asset(name, data, num_splits=8)

@@ -1,36 +1,29 @@
-"""Tests for pooled decoding on real threads and shard processes.
+"""Tests for pooled decoding on real threads.
 
-One parametrized suite covers both backends of
-:func:`repro.parallel.executor.decode_with_pool` — every behaviour the
-thread pool honors (bit-identical output, stats coverage, edge cases:
-zero tasks, a single task, more workers than tasks) must hold verbatim
-for the sharded process backend (DESIGN.md §14).
+One parametrized suite covers both kernels of
+:func:`repro.parallel.executor.decode_with_pool` — bit-identical
+output, stats coverage, and the edge cases: zero tasks, a single task,
+more workers than tasks, corrupt task metadata.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
-from repro.errors import ParallelismError
-from repro.parallel import compiled
+from repro.errors import DecodeError, ParallelismError
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.shards import sharding_available
 
 from conftest import needs_compiled
 
-needs_shm = pytest.mark.skipif(
-    not sharding_available(), reason="no shared memory on this host"
-)
-BACKENDS = [
-    "thread",
-    pytest.param("process", marks=needs_shm),
-    pytest.param("thread+compiled", marks=needs_compiled),
-    pytest.param(
-        "process+compiled", marks=[needs_shm, needs_compiled]
-    ),
+#: the thread pool on each kernel; the ids name the pool and kernel.
+KERNELS = [
+    pytest.param("numpy", id="thread"),
+    pytest.param("compiled", id="thread+compiled", marks=needs_compiled),
 ]
 
 
@@ -52,92 +45,100 @@ def single_task(encoded):
     return build_thread_tasks(md, len(encoded.words), encoded.final_states)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestPoolDecode:
     @pytest.mark.parametrize("workers", [1, 2, 4, 7])
     def test_roundtrip(
-        self, encoded, tasks, provider11, skewed_bytes, workers, backend
+        self, encoded, tasks, provider11, skewed_bytes, workers, kernel
     ):
         res = decode_with_pool(
             provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, workers, backend=backend,
+            encoded.num_symbols, np.uint8, workers, kernel=kernel,
         )
         assert np.array_equal(res.symbols, skewed_bytes)
         assert res.workers == min(workers, len(tasks))
-        pool, kernel = compiled.split_backend(backend)
-        assert res.backend == pool
         assert res.kernel == kernel
 
-    def test_stats_cover_all_work(self, encoded, tasks, provider11, backend):
+    def test_stats_cover_all_work(self, encoded, tasks, provider11, kernel):
         res = decode_with_pool(
             provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, 4, backend=backend,
+            encoded.num_symbols, np.uint8, 4, kernel=kernel,
         )
         assert len(res.per_worker_stats) == res.workers
         assert res.total_symbols_decoded >= encoded.num_symbols
 
     def test_more_workers_than_tasks(self, encoded, tasks, provider11,
-                                     skewed_bytes, backend):
+                                     skewed_bytes, kernel):
         res = decode_with_pool(
             provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, 100, backend=backend,
+            encoded.num_symbols, np.uint8, 100, kernel=kernel,
         )
         assert res.workers == len(tasks)
         assert np.array_equal(res.symbols, skewed_bytes)
 
     def test_single_task(self, encoded, single_task, provider11,
-                         skewed_bytes, backend):
+                         skewed_bytes, kernel):
         assert len(single_task) == 1
         res = decode_with_pool(
             provider11, 32, encoded.words, single_task,
-            encoded.num_symbols, np.uint8, 4, backend=backend,
+            encoded.num_symbols, np.uint8, 4, kernel=kernel,
         )
         assert res.workers == 1
         assert np.array_equal(res.symbols, skewed_bytes)
 
-    def test_zero_tasks(self, encoded, provider11, backend):
+    def test_zero_tasks(self, encoded, provider11, kernel):
         res = decode_with_pool(
             provider11, 32, encoded.words, [], 0, np.uint8, 4,
-            backend=backend,
+            kernel=kernel,
         )
         assert res.workers == 0
         assert res.per_worker_stats == []
         assert res.symbols.shape == (0,)
 
-    def test_zero_workers_rejected(self, encoded, tasks, provider11, backend):
+    def test_corrupt_metadata_raises_decode_error(
+        self, encoded, tasks, provider11, kernel
+    ):
+        bad = [replace(tasks[0], start_pos=len(encoded.words) + 5)]
+        with pytest.raises(DecodeError):
+            decode_with_pool(
+                provider11, 32, encoded.words, bad,
+                encoded.num_symbols, np.uint8, 2, kernel=kernel,
+            )
+
+    def test_zero_workers_rejected(self, encoded, tasks, provider11, kernel):
         with pytest.raises(ParallelismError):
             decode_with_pool(
                 provider11, 32, encoded.words, tasks,
-                encoded.num_symbols, np.uint8, 0, backend=backend,
+                encoded.num_symbols, np.uint8, 0, kernel=kernel,
             )
 
     def test_negative_workers_rejected(self, encoded, tasks, provider11,
-                                       backend):
+                                       kernel):
         with pytest.raises(ParallelismError):
             decode_with_pool(
                 provider11, 32, encoded.words, tasks,
-                encoded.num_symbols, np.uint8, -3, backend=backend,
+                encoded.num_symbols, np.uint8, -3, kernel=kernel,
             )
 
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_round_robin_strategy_roundtrip(
-        self, encoded, tasks, provider11, skewed_bytes, workers, backend
+        self, encoded, tasks, provider11, skewed_bytes, workers, kernel
     ):
         res = decode_with_pool(
             provider11, 32, encoded.words, tasks,
             encoded.num_symbols, np.uint8, workers,
-            strategy="round_robin", backend=backend,
+            strategy="round_robin", kernel=kernel,
         )
         assert np.array_equal(res.symbols, skewed_bytes)
         assert res.workers == min(workers, len(tasks))
 
     def test_unknown_strategy_rejected(self, encoded, tasks, provider11,
-                                       backend):
+                                       kernel):
         with pytest.raises(ValueError):
             decode_with_pool(
                 provider11, 32, encoded.words, tasks,
                 encoded.num_symbols, np.uint8, 2,
-                strategy="alphabetical", backend=backend,
+                strategy="alphabetical", kernel=kernel,
             )
 
 
@@ -152,31 +153,10 @@ class TestBackendSelection:
         assert buckets[1][0] is tasks[1]
 
     def test_unknown_backend_rejected(self, encoded, tasks, provider11):
-        with pytest.raises(ParallelismError):
-            decode_with_pool(
-                provider11, 32, encoded.words, tasks,
-                encoded.num_symbols, np.uint8, 2, backend="gpu",
-            )
-
-    @needs_shm
-    def test_sharded_strategy_alias(self, encoded, tasks, provider11,
-                                    skewed_bytes):
-        res = decode_with_pool(
-            provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, 4, strategy="sharded",
-        )
-        assert res.backend == "process"
-        assert np.array_equal(res.symbols, skewed_bytes)
-
-    def test_process_falls_back_without_shared_memory(
-        self, encoded, tasks, provider11, skewed_bytes, monkeypatch
-    ):
-        from repro.parallel import shards
-
-        monkeypatch.setattr(shards, "_AVAILABLE", False)
-        res = decode_with_pool(
-            provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, 4, backend="process",
-        )
-        assert res.backend == "thread"
-        assert np.array_equal(res.symbols, skewed_bytes)
+        # Retired pool strings are unknown kernels too.
+        for kernel in ("gpu", "process", "thread+compiled", "fused"):
+            with pytest.raises(ParallelismError):
+                decode_with_pool(
+                    provider11, 32, encoded.words, tasks,
+                    encoded.num_symbols, np.uint8, 2, kernel=kernel,
+                )

@@ -146,12 +146,9 @@ class TestPooledFused:
         tasks = build_thread_tasks(
             enc.metadata, len(enc.words), enc.final_states
         )
-        backend = (
-            "thread+compiled" if kernel_backend == "compiled" else "thread"
-        )
         res = decode_with_pool(
             provider, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, workers, strategy=strategy, backend=backend,
+            np.uint8, workers, strategy=strategy, kernel=kernel_backend,
         )
         assert res.kernel == kernel_backend
         assert np.array_equal(res.symbols, payload)

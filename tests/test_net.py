@@ -3,9 +3,8 @@
 The server's contract (DESIGN.md §16): every response that completes
 is bit-identical to the reference decode, every failure is a *typed*
 wire error or a counted kill — never a crash, never a hang, never a
-leaked socket or shared-memory segment — under slow-loris drips,
-never-reading peers, kill -9'd clients, overload, and injected
-``net.*`` faults.
+leaked socket — under slow-loris drips, never-reading peers, kill
+-9'd clients, overload, and injected ``net.*`` faults.
 """
 
 from __future__ import annotations
@@ -447,24 +446,15 @@ def _open_fds() -> int:
 
 
 class TestChaosStorm:
-    """The PR's acceptance run: an open-loop storm of 16+ clients —
-    including kill -9 and slow-reader personas — with faults armed at
-    four ``net.*`` points plus ``worker.crash``, against the process
-    backend.  Every surviving response is verified bit-identical by
-    the load generator; afterwards nothing may be leaked."""
+    """An open-loop storm of 16+ clients — including kill -9 and
+    slow-reader personas — against the default server, with faults
+    armed at four ``net.*`` points plus ``kernel.exec``.  Every
+    surviving response is verified bit-identical by the load
+    generator; afterwards nothing may be leaked."""
 
     def test_storm_survives_bit_identical(self):
-        from repro.parallel.shards import sharding_available
         from repro.serve.loadgen import run_load_bench
 
-        if not sharding_available():
-            pytest.skip("process backend unavailable on this platform")
-        # The shared shard pool (workers + pipes) outlives the bench
-        # by design — warm it first so its fds land in the baseline
-        # and the assertion only sees sockets the server would leak.
-        from repro.parallel import shards
-
-        shards.default_executor(2)
         fds_before = _open_fds()
         result = run_load_bench(
             symbols=12_000,
@@ -472,11 +462,9 @@ class TestChaosStorm:
             num_splits=SPLITS,
             rate_hz=60.0,
             duration_s=0.8,
-            backend="process",
-            workers=2,
             faults=(
                 "net.accept:p=0.05,net.read:p=0.05,net.write:p=0.05,"
-                "net.stall:p=0.1,worker.crash:nth=2"
+                "net.stall:p=0.1,kernel.exec:nth=2"
             ),
             seed=5,
             request_timeout_s=30.0,
@@ -494,20 +482,13 @@ class TestChaosStorm:
         assert (
             net["connections"]["opened"] == net["connections"]["closed"]
         )
+        # Every connection ended by itself; none needed a hard close.
+        assert net["drain"]["forced"] == 0
         # No leaked sockets (small slack for interpreter-internal fds).
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline and _open_fds() > fds_before:
             time.sleep(0.05)
         assert _open_fds() <= fds_before + 2
-        # No leaked shared-memory segments.
-        from repro.parallel.shards import _SHM_PREFIX
-
-        shm = [
-            f
-            for f in os.listdir("/dev/shm")
-            if f.startswith(_SHM_PREFIX)
-        ] if os.path.isdir("/dev/shm") else []
-        assert shm == []
 
 
 class TestKilledClients:

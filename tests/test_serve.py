@@ -342,6 +342,36 @@ class TestService:
         with pytest.raises(ServeError):
             service.decompress("nope", 4)
 
+    def test_kernel_round_trip(self, payload, kernel_backend):
+        cfg = ServiceConfig(decode_kernel=kernel_backend)
+        with RecoilService(config=cfg) as svc:
+            assert svc.decode_kernel == kernel_backend
+            svc.put_asset("a", payload, num_splits=64)
+            requests = [svc.submit("a", c) for c in (1, 4, 16, 4, 1)]
+            for req in requests:
+                assert np.array_equal(req.result(120), payload)
+            snap = svc.metrics_snapshot()
+        assert snap["resilience"]["kernel"] == {
+            "configured": kernel_backend,
+            "effective": kernel_backend,
+        }
+
+    def test_invalid_kernel_config_rejected(self):
+        # Retired backend strings ("process", "fused+compiled", ...)
+        # are unknown kernels, on the config and on the CLI flag.
+        for bad in ("quantum", "process", "thread", "fused+compiled"):
+            with pytest.raises(ServeError):
+                ServiceConfig(decode_kernel=bad)
+        from repro.cli import main
+
+        for cmd in ("serve", "serve-bench", "load-bench"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--kernel", "process"])
+            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_admission_backpressure_times_out(self, store):
         # Stall the dispatcher with a huge batch window so the first
         # request pins the in-flight budget; the second must then hit
@@ -503,7 +533,6 @@ class TestMetricsUnderConcurrency:
         assert snap["requests"]["failed"] == 0
         # The resilience section exists and is all-zero on a clean run.
         res = dict(snap["resilience"])
-        res.pop("backend")
         res.pop("kernel")
         assert all(v == 0 for v in res.values()), res
 
