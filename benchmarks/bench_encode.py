@@ -18,9 +18,12 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 
 ``speedup_fused_vs_seed`` (the tracked headline) is the fused kernel
 vs the seed loop at the widest sweep point; the single-stream ratio is
-reported alongside.  The ``compiled`` section re-times the fused
-encode on the compiled kernel twin (DESIGN.md §19) when a toolchain
-is present.  CI runs this in smoke mode.  Usage::
+reported alongside.  These columns time the numpy kernels: on a host
+with a C compiler they run as a host without one (``numpy_host``,
+docs/BENCHMARKS.md).  The ``compiled`` section re-times the fused
+encode on the compiled kernel twin (DESIGN.md §19), the host's own
+kernel, when a toolchain is present.  CI runs this in smoke mode.
+Usage::
 
     python benchmarks/bench_encode.py [--symbols 300000] [--repeats 3]
         [--out BENCH_encode.json]
@@ -43,6 +46,8 @@ from repro.rans.adaptive import StaticModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS, RENORM_MASK
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
+
+from numpy_host import numpy_host
 
 QUANT_BITS = 11
 LANES = 32
@@ -122,53 +127,54 @@ def run(symbols: int, repeats: int) -> dict:
     provider = StaticModelProvider(model)
     N = len(data)
 
-    # Correctness before speed: fused == seed loop, and it decodes.
-    encoder = InterleavedEncoder(provider, LANES)
-    fused = encoder.encode(data, record_events=True)
-    seed_words, seed_states = _seed_encode(
-        provider, LANES, data, record_events=True
-    )
-    if not np.array_equal(fused.words, seed_words) or not np.array_equal(
-        fused.final_states, seed_states
-    ):
-        raise AssertionError("fused encode diverged from the seed loop")
-    decoded = InterleavedDecoder(provider, LANES).decode(
-        fused.words, fused.final_states, N
-    )
-    if not np.array_equal(decoded, data):
-        raise AssertionError("encode/decode round trip failed")
+    with numpy_host():
+        # Correctness before speed: fused == seed loop, and it decodes.
+        encoder = InterleavedEncoder(provider, LANES)
+        fused = encoder.encode(data, record_events=True)
+        seed_words, seed_states = _seed_encode(
+            provider, LANES, data, record_events=True
+        )
+        if not np.array_equal(fused.words, seed_words) or not np.array_equal(
+            fused.final_states, seed_states
+        ):
+            raise AssertionError("fused encode diverged from the seed loop")
+        decoded = InterleavedDecoder(provider, LANES).decode(
+            fused.words, fused.final_states, N
+        )
+        if not np.array_equal(decoded, data):
+            raise AssertionError("encode/decode round trip failed")
 
-    rates: dict[str, float] = {}
-    rates["seed_loop"] = _rate(
-        lambda: _seed_encode(provider, LANES, data, record_events=True),
-        N, repeats,
-    )
-    rates["reference"] = _rate(
-        lambda: encoder.encode_reference(data, record_events=True),
-        N, repeats,
-    )
-    rates["fused"] = _rate(
-        lambda: encoder.encode(data, record_events=True), N, repeats
-    )
-    recoil = RecoilEncoder(provider, LANES)
-    rates["recoil_full"] = _rate(
-        lambda: recoil.encode(data, num_threads=8), N, repeats
-    )
-
-    # -- the width the kernel is built for: P partitions, one call ------
-    codec = ConventionalCodec(provider, LANES)
-    sweep: dict[str, dict[str, float]] = {}
-    for p in PARTITION_SWEEP:
-        fused_r = _rate(lambda p=p: codec.encode(data, p), N, repeats)
-        seed_r = _rate(
-            lambda p=p: _seed_encode_partitions(provider, data, p),
+        rates: dict[str, float] = {}
+        rates["seed_loop"] = _rate(
+            lambda: _seed_encode(provider, LANES, data, record_events=True),
             N, repeats,
         )
-        sweep[str(p)] = {
-            "fused": round(fused_r, 1),
-            "seed_loop": round(seed_r, 1),
-            "speedup": round(fused_r / seed_r, 3),
-        }
+        rates["reference"] = _rate(
+            lambda: encoder.encode_reference(data, record_events=True),
+            N, repeats,
+        )
+        rates["fused"] = _rate(
+            lambda: encoder.encode(data, record_events=True), N, repeats
+        )
+        recoil = RecoilEncoder(provider, LANES)
+        rates["recoil_full"] = _rate(
+            lambda: recoil.encode(data, num_threads=8), N, repeats
+        )
+
+        # -- the width the kernel is built for: P partitions, one call --------
+        codec = ConventionalCodec(provider, LANES)
+        sweep: dict[str, dict[str, float]] = {}
+        for p in PARTITION_SWEEP:
+            fused_r = _rate(lambda p=p: codec.encode(data, p), N, repeats)
+            seed_r = _rate(
+                lambda p=p: _seed_encode_partitions(provider, data, p),
+                N, repeats,
+            )
+            sweep[str(p)] = {
+                "fused": round(fused_r, 1),
+                "seed_loop": round(seed_r, 1),
+                "speedup": round(fused_r / seed_r, 3),
+            }
 
     # -- compiled kernel column (DESIGN.md §19) -------------------------
     # Same fused encode sweep, inner loop on the compiled twin;
@@ -181,10 +187,7 @@ def run(symbols: int, repeats: int) -> dict:
         compiled.warm_up()
         events = compiled.compile_events()
         compiled_rate = _rate(
-            lambda: encoder.encode(
-                data, record_events=True, kernel="compiled"
-            ),
-            N, repeats,
+            lambda: encoder.encode(data, record_events=True), N, repeats
         )
         if compiled.compile_events() != events:
             raise AssertionError("compile landed inside a timed region")

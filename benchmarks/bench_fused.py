@@ -10,6 +10,9 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 - ``seed_engine``  — the same 8 tasks on the pre-fusion reference
   engine (``LaneEngine.run_reference``), i.e. the seed hot path.
 
+These columns time the numpy kernels: on a host with a C compiler
+they run as a host without one (``numpy_host``, docs/BENCHMARKS.md).
+
 The ``thread_pool`` section times ``decode_with_pool`` on each kernel
 at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
 ``POOL_SYMBOLS``-symbol input: the median and quartiles of
@@ -17,9 +20,9 @@ at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
 round), every output verified (docs/BENCHMARKS.md).
 
 The ``compiled`` section re-times the fused decode on the compiled C
-walk (DESIGN.md §19) when a C compiler is present; the section always
-records ``available``/``toolchain``/``host_cpus`` so a fallback run
-is visible in the JSON.
+walk (DESIGN.md §19), the host's own kernel, when a C compiler is
+present; the section always records ``available``/``toolchain``/
+``host_cpus`` so a fallback run is visible in the JSON.
 
 The JSON this emits is the perf trajectory future PRs regress
 against; CI runs it in smoke mode.  Usage::
@@ -31,6 +34,7 @@ against; CI runs it in smoke mode.  Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -48,6 +52,8 @@ from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 from repro.rans.scalar import ScalarDecoder, ScalarEncoder
+
+from numpy_host import numpy_host
 
 QUANT_BITS = 11
 LANES = 32
@@ -91,7 +97,6 @@ def _thread_pool() -> dict:
     }
     kernels = ["numpy"]
     if compiled.kernel_available():
-        compiled.warm_up()
         kernels.append("compiled")
     configs = [
         (kernel, splits, workers)
@@ -102,12 +107,18 @@ def _thread_pool() -> dict:
 
     def rate(config) -> float:
         kernel, splits, workers = config
-        t0 = time.perf_counter()
-        res = decode_with_pool(
-            provider, LANES, enc.words, plans[splits], enc.num_symbols,
-            np.uint8, workers, kernel=kernel,
-        )
-        elapsed = time.perf_counter() - t0
+        host = numpy_host() if kernel == "numpy" else contextlib.nullcontext()
+        with host:
+            compiled.warm_up()  # outside the timed region
+            events = compiled.compile_events()
+            t0 = time.perf_counter()
+            res = decode_with_pool(
+                provider, LANES, enc.words, plans[splits], enc.num_symbols,
+                np.uint8, workers,
+            )
+            elapsed = time.perf_counter() - t0
+            if compiled.compile_events() != events:
+                raise AssertionError("compile landed inside a timed region")
         if res.kernel != kernel or not np.array_equal(res.symbols, data):
             raise AssertionError(f"thread-pool decode mismatch at {config}")
         return len(data) / elapsed
@@ -149,80 +160,78 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
                 raise AssertionError("decode mismatch in benchmark")
         return _check
 
-    rates: dict[str, float] = {}
+    with numpy_host():
+        rates: dict[str, float] = {}
 
-    # -- scalar ---------------------------------------------------------
-    small = data[:SCALAR_CAP]
-    s_enc = ScalarEncoder(model).encode(small)
-    s_dec = ScalarDecoder(model)
-    rates["scalar"] = _rate(
-        lambda: s_dec.decode(s_enc.words, s_enc.final_state, len(small)),
-        check(small),
-        repeats,
-    )
+        # -- scalar -----------------------------------------------------------
+        small = data[:SCALAR_CAP]
+        s_enc = ScalarEncoder(model).encode(small)
+        s_dec = ScalarDecoder(model)
+        rates["scalar"] = _rate(
+            lambda: s_dec.decode(s_enc.words, s_enc.final_state, len(small)),
+            check(small),
+            repeats,
+        )
 
-    # -- interleaved (one coder, fused full-stream decode) --------------
-    i_enc = InterleavedEncoder(provider, LANES).encode(data)
-    i_dec = InterleavedDecoder(provider, LANES)
-    rates["interleaved"] = _rate(
-        lambda: i_dec.decode(i_enc.words, i_enc.final_states, len(data)),
-        check(data),
-        repeats,
-    )
+        # -- interleaved (one coder, fused full-stream decode) ----------------
+        i_enc = InterleavedEncoder(provider, LANES).encode(data)
+        i_dec = InterleavedDecoder(provider, LANES)
+        rates["interleaved"] = _rate(
+            lambda: i_dec.decode(i_enc.words, i_enc.final_states, len(data)),
+            check(data),
+            repeats,
+        )
 
-    # -- recoil tasks at the requested thread count ---------------------
-    enc = RecoilEncoder(provider, LANES).encode(
-        data, num_threads=max(threads, 2)
-    )
-    md = enc.metadata.combine(threads)
-    tasks = build_thread_tasks(md, len(enc.words), enc.final_states)
-    decoder = RecoilDecoder(provider, LANES)
+        # -- recoil tasks at the requested thread count -----------------------
+        enc = RecoilEncoder(provider, LANES).encode(
+            data, num_threads=max(threads, 2)
+        )
+        md = enc.metadata.combine(threads)
+        tasks = build_thread_tasks(md, len(enc.words), enc.final_states)
+        decoder = RecoilDecoder(provider, LANES)
 
-    rates["pooled"] = _rate(
-        lambda: decode_with_pool(
-            provider, LANES, enc.words, tasks, enc.num_symbols,
-            np.uint8, threads,
-        ).symbols,
-        check(data),
-        repeats,
-    )
-    rates["fused"] = _rate(
-        lambda: decoder.decode(
-            enc.words, enc.final_states, md, engine="fused"
-        ).symbols,
-        check(data),
-        repeats,
-    )
-    rates["seed_engine"] = _rate(
-        lambda: decoder.decode(
-            enc.words, enc.final_states, md, engine="reference"
-        ).symbols,
-        check(data),
-        repeats,
-    )
+        rates["pooled"] = _rate(
+            lambda: decode_with_pool(
+                provider, LANES, enc.words, tasks, enc.num_symbols,
+                np.uint8, threads,
+            ).symbols,
+            check(data),
+            repeats,
+        )
+        rates["fused"] = _rate(
+            lambda: decoder.decode(enc.words, enc.final_states, md).symbols,
+            check(data),
+            repeats,
+        )
+        rates["seed_engine"] = _rate(
+            lambda: decoder.decode_reference(
+                enc.words, enc.final_states, md
+            ).symbols,
+            check(data),
+            repeats,
+        )
 
-    # -- decoder-adaptive sweep: the Figure 7 "wider ⇒ faster" curve ----
-    wide = RecoilEncoder(provider, LANES).encode(data, num_threads=32)
-    sweep: dict[str, dict[str, float]] = {}
-    for t in (1, 8, 16, 32):
-        md_t = wide.metadata.combine(t)
-        sweep[str(t)] = {
-            "fused": round(_rate(
-                lambda: decoder.decode(
-                    wide.words, wide.final_states, md_t, engine="fused"
-                ).symbols,
-                check(data),
-                max(repeats - 1, 1),
-            ), 1),
-            "seed_engine": round(_rate(
-                lambda: decoder.decode(
-                    wide.words, wide.final_states, md_t,
-                    engine="reference",
-                ).symbols,
-                check(data),
-                max(repeats - 1, 1),
-            ), 1),
-        }
+        # -- decoder-adaptive sweep: the Figure 7 "wider ⇒ faster" curve ------
+        wide = RecoilEncoder(provider, LANES).encode(data, num_threads=32)
+        sweep: dict[str, dict[str, float]] = {}
+        for t in (1, 8, 16, 32):
+            md_t = wide.metadata.combine(t)
+            sweep[str(t)] = {
+                "fused": round(_rate(
+                    lambda: decoder.decode(
+                        wide.words, wide.final_states, md_t
+                    ).symbols,
+                    check(data),
+                    max(repeats - 1, 1),
+                ), 1),
+                "seed_engine": round(_rate(
+                    lambda: decoder.decode_reference(
+                        wide.words, wide.final_states, md_t
+                    ).symbols,
+                    check(data),
+                    max(repeats - 1, 1),
+                ), 1),
+            }
 
     thread_pool = _thread_pool()
 
@@ -239,9 +248,7 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         compiled.warm_up()
         events = compiled.compile_events()
         compiled_rate = _rate(
-            lambda: decoder.decode(
-                enc.words, enc.final_states, md, engine="compiled"
-            ).symbols,
+            lambda: decoder.decode(enc.words, enc.final_states, md).symbols,
             check(data),
             repeats,
         )

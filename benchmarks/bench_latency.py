@@ -15,8 +15,12 @@ against; CI runs a short clean smoke and gates on p99 + zero protocol
 errors.  Usage::
 
     python benchmarks/bench_latency.py [--symbols 50000] [--rate 100]
-        [--duration 2.0] [--kernel compiled] [--faults SPEC|none]
+        [--duration 2.0] [--faults SPEC|none]
         [--trace trace.json] [--out BENCH_latency.json]
+
+The service runs the host's kernel: the compiled C walk where a C
+compiler exists (``RecoilService`` warms it up before the first
+request), numpy where none does.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ import argparse
 import json
 import pathlib
 
-from repro.parallel.compiled import KERNELS
 from repro.serve.loadgen import render_load_table, run_load_bench
-from repro.serve.service import ServiceConfig
 
 #: default chaos spec for the faulted run: all four net.* points plus
 #: a failed kernel call.
@@ -46,8 +48,6 @@ def main(argv=None) -> int:
                     help="offered request rate (Poisson arrivals, Hz)")
     ap.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length (s) per condition")
-    ap.add_argument("--kernel", default=ServiceConfig.decode_kernel,
-                    choices=KERNELS)
     ap.add_argument("--faults", default=DEFAULT_FAULTS,
                     help="chaos spec for the faulted run; 'none' skips it")
     ap.add_argument("--seed", type=int, default=11)
@@ -69,7 +69,6 @@ def main(argv=None) -> int:
         num_splits=args.splits,
         rate_hz=args.rate,
         duration_s=args.duration,
-        kernel=args.kernel,
         faults=faults,
         seed=args.seed,
         trace_path=args.trace,

@@ -104,7 +104,7 @@ def run(symbols: int, repeats: int, threads: int) -> dict:
     if not np.array_equal(dec.decode(enc1), data):
         raise AssertionError("staged single-stream decode is wrong")
     staged = _rate(lambda: dec.decode(enc1), N, repeats)
-    seed1 = _rate(lambda: dec.decode(enc1, engine="reference"), N, repeats)
+    seed1 = _rate(lambda: dec.decode_reference(enc1), N, repeats)
     result["single_stream"] = {
         "staged_sym_per_s": round(staged),
         "seed_sym_per_s": round(seed1),

@@ -6,17 +6,18 @@ clients of mixed capacities, batched (cross-request fusion into one
 wide-lane kernel per geometry group) vs. unbatched (the same service
 on the same kernel with ``batching=False``: one request per kernel
 call).  All responses are verified bit-identical to
-``recoil_decompress`` before timing.  The kernel defaults to numpy,
-where fusion is what the CI gate measures; ``--kernel compiled``
-measures the served default.
+``recoil_decompress`` before timing.  Both services run the numpy
+kernel, where fusion is what the CI gate measures: on a host with a C
+compiler the harness acts as a host without one (``numpy_host``,
+docs/BENCHMARKS.md).  ``recoil serve-bench`` measures the host's own
+kernel.
 
 The JSON this emits is the serving perf trajectory future PRs regress
 against; CI runs it in smoke mode and gates on
 ``speedup_batched_vs_unbatched_max_clients``.  Usage::
 
     python benchmarks/bench_serve.py [--symbols 200000]
-        [--clients 1 8 64] [--repeats 2] [--kernel numpy]
-        [--out BENCH_serve.json]
+        [--clients 1 8 64] [--repeats 2] [--out BENCH_serve.json]
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import argparse
 import json
 import pathlib
 
-from repro.parallel.compiled import KERNELS
 from repro.serve.bench import render_table, run_serve_bench
+
+from numpy_host import numpy_host
 
 
 def main(argv=None) -> int:
@@ -34,8 +36,6 @@ def main(argv=None) -> int:
     ap.add_argument("--symbols", type=int, default=200_000)
     ap.add_argument("--clients", type=int, nargs="+", default=[1, 8, 64])
     ap.add_argument("--repeats", type=int, default=2)
-    ap.add_argument("--kernel", default="numpy", choices=KERNELS,
-                    help="decode kernel both services run on")
     ap.add_argument(
         "--out",
         default=str(pathlib.Path(__file__).resolve().parents[1]
@@ -43,12 +43,12 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    result = run_serve_bench(
-        symbols=args.symbols,
-        clients=tuple(args.clients),
-        repeats=args.repeats,
-        kernel=args.kernel,
-    )
+    with numpy_host():
+        result = run_serve_bench(
+            symbols=args.symbols,
+            clients=tuple(args.clients),
+            repeats=args.repeats,
+        )
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

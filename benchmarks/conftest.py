@@ -14,8 +14,16 @@ import numpy as np
 import pytest
 
 from repro.data import exponential_bytes, text_surrogate
+from repro.parallel import compiled
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.model import SymbolModel
+
+
+@pytest.fixture(scope="session", autouse=True)
+def warm_kernels() -> None:
+    """Build and load the compiled kernels before any timing, so no
+    compile lands in a benchmark round (DESIGN.md §19)."""
+    compiled.warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,6 @@ from repro.core import (
 )
 from repro.core.serialization import metadata_size_bytes
 from repro.errors import ReproError
-from repro.parallel import compiled
 
 
 def _cmd_compress(args) -> int:
@@ -118,7 +117,6 @@ def _cmd_serve_bench(args) -> int:
         symbols=args.symbols,
         clients=tuple(args.clients),
         repeats=args.repeats,
-        kernel=args.kernel,
         faults=args.faults,
     )
     if args.json:
@@ -146,7 +144,6 @@ def _cmd_serve(args) -> int:
     if args.trace:
         trace.enable()
     config = ServiceConfig(
-        decode_kernel=args.kernel,
         store_dir=args.store_dir,
         resident_bytes=args.resident_bytes,
     )
@@ -292,7 +289,6 @@ def _cmd_load_bench(args) -> int:
         num_assets=args.assets,
         rate_hz=args.rate,
         duration_s=args.duration,
-        kernel=args.kernel,
         max_connections=args.max_connections,
         faults=args.faults,
         seed=args.seed,
@@ -336,19 +332,6 @@ def _cmd_trace(args) -> int:
         "load in https://ui.perfetto.dev"
     )
     return 0
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    """``--kernel`` for the serving commands, defaulting to the
-    service's own default (:attr:`ServiceConfig.decode_kernel`)."""
-    from repro.serve.service import ServiceConfig
-
-    parser.add_argument(
-        "--kernel", default=ServiceConfig.decode_kernel,
-        choices=compiled.KERNELS,
-        help="decode kernel each batch runs on: the bounds-checked C "
-        "walk or numpy (default: %(default)s)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent-client counts to sweep")
     b.add_argument("--repeats", type=int, default=2,
                    help="best-of repeat count per measurement")
-    _add_kernel_flag(b)
     b.add_argument("--faults", default=None, metavar="SPEC",
                    help="chaos spec armed during the client sweep, e.g. "
                    "'kernel.exec:nth=3,batch.dispatch:p=0.05:seed=7' — "
@@ -423,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "RETRY_AFTER")
     v.add_argument("--drain-timeout", type=float, default=5.0,
                    help="grace (s) for in-flight requests at shutdown")
-    _add_kernel_flag(v)
     v.add_argument("--demo-assets", type=int, default=2,
                    help="surrogate assets encoded at startup (asset0..N-1)")
     v.add_argument("--symbols", type=int, default=50_000,
@@ -477,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="offered request rate (Poisson arrivals, Hz)")
     lb.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length in seconds")
-    _add_kernel_flag(lb)
     lb.add_argument("--max-connections", type=int, default=64,
                     help="server connection cap")
     lb.add_argument("--faults", default=None, metavar="SPEC",

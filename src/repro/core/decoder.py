@@ -111,8 +111,6 @@ class RecoilDecoder:
         # One engine for the decoder's lifetime: its scratch arena is
         # reused across decode calls (DESIGN.md §9).
         self._engine = LaneEngine(provider, lanes)
-        # Built on first ``engine="compiled"`` decode (DESIGN.md §19).
-        self._compiled_engine: LaneEngine | None = None
 
     def _out_dtype(self):
         return self.provider.out_dtype
@@ -123,41 +121,51 @@ class RecoilDecoder:
         final_states: np.ndarray,
         metadata: RecoilMetadata,
         max_threads: int | None = None,
-        engine: str = "fused",
     ) -> RecoilDecodeResult:
         """Decode using every split in ``metadata``.
 
         ``max_threads`` optionally combines splits first (client-side
         equivalent of the server's shrinking — useful when the decoder
-        received more metadata than it has cores).  ``engine`` selects
-        the fused wide-lane kernel (default), the ``"compiled"``
-        variant of its steady-state loop (DESIGN.md §19 — falls back
-        to numpy without a toolchain), or the ``"reference"`` masked
-        loop for differential testing.
+        received more metadata than it has cores).  Runs the fused
+        kernel: the compiled walk on a host with a C compiler, numpy
+        otherwise (DESIGN.md §19).
         """
+        return self._decode(
+            self._engine.run, words, final_states, metadata, max_threads
+        )
+
+    def decode_reference(
+        self,
+        words: np.ndarray,
+        final_states: np.ndarray,
+        metadata: RecoilMetadata,
+        max_threads: int | None = None,
+    ) -> RecoilDecodeResult:
+        """:meth:`decode` on the masked reference loop
+        (:meth:`~repro.parallel.simd.LaneEngine.run_reference`), kept
+        for differential testing."""
+        return self._decode(
+            self._engine.run_reference, words, final_states, metadata,
+            max_threads,
+        )
+
+    def _decode(
+        self,
+        run,
+        words: np.ndarray,
+        final_states: np.ndarray,
+        metadata: RecoilMetadata,
+        max_threads: int | None,
+    ) -> RecoilDecodeResult:
         if metadata.lanes != self.lanes:
             raise DecodeError(
                 f"metadata is for {metadata.lanes}-way interleaving, "
                 f"decoder configured for {self.lanes}"
             )
-        if engine not in ("fused", "reference", "compiled"):
-            raise DecodeError(f"unknown engine {engine!r}")
         if max_threads is not None:
             metadata = metadata.combine(max_threads)
         tasks = build_thread_tasks(metadata, len(words), final_states)
         out = np.empty(metadata.num_symbols, dtype=self._out_dtype())
-        if engine == "compiled":
-            if self._compiled_engine is None:
-                self._compiled_engine = LaneEngine(
-                    self.provider, self.lanes, kernel="compiled"
-                )
-            run = self._compiled_engine.run
-        else:
-            run = (
-                self._engine.run
-                if engine == "fused"
-                else self._engine.run_reference
-            )
         stats = run(words, tasks, out)
         return RecoilDecodeResult(
             symbols=out,

@@ -80,9 +80,7 @@ class RecoilEncoder:
         # (DESIGN.md §9); therefore not shareable between threads.
         self._encoder = InterleavedEncoder(provider, lanes)
 
-    def encode(
-        self, data: np.ndarray, num_threads: int, kernel: str = "numpy"
-    ) -> RecoilEncoded:
+    def encode(self, data: np.ndarray, num_threads: int) -> RecoilEncoded:
         """Encode ``data`` and select up to ``num_threads - 1`` splits.
 
         ``num_threads`` is the *maximum parallelism the server intends
@@ -90,13 +88,9 @@ class RecoilEncoder:
         combined (subsampled) metadata at serve time.  The interleaved
         pass runs on the fused wide-lane encode kernel, which records
         the renormalization events in-kernel; the split selector
-        consumes the preassembled event arrays directly.  ``kernel``
-        selects the numpy (default) or compiled sweep loop — both
-        produce bit-identical streams and events (DESIGN.md §19).
+        consumes the preassembled event arrays directly.
         """
-        enc = self._encoder.encode(
-            data, record_events=True, kernel=kernel
-        )
+        enc = self._encoder.encode(data, record_events=True)
         selector = SplitSelector(
             enc.events, self.lanes, enc.num_symbols, window=self.window
         )

@@ -23,6 +23,7 @@ from repro.baselines import ConventionalCodec
 from repro.core import RecoilCodec, recoil_shrink
 from repro.data import load_dataset
 from repro.experiments.common import provider_for
+from repro.parallel import compiled
 from repro.rans.interleaved import InterleavedEncoder
 from repro.stats.report import Table
 
@@ -46,8 +47,10 @@ def run(
     mb = len(symbols) / 1e6
 
     encoder = InterleavedEncoder(provider)
-    # Warm one-time lazy state (provider gather/encode tables, fused
-    # arena) so the timed rows compare steady-state loops, not setup.
+    # Warm one-time lazy state (the compiled kernels, provider
+    # gather/encode tables, fused arena) so the timed rows compare
+    # steady-state loops, not setup.
+    compiled.warm_up()
     encoder.encode_reference(symbols[:1024])
     encoder.encode(symbols[:1024])
 

@@ -5,8 +5,10 @@ Reproduction strategy (DESIGN.md substitution table): all decode
 stitcher — sync sections, cross-boundary re-decodes, workload
 imbalance and self-sync overlap are measured, not assumed — and the
 counted work is projected onto calibrated device profiles
-(:mod:`repro.parallel.costmodel`).  Real Python wall-clock numbers are
-reported alongside for transparency.
+(:mod:`repro.parallel.costmodel`).  Real wall-clock numbers are
+reported alongside for transparency; they run the compiled decode walk
+where the host has a C compiler (warmed before any timing) and the
+numpy kernel where it has none.
 
 Panels (matching the paper's layout):
 
@@ -40,6 +42,7 @@ from repro.experiments.common import (
     SMALL_SPLITS,
     build_variations,
 )
+from repro.parallel import compiled
 from repro.parallel.costmodel import PROFILES, project_throughput
 from repro.parallel.workload import WorkloadSummary
 from repro.stats.report import Table
@@ -134,6 +137,7 @@ def run(
         if quant_bits >= 16:
             datasets += IMAGE_DATASETS
     result = Figure7Result(quant_bits=quant_bits)
+    compiled.warm_up()  # no compile inside the wall-clock column
 
     for name in datasets:
         data = load_dataset(name, profile)

@@ -16,10 +16,11 @@
 - :mod:`repro.parallel.buffers` — the scratch-buffer arena backing the
   kernels (DESIGN.md §9).
 - :mod:`repro.parallel.executor` — pooled execution of decode tasks
-  on real OS threads, cost-balanced via the cost model, on either
-  kernel (``kernel={"numpy","compiled"}``).
+  on real OS threads, cost-balanced via the cost model.
 - :mod:`repro.parallel.compiled` — the C twins of the inner loops
-  (DESIGN.md §19), driven through ``ctypes``.
+  (DESIGN.md §19), driven through ``ctypes``.  Host detection is the
+  only kernel choice: every decode and encode runs them where a C
+  compiler exists and the numpy kernels where none does.
 - :mod:`repro.parallel.costmodel` — analytical device profiles used to
   project Figure-7-style GB/s numbers from counted work, plus the
   task-assignment cost heuristics.

@@ -1,35 +1,35 @@
-"""Compiled kernels behind ``kernel="compiled"`` (DESIGN.md §19).
+"""Compiled kernels, chosen by host detection (DESIGN.md §19).
 
-The fused kernels (:mod:`repro.parallel.fused`, ``fused_encode``,
-:mod:`repro.tans.fused`) are numpy straight-line code: tens of numpy
-dispatches per step, far from memory-bandwidth-bound.  This module
-holds their compiled counterparts:
+The fused kernels (:mod:`repro.parallel.fused`, ``fused_encode``) are
+numpy straight-line code: tens of numpy dispatches per step, far from
+memory-bandwidth-bound.  This module holds their compiled
+counterparts:
 
 - the whole rANS decode walk of a task batch — activations, partial
   groups, commit ranges, renormalization reads, terminal drain —
   with every word read, output store and model-id read
   bounds-checked (:func:`rans_walk`);
-- the rANS encode sweep and the tANS safe run, twins of the steady
-  inner loops of ``fused_encode.run_blocks`` and
-  ``fused_speculative_pass``.
+- the rANS encode sweep, twin of the steady inner loop of
+  ``fused_encode.run_blocks`` (:func:`encode_sweep`).
 
 They are C, compiled once into a shared library with the host C
 compiler and driven through :mod:`ctypes` (foreign calls release the
 GIL).  The library is cached under the system temp directory keyed by
 a source hash, so later processes only pay a ``dlopen``.
 
-When no C compiler is available :func:`kernel_available` is false,
-the callers run their numpy loops, and :func:`effective_kernel`
-resolves ``"compiled"`` to ``"numpy"`` with a one-time logged notice
-— the knob surface keeps working everywhere, it just reports what
-actually ran.
+No caller picks a kernel: every decode and encode runs the C code
+when :func:`kernel_available` is true and the numpy loops when it is
+not, with a one-time logged notice.  ``REPRO_COMPILED_TOOLCHAIN=none``
+makes a host with a compiler act as one without (the operator's way
+to force numpy, and how the tests and benchmarks reach the numpy
+path); :func:`reset_for_tests` re-runs detection after it changes.
 
 Bit-identity contract: on success paths the compiled code performs
 the *same* arithmetic in the same order as the numpy kernels (uint64
 wraparound, descending-lane renormalization reads, truncating output
 stores), so the differential suites assert identical streams, split
-events, outputs and work counters across kernels.  On error paths
-(corrupt input) both raise a :class:`~repro.errors.DecodeError`;
+events, outputs and work counters on both kinds of host.  On error
+paths (corrupt input) both raise a :class:`~repro.errors.DecodeError`;
 intermediate buffer contents are then unobservable and may differ.
 """
 
@@ -47,9 +47,6 @@ import numpy as np
 
 log = logging.getLogger("repro.compiled")
 
-#: kernel implementations selectable through every ``kernel=`` knob.
-KERNELS = ("numpy", "compiled")
-
 _ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|cc|none
 
 _lock = threading.Lock()
@@ -57,7 +54,6 @@ _state: dict = {
     "toolchain": None,  # resolved lazily: "cc" | "none"
     "impl": None,  # dict of callables once the library is up
     "compile_events": 0,
-    "warned_fallback": False,
 }
 
 # uint64 copies of narrow gather tables, keyed by id() of the source
@@ -68,7 +64,7 @@ _U64_CACHE_MAX = 64
 
 
 # ---------------------------------------------------------------------------
-# Toolchain detection and the compiled/numpy resolution.
+# Toolchain detection.
 # ---------------------------------------------------------------------------
 
 
@@ -81,9 +77,12 @@ def _find_cc() -> str | None:
     return None
 
 
+def _requested_toolchain() -> str:
+    return os.environ.get(_ENV_TOOLCHAIN, "auto").lower()
+
+
 def _detect_toolchain() -> str:
-    forced = os.environ.get(_ENV_TOOLCHAIN, "auto").lower()
-    if forced in ("cc", "auto") and _find_cc() is not None:
+    if _requested_toolchain() in ("cc", "auto") and _find_cc() is not None:
         return "cc"
     return "none"
 
@@ -98,34 +97,9 @@ def toolchain() -> str:
 
 
 def kernel_available() -> bool:
-    """Whether ``kernel="compiled"`` can actually run here."""
+    """Whether the compiled kernels run on this host (else every
+    caller runs its numpy loop)."""
     return _impl() is not None
-
-
-def effective_kernel(requested: str) -> str:
-    """Resolve a requested kernel to the one that will run.
-
-    ``"compiled"`` degrades to ``"numpy"`` (with a one-time logged
-    notice) when no C compiler is available or the build failed.
-
-    :raises ValueError: a kernel name outside :data:`KERNELS`.
-    """
-    if requested not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {requested!r}; expected one of {KERNELS}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if _impl() is not None:
-        return "compiled"
-    with _lock:
-        if not _state["warned_fallback"]:
-            _state["warned_fallback"] = True
-            log.warning(
-                "compiled kernel requested but no C compiler is "
-                "available on PATH; falling back to the numpy kernels"
-            )
-    return "numpy"
 
 
 def compile_events() -> int:
@@ -142,12 +116,13 @@ def _count_compile() -> None:
 
 
 def reset_for_tests() -> None:
-    """Drop all cached toolchain state (tests only: lets a test force
-    re-detection under a different ``REPRO_COMPILED_TOOLCHAIN``)."""
+    """Drop all cached toolchain state, so the next kernel call
+    re-detects under the current ``REPRO_COMPILED_TOOLCHAIN`` (how the
+    tests and the benchmarks' numpy columns act as a host without a
+    compiler)."""
     with _lock:
         _state["toolchain"] = None
         _state["impl"] = None
-        _state["warned_fallback"] = False
 
 
 # ---------------------------------------------------------------------------
@@ -314,35 +289,6 @@ void recoil_rans_encode_sweep(
         }
     }
 }
-
-/* tANS speculative-pass safe run (twin of the branch-free inner loop
-   of fused_speculative_pass).  Returns the new step index. */
-int64_t recoil_tans_safe_run(
-    int64_t *traj_pos, int64_t *traj_state, int64_t stride,
-    int64_t *pos, int64_t *state,
-    const int64_t *pk, int64_t table_size,
-    const int64_t *win24,
-    int64_t live, int64_t step, int64_t safe)
-{
-    for (int64_t s = 0; s < safe; ++s) {
-        int64_t *tp = traj_pos + step * stride;
-        int64_t *ts = traj_state + step * stride;
-        for (int64_t k = 0; k < live; ++k) {
-            int64_t p = pos[k];
-            int64_t xx = state[k];
-            tp[k] = p;
-            ts[k] = xx;
-            int64_t g = pk[xx - table_size];
-            int64_t nb = (g >> 17) & 31;
-            int64_t sh = 24 - (p & 7) - nb;
-            state[k] = (g >> 22)
-                + ((win24[p >> 3] >> sh) & (g & 0x1FFFF));
-            pos[k] = p + nb;
-        }
-        step++;
-    }
-    return step;
-}
 """
 
 
@@ -391,10 +337,6 @@ def _build_cc_lib():
     lib.recoil_rans_encode_sweep.argtypes = [
         p, p, p, p, p, p, u64, i64, i64,
     ]
-    lib.recoil_tans_safe_run.restype = i64
-    lib.recoil_tans_safe_run.argtypes = [
-        p, p, i64, p, p, p, i64, p, i64, i64, i64,
-    ]
 
     def encode_sweep(X, bb, fb, cb, db, need, rb, bg, W):
         lib.recoil_rans_encode_sweep(
@@ -403,20 +345,9 @@ def _build_cc_lib():
             rb, bg, W,
         )
 
-    def tans_safe(traj_pos, traj_state, pos, state, pk,
-                  table_size, win24, live, step, safe):
-        return int(lib.recoil_tans_safe_run(
-            traj_pos.ctypes.data, traj_state.ctypes.data,
-            traj_pos.shape[1],
-            pos.ctypes.data, state.ctypes.data,
-            pk.ctypes.data, table_size, win24.ctypes.data,
-            live, step, safe,
-        ))
-
     return {
         "rans_walk": lib.recoil_rans_walk,
         "encode_sweep": encode_sweep,
-        "tans_safe": tans_safe,
     }
 
 
@@ -435,6 +366,13 @@ def _impl() -> dict | None:
     with _lock:
         if _state["impl"] is None:
             _state["impl"] = impl if impl is not None else {}
+            # One notice per detection; a host told to act without a
+            # compiler (REPRO_COMPILED_TOOLCHAIN=none) gets none.
+            if impl is None and _requested_toolchain() != "none":
+                log.warning(
+                    "no working C compiler on PATH; running the numpy "
+                    "kernels"
+                )
         return _state["impl"] or None
 
 
@@ -466,13 +404,6 @@ def warm_up() -> str:
     ops = np.ones((1, 1), dtype=np.uint64)
     need = np.zeros((1, 1), dtype=bool)
     impl["encode_sweep"](X, ops, ops, ops, ops, need, 16, 1, 1)
-    tp = np.zeros((1, 1), dtype=np.int64)
-    ts = np.zeros((1, 1), dtype=np.int64)
-    pz = np.zeros(1, dtype=np.int64)
-    sz = np.zeros(1, dtype=np.int64)
-    pk = np.zeros(1, dtype=np.int64)
-    win = np.zeros(4, dtype=np.int64)
-    impl["tans_safe"](tp, ts, pz, sz, pk, 0, win, 1, 0, 1)
     return "compiled"
 
 
@@ -646,35 +577,3 @@ def encode_sweep(
         return False
     impl["encode_sweep"](X, bb, fb, cb, db, need, renorm_bits, bg, W)
     return True
-
-
-def tans_safe_run(
-    traj_pos: np.ndarray,
-    traj_state: np.ndarray,
-    pos: np.ndarray,
-    state: np.ndarray,
-    pk: np.ndarray,
-    table_size: int,
-    win24: np.ndarray,
-    step: int,
-    safe: int,
-) -> int | None:
-    """Run ``safe`` branch-free speculative steps compiled (twin of
-    the inner loop of ``fused_speculative_pass``).  Returns the new
-    step index, or None when the caller must run the numpy loop."""
-    impl = _impl()
-    if impl is None:
-        return None
-    if not (
-        traj_pos.flags["C_CONTIGUOUS"]
-        and traj_state.flags["C_CONTIGUOUS"]
-        and pos.flags["C_CONTIGUOUS"]
-        and state.flags["C_CONTIGUOUS"]
-        and pk.flags["C_CONTIGUOUS"]
-        and win24.flags["C_CONTIGUOUS"]
-    ):
-        return None
-    return impl["tans_safe"](
-        traj_pos, traj_state, pos, state, pk,
-        table_size, win24, len(pos), step, safe,
-    )

@@ -166,28 +166,20 @@ def estimate_task_symbols(task: ThreadTask) -> int:
 
 
 def assign_tasks(
-    tasks: list[ThreadTask], workers: int, strategy: str = "cost"
+    tasks: list[ThreadTask], workers: int
 ) -> list[list[ThreadTask]]:
     """Partition ``tasks`` across at most ``workers`` buckets.
 
-    ``strategy="cost"`` (default) performs a longest-processing-time
-    greedy assignment weighted by :func:`estimate_task_symbols` — the
-    same makespan model :meth:`WorkloadSummary.makespan_symbols` uses
-    to project device time — so stragglers (long cross-boundary walks,
-    uneven splits) are spread instead of landing on one worker.
-    ``strategy="round_robin"`` deals tasks cyclically (the historical
-    behaviour, kept for comparison).  Empty buckets are dropped.
+    A longest-processing-time greedy assignment weighted by
+    :func:`estimate_task_symbols` — the same makespan model
+    :meth:`WorkloadSummary.makespan_symbols` uses to project device
+    time — so stragglers (long cross-boundary walks, uneven splits)
+    are spread instead of landing on one worker.  Empty buckets are
+    dropped.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if strategy == "round_robin":
-        buckets: list[list[ThreadTask]] = [[] for _ in range(workers)]
-        for i, t in enumerate(tasks):
-            buckets[i % workers].append(t)
-        return [b for b in buckets if b]
-    if strategy != "cost":
-        raise ValueError(f"unknown assignment strategy {strategy!r}")
-    buckets = [[] for _ in range(workers)]
+    buckets: list[list[ThreadTask]] = [[] for _ in range(workers)]
     heap = [(0, w) for w in range(workers)]
     order = sorted(
         range(len(tasks)),

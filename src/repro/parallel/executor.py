@@ -4,11 +4,11 @@ The batched :class:`~repro.parallel.simd.LaneEngine` already *models*
 massive parallelism faithfully (work, sync overhead, stragglers); this
 module additionally runs the same tasks on real threads so the
 examples and benchmarks can demonstrate genuine concurrent decoding.
-On the compiled kernel each thread spends its time inside one
+On a host with a C compiler each thread spends its time inside one
 ``ctypes`` call, which releases the GIL, so the threads decode on
-separate cores; on the numpy kernel the GIL-held numpy dispatch
-dominates at serving widths and the threads mostly take turns
-(DESIGN.md §14).
+separate cores; on the numpy kernel (a host without one) the GIL-held
+numpy dispatch dominates at serving widths and the threads mostly
+take turns (DESIGN.md §14).
 
 Recoil threads are fully independent by construction (paper §3.1:
 "These decoders are completely independent of each other since they do
@@ -38,8 +38,8 @@ class PoolDecodeResult:
     symbols: np.ndarray
     per_worker_stats: list[EngineStats]
     workers: int
-    #: decode kernel that actually ran (``"numpy"`` after a
-    #: graceful fallback from an unavailable ``"compiled"`` request).
+    #: decode kernel that ran: ``"compiled"``, or ``"numpy"`` on a
+    #: host without a C compiler.
     kernel: str = "numpy"
 
     @property
@@ -55,8 +55,6 @@ def decode_with_pool(
     num_symbols: int,
     out_dtype,
     workers: int,
-    strategy: str = "cost",
-    kernel: str = "numpy",
 ) -> PoolDecodeResult:
     """Decode ``tasks`` on ``workers`` real threads.
 
@@ -64,6 +62,8 @@ def decode_with_pool(
     over a task subset; commit ranges are disjoint so the shared
     output needs no locks.  Tasks are spread by estimated cost
     (walked symbols) via :func:`repro.parallel.costmodel.assign_tasks`.
+    The workers run the compiled walk when the host has it, else the
+    numpy kernel (``result.kernel`` says which).
 
     :param provider: model provider shared by all tasks.
     :param lanes: interleaved rANS lanes per task (``K``).
@@ -72,36 +72,23 @@ def decode_with_pool(
     :param num_symbols: length of the output sequence.
     :param out_dtype: output symbol dtype.
     :param workers: maximum worker count (buckets never exceed it).
-    :param strategy: ``"cost"`` (LPT, default) or ``"round_robin"``
-        (historical blind dealing).
-    :param kernel: ``"numpy"`` or ``"compiled"`` (the bounds-checked
-        C walk, DESIGN.md §19).  A ``"compiled"`` request silently
-        degrades to the numpy kernel when no toolchain is available
-        (check ``result.kernel``).
     :returns: the decoded symbols plus per-worker engine stats.
-    :raises ParallelismError: ``workers < 1`` or unknown kernel.
+    :raises ParallelismError: ``workers < 1``.
     :raises DecodeError: corrupt stream/metadata.
-    :raises ValueError: unknown assignment strategy.
     """
     if workers < 1:
         raise ParallelismError(f"workers must be >= 1, got {workers}")
-    if kernel not in compiled.KERNELS:
-        raise ParallelismError(
-            f"unknown kernel {kernel!r}; expected one of {compiled.KERNELS}"
-        )
-    kernel = compiled.effective_kernel(kernel)
+    kernel = "compiled" if compiled.kernel_available() else "numpy"
 
     out = np.empty(num_symbols, dtype=out_dtype)
-    buckets = assign_tasks(tasks, workers, strategy=strategy)
+    buckets = assign_tasks(tasks, workers)
     if not buckets:  # zero tasks: nothing to decode, nothing to commit
         return PoolDecodeResult(
             symbols=out, per_worker_stats=[], workers=0, kernel=kernel
         )
 
     def run(bucket: list[ThreadTask]) -> EngineStats:
-        return LaneEngine(provider, lanes, kernel=kernel).run(
-            words, bucket, out
-        )
+        return LaneEngine(provider, lanes).run(words, bucket, out)
 
     if len(buckets) == 1:
         stats = [run(buckets[0])]

@@ -31,13 +31,14 @@ Phase boundaries are computed analytically from the task geometry
 before the loop starts, so the steady loop carries no per-iteration
 phase checks.
 
-``kernel="compiled"`` replaces all three phases with one C call that
+On a host with a C compiler one C call replaces all three phases and
 walks every task end to end (:func:`repro.parallel.compiled.rans_walk`,
 DESIGN.md §19): tasks share only the read-only word stream and
 disjoint output ranges, so the compiled walk needs neither lockstep
 masks nor the global steady window.  Its input is the columnar
-:class:`TaskColumns` form of the task list; this numpy path stays the
-portable fallback and the oracle the compiled walk is tested against.
+:class:`TaskColumns` form of the task list; this numpy path is what a
+host without a compiler runs, and the oracle the compiled walk is
+tested against.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ def fused_run(
     tasks: list[ThreadTask],
     out: np.ndarray,
     arena: ScratchArena,
-    kernel: str = "numpy",
 ) -> EngineStats:
     """Decode every task into ``out`` (same contract as
     :meth:`~repro.parallel.simd.LaneEngine.run`).
@@ -140,10 +140,8 @@ def fused_run(
         position is written by exactly one task.
     :param arena: caller-owned scratch buffers (not thread-safe —
         one arena per concurrently running kernel, DESIGN.md §9).
-    :param kernel: ``"numpy"`` (default) or ``"compiled"`` — walk
-        every task in one call to the compiled kernel
-        (:mod:`repro.parallel.compiled`) when a toolchain is up;
-        bit-identical either way, silently numpy otherwise.
+        Unused when the compiled walk runs (a host with a C
+        compiler): it walks every task in one call, bit-identical.
     :returns: work counters (iterations, symbols, words read).
     :raises DecodeError: task geometry inconsistent with the stream
         (start/activation out of range), the bitstream exhausting
@@ -151,7 +149,7 @@ def fused_run(
         to the initial state ``L``.
     """
     columns = TaskColumns.from_tasks(tasks, lanes)
-    if _runs_compiled(kernel, out):
+    if _runs_compiled(out):
         return _compiled_walk(provider, lanes, words, columns, out)
     K = lanes
     T = len(tasks)
@@ -558,12 +556,11 @@ def _check_starts(geom: np.ndarray, W: int) -> None:
         )
 
 
-def _runs_compiled(kernel: str, out: np.ndarray) -> bool:
-    """Whether this call takes the compiled walk."""
-    return (
-        kernel == "compiled"
-        and compiled.kernel_available()
-        and compiled.walk_output_supported(out)
+def _runs_compiled(out: np.ndarray) -> bool:
+    """Whether this call takes the compiled walk: the host has it and
+    it can store into ``out``."""
+    return compiled.kernel_available() and compiled.walk_output_supported(
+        out
     )
 
 
@@ -744,7 +741,6 @@ def fused_run_multi(
     segments: list[StreamSegment],
     arena: ScratchArena,
     out_dtype=None,
-    kernel: str = "numpy",
 ) -> MultiRunResult:
     """Decode many independent (words, tasks) segments as ONE kernel run.
 
@@ -785,7 +781,7 @@ def fused_run_multi(
     # Results escape to callers, so the output is a fresh allocation
     # (arena rule 2, DESIGN.md §9); segment views share this buffer.
     out = np.empty(sum(s.num_symbols for s in segments), dtype=out_dtype)
-    if _runs_compiled(kernel, out):
+    if segments and _runs_compiled(out):
         # Columnar rebasing: O(segments) numpy calls, no per-task
         # ThreadTask copies.
         words, bases, out_slices, _ = _stack_streams(segments)

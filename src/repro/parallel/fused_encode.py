@@ -97,7 +97,6 @@ def fused_encode_run(
     lanes: int,
     tasks: list[EncodeTask],
     arena: ScratchArena,
-    kernel: str = "numpy",
 ) -> list[EncodeTaskOut]:
     """Encode every task, bit-identical to the reference loop.
 
@@ -106,11 +105,10 @@ def fused_encode_run(
     task), then each task finishes its remaining groups alone.  The
     caller owns ``arena`` (not thread-safe, DESIGN.md §9).
 
-    ``kernel="compiled"`` routes the sequential trajectory sweep — the
-    only data-dependent chain — through the compiled twin
+    On a host with a C compiler the sequential trajectory sweep — the
+    only data-dependent chain — runs on the compiled twin
     (:mod:`repro.parallel.compiled`); gathers, word emission and event
-    reconstruction stay vectorized numpy either way.  Bit-identical,
-    silently numpy when no toolchain is available.
+    reconstruction stay vectorized numpy either way.  Bit-identical.
     """
     K = lanes
     T = len(tasks)
@@ -261,10 +259,11 @@ def fused_encode_run(
             # Eq. 3 threshold); inverted in bulk afterwards.
             X = X_f[: bg + 1]
             X[0] = xv
-            ran_compiled = kernel == "compiled" and compiled.encode_sweep(
+            # The zero-frequency check above is the only guard in
+            # front of the C sweep's division by ``f``.
+            if not compiled.encode_sweep(
                 X, bb, fb, cb, db, need_f[:bg], RENORM_BITS
-            )
-            if not ran_compiled:
+            ):
                 xprev = X[0]
                 for b_row, f_row, c_row, d_row, n_row, xnext in zip(
                     bb, fb, cb, db, need_f, X[1:]

@@ -84,8 +84,9 @@ class LaneEngine:
     """Vectorized executor for batches of :class:`ThreadTask`.
 
     :meth:`run` routes through the fused wide-lane kernel
-    (:mod:`repro.parallel.fused`) — one flat state vector across all
-    tasks, scratch buffers reused across calls.  :meth:`run_reference`
+    (:mod:`repro.parallel.fused`) — the compiled walk on a host with a
+    C compiler, else one flat numpy state vector across all tasks,
+    scratch buffers reused across calls.  :meth:`run_reference`
     is the original masked per-group loop, kept as the differential-
     testing reference (both are validated against each other and the
     pure-Python decoders in the test suite).
@@ -99,13 +100,9 @@ class LaneEngine:
         self,
         provider: AdaptiveModelProvider,
         lanes: int,
-        kernel: str = "numpy",
     ) -> None:
         self.provider = provider
         self.lanes = lanes
-        #: steady-loop implementation (``"numpy"`` or ``"compiled"``,
-        #: DESIGN.md §19); silently numpy when no toolchain is up.
-        self.kernel = kernel
         self._arena = None  # created lazily; see `arena`
 
     @property
@@ -133,8 +130,7 @@ class LaneEngine:
         from repro.parallel.fused import fused_run
 
         return fused_run(
-            self.provider, self.lanes, words, tasks, out, self.arena,
-            kernel=self.kernel,
+            self.provider, self.lanes, words, tasks, out, self.arena
         )
 
     # ------------------------------------------------------------------

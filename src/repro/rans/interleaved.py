@@ -121,7 +121,6 @@ class InterleavedEncoder:
         self,
         data: np.ndarray,
         record_events: bool = False,
-        kernel: str = "numpy",
     ) -> InterleavedEncodeResult:
         """Encode ``data`` (1-D integer array) into a single stream.
 
@@ -129,7 +128,8 @@ class InterleavedEncoder:
         (:mod:`repro.parallel.fused_encode`): per-block operand
         gathers from provider-cached
         :class:`~repro.rans.adaptive.EncodeTables`, a straight-line
-        sequential sweep over interleave groups, and bulk in-kernel
+        sequential sweep over interleave groups (compiled on a host
+        with a C compiler), and bulk in-kernel
         word emission + split-event recording reconstructed from the
         staged state trajectory.  :meth:`encode_reference` is the
         original per-group masked loop, kept bit-identical for
@@ -142,8 +142,7 @@ class InterleavedEncoder:
             raise EncodeError(f"data must be 1-D, got shape {data.shape}")
         task = EncodeTask(data, start_index=1, record_events=record_events)
         out = fused_encode_run(
-            self.provider, self.lanes, [task], self._get_arena(),
-            kernel=kernel,
+            self.provider, self.lanes, [task], self._get_arena()
         )[0]
         events = None
         if record_events:

@@ -50,15 +50,15 @@ def run_serve_bench(
     num_splits: int = 256,
     repeats: int = 2,
     seed: int = 11,
-    kernel: str = ServiceConfig.decode_kernel,
     faults: str | None = None,
 ) -> dict:
     """Benchmark batched vs. unbatched serving; returns a JSON-able dict.
 
     For each concurrency level ``C`` the same ``C`` requests (client
     capacities cycling through ``capacities``) are submitted
-    concurrently to two services sharing one asset store and one
-    ``kernel`` (:attr:`~repro.serve.service.ServiceConfig.decode_kernel`):
+    concurrently to two services sharing one asset store and the
+    host's kernel (``workload.kernel`` in the result; numpy under
+    ``REPRO_COMPILED_TOOLCHAIN=none``):
 
     - ``unbatched``: ``batching=False`` — one request per kernel call,
       in arrival order;
@@ -84,13 +84,11 @@ def run_serve_bench(
 
     results: dict[str, dict] = {}
     with contextlib.ExitStack() as stack:
-        service = stack.enter_context(
-            RecoilService(config=ServiceConfig(decode_kernel=kernel))
-        )
+        service = stack.enter_context(RecoilService())
         solo_service = stack.enter_context(
             RecoilService(
                 store=service.store,
-                config=ServiceConfig(decode_kernel=kernel, batching=False),
+                config=ServiceConfig(batching=False),
             )
         )
         service.put_asset("asset", data, num_splits=num_splits)
@@ -158,10 +156,11 @@ def run_serve_bench(
                 fault_report = fault_injection.snapshot()
 
         snapshot = service.metrics_snapshot()
+        kernel = service.decode_kernel
 
     from repro.serve.loadgen import stage_breakdown
 
-    tiered = _tiered_cold_warm(symbols, seed, kernel)
+    tiered = _tiered_cold_warm(symbols, seed)
 
     max_clients = str(max(clients))
     chaos_section = (
@@ -195,7 +194,7 @@ def run_serve_bench(
     }
 
 
-def _tiered_cold_warm(symbols: int, seed: int, kernel: str) -> dict:
+def _tiered_cold_warm(symbols: int, seed: int) -> dict:
     """Cold-start vs warm serving through the durable tiered store.
 
     Populates a disk store with several assets, then serves the SAME
@@ -221,7 +220,7 @@ def _tiered_cold_warm(symbols: int, seed: int, kernel: str) -> dict:
     try:
         names = [f"zipf{i}" for i in range(num_assets)]
         datasets: dict[str, np.ndarray] = {}
-        write_cfg = ServiceConfig(decode_kernel=kernel, store_dir=root)
+        write_cfg = ServiceConfig(store_dir=root)
         with RecoilService(config=write_cfg) as writer:
             for i, name in enumerate(names):
                 datasets[name] = text_surrogate(
@@ -270,11 +269,7 @@ def _tiered_cold_warm(symbols: int, seed: int, kernel: str) -> dict:
                 ),
             }
 
-        serve_cfg = ServiceConfig(
-            decode_kernel=kernel,
-            store_dir=root,
-            resident_bytes=budget,
-        )
+        serve_cfg = ServiceConfig(store_dir=root, resident_bytes=budget)
         with RecoilService(config=serve_cfg) as service:
             recovered = len(service.store.recovery.recovered)
             cold = phase(service)   # resident tier empty: compulsory

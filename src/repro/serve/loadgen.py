@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.serve import protocol
 from repro.serve.client import RecoilClient
-from repro.serve.service import RecoilService, ServiceConfig
+from repro.serve.service import RecoilService
 from repro.trace.hist import LatencyHistogram
 
 #: default persona mix: mostly honest, a pinch of hostile.
@@ -435,7 +435,6 @@ def run_load_bench(
     duration_s: float = 2.0,
     capacities: tuple[int, ...] = (1, 4, 16),
     personas: dict[str, float] | None = None,
-    kernel: str = ServiceConfig.decode_kernel,
     max_connections: int = 64,
     faults: str | None = None,
     seed: int = 11,
@@ -462,12 +461,11 @@ def run_load_bench(
     if chaos:
         fault_injection.parse_spec(faults)  # fail fast on a bad spec
 
-    config = ServiceConfig(decode_kernel=kernel)
     assets: dict[str, np.ndarray] = {}
     fault_report: list[dict] = []
     if trace_path is not None:
         trace.enable()
-    with RecoilService(config=config) as service:
+    with RecoilService() as service:
         for i in range(num_assets):
             name = f"asset{i}"
             data = text_surrogate(
@@ -537,7 +535,7 @@ def run_load_bench(
             "duration_s": duration_s,
             "capacities": list(capacities),
             "personas": dict(personas or DEFAULT_PERSONAS),
-            "kernel": kernel,
+            "kernel": service_metrics["resilience"]["kernel"],
             "max_connections": max_connections,
             "seed": seed,
         },

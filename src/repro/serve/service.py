@@ -80,22 +80,11 @@ class ServiceConfig:
     #: this bound (requires a ``store_dir`` to evict to; ``None`` =
     #: everything stays resident).
     resident_bytes: int | None = None
-    #: the kernel each batch runs on, as one call on the dispatcher
-    #: thread: ``"compiled"`` — the bounds-checked C decode walk
-    #: (DESIGN.md §19) — or ``"numpy"``.  Without a C compiler the
-    #: service degrades to the numpy kernel and reports it under
-    #: ``metrics_snapshot()["resilience"]["kernel"]``.
-    decode_kernel: str = "compiled"
     #: how long :meth:`RecoilService.close` waits for the dispatcher
     #: thread before raising instead of hanging.
     close_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.decode_kernel not in compiled.KERNELS:
-            raise ServeError(
-                f"unknown decode kernel {self.decode_kernel!r}; "
-                f"expected one of {compiled.KERNELS}"
-            )
         if self.close_timeout_s <= 0:
             raise ServeError(
                 f"close_timeout_s must be > 0, got {self.close_timeout_s}"
@@ -149,14 +138,12 @@ class RecoilService:
         self._close_owner: threading.Thread | None = None
         self._close_done = threading.Event()
         self._net_metrics = None
-        #: the kernel that actually runs.  The warm-up also
-        #: front-loads the one-time compile (DESIGN.md §19) so it
-        #: never lands inside a request's timed path.
-        self._kernel = (
-            compiled.warm_up()
-            if self.config.decode_kernel == "compiled"
-            else "numpy"
-        )
+        #: the kernel every batch runs on, as one call on the
+        #: dispatcher thread: ``"compiled"`` — the bounds-checked C
+        #: decode walk — or ``"numpy"`` on a host without a C compiler
+        #: (DESIGN.md §19).  The warm-up also front-loads the one-time
+        #: compile so it never lands inside a request's timed path.
+        self._kernel = compiled.warm_up()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name="recoil-serve-dispatch",
@@ -166,9 +153,8 @@ class RecoilService:
 
     @property
     def decode_kernel(self) -> str:
-        """Inner-loop kernel batches actually run (``"numpy"`` after a
-        graceful fallback from a ``"compiled"`` request on a host with
-        no compilation toolchain — DESIGN.md §19)."""
+        """The kernel batches run: ``"compiled"``, or ``"numpy"`` on a
+        host without a C compiler (DESIGN.md §19)."""
         return self._kernel
 
     # -- lifecycle -----------------------------------------------------
@@ -529,10 +515,7 @@ class RecoilService:
             else None
         )
         snap["store"] = self.store.metrics()
-        snap["resilience"]["kernel"] = {
-            "configured": self.config.decode_kernel,
-            "effective": self._kernel,
-        }
+        snap["resilience"]["kernel"] = self._kernel
         # Flat numerics: the resilience section is all-zero on a clean
         # run (tests rely on that); the degradation reason string lives
         # in snap["store"].
@@ -614,7 +597,6 @@ class RecoilService:
             [req.segment() for req in batch],
             arena,
             out_dtype=first.out_dtype,
-            kernel=self._kernel,
         )
 
     def _traced_run_batch(

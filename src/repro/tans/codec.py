@@ -104,20 +104,17 @@ class TansDecoder:
     def __init__(self, table: TansTable) -> None:
         self.table = table
 
-    def decode(
-        self, result: TansEncodeResult, engine: str = "fused"
-    ) -> np.ndarray:
-        """Decode the full stream, verifying terminal conditions.
+    def decode(self, result: TansEncodeResult) -> np.ndarray:
+        """Decode the full stream on the staged-trajectory sweep,
+        verifying terminal conditions."""
+        return self._decode(result, self.decode_from)
 
-        ``engine`` selects the staged-trajectory sweep (default) or
-        the ``"reference"`` seed loop for differential testing.
-        """
-        if engine not in ("fused", "reference"):
-            raise DecodeError(f"unknown engine {engine!r}")
-        decode_from = (
-            self.decode_from if engine == "fused"
-            else self.decode_from_reference
-        )
+    def decode_reference(self, result: TansEncodeResult) -> np.ndarray:
+        """:meth:`decode` on the seed loop (:meth:`decode_from_reference`),
+        kept for differential testing."""
+        return self._decode(result, self.decode_from_reference)
+
+    def _decode(self, result: TansEncodeResult, decode_from) -> np.ndarray:
         out, state, bitpos = decode_from(
             np.frombuffer(result.payload, dtype=np.uint8),
             result.bit_count,

@@ -37,6 +37,10 @@ Layout (DESIGN.md §13):
 the unavoidable state dependency chain is reduced to a straight-line
 sweep that only stages the table-entry trajectory; symbol extraction
 happens as one array op after the sweep.
+
+Unlike the rANS kernels this one has no compiled twin: it runs numpy
+on every host (DESIGN.md §19 retired the C safe run, which read its
+table and windows unchecked).
 """
 
 from __future__ import annotations
@@ -126,7 +130,6 @@ def fused_speculative_pass(
     ends: np.ndarray,
     initial_state: int,
     total_symbols: int,
-    kernel: str = "numpy",
 ) -> SpecTrajectory:
     """Advance all ``P`` speculative chunks as one state vector.
 
@@ -137,12 +140,6 @@ def fused_speculative_pass(
     index — trajectories are staged as full-width rows, with the
     all-chunks-active prefix run branch-free in planned safe runs and
     only the straggler tail stepped under ``where`` masks.
-
-    ``kernel="compiled"`` runs the branch-free safe runs through the
-    compiled twin (:mod:`repro.parallel.compiled`, DESIGN.md §19) —
-    bit-identical trajectories, silently numpy when no toolchain is
-    available.  The straggler tail and the synchronization search
-    stay numpy (mask-dominated, not steady-state).
     """
     P = len(starts)
     T = table.table_size
@@ -189,28 +186,17 @@ def fused_speculative_pass(
         safe = min(safe, cap - step, budget0 - step)
         if safe <= 0:
             break
-        new_step = None
-        if kernel == "compiled":
-            from repro.parallel import compiled
-
-            new_step = compiled.tans_safe_run(
-                traj_pos, traj_state, pos, state, pk, T, win24,
-                step, safe,
+        for _ in range(safe):
+            traj_pos[step, :live] = pos
+            traj_state[step, :live] = state
+            g = pk[state - T]
+            nb = (g >> _PK_NB_SHIFT) & 31
+            sh = 24 - (pos & 7) - nb
+            state = (g >> _PK_BASE_SHIFT) + (
+                (win24[pos >> 3] >> sh) & (g & _PK_MASK)
             )
-        if new_step is not None:
-            step = new_step
-        else:
-            for _ in range(safe):
-                traj_pos[step, :live] = pos
-                traj_state[step, :live] = state
-                g = pk[state - T]
-                nb = (g >> _PK_NB_SHIFT) & 31
-                sh = 24 - (pos & 7) - nb
-                state = (g >> _PK_BASE_SHIFT) + (
-                    (win24[pos >> 3] >> sh) & (g & _PK_MASK)
-                )
-                pos = pos + nb
-                step += 1
+            pos = pos + nb
+            step += 1
         lens[:live] = step
 
     # Straggler tail: lanes finish at different steps; a lane active at

@@ -130,18 +130,10 @@ class MultiansCodec:
     # ------------------------------------------------------------------
 
     def decompress(
-        self, blob: bytes, num_threads: int = 256, engine: str = "fused"
+        self, blob: bytes, num_threads: int = 256
     ) -> tuple[np.ndarray, MultiansStats]:
         enc, table = self.parse(blob)
-        if engine == "fused":
-            return self.parallel_decode(enc, table, num_threads)
-        if engine == "compiled":
-            return self.parallel_decode(
-                enc, table, num_threads, kernel="compiled"
-            )
-        if engine == "reference":
-            return self.parallel_decode_reference(enc, table, num_threads)
-        raise DecodeError(f"unknown engine {engine!r}")
+        return self.parallel_decode(enc, table, num_threads)
 
     @staticmethod
     def _plan_chunks(enc: TansEncodeResult, num_threads: int):
@@ -157,13 +149,10 @@ class MultiansCodec:
         enc: TansEncodeResult,
         table: TansTable,
         num_threads: int,
-        kernel: str = "numpy",
     ) -> tuple[np.ndarray, MultiansStats]:
         """Fused wide-lane decode: one ``(P,)``-wide kernel pass plus
         the searchsorted stitch (:mod:`repro.tans.fused`).  The seed
-        loops are kept as :meth:`parallel_decode_reference`.
-        ``kernel="compiled"`` routes the speculative safe runs through
-        the compiled twin (bit-identical, DESIGN.md §19)."""
+        loops are kept as :meth:`parallel_decode_reference`."""
         N = enc.num_symbols
         if N == 0:
             return np.empty(0, dtype=np.int64), MultiansStats(
@@ -177,7 +166,7 @@ class MultiansCodec:
         payload = np.frombuffer(enc.payload, dtype=np.uint8)
         spec = fused_speculative_pass(
             table, payload, enc.bit_count, starts, ends,
-            enc.initial_state, N, kernel=kernel,
+            enc.initial_state, N,
         )
         out, overlaps, unsynced = fused_stitch(
             table, spec, enc.bit_count, N, enc.initial_state, starts, ends
@@ -205,7 +194,7 @@ class MultiansCodec:
             )
         P, starts, ends = self._plan_chunks(enc, num_threads)
         if P == 1:
-            out = TansDecoder(table).decode(enc, engine="reference")
+            out = TansDecoder(table).decode_reference(enc)
             return out, MultiansStats(1, float(N), np.empty(0, np.int64), 0)
 
         bits = np.unpackbits(

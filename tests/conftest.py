@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -23,13 +26,38 @@ needs_compiled = pytest.mark.skipif(
 KERNELS = ["numpy", pytest.param("compiled", marks=needs_compiled)]
 
 
-@pytest.fixture(params=KERNELS)
-def kernel_backend(request) -> str:
-    """``"numpy"`` or ``"compiled"`` — with the compiled library
-    warmed up front so no test ever times a first-use build."""
-    if request.param == "compiled":
+@contextlib.contextmanager
+def running_on(kernel: str):
+    """Run the body on ``kernel``.  No call takes a kernel: host
+    detection picks it (DESIGN.md §19).  ``"compiled"`` is what a host
+    with a C compiler runs (warmed up front, so no test ever times a
+    first-use build); ``"numpy"`` is reached the way CI's fallback leg
+    reaches it, by acting as a host without one —
+    ``REPRO_COMPILED_TOOLCHAIN=none`` plus a re-detection."""
+    if kernel == "compiled":
         assert compiled.warm_up() == "compiled"
-    return request.param
+        yield kernel
+        return
+    env = "REPRO_COMPILED_TOOLCHAIN"
+    saved = os.environ.get(env)
+    os.environ[env] = "none"
+    compiled.reset_for_tests()
+    try:
+        yield kernel
+    finally:
+        if saved is None:
+            del os.environ[env]
+        else:
+            os.environ[env] = saved
+        compiled.reset_for_tests()
+
+
+@pytest.fixture(params=KERNELS)
+def kernel_backend(request):
+    """``"numpy"`` or ``"compiled"``: the test body runs on that
+    kernel (:func:`running_on`)."""
+    with running_on(request.param) as kernel:
+        yield kernel
 
 
 @pytest.fixture(scope="session")

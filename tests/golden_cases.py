@@ -129,15 +129,15 @@ def tans_cases() -> list[dict]:
     ]
 
 
-def build_rans_blob(case: dict, kernel: str = "numpy") -> bytes:
+def build_rans_blob(case: dict) -> bytes:
     """Encode one rANS case into container bytes (the wire format the
-    corpus pins), on the requested inner-loop kernel."""
+    corpus pins), on the host's kernel."""
     from repro.core.container import build_container
     from repro.core.encoder import RecoilEncoder
 
     provider = case["provider"]
     encoded = RecoilEncoder(provider, lanes=case["lanes"]).encode(
-        case["payload"], case["splits"], kernel=kernel
+        case["payload"], case["splits"]
     )
     return build_container(
         encoded, provider=provider, embed_model=provider.is_static

@@ -1,17 +1,18 @@
 """Tests for the compiled kernel surface (DESIGN.md §19).
 
-Covers the knob itself — kernel resolution and the served default —
-the graceful numpy fallback when no toolchain exists (forced via
-``REPRO_COMPILED_TOOLCHAIN=none``), and the warm-up contract: after
-:func:`repro.parallel.compiled.warm_up` no compile may ever land
-inside a timed region (asserted through the compile-event counter).
-Bit-identity of the compiled loops themselves is asserted by the
-kernel-parametrized differential suites (``test_fused*``,
+Covers host detection — the only kernel choice: no decode, encode or
+serving surface takes a kernel — the numpy fallback when no toolchain
+exists (forced via ``REPRO_COMPILED_TOOLCHAIN=none``), and the warm-up
+contract: after :func:`repro.parallel.compiled.warm_up` no compile may
+ever land inside a timed region (asserted through the compile-event
+counter).  Bit-identity of the compiled loops themselves is asserted
+by the kernel-parametrized differential suites (``test_fused*``,
 ``test_golden``), not here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -19,86 +20,59 @@ import pytest
 
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
-from repro.errors import DecodeError, ParallelismError
+from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
 from repro.parallel.simd import LaneEngine
 
-from conftest import needs_compiled
+from conftest import needs_compiled, running_on
 
 
 class TestSplitBackend:
-    """The kernel knob: resolution and the served default."""
-
-    def test_effective_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            compiled.effective_kernel("gpu")
-
-    def test_effective_kernel_numpy_is_identity(self):
-        assert compiled.effective_kernel("numpy") == "numpy"
-
-    def test_executor_rejects_bad_suffix_as_parallelism_error(
-        self, provider11
-    ):
-        # The pool reports an unknown kernel as a ParallelismError (not
-        # effective_kernel's ValueError), even with no tasks to run.
-        for kernel in ("compiled+gpu", "thread+gpu"):
-            with pytest.raises(ParallelismError):
-                decode_with_pool(
-                    provider11, 32, np.zeros(4, np.uint16), [], 0,
-                    np.uint8, 2, kernel=kernel,
-                )
+    """Host detection is the one kernel choice."""
 
     def test_served_default_in_one_place(self):
-        """The service default is the compiled kernel, and every
-        serving surface takes its ``kernel`` default from it."""
-        from repro.cli import build_parser
+        """The service runs what host detection picks; no serving
+        surface takes a kernel of its own."""
+        from repro.serve import RecoilService
         from repro.serve.bench import run_serve_bench
         from repro.serve.loadgen import run_load_bench
         from repro.serve.service import ServiceConfig
 
-        default = ServiceConfig().decode_kernel
-        assert default == "compiled"
-        parser = build_parser()
-        for cmd in ("serve", "serve-bench", "load-bench"):
-            assert parser.parse_args([cmd]).kernel == default
+        fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+        assert not any("kernel" in name for name in fields)
         for fn in (run_serve_bench, run_load_bench):
-            kernel = inspect.signature(fn).parameters["kernel"]
-            assert kernel.default == default
+            assert "kernel" not in inspect.signature(fn).parameters
+        with RecoilService() as svc:
+            assert svc.decode_kernel == compiled.warm_up()
 
 
 @pytest.fixture
-def forced_none(monkeypatch):
+def forced_none():
     """Force toolchain detection to ``none`` for one test, restoring
     real detection afterwards."""
-    monkeypatch.setenv("REPRO_COMPILED_TOOLCHAIN", "none")
-    compiled.reset_for_tests()
-    yield
-    monkeypatch.delenv("REPRO_COMPILED_TOOLCHAIN", raising=False)
-    compiled.reset_for_tests()
+    with running_on("numpy"):
+        yield
 
 
 class TestFallbackWithoutToolchain:
     def test_detection_and_resolution(self, forced_none):
         assert compiled.toolchain() == "none"
         assert not compiled.kernel_available()
-        assert compiled.effective_kernel("compiled") == "numpy"
         assert compiled.warm_up() == "numpy"
 
     def test_decode_still_works_on_numpy(
         self, forced_none, skewed_bytes, provider11
     ):
-        """kernel="compiled" on a toolchain-less host silently runs
-        the numpy loops — output identical, nothing raises."""
+        """A toolchain-less host runs the numpy loops — output
+        identical, nothing raises."""
         data = skewed_bytes[:4_000]
         enc = RecoilEncoder(provider11).encode(data, num_threads=4)
         tasks = build_thread_tasks(
             enc.metadata, len(enc.words), enc.final_states
         )
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        LaneEngine(provider11, 32, kernel="compiled").run(
-            enc.words, tasks, out
-        )
+        LaneEngine(provider11, 32).run(enc.words, tasks, out)
         assert np.array_equal(out, data)
 
     def test_pool_reports_effective_numpy(
@@ -111,14 +85,14 @@ class TestFallbackWithoutToolchain:
         )
         res = decode_with_pool(
             provider11, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, 2, kernel="compiled",
+            np.uint8, 2,
         )
         assert res.kernel == "numpy"
         assert np.array_equal(res.symbols, data)
 
-    def test_service_reports_configured_vs_effective(self, forced_none):
-        """A default service asks for the compiled kernel; without a
-        toolchain it serves bit-identically on numpy and says so."""
+    def test_service_reports_numpy(self, forced_none):
+        """Without a toolchain a default service serves
+        bit-identically on numpy and says so."""
         from repro.serve import RecoilService
 
         r = np.random.default_rng(77)
@@ -129,19 +103,38 @@ class TestFallbackWithoutToolchain:
             svc.put_asset("a", data)
             assert np.array_equal(svc.decompress("a", 8), data)
             snap = svc.metrics_snapshot()
-            assert snap["resilience"]["kernel"] == {
-                "configured": "compiled",
-                "effective": "numpy",
-            }
+            assert snap["resilience"]["kernel"] == "numpy"
+            assert svc.decode_kernel == "numpy"
 
-    def test_fallback_notice_logged_once(self, forced_none, caplog):
+    def test_fallback_notice_logged_once(
+        self, monkeypatch, caplog, skewed_bytes, provider11
+    ):
+        """A host with no C compiler on PATH logs one notice, however
+        many kernel calls follow."""
         import logging
 
-        with caplog.at_level(logging.WARNING, logger="repro.compiled"):
-            assert compiled.effective_kernel("compiled") == "numpy"
-            assert compiled.effective_kernel("compiled") == "numpy"
+        monkeypatch.delenv("REPRO_COMPILED_TOOLCHAIN", raising=False)
+        monkeypatch.setattr(compiled, "_find_cc", lambda: None)
+        compiled.reset_for_tests()
+        data = skewed_bytes[:2_000]
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.compiled"):
+                assert not compiled.kernel_available()
+                enc = RecoilEncoder(provider11).encode(data, num_threads=2)
+                res = decode_with_pool(
+                    provider11, 32, enc.words,
+                    build_thread_tasks(
+                        enc.metadata, len(enc.words), enc.final_states
+                    ),
+                    enc.num_symbols, np.uint8, 2,
+                )
+                assert compiled.warm_up() == "numpy"
+        finally:
+            compiled.reset_for_tests()
+        assert res.kernel == "numpy"
+        assert np.array_equal(res.symbols, data)
         notices = [
-            r for r in caplog.records if "falling back" in r.message
+            r for r in caplog.records if "numpy kernels" in r.message
         ]
         assert len(notices) == 1
 
@@ -164,15 +157,13 @@ class TestWarmUpContract:
         data = skewed_bytes[:8_000]
         events_before = compiled.compile_events()
         # -- timed region (as a benchmark would measure it) ----------
-        enc = RecoilEncoder(provider11).encode(
-            data, num_threads=8, kernel="compiled"
-        )
+        enc = RecoilEncoder(provider11).encode(data, num_threads=8)
         tasks = build_thread_tasks(
             enc.metadata, len(enc.words), enc.final_states
         )
         res = decode_with_pool(
             provider11, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, 2, kernel="compiled",
+            np.uint8, 2,
         )
         # -- end timed region ----------------------------------------
         assert np.array_equal(res.symbols, data)
@@ -180,16 +171,15 @@ class TestWarmUpContract:
         assert compiled.compile_events() == events_before
 
     def test_service_startup_warms_up(self):
-        """A compiled-kernel service warms up in __init__, so its
-        first request never pays the build."""
-        from repro.serve import RecoilService, ServiceConfig
+        """A service warms up in __init__, so its first request never
+        pays the build."""
+        from repro.serve import RecoilService
 
         r = np.random.default_rng(78)
         data = np.minimum(
             np.floor(r.exponential(9.0, 5_000)), 255
         ).astype(np.uint8)
-        cfg = ServiceConfig(decode_kernel="compiled")
-        with RecoilService(config=cfg) as svc:
+        with RecoilService() as svc:
             events = compiled.compile_events()
             svc.put_asset("a", data)
             assert np.array_equal(svc.decompress("a", 8), data)
@@ -221,9 +211,7 @@ class TestWalkBoundsChecks:
 
     def _decode(self, provider, enc, task, n=None):
         out = np.zeros(enc.num_symbols if n is None else n, np.uint8)
-        LaneEngine(provider, 4, kernel="compiled").run(
-            enc.words, [task], out
-        )
+        LaneEngine(provider, 4).run(enc.words, [task], out)
         return out
 
     def test_clean_task_decodes(self, stream, provider11):

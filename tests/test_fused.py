@@ -2,7 +2,9 @@
 
 Every configuration pits three implementations against each other:
 
-- ``LaneEngine.run`` — the fused kernel (head / steady-state / tail);
+- ``LaneEngine.run`` — the fused kernel (head / steady-state / tail on
+  numpy, or the compiled walk: the ``kernel_backend`` tests run both,
+  the others the host's kernel);
 - ``LaneEngine.run_reference`` — the original masked per-group loop;
 - ``InterleavedDecoder.decode_reference`` — the pure-Python walk.
 
@@ -80,7 +82,7 @@ class TestFusedVsReference:
         tasks = build_thread_tasks(
             enc.metadata, len(enc.words), enc.final_states
         )
-        engine = LaneEngine(provider, lanes, kernel=kernel_backend)
+        engine = LaneEngine(provider, lanes)
         out_f = np.empty(enc.num_symbols, dtype=np.uint8)
         out_r = np.empty(enc.num_symbols, dtype=np.uint8)
         sf = engine.run(enc.words, tasks, out_f)
@@ -113,12 +115,10 @@ class TestFusedVsReference:
         enc = RecoilEncoder(provider).encode(payload, num_threads=8)
         dec = RecoilDecoder(provider)
         res_f = dec.decode(
-            enc.words, enc.final_states, enc.metadata,
-            max_threads=threads, engine="fused",
+            enc.words, enc.final_states, enc.metadata, max_threads=threads
         )
-        res_r = dec.decode(
-            enc.words, enc.final_states, enc.metadata,
-            max_threads=threads, engine="reference",
+        res_r = dec.decode_reference(
+            enc.words, enc.final_states, enc.metadata, max_threads=threads
         )
         assert np.array_equal(res_f.symbols, payload)
         assert np.array_equal(res_f.symbols, res_r.symbols)
@@ -126,20 +126,11 @@ class TestFusedVsReference:
             res_r.engine_stats
         )
 
-    def test_unknown_engine_rejected(self, payload):
-        provider = _provider("static", payload, None)
-        enc = RecoilEncoder(provider).encode(payload, num_threads=2)
-        with pytest.raises(DecodeError):
-            RecoilDecoder(provider).decode(
-                enc.words, enc.final_states, enc.metadata, engine="cuda"
-            )
-
 
 class TestPooledFused:
     @pytest.mark.parametrize("workers", THREADS)
-    @pytest.mark.parametrize("strategy", ["cost", "round_robin"])
     def test_pool_matches_single_engine(
-        self, payload, workers, strategy, kernel_backend
+        self, payload, workers, kernel_backend
     ):
         provider = _provider("static", payload, None)
         enc = RecoilEncoder(provider).encode(payload, num_threads=12)
@@ -148,7 +139,7 @@ class TestPooledFused:
         )
         res = decode_with_pool(
             provider, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, workers, strategy=strategy, kernel=kernel_backend,
+            np.uint8, workers,
         )
         assert res.kernel == kernel_backend
         assert np.array_equal(res.symbols, payload)
@@ -204,7 +195,7 @@ class TestFusedEdgeCases:
             initial_states=enc.final_states,
             check_terminal=False,
         )
-        engine = LaneEngine(provider, 32, kernel=kernel_backend)
+        engine = LaneEngine(provider, 32)
         out_f = np.zeros(enc.num_symbols, dtype=np.uint8)
         out_r = np.zeros(enc.num_symbols, dtype=np.uint8)
         sf = engine.run(enc.words, [task], out_f)
@@ -235,15 +226,15 @@ class TestFusedEdgeCases:
             dec.decode(enc.words, bad, enc.num_symbols)
 
 
-def _run_both(provider, lanes, words, tasks, n, kernel):
-    """Decode ``tasks`` with ``kernel`` and with the reference loop.
+def _run_both(provider, lanes, words, tasks, n):
+    """Decode ``tasks`` on the fused kernel and the reference loop.
 
     Either both raise :class:`DecodeError`, or outputs (zero-filled
     first, so uncommitted positions compare too) and work counters
     are identical.  Returns the kernel's ``(out, stats)``, or None
     when both raised.
     """
-    engine = LaneEngine(provider, lanes, kernel=kernel)
+    engine = LaneEngine(provider, lanes)
     out_k = np.zeros(n, dtype=np.uint8)
     out_r = np.zeros(n, dtype=np.uint8)
     try:
@@ -277,9 +268,7 @@ class TestWholeWalkBatches:
             )
             for cap in (1, 4, 64)
         ]
-        res = fused_run_multi(
-            provider, 32, segments, ScratchArena(), kernel=kernel_backend
-        )
+        res = fused_run_multi(provider, 32, segments, ScratchArena())
         for seg_out in res.segment_outputs():
             assert np.array_equal(seg_out, payload)
         words, tasks, _, total = fuse_segments(segments)
@@ -298,9 +287,7 @@ class TestWholeWalkBatches:
         )
         mid = tasks[1]
         mid.activations = [a for a in mid.activations if a[1] != 2]
-        assert _run_both(
-            provider, 4, enc.words, tasks, enc.num_symbols, kernel_backend
-        )
+        assert _run_both(provider, 4, enc.words, tasks, enc.num_symbols)
 
     def test_degenerate_tasks(self, payload, kernel_backend):
         provider = _provider("static", payload, None)
@@ -325,8 +312,7 @@ class TestWholeWalkBatches:
             check_terminal=True, terminal_pos=-1,
         )
         out, stats = _run_both(
-            provider, 32, enc.words, [dead, full, empty],
-            enc.num_symbols, kernel_backend,
+            provider, 32, enc.words, [dead, full, empty], enc.num_symbols
         )
         assert np.array_equal(out, payload)
         assert stats.tasks == 3
@@ -345,9 +331,7 @@ class TestWholeWalkBatches:
         # so the walk decodes garbage: skip the terminal check and
         # compare what both kernels make of it.
         first.check_terminal = False
-        assert _run_both(
-            provider, 32, enc.words, tasks, enc.num_symbols, kernel_backend
-        )
+        assert _run_both(provider, 32, enc.words, tasks, enc.num_symbols)
 
     def test_adaptive_segment(
         self, payload, adaptive_provider, kernel_backend
@@ -361,7 +345,7 @@ class TestWholeWalkBatches:
         res = fused_run_multi(
             adaptive_provider, 32,
             [StreamSegment(enc.words, tasks, enc.num_symbols)],
-            ScratchArena(), kernel=kernel_backend,
+            ScratchArena(),
         )
         out_r = np.empty(enc.num_symbols, dtype=np.uint8)
         sr = LaneEngine(adaptive_provider, 32).run_reference(

@@ -80,10 +80,7 @@ class TestFusedVsReference:
         provider = _provider(kind, payload, adaptive_provider)
         enc = InterleavedEncoder(provider, lanes=lanes)
         _assert_encodes_equal(
-            enc.encode(
-                payload, record_events=record_events,
-                kernel=kernel_backend,
-            ),
+            enc.encode(payload, record_events=record_events),
             enc.encode_reference(payload, record_events=record_events),
         )
 
@@ -95,9 +92,7 @@ class TestFusedVsReference:
         provider = _provider("static", payload, None)
         enc = InterleavedEncoder(provider, lanes=lanes)
         _assert_encodes_equal(
-            enc.encode(
-                payload[:n], record_events=True, kernel=kernel_backend
-            ),
+            enc.encode(payload[:n], record_events=True),
             enc.encode_reference(payload[:n], record_events=True),
         )
 
@@ -140,17 +135,26 @@ class TestFusedVsReference:
                 enc.encode_reference(payload[:n], record_events=True),
             )
 
-    def test_zero_frequency_symbol_rejected(self, payload):
+    def test_zero_frequency_symbol_rejected(self, payload, kernel_backend):
+        """A zero-frequency symbol is a typed error before any sweep
+        runs: the compiled sweep divides by the frequency, so this
+        check is all that stands between it and a SIGFPE."""
         counts = np.zeros(256)
         counts[:4] = [5, 3, 2, 1]
         model = SymbolModel.from_counts(counts, 11)
         assert int(model.freqs[200]) == 0
         sparse = StaticModelProvider(model)
-        bad = np.array([0, 1, 200, 2], dtype=np.uint8)
-        with pytest.raises(ModelError):
-            InterleavedEncoder(sparse, lanes=2).encode(bad)
-        with pytest.raises(ModelError):
-            InterleavedEncoder(sparse, lanes=2).encode_reference(bad)
+        short = np.array([0, 1, 200, 2], dtype=np.uint8)
+        deep = np.resize(np.arange(4, dtype=np.uint8), 3_000)
+        deep[1_500] = 200  # mid-block, after 46 full 32-lane groups
+        for bad, lanes, index in ((short, 2, 3), (deep, 32, 1_501)):
+            msg = f"symbol 200 at index {index} has zero quantized"
+            with pytest.raises(ModelError, match=msg):
+                InterleavedEncoder(sparse, lanes=lanes).encode(bad)
+            with pytest.raises(ModelError):
+                InterleavedEncoder(sparse, lanes=lanes).encode_reference(
+                    bad
+                )
 
     def test_non_1d_rejected(self, payload):
         provider = _provider("static", payload, None)
@@ -211,8 +215,7 @@ class TestMultiTaskFusion:
         tasks = [
             EncodeTask(payload[:sz], record_events=True) for sz in sizes
         ]
-        outs = fused_encode_run(provider, 32, tasks, arena,
-                                kernel=kernel_backend)
+        outs = fused_encode_run(provider, 32, tasks, arena)
         enc = InterleavedEncoder(provider, lanes=32)
         for sz, out in zip(sizes, outs):
             ref = enc.encode_reference(payload[:sz], record_events=True)

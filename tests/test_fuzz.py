@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.rans.model import SymbolModel
 from repro.tans import MultiansCodec, TansTable
 
-from conftest import needs_compiled
+from conftest import needs_compiled, running_on
 
 #: what the tANS multians fuzz tolerates besides a ReproError.
 ACCEPTABLE = (ReproError, ValueError, OverflowError, MemoryError, IndexError)
@@ -52,12 +52,11 @@ def _flip(blob: bytes, pos: int, mask: int = 0xFF) -> bytes:
     return bytes(b)
 
 
-def _decompress(codec, blob: bytes, engine: str) -> np.ndarray:
-    """``codec.decompress`` on the named decode engine."""
+def _decompress(codec, blob: bytes) -> np.ndarray:
+    """``codec.decompress`` through the fused decoder."""
     parsed = parse_container(blob, provider=codec.provider)
     return RecoilDecoder(codec.provider, codec.lanes).decode(
-        parsed.words(blob), parsed.final_states, parsed.metadata,
-        engine=engine,
+        parsed.words(blob), parsed.final_states, parsed.metadata
     ).symbols
 
 
@@ -66,7 +65,12 @@ class TestContainerFuzz:
     below repeats every case on the compiled one.  Both must fail
     typed: a :class:`ReproError`, never a builtin."""
 
-    engine = "fused"
+    kernel = "numpy"
+
+    @pytest.fixture(autouse=True)
+    def _on_kernel(self):
+        with running_on(self.kernel):
+            yield
 
     @pytest.mark.parametrize("seed", range(24))
     def test_random_byte_corruption(self, codec, blob, skewed_bytes, seed):
@@ -74,7 +78,7 @@ class TestContainerFuzz:
         pos = int(r.integers(0, len(blob)))
         bad = _flip(blob, pos, int(r.integers(1, 256)))
         try:
-            out = _decompress(codec, bad, self.engine)
+            out = _decompress(codec, bad)
         except ReproError:
             return
         assert not np.array_equal(out, skewed_bytes[:20_000]) or bad == blob
@@ -82,18 +86,17 @@ class TestContainerFuzz:
     @pytest.mark.parametrize("cut", [1, 7, 64, 1000])
     def test_truncation(self, codec, blob, cut):
         with pytest.raises(ReproError):
-            _decompress(codec, blob[:-cut], self.engine)
+            _decompress(codec, blob[:-cut])
 
     def test_empty_blob(self, codec):
         with pytest.raises(ReproError):
-            _decompress(codec, b"", self.engine)
+            _decompress(codec, b"")
 
     def test_garbage_blob(self, codec):
         r = np.random.default_rng(0)
         with pytest.raises(ReproError):
             _decompress(
-                codec, bytes(r.integers(0, 256, 500, dtype=np.uint8)),
-                self.engine,
+                codec, bytes(r.integers(0, 256, 500, dtype=np.uint8))
             )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -113,7 +116,7 @@ class TestContainerFuzz:
         for pos in range(12):
             bad = _flip(blob, pos)
             try:
-                out = _decompress(codec, bad, self.engine)
+                out = _decompress(codec, bad)
             except ReproError:
                 continue
             assert not np.array_equal(out, skewed_bytes[:20_000])
@@ -123,7 +126,7 @@ class TestContainerFuzz:
 class TestContainerFuzzCompiled(TestContainerFuzz):
     """Every :class:`TestContainerFuzz` case on the compiled kernel."""
 
-    engine = "compiled"
+    kernel = "compiled"
 
 
 #: corrupted containers per differential chunk, and the capacities
@@ -157,11 +160,12 @@ def differential_chunk(first_seed: int, count: int) -> dict:
 
     def decode(asset, tasks, kernel):
         try:
-            res = fused_run_multi(
-                asset.provider, asset.lanes,
-                [StreamSegment(asset.words, tasks, asset.num_symbols)],
-                arena, out_dtype=asset.out_dtype, kernel=kernel,
-            )
+            with running_on(kernel):
+                res = fused_run_multi(
+                    asset.provider, asset.lanes,
+                    [StreamSegment(asset.words, tasks, asset.num_symbols)],
+                    arena, out_dtype=asset.out_dtype,
+                )
         except ReproError as exc:
             return type(exc)
         s = res.stats

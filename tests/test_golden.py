@@ -73,9 +73,7 @@ class TestRansGolden:
         """Today's encoder reproduces the committed container
         byte-for-byte on this kernel backend."""
         case = RANS_CASES[name]
-        assert build_rans_blob(case, kernel=kernel_backend) == _read(
-            f"{name}.bin"
-        )
+        assert build_rans_blob(case) == _read(f"{name}.bin")
 
     def test_decode_byte_exact(self, name, kernel_backend):
         """The committed container decodes byte-for-byte back to its
@@ -83,12 +81,8 @@ class TestRansGolden:
         case = RANS_CASES[name]
         blob = _read(f"{name}.bin")
         parsed = parse_container(blob, provider=case["provider"])
-        engine = "fused" if kernel_backend == "numpy" else "compiled"
         res = RecoilDecoder(case["provider"], lanes=case["lanes"]).decode(
-            parsed.words(blob),
-            parsed.final_states,
-            parsed.metadata,
-            engine=engine,
+            parsed.words(blob), parsed.final_states, parsed.metadata
         )
         assert res.symbols.tobytes() == _read(f"{name}.expected.bin")
 
@@ -97,13 +91,11 @@ class TestRansGolden:
         case = RANS_CASES[name]
         blob = _read(f"{name}.bin")
         parsed = parse_container(blob, provider=case["provider"])
-        engine = "fused" if kernel_backend == "numpy" else "compiled"
         res = RecoilDecoder(case["provider"], lanes=case["lanes"]).decode(
             parsed.words(blob),
             parsed.final_states,
             parsed.metadata,
             max_threads=1,
-            engine=engine,
         )
         assert res.symbols.tobytes() == _read(f"{name}.expected.bin")
 
@@ -116,13 +108,12 @@ class TestTansGolden:
         assert blob == _read(f"{name}.bin")
 
     def test_decode_byte_exact(self, name, kernel_backend):
+        """numpy on every host: the same bytes with a C compiler and
+        without one."""
         case = TANS_CASES[name]
         _, codec = build_tans_blob(case)
         blob = _read(f"{name}.bin")
         expected = _read(f"{name}.expected.bin")
-        engine = "fused" if kernel_backend == "numpy" else "compiled"
         for threads in case["threads"]:
-            out, _ = codec.decompress(
-                blob, num_threads=threads, engine=engine
-            )
+            out, _ = codec.decompress(blob, num_threads=threads)
             assert out.astype(np.uint8).tobytes() == expected

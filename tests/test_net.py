@@ -401,7 +401,7 @@ class TestFaultPoints:
             # The server survives: the next connection works.
             with RecoilClient(host, port, timeout_s=30) as client:
                 assert np.array_equal(client.decompress("a", 4), payload)
-            snap = server.metrics.snapshot()
+        snap = server.metrics.snapshot()
         assert snap["transport_errors"] >= 1
 
     @pytest.mark.parametrize(
@@ -420,7 +420,10 @@ class TestFaultPoints:
                 # The client reconnects; the retry is bit-identical.
                 assert np.array_equal(client.decompress("a", 4), payload)
                 client.close()
-            snap = server.metrics.snapshot()
+        # After the with block: the server has drained.  It counts a
+        # request ok only after sending the last frame, so the client
+        # can hold the whole reply before the counter moves.
+        snap = server.metrics.snapshot()
         assert snap["transport_errors"] >= 1
         assert snap["requests"]["ok"] == 1
 
@@ -437,7 +440,7 @@ class TestFaultPoints:
                 assert rule.fires == 1
             assert np.array_equal(out, payload)
             assert elapsed >= 0.4
-            snap = server.metrics.snapshot()
+        snap = server.metrics.snapshot()
         assert snap["stalls_injected"] == 1
 
 

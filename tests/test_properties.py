@@ -28,7 +28,7 @@ from repro.rans.constants import L_BOUND
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 
-from conftest import KERNELS
+from conftest import KERNELS, running_on
 
 _SETTINGS = dict(
     max_examples=25,
@@ -61,11 +61,11 @@ def _model_and_data(seed: int, length: int, quant_bits: int):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_recoil_roundtrip_property(seed, length, quant_bits, splits, kernel):
     model, data = _model_and_data(seed, length, quant_bits)
-    enc = RecoilEncoder(model).encode(data, num_threads=splits)
-    engine = "fused" if kernel == "numpy" else "compiled"
-    res = RecoilDecoder(model).decode(
-        enc.words, enc.final_states, enc.metadata, engine=engine
-    )
+    with running_on(kernel):
+        enc = RecoilEncoder(model).encode(data, num_threads=splits)
+        res = RecoilDecoder(model).decode(
+            enc.words, enc.final_states, enc.metadata
+        )
     assert np.array_equal(res.symbols, data.astype(res.symbols.dtype))
     # Lemma 3.1 on the chosen entries.
     for e in enc.metadata.entries:

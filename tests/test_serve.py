@@ -343,31 +343,28 @@ class TestService:
             service.decompress("nope", 4)
 
     def test_kernel_round_trip(self, payload, kernel_backend):
-        cfg = ServiceConfig(decode_kernel=kernel_backend)
-        with RecoilService(config=cfg) as svc:
+        """The service runs, and reports, the host's kernel."""
+        with RecoilService() as svc:
             assert svc.decode_kernel == kernel_backend
             svc.put_asset("a", payload, num_splits=64)
             requests = [svc.submit("a", c) for c in (1, 4, 16, 4, 1)]
             for req in requests:
                 assert np.array_equal(req.result(120), payload)
             snap = svc.metrics_snapshot()
-        assert snap["resilience"]["kernel"] == {
-            "configured": kernel_backend,
-            "effective": kernel_backend,
-        }
+        assert snap["resilience"]["kernel"] == kernel_backend
 
     def test_invalid_kernel_config_rejected(self):
-        # Retired backend strings ("process", "fused+compiled", ...)
-        # are unknown kernels, on the config and on the CLI flag.
-        for bad in ("quantum", "process", "thread", "fused+compiled"):
-            with pytest.raises(ServeError):
-                ServiceConfig(decode_kernel=bad)
+        # Host detection is the only kernel choice: neither the config
+        # nor any serving command takes one.
+        with pytest.raises(TypeError):
+            ServiceConfig(decode_kernel="compiled")
         from repro.cli import main
 
         for cmd in ("serve", "serve-bench", "load-bench"):
-            with pytest.raises(SystemExit) as exc:
-                main([cmd, "--kernel", "process"])
-            assert exc.value.code == 2
+            for kernel in ("compiled", "numpy"):
+                with pytest.raises(SystemExit) as exc:
+                    main([cmd, "--kernel", kernel])
+                assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--workers", "2"])
         assert exc.value.code == 2
