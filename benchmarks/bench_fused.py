@@ -5,13 +5,13 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 
 - ``scalar``       — the single-state pure-Python reference decoder;
 - ``interleaved``  — one 32-lane coder, full-stream decode (fused);
-- ``pooled``       — 8 recoil tasks on 8 real threads (fused engines);
 - ``fused``        — 8 recoil tasks, one fused wide-lane kernel;
 - ``seed_engine``  — the same 8 tasks on the pre-fusion reference
   engine (``LaneEngine.run_reference``), i.e. the seed hot path.
 
-These columns time the numpy kernels: on a host with a C compiler
-they run as a host without one (``numpy_host``, docs/BENCHMARKS.md).
+Every column decodes the same ``--symbols`` input.  These columns
+time the numpy kernels: on a host with a C compiler they run as a
+host without one (``numpy_host``, docs/BENCHMARKS.md).
 
 The ``thread_pool`` section times ``decode_with_pool`` on each kernel
 at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
@@ -57,7 +57,6 @@ from numpy_host import numpy_host
 
 QUANT_BITS = 11
 LANES = 32
-SCALAR_CAP = 30_000  # the pure-Python decoder is ~1000x slower
 POOL_SPLITS = (16, 64)
 POOL_ROUNDS = 9
 #: large enough that a pool call's fixed cost (thread start, the
@@ -164,12 +163,11 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         rates: dict[str, float] = {}
 
         # -- scalar -----------------------------------------------------------
-        small = data[:SCALAR_CAP]
-        s_enc = ScalarEncoder(model).encode(small)
+        s_enc = ScalarEncoder(model).encode(data)
         s_dec = ScalarDecoder(model)
         rates["scalar"] = _rate(
-            lambda: s_dec.decode(s_enc.words, s_enc.final_state, len(small)),
-            check(small),
+            lambda: s_dec.decode(s_enc.words, s_enc.final_state, len(data)),
+            check(data),
             repeats,
         )
 
@@ -187,17 +185,8 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
             data, num_threads=max(threads, 2)
         )
         md = enc.metadata.combine(threads)
-        tasks = build_thread_tasks(md, len(enc.words), enc.final_states)
         decoder = RecoilDecoder(provider, LANES)
 
-        rates["pooled"] = _rate(
-            lambda: decode_with_pool(
-                provider, LANES, enc.words, tasks, enc.num_symbols,
-                np.uint8, threads,
-            ).symbols,
-            check(data),
-            repeats,
-        )
         rates["fused"] = _rate(
             lambda: decoder.decode(enc.words, enc.final_states, md).symbols,
             check(data),
@@ -268,7 +257,6 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
             "symbols": symbols,
             "quant_bits": QUANT_BITS,
             "lanes": LANES,
-            "scalar_cap": SCALAR_CAP,
         },
         "threads": threads,
         "symbols_per_sec": {k: round(v, 1) for k, v in rates.items()},

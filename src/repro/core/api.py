@@ -220,7 +220,7 @@ def recoil_service(
 
     :param assets: name → symbol array, each encoded on ingest.
     :param num_splits: encode-side parallelism for every asset.
-    :param config: service tunables (batch window, admission bound,
+    :param config: service tunables (batch caps, admission bound,
         store directory).
     :returns: a running :class:`repro.serve.RecoilService`.
     :raises EncodeError: an asset failed to encode (the service is

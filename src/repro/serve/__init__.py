@@ -7,9 +7,10 @@ into a subsystem:
 
 - :mod:`repro.serve.store` — encode-once asset store with an LRU
   shrink cache keyed ``(asset, client_capacity)``;
-- :mod:`repro.serve.batcher` — request batching policy: concurrent
-  decompress requests fuse into ONE wide-lane kernel call
-  (cross-request fusion over the `(P*K,)` layout, DESIGN.md §12);
+- :mod:`repro.serve.batcher` — request batching policy: decompress
+  requests that queue while the dispatcher is busy fuse into ONE
+  wide-lane kernel call (cross-request fusion over the `(P*K,)`
+  layout, DESIGN.md §12);
 - :mod:`repro.serve.service` — the :class:`RecoilService` facade:
   dispatcher thread, admission control/backpressure bounded by cost
   model estimates;

@@ -1,14 +1,15 @@
 """Request batching: fuse concurrent decode requests into one kernel.
 
 PRs 1–2 made independent decodes advance as a single ``(P*K,)``-wide
-state vector; this module applies that *across requests*.  Concurrent
-``decompress`` calls are collected over a short window (or until the
-batch's lane budget fills) and dispatched as ONE
+state vector; this module applies that *across requests*.  The
+service's dispatcher sends a batch off as soon as it is free
+(dispatch on idle): requests that arrive while one batch runs queue
+here and go out together as the next one — ONE
 :func:`~repro.parallel.fused.fused_run_multi` invocation — ``S``
 requests of ``T_i`` tasks each become one ``(sum(T_i), K)`` state
 matrix, so the per-iteration interpreter overhead that dominates small
 (low-capacity) decodes is paid once per batch instead of once per
-request.
+request.  A lone request never waits for companions.
 
 Fusion compatibility is expressed as a *fuse key*: requests sharing
 ``(provider, lanes)`` with a static model may ride in one batch
@@ -59,7 +60,8 @@ class DecodeRequest:
             submitted_at if submitted_at is not None else self.enqueued_at
         )
         #: when admission released the request into the batcher (set by
-        #: the service; batch-window residency is measured from here).
+        #: the service; the wait for a free dispatcher — the
+        #: ``batch_window`` stage — is measured from here).
         self.admitted_at: float | None = None
         #: tracing linkage (``repro.trace``): request id, root span id,
         #: and the caller's parent span (the network front-end's
@@ -130,18 +132,15 @@ class DecodeRequest:
 
 @dataclass
 class BatchPolicy:
-    """When to close a batch and hand it to the kernel.
+    """How large one batch may grow.
 
-    A batch dispatches when *either* the oldest pending request has
-    waited ``window_s`` (latency bound) *or* the head fuse-group
-    already saturates a cap (work bound) — whichever comes first.
-    ``max_task_lanes`` is the lane budget: total decoder threads
-    (tasks) a single fused call may carry, the knob that keeps one
-    batch's state matrix at a width where vectorization, not memory
-    traffic, dominates.
+    The dispatcher takes a batch as soon as it is free; this policy
+    only caps it.  ``max_task_lanes`` is the lane budget: total decoder
+    threads (tasks) a single fused call may carry, the knob that keeps
+    one batch's state matrix at a width where vectorization, not
+    memory traffic, dominates.
     """
 
-    window_s: float = 0.002
     max_requests: int = 64
     max_task_lanes: int = 512
 
@@ -173,43 +172,6 @@ class RequestBatcher:
     def add(self, request: DecodeRequest) -> None:
         self._pending.append(request)
 
-    # ------------------------------------------------------------------
-
-    def _head_group(self) -> tuple[list[DecodeRequest], bool]:
-        """The dispatchable prefix of the head fuse-group.
-
-        Returns ``(requests, saturated)`` where ``saturated`` means a
-        cap was hit (more same-key work is waiting behind the batch).
-        """
-        p = self.policy
-        head_key = self._pending[0].fuse_key
-        group: list[DecodeRequest] = []
-        lanes = 0
-        for req in self._pending:
-            if req.fuse_key != head_key:
-                continue
-            if group and (
-                len(group) >= p.max_requests
-                or lanes + req.task_lanes > p.max_task_lanes
-            ):
-                return group, True
-            group.append(req)
-            lanes += req.task_lanes
-        return group, False
-
-    def deadline(self) -> float | None:
-        """perf_counter time at which the dispatcher must wake: the
-        head request's window end, or the earliest pending request
-        deadline if that comes sooner (an expired request must be
-        failed promptly, not after a full window).  None when empty."""
-        if not self._pending:
-            return None
-        when = self._pending[0].enqueued_at + self.policy.window_s
-        for req in self._pending:
-            if req.deadline is not None and req.deadline < when:
-                when = req.deadline
-        return when
-
     def pop_expired(self, now: float | None = None) -> list[DecodeRequest]:
         """Remove and return every pending request whose deadline has
         passed (the dispatcher fails them without kernel time)."""
@@ -227,26 +189,31 @@ class RequestBatcher:
             )
         return expired
 
-    def ready(self, now: float | None = None) -> bool:
-        """Should a batch dispatch right now?"""
-        if not self._pending:
-            return False
-        if now is None:
-            now = time.perf_counter()
-        if now >= self.deadline():
-            return True
-        _, saturated = self._head_group()
-        return saturated
-
     def pop_batch(self) -> list[DecodeRequest]:
-        """Remove and return the next batch (head fuse-group, capped).
+        """Remove and return the next batch: the head request's fuse
+        group in queue order, up to ``max_requests`` requests and
+        ``max_task_lanes`` tasks (a single oversized request still
+        goes out alone).
 
-        Requests with other fuse keys keep their queue order and form
-        later batches.
+        Requests with other fuse keys, and same-key requests past a
+        cap, keep their queue order and form later batches.
         """
         if not self._pending:
             return []
-        group, _ = self._head_group()
+        p = self.policy
+        head_key = self._pending[0].fuse_key
+        group: list[DecodeRequest] = []
+        lanes = 0
+        for req in self._pending:
+            if req.fuse_key != head_key:
+                continue
+            if group and (
+                len(group) >= p.max_requests
+                or lanes + req.task_lanes > p.max_task_lanes
+            ):
+                break
+            group.append(req)
+            lanes += req.task_lanes
         members = set(map(id, group))
         self._pending = deque(
             r for r in self._pending if id(r) not in members

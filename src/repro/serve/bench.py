@@ -203,8 +203,9 @@ def _tiered_cold_warm(symbols: int, seed: int) -> dict:
     first touch hydrates from disk and re-verifies its checksum) and
     once warm (popular assets already resident).  The resident budget
     holds only the three largest assets, so the tail of the Zipf keeps
-    churning the LRU — the contrast isolates what disk hydration
-    costs, not just what an empty cache costs (docs/BENCHMARKS.md).
+    churning the LRU in both phases.  Their tier hit rates differ by
+    only a few points, so the wall times are reported per phase, next
+    to the counters, and never as a ratio (docs/BENCHMARKS.md).
     """
     import shutil
     import tempfile
@@ -283,9 +284,6 @@ def _tiered_cold_warm(symbols: int, seed: int) -> dict:
             "recovered_at_cold_start": recovered,
             "cold": cold,
             "warm": warm,
-            "speedup_warm_vs_cold": round(
-                cold["wall_s"] / max(warm["wall_s"], 1e-9), 3
-            ),
         }
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -341,7 +339,6 @@ def render_table(result: dict) -> str:
             f"({tiered['cold']['hydrations']} hydrations, hit rate "
             f"{tiered['cold']['tier_hit_rate']:.0%}), warm "
             f"{tiered['warm']['wall_s'] * 1000:.0f} ms (hit rate "
-            f"{tiered['warm']['tier_hit_rate']:.0%}) -> "
-            f"{tiered['speedup_warm_vs_cold']:.2f}x"
+            f"{tiered['warm']['tier_hit_rate']:.0%})"
         )
     return "\n".join(lines)

@@ -6,10 +6,12 @@ DESIGN.md §12:
 1. **Store** (:mod:`repro.serve.store`): assets are encoded once at
    maximum parallelism; per-request metadata shrinking is answered
    from an LRU cache keyed ``(asset, client_capacity)``.
-2. **Batcher** (:mod:`repro.serve.batcher`): concurrent decompress
-   requests collected over a short window (or until the lane budget
-   fills) dispatch as ONE fused multi-task kernel call — cross-request
-   fusion over the `(P*K,)` wide-lane layout of PRs 1–2.
+2. **Batcher** (:mod:`repro.serve.batcher`): the dispatcher sends a
+   batch as soon as it is free, so a lone request never waits for
+   companions; concurrent decompress requests that queue while a batch
+   runs dispatch next as ONE fused multi-task kernel call (up to the
+   request and lane caps) — cross-request fusion over the `(P*K,)`
+   wide-lane layout of PRs 1–2.
 3. **Admission** (backpressure): in-flight work is bounded by the cost
    model's walked-symbol estimates; submitters block (up to a
    timeout) when the bound is saturated, so a burst cannot queue
@@ -23,10 +25,10 @@ DESIGN.md §9) and executes each batch as one
 GIL-releasing call into the C decode walk (DESIGN.md §19), so client
 threads keep running.
 
-Failure semantics (DESIGN.md §15): a failed fused batch is retried
-request-by-request so only the poisoned request errors; per-request
-deadlines are enforced *before* kernel dispatch, so an expired
-request never occupies kernel time.  All of it is visible in
+Failure semantics (DESIGN.md §15): a failed batch, of any size, is
+retried request-by-request so only the poisoned request errors;
+per-request deadlines are enforced *before* kernel dispatch, so an
+expired request never occupies kernel time.  All of it is visible in
 :meth:`RecoilService.metrics_snapshot` under ``"resilience"``.
 """
 
@@ -53,8 +55,6 @@ from repro.serve.store import AssetStore, StoredAsset
 class ServiceConfig:
     """Tunables of one service instance (see DESIGN.md §12)."""
 
-    #: how long the oldest pending request may wait for companions.
-    batch_window_s: float = 0.002
     #: hard cap on requests fused into one kernel call.
     max_batch_requests: int = 64
     #: lane budget: max total decoder tasks per fused call.
@@ -101,9 +101,8 @@ class ServiceConfig:
 
     def batch_policy(self) -> BatchPolicy:
         if not self.batching:
-            return BatchPolicy(window_s=0.0, max_requests=1)
+            return BatchPolicy(max_requests=1)
         return BatchPolicy(
-            window_s=self.batch_window_s,
             max_requests=self.max_batch_requests,
             max_task_lanes=self.max_batch_task_lanes,
         )
@@ -540,20 +539,10 @@ class RecoilService:
             with self._cond:
                 while self._running and not len(self._batcher):
                     self._cond.wait()
-                # Hold the batch open until the window closes or the
-                # lane budget fills; new arrivals notify.  The
-                # batcher's deadline() also covers per-request
-                # deadlines, so an expiry wakes this wait promptly.
-                while (
-                    self._running
-                    and len(self._batcher)
-                    and not self._batcher.ready()
-                ):
-                    pause = self._batcher.deadline() - time.perf_counter()
-                    if pause > 0:
-                        self._cond.wait(pause)
                 if not self._running:
                     return
+                # Dispatch on idle: whatever queued while the last
+                # batch ran goes out now, with no wait for companions.
                 # Deadline enforcement happens HERE, before dispatch:
                 # an expired request is dropped from the queue and
                 # never occupies kernel time.
@@ -562,9 +551,7 @@ class RecoilService:
                     for req in expired:
                         self._inflight_symbols -= req.cost_symbols
                     self._cond.notify_all()
-                batch = []
-                if len(self._batcher) and self._batcher.ready():
-                    batch = self._batcher.pop_batch()
+                batch = self._batcher.pop_batch()
             for req in expired:
                 self.metrics.record_deadline_expired()
                 req.set_error(
@@ -623,10 +610,12 @@ class RecoilService:
         kernel_s: float,
         ok: bool,
     ) -> None:
-        """Per-request stage accounting at completion: batch-window
-        residency, kernel time (the whole batch's elapsed — the time
-        the request spent in dispatch), and the end-to-end ``request``
-        stage, plus the matching spans when the request is traced.
+        """Per-request stage accounting at completion: the
+        ``batch_window`` stage (the wait for a free dispatcher, from
+        admission to the start of the request's batch), kernel time
+        (the whole batch's elapsed — the time the request spent in
+        dispatch), and the end-to-end ``request`` stage, plus the
+        matching spans when the request is traced.
 
         The stage decomposition is designed to sum: ``request ≈
         shrink + admission + batch_window + kernel`` (the remainder is
@@ -677,22 +666,18 @@ class RecoilService:
         t0 = time.perf_counter()
         try:
             result = self._traced_run_batch(batch, arena)
-        except Exception as exc:
+        except Exception:
             elapsed = time.perf_counter() - t0
             self.metrics.record_batch(
                 len(batch), sum(r.task_lanes for r in batch), 0, elapsed
             )
-            if len(batch) == 1:
-                req = batch[0]
-                req.set_error(exc)
-                self.metrics.record_completion(req.latency_s, ok=False)
-                self._finish_stages(req, t0, elapsed, ok=False)
-                return
             # Poison isolation: one bad request must not fail its
-            # batchmates.  Retry each request alone through the same
-            # path — innocents decode bit-identically (the kernel is
-            # deterministic and each solo run sees only its own
-            # segment), and only the poisoned request re-raises.
+            # batchmates, and a one-shot fault must not fail a lone
+            # request.  Retry each request alone through the same
+            # path, whatever the batch size — innocents decode
+            # bit-identically (the kernel is deterministic and each
+            # solo run sees only its own segment), and only the
+            # poisoned request re-raises.
             self.metrics.record_poison_batch()
             self._retry_individually(batch, arena)
             return

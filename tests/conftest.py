@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -58,6 +59,60 @@ def kernel_backend(request):
     kernel (:func:`running_on`)."""
     with running_on(request.param) as kernel:
         yield kernel
+
+
+class ParkedDispatcher:
+    """Hold a service's dispatcher inside a batch, so submits queue.
+
+    Entering submits one request (``name`` at ``capacity``: the
+    *blocker*) and wraps the instance's ``_run_batch`` so that batch,
+    once decoded, blocks on an event until the ``with`` block exits.
+    Requests submitted meanwhile wait in the batcher and go out as the
+    next batches the moment the dispatcher is free again — no timer
+    decides what queues.  The blocker's fault-point hits all land
+    before the block's body runs, so fault rules armed there never see
+    it; it stays in flight (holding admission budget) until release.
+    """
+
+    def __init__(self, service, name: str, capacity: int = 4) -> None:
+        self.service = service
+        self.name = name
+        self.capacity = capacity
+        self.blocker = None
+        self._parked = threading.Event()
+        self._release = threading.Event()
+
+    def __enter__(self) -> "ParkedDispatcher":
+        run_batch = self.service._run_batch
+
+        def park(batch, arena):
+            result = run_batch(batch, arena)
+            if not self._parked.is_set():
+                self._parked.set()
+                self._release.wait(60)
+            return result
+
+        self.service._run_batch = park
+        self.blocker = self.service.submit(self.name, self.capacity)
+        assert self._parked.wait(60), "the dispatcher never parked"
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._release.set()
+        del self.service._run_batch
+
+    @property
+    def queued(self) -> int:
+        """Requests waiting in the batcher (call under the service's
+        condition variable, as :meth:`wait_until` does)."""
+        return len(self.service._batcher)
+
+    def wait_until(self, predicate) -> None:
+        """Block until ``predicate()`` holds, re-checked under the
+        service's condition variable each time it is notified (every
+        submit, expiry and close notifies it)."""
+        with self.service._cond:
+            assert self.service._cond.wait_for(predicate, 60)
 
 
 @pytest.fixture(scope="session")

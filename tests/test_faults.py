@@ -3,7 +3,9 @@
 The resilience contract (DESIGN.md §15) in test form:
 
 - the fault registry itself is deterministic, scoped, and complete;
-- a poisoned request fails alone — batchmates decode bit-identically;
+- a poisoned request fails alone — batchmates decode bit-identically,
+  and a one-shot batch fault never fails a request, whatever the
+  batch size;
 - expired deadlines are enforced before kernel dispatch;
 - close() never hangs on a wedged dispatcher;
 - under concurrent clients with faults armed at the dispatcher, the
@@ -28,6 +30,8 @@ from repro import faults
 from repro.core.api import recoil_decompress
 from repro.errors import DeadlineError, FaultInjected, ReproError, ServeError
 from repro.serve import RecoilService, ServiceConfig
+
+from conftest import ParkedDispatcher
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -211,7 +215,7 @@ class TestPoisonIsolation:
     def test_poison_fails_alone_batchmates_intact(self, payload):
         from repro.rans.model import SymbolModel
 
-        cfg = ServiceConfig(batch_window_s=0.05, max_batch_requests=64)
+        cfg = ServiceConfig(max_batch_requests=64)
         with RecoilService(config=cfg) as svc:
             # One shared model + equal sizes => equal fuse keys, so
             # the poisoned request shares a batch with the innocents.
@@ -222,8 +226,10 @@ class TestPoisonIsolation:
             )
             reference = recoil_decompress(svc.serve("good", 4))
             with faults.inject(faults.SERVE_REQUEST, p=1.0, key="bad"):
-                innocents = [svc.submit("good", 4) for _ in range(3)]
-                poisoned = svc.submit("bad", 4)
+                # Queued behind a parked batch, the four go out as one.
+                with ParkedDispatcher(svc, "good"):
+                    innocents = [svc.submit("good", 4) for _ in range(3)]
+                    poisoned = svc.submit("bad", 4)
                 for req in innocents:
                     assert np.array_equal(req.result(120), reference)
                 with pytest.raises(FaultInjected):
@@ -234,19 +240,39 @@ class TestPoisonIsolation:
             assert snap["resilience"]["poison_retries"] >= 1
             assert snap["requests"]["failed"] == 1
 
-    def test_single_request_batch_fails_directly(self, payload):
+    @pytest.mark.parametrize(
+        "point", [faults.BATCH_DISPATCH, faults.KERNEL_EXEC]
+    )
+    def test_one_shot_fault_on_lone_request_heals(self, payload, point):
+        # Poison isolation does not depend on batch size: a batch of
+        # one that fails gets its solo retry like any other batch.
         with RecoilService() as svc:
             svc.put_asset("a", payload, num_splits=32)
-            with faults.inject(faults.BATCH_DISPATCH, nth=1):
-                with pytest.raises(FaultInjected):
-                    svc.decompress("a", 4, timeout=60)
-            # No poison machinery for a lone request...
+            reference = recoil_decompress(svc.serve("a", 4))
+            with faults.inject(point, nth=1) as rule:
+                out = svc.decompress("a", 4, timeout=60)
+            assert rule.fires == 1
+            assert np.array_equal(out, reference)
             snap = svc.metrics_snapshot()
-            assert snap["resilience"]["poison_batches"] == 0
-            # ...and the service still serves afterwards.
-            out = svc.decompress("a", 4, timeout=60)
+            assert snap["resilience"]["poison_batches"] == 1
+            assert snap["resilience"]["poison_retries"] == 1
+            assert snap["resilience"]["poison_isolated"] == 0
+            assert snap["requests"]["failed"] == 0
+
+    def test_lone_poisoned_request_fails_after_its_retry(self, payload):
+        with RecoilService() as svc:
+            svc.put_asset("bad", payload, num_splits=32)
+            with faults.inject(faults.SERVE_REQUEST, p=1.0, key="bad"):
+                with pytest.raises(FaultInjected):
+                    svc.decompress("bad", 4, timeout=60)
+            snap = svc.metrics_snapshot()
+            assert snap["resilience"]["poison_batches"] == 1
+            assert snap["resilience"]["poison_isolated"] == 1
+            assert snap["requests"]["failed"] == 1
+            # The service still serves afterwards.
+            out = svc.decompress("bad", 4, timeout=60)
             assert np.array_equal(
-                out, recoil_decompress(svc.serve("a", 4))
+                out, recoil_decompress(svc.serve("bad", 4))
             )
 
 
@@ -257,25 +283,46 @@ class TestPoisonIsolation:
 
 class TestDeadlines:
     def test_queued_expiry_never_reaches_the_kernel(self, payload):
-        # A long batch window holds the request in queue; the deadline
+        # A parked batch holds the request in queue; its deadline
         # passes first, so the dispatcher must fail it pre-kernel.
-        cfg = ServiceConfig(batch_window_s=0.5)
-        with RecoilService(config=cfg) as svc:
+        with RecoilService() as svc:
             svc.put_asset("a", payload, num_splits=32)
-            req = svc.submit("a", 4, timeout=0.05)
+            with ParkedDispatcher(svc, "a") as park:
+                req = svc.submit("a", 4, timeout=0.05)
+                time.sleep(max(req.deadline - time.perf_counter(), 0) + 0.01)
             with pytest.raises(DeadlineError):
                 req.result(30)
+            assert np.array_equal(
+                park.blocker.result(30), recoil_decompress(svc.serve("a", 4))
+            )
             snap = svc.metrics_snapshot()
             assert snap["resilience"]["deadline_expired"] == 1
-            assert snap["batches"]["dispatched"] == 0  # no kernel time
+            # The parked blocker's batch alone: no kernel time for req.
+            assert snap["batches"]["dispatched"] == 1
             assert snap["requests"]["failed"] == 1
 
     def test_decompress_surfaces_deadline_error(self, payload):
-        cfg = ServiceConfig(batch_window_s=0.5)
-        with RecoilService(config=cfg) as svc:
+        # The dispatcher fails the queued request once it is free,
+        # inside decompress's grace past the deadline: the caller sees
+        # the typed DeadlineError, not a bare TimeoutError.
+        with RecoilService() as svc:
             svc.put_asset("a", payload, num_splits=32)
-            with pytest.raises(DeadlineError):
-                svc.decompress("a", 4, timeout=0.05)
+            outcome: list[Exception] = []
+
+            def client() -> None:
+                try:
+                    svc.decompress("a", 4, timeout=0.05)
+                except Exception as exc:  # noqa: BLE001
+                    outcome.append(exc)
+
+            caller = threading.Thread(target=client)
+            with ParkedDispatcher(svc, "a") as park:
+                caller.start()
+                park.wait_until(lambda: park.queued == 1)
+                time.sleep(0.06)  # the queued request's deadline lapses
+            caller.join(30)
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], DeadlineError), outcome
 
     def test_generous_deadline_decodes_normally(self, payload):
         with RecoilService() as svc:
@@ -291,18 +338,20 @@ class TestDeadlines:
 
     def test_deadline_during_admission_wait(self, payload):
         cfg = ServiceConfig(
-            batch_window_s=0.5,
             max_inflight_symbols=1,
             admission_timeout_s=30.0,
         )
         with RecoilService(config=cfg) as svc:
             svc.put_asset("a", payload, num_splits=32)
-            first = svc.submit("a", 4)  # admitted while idle
-            t0 = time.perf_counter()
-            with pytest.raises(DeadlineError, match="admission"):
-                svc.submit("a", 4, timeout=0.08)
-            # It was the request deadline, not the 30 s admission cap.
-            assert time.perf_counter() - t0 < 5.0
+            # The blocker is admitted while idle and stays in flight
+            # while parked, so the next submit waits on admission.
+            with ParkedDispatcher(svc, "a") as park:
+                first = park.blocker
+                t0 = time.perf_counter()
+                with pytest.raises(DeadlineError, match="admission"):
+                    svc.submit("a", 4, timeout=0.08)
+                # It was the request deadline, not the 30 s admission cap.
+                assert time.perf_counter() - t0 < 5.0
             assert np.array_equal(
                 first.result(120), recoil_decompress(svc.serve("a", 4))
             )
@@ -370,10 +419,7 @@ class TestConcurrentChaos:
 
     def test_sixteen_clients_survive_the_storm(self, payload):
         threads_before = threading.active_count()
-        # A long window fuses the opening burst and the storm's first
-        # wave, so the nth rules below strike multi-request batches.
-        cfg = ServiceConfig(batch_window_s=0.05)
-        with RecoilService(config=cfg) as svc:
+        with RecoilService() as svc:
             # One shared model + equal sizes => equal fuse keys, so
             # poison requests genuinely share batches with innocents.
             from repro.rans.model import SymbolModel
@@ -419,12 +465,15 @@ class TestConcurrentChaos:
             from contextlib import ExitStack
 
             with ExitStack() as stack:
-                armed = [stack.enter_context(rule) for rule in rules]
-                # The opening burst fuses into one batch (dispatch hit
-                # 1) whose kernel call fails; its two solo retries
-                # (hits 2-3) heal it.  The storm's first fused batch
-                # then takes the 4th dispatch hit.
-                burst = [svc.submit(name, 4) for name in ("a", "b")]
+                # The opening burst queues behind a parked batch and
+                # fuses into one batch (dispatch hit 1) whose kernel
+                # call fails; its two solo retries (hits 2-3) heal it.
+                # The storm's first batch then takes the 4th dispatch
+                # hit, and its solo retries heal it too.
+                with ParkedDispatcher(svc, "a") as park:
+                    burst = [svc.submit(name, 4) for name in ("a", "b")]
+                    armed = [stack.enter_context(rule) for rule in rules]
+                assert np.array_equal(park.blocker.result(120), reference["a"])
                 for name, req in zip(("a", "b"), burst):
                     assert np.array_equal(req.result(120), reference[name])
                 workers = [
@@ -448,7 +497,8 @@ class TestConcurrentChaos:
             # poison asset exactly once.
             assert len(errors) == self.CLIENTS
             snap = svc.metrics_snapshot()
-            total = self.CLIENTS * self.REQUESTS_PER_CLIENT + len(burst)
+            # + the opening burst and the parked blocker.
+            total = self.CLIENTS * self.REQUESTS_PER_CLIENT + len(burst) + 1
             assert snap["requests"]["submitted"] == total
             assert (
                 snap["requests"]["completed"]
@@ -469,8 +519,7 @@ class TestConcurrentChaos:
     def test_fused_backend_storm_no_sharding_needed(self, payload):
         # Probabilistic dispatch faults on one asset: failures are
         # allowed, but only typed ones, and the counters reconcile.
-        cfg = ServiceConfig(batch_window_s=0.01)
-        with RecoilService(config=cfg) as svc:
+        with RecoilService() as svc:
             svc.put_asset("a", payload, num_splits=32)
             reference = recoil_decompress(svc.serve("a", 4))
             errors: list[Exception] = []

@@ -514,10 +514,8 @@ class TestKilledClients:
             # The server still serves correct bytes afterwards.
             with RecoilClient(host, port, timeout_s=30) as client:
                 assert np.array_equal(client.decompress("a", 4), payload)
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if server.metrics.snapshot()["connections"]["active"] <= 1:
-                    break
-                time.sleep(0.02)
-            snap = server.metrics.snapshot()
+        # After the with block: the server has drained.  It counts a
+        # request ok only after sending the last frame, so the client
+        # can hold the whole reply before the counter moves.
+        snap = server.metrics.snapshot()
         assert snap["requests"]["ok"] >= 1

@@ -23,6 +23,8 @@ from repro.serve import (
 )
 from repro.serve.batcher import DecodeRequest, geometry_bucket
 
+from conftest import ParkedDispatcher
+
 
 @pytest.fixture(scope="module")
 def payload(skewed_bytes):
@@ -270,7 +272,7 @@ class TestBatcher:
         assert ra.fuse_key == rb.fuse_key
 
     def test_pop_batch_keeps_foreign_keys_queued(self, store):
-        batcher = RequestBatcher(BatchPolicy(window_s=0.0))
+        batcher = RequestBatcher(BatchPolicy())
         reqs = [_request(store, c) for c in (16, 1, 16, 1, 16)]
         for r in reqs:
             batcher.add(r)
@@ -281,17 +283,17 @@ class TestBatcher:
         assert len(batcher) == 0
 
     def test_lane_budget_saturates_batch(self, store):
-        policy = BatchPolicy(window_s=60.0, max_task_lanes=40)
+        policy = BatchPolicy(max_task_lanes=40)
         batcher = RequestBatcher(policy)
         for _ in range(4):
             batcher.add(_request(store, 16))  # 16 tasks each
-        assert batcher.ready(now=batcher._pending[0].enqueued_at)
         batch = batcher.pop_batch()
+        assert sum(r.task_lanes for r in batch) <= policy.max_task_lanes
         assert len(batch) == 2  # 32 lanes fit, 48 would not
         assert len(batcher) == 2
 
     def test_oversized_single_request_dispatches_alone(self, store):
-        policy = BatchPolicy(window_s=0.0, max_task_lanes=4)
+        policy = BatchPolicy(max_task_lanes=4)
         batcher = RequestBatcher(policy)
         batcher.add(_request(store, 16))
         assert batcher.pop_batch()  # never starves
@@ -319,14 +321,19 @@ class TestService:
         assert np.array_equal(recoil_decompress(blob), payload)
 
     def test_concurrent_submits_fuse(self, store, payload):
-        config = ServiceConfig(batch_window_s=0.05)
-        with RecoilService(store=store, config=config) as svc:
-            requests = [svc.submit("hero", 8) for _ in range(6)]
+        # Dispatch on idle: the six same-key requests that queue while
+        # the dispatcher is busy go out as exactly one batch of six.
+        with RecoilService(store=store) as svc:
+            with ParkedDispatcher(svc, "hero", 8):
+                requests = [svc.submit("hero", 8) for _ in range(6)]
             for request in requests:
                 assert np.array_equal(request.result(120), payload)
             snap = svc.metrics_snapshot()
         assert snap["batches"]["largest_requests"] >= 2
-        assert snap["requests"]["completed"] == 6
+        assert snap["requests"]["completed"] == 6 + 1  # + the blocker
+        assert snap["batches"]["dispatched"] == 2  # the blocker, then 6
+        assert snap["batches"]["largest_requests"] == 6
+        assert snap["batches"]["batched_requests"] == 6
 
     def test_unbatched_mode_serves_singly(self, store, payload):
         config = ServiceConfig(batching=False)
@@ -370,19 +377,26 @@ class TestService:
         assert exc.value.code == 2
 
     def test_admission_backpressure_times_out(self, store):
-        # Stall the dispatcher with a huge batch window so the first
-        # request pins the in-flight budget; the second must then hit
-        # the admission timeout.
+        # Park the dispatcher inside the blocker's batch: the blocker
+        # and the queued first request pin the in-flight budget, so the
+        # second must hit the admission timeout.
+        cost = store.shrunk("hero", 2)[0].cost_symbols
         config = ServiceConfig(
-            batch_window_s=60.0,
-            max_inflight_symbols=1,
+            max_inflight_symbols=2 * cost,
             admission_timeout_s=0.05,
         )
         svc = RecoilService(store=store, config=config)
         try:
-            first = svc.submit("hero", 2)
-            with pytest.raises(AdmissionError):
-                svc.submit("hero", 2)
+            with ParkedDispatcher(svc, "hero", 2) as park:
+                first = svc.submit("hero", 2)
+                with pytest.raises(AdmissionError):
+                    svc.submit("hero", 2)
+                # Close while parked: release only once intake stopped,
+                # so the first request is still pending at close().
+                closer = threading.Thread(target=svc.close)
+                closer.start()
+                park.wait_until(lambda: svc.closed)
+            closer.join(30)
         finally:
             svc.close()
         # close() fails the still-pending first request.
@@ -417,11 +431,10 @@ class TestService:
 
     def test_sixteen_thread_stress_bit_exact(self, store, payload):
         """Satellite: hammer one service from 16 client threads."""
-        config = ServiceConfig(batch_window_s=0.005)
         capacities = (1, 2, 4, 8, 16, 64)
         errors: list[Exception] = []
 
-        with RecoilService(store=store, config=config) as svc:
+        with RecoilService(store=store) as svc:
             barrier = threading.Barrier(16)
 
             def client(worker: int) -> None:
@@ -442,15 +455,19 @@ class TestService:
                 threading.Thread(target=client, args=(w,))
                 for w in range(16)
             ]
-            for t in threads:
-                t.start()
+            # Every client's first request queues behind a parked
+            # batch, so same-capacity requests fuse.
+            with ParkedDispatcher(svc, "hero") as park:
+                for t in threads:
+                    t.start()
+                park.wait_until(lambda: park.queued == 16)
             for t in threads:
                 t.join(timeout=300)
             assert not any(t.is_alive() for t in threads)
             snap = svc.metrics_snapshot()
 
         assert not errors, errors
-        assert snap["requests"]["completed"] == 48
+        assert snap["requests"]["completed"] == 48 + 1  # + the blocker
         assert snap["requests"]["failed"] == 0
         assert snap["batches"]["largest_requests"] >= 2  # fusion happened
 
@@ -463,12 +480,11 @@ class TestMetricsUnderConcurrency:
         self, store, payload
     ):
         clients, per_client = 8, 4
-        config = ServiceConfig(batch_window_s=0.005)
         errors: list[Exception] = []
         violations: list[str] = []
         done = threading.Event()
 
-        with RecoilService(store=store, config=config) as svc:
+        with RecoilService(store=store) as svc:
 
             def client(worker: int) -> None:
                 try:
@@ -573,8 +589,7 @@ class TestNetworkSnapshotInvariants:
             if any(v < 0 for v in flat):
                 violations.append(f"negative counter: {net}")
 
-        config = ServiceConfig(batch_window_s=0.005)
-        with RecoilService(store=store, config=config) as svc:
+        with RecoilService(store=store) as svc:
             with NetServer(svc, NetConfig(port=0)) as server:
                 host, port = server.address
 

@@ -331,10 +331,11 @@ class TestChromeExport:
 class TestEndToEnd:
     def test_traced_request_stitches_across_layers(self):
         """Traced decodes through the full network stack on the
-        default server, with a kernel fault failing one request: the
-        exported trace must be schema-valid, link net -> serve ->
-        kernel spans into one tree per request, and record the failed
-        request as such."""
+        default server, with a kernel fault failing one request (its
+        batch and then its solo retry both fault): the exported trace
+        must be schema-valid, link net -> serve -> kernel spans into
+        one tree per request, and record the failed request as
+        such."""
         from repro.data import text_surrogate
         from repro.errors import FaultInjected
         from repro.serve import (
@@ -344,7 +345,7 @@ class TestEndToEnd:
         data = text_surrogate(20_000, target_entropy=5.29, seed=11)
         trace.enable()
         failed = 0
-        with faults.inject_spec("kernel.exec:nth=2"):
+        with faults.inject_spec("kernel.exec:p=1:times=2"):
             with RecoilService() as service:
                 service.put_asset("asset", data, num_splits=32)
                 with NetServer(service, NetConfig(port=0)) as server:
@@ -374,7 +375,7 @@ class TestEndToEnd:
                          "net.write"):
             assert required in by_name, f"missing span {required!r}"
         assert [s.args["kernel"] for s in by_name["serve.batch"]] == (
-            [service.decode_kernel] * 7
+            [service.decode_kernel] * 8
         )
 
         # stitch check: a serve.request span's parent is a net.request
