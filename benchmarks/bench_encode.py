@@ -11,6 +11,10 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 - ``fused``       — the fused wide-lane encode kernel, events recorded
   in-kernel (single stream: K-wide, dependency-bound);
 - ``recoil_full`` — fused pass + split selection + metadata;
+- ``compress_splits256`` — the whole write path at serving density:
+  ``build_container(RecoilEncoder.encode(data, 256))``, i.e. the
+  encode, the split selection over 255 boundaries and the metadata
+  serialization;
 - partition sweep — all Conventional partitions fused into one
   ``(P*K,)``-wide kernel call vs the seed loop encoding them one by
   one: the width the fused kernel is designed for, mirroring
@@ -20,12 +24,14 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 vs the seed loop at the widest sweep point; the single-stream ratio is
 reported alongside.  These columns time the numpy kernels: on a host
 with a C compiler they run as a host without one (``numpy_host``,
-docs/BENCHMARKS.md).  The ``compiled`` section re-times the fused
-encode on the compiled kernel twin (DESIGN.md §19), the host's own
-kernel, when a toolchain is present.  CI runs this in smoke mode.
-Usage::
+docs/BENCHMARKS.md).  The ``compiled`` section re-times ``fused`` and
+``compress_splits256`` on the compiled kernel twin (DESIGN.md §19),
+the host's own kernel, when a toolchain is present.  Every column is
+the median (``q1``/``q3`` alongside) of ``--repeats`` alternating
+rounds over all columns of its section (``rounds.alternating_rounds``).
+CI runs this in smoke mode.  Usage::
 
-    python benchmarks/bench_encode.py [--symbols 300000] [--repeats 3]
+    python benchmarks/bench_encode.py [--symbols 300000] [--repeats 9]
         [--out BENCH_encode.json]
 """
 
@@ -39,6 +45,8 @@ import time
 import numpy as np
 
 from repro.baselines.conventional import ConventionalCodec, partition_bounds
+from repro.core.api import recoil_decompress
+from repro.core.container import build_container
 from repro.core.encoder import RecoilEncoder
 from repro.data import text_surrogate
 from repro.parallel import compiled
@@ -48,10 +56,13 @@ from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 
 from numpy_host import numpy_host
+from rounds import alternating_rounds
 
 QUANT_BITS = 11
 LANES = 32
 PARTITION_SWEEP = (1, 8, 16, 32)
+#: splits of the ``compress_splits256`` column (the serving density).
+SERVE_SPLITS = 256
 
 
 def _seed_encode(provider, lanes, data, record_events=False):
@@ -110,18 +121,19 @@ def _seed_encode_partitions(provider, data, partitions):
     return chunks
 
 
-def _rate(fn, n_symbols, repeats: int) -> float:
-    """Best-of-N symbols/second for ``fn``."""
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
+def _timer(fn, n_symbols):
+    """A timer for :func:`alternating_rounds`: symbols/second of one
+    call of ``fn``."""
+
+    def timer() -> float:
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return n_symbols / best
+        return n_symbols / (time.perf_counter() - t0)
+
+    return timer
 
 
-def run(symbols: int, repeats: int) -> dict:
+def run(symbols: int, rounds: int) -> dict:
     data = text_surrogate(symbols, target_entropy=5.29, seed=77)
     model = SymbolModel.from_data(data, QUANT_BITS, alphabet_size=256)
     provider = StaticModelProvider(model)
@@ -144,41 +156,59 @@ def run(symbols: int, repeats: int) -> dict:
         if not np.array_equal(decoded, data):
             raise AssertionError("encode/decode round trip failed")
 
-        rates: dict[str, float] = {}
-        rates["seed_loop"] = _rate(
-            lambda: _seed_encode(provider, LANES, data, record_events=True),
-            N, repeats,
-        )
-        rates["reference"] = _rate(
-            lambda: encoder.encode_reference(data, record_events=True),
-            N, repeats,
-        )
-        rates["fused"] = _rate(
-            lambda: encoder.encode(data, record_events=True), N, repeats
-        )
         recoil = RecoilEncoder(provider, LANES)
-        rates["recoil_full"] = _rate(
-            lambda: recoil.encode(data, num_threads=8), N, repeats
+
+        def compress():
+            return build_container(
+                recoil.encode(data, SERVE_SPLITS), provider=provider
+            )
+
+        if not np.array_equal(recoil_decompress(compress()), data):
+            raise AssertionError("compress_splits256 round trip failed")
+
+        codec = ConventionalCodec(provider, LANES)
+        timers = {
+            "seed_loop": lambda: _seed_encode(
+                provider, LANES, data, record_events=True
+            ),
+            "reference": lambda: encoder.encode_reference(
+                data, record_events=True
+            ),
+            "fused": lambda: encoder.encode(data, record_events=True),
+            "recoil_full": lambda: recoil.encode(data, num_threads=8),
+            "compress_splits256": compress,
+        }
+        # -- the width the kernel is built for: P partitions, one call --------
+        for p in PARTITION_SWEEP:
+            timers[(p, "fused")] = lambda p=p: codec.encode(data, p)
+            timers[(p, "seed_loop")] = (
+                lambda p=p: _seed_encode_partitions(provider, data, p)
+            )
+        quartiles = alternating_rounds(
+            {k: _timer(fn, N) for k, fn in timers.items()}, rounds
         )
 
-        # -- the width the kernel is built for: P partitions, one call --------
-        codec = ConventionalCodec(provider, LANES)
-        sweep: dict[str, dict[str, float]] = {}
-        for p in PARTITION_SWEEP:
-            fused_r = _rate(lambda p=p: codec.encode(data, p), N, repeats)
-            seed_r = _rate(
-                lambda p=p: _seed_encode_partitions(provider, data, p),
-                N, repeats,
-            )
-            sweep[str(p)] = {
-                "fused": round(fused_r, 1),
-                "seed_loop": round(seed_r, 1),
-                "speedup": round(fused_r / seed_r, 3),
-            }
+    def median(key):
+        return round(quartiles[key][1], 1)
+
+    def q1_q3(key):
+        return [round(quartiles[key][0], 1), round(quartiles[key][2], 1)]
+
+    tier_names = [k for k in timers if isinstance(k, str)]
+    rates = {k: quartiles[k][1] for k in tier_names}
+    sweep: dict[str, dict[str, float]] = {}
+    for p in PARTITION_SWEEP:
+        fused_r, seed_r = median((p, "fused")), median((p, "seed_loop"))
+        sweep[str(p)] = {
+            "fused": fused_r,
+            "seed_loop": seed_r,
+            "speedup": round(fused_r / seed_r, 3),
+        }
 
     # -- compiled kernel column (DESIGN.md §19) -------------------------
-    # Same fused encode sweep, inner loop on the compiled twin;
-    # warmed before timing, compile counter checked after.
+    # The fused encode and the whole compress, inner loop on the
+    # compiled twin; warmed before timing, compile counter checked
+    # after.
     compiled_col: dict = {
         "available": compiled.kernel_available(),
         "toolchain": compiled.toolchain(),
@@ -186,17 +216,22 @@ def run(symbols: int, repeats: int) -> dict:
     if compiled.kernel_available():
         compiled.warm_up()
         events = compiled.compile_events()
-        compiled_rate = _rate(
-            lambda: encoder.encode(data, record_events=True), N, repeats
+        on_c = alternating_rounds(
+            {
+                "compiled": _timer(timers["fused"], N),
+                "compress_splits256": _timer(compress, N),
+            },
+            rounds,
         )
         if compiled.compile_events() != events:
             raise AssertionError("compile landed inside a timed region")
         compiled_col["symbols_per_sec"] = {
             "numpy": round(rates["fused"], 1),
-            "compiled": round(compiled_rate, 1),
+            "compiled": round(on_c["compiled"][1], 1),
+            "compress_splits256": round(on_c["compress_splits256"][1], 1),
         }
         compiled_col["speedup_compiled_vs_numpy"] = round(
-            compiled_rate / rates["fused"], 3
+            on_c["compiled"][1] / rates["fused"], 3
         )
 
     widest = sweep[str(PARTITION_SWEEP[-1])]
@@ -207,11 +242,17 @@ def run(symbols: int, repeats: int) -> dict:
             "quant_bits": QUANT_BITS,
             "lanes": LANES,
         },
-        "symbols_per_sec": {k: round(v, 1) for k, v in rates.items()},
+        "rounds": rounds,
+        "symbols_per_sec": {k: median(k) for k in tier_names},
+        "symbols_per_sec_q1_q3": {k: q1_q3(k) for k in tier_names},
         "speedup_fused_vs_seed_single_stream": round(
             rates["fused"] / rates["seed_loop"], 3
         ),
         "partition_sweep_symbols_per_sec": sweep,
+        "partition_sweep_q1_q3": {
+            str(p): {name: q1_q3((p, name)) for name in ("fused", "seed_loop")}
+            for p in PARTITION_SWEEP
+        },
         "speedup_fused_vs_seed": widest["speedup"],
         "compiled": compiled_col,
     }
@@ -220,7 +261,10 @@ def run(symbols: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--symbols", type=int, default=300_000)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument(
+        "--repeats", type=int, default=9,
+        help="alternating timing rounds per column (at least 2)",
+    )
     ap.add_argument(
         "--out",
         default=str(pathlib.Path(__file__).resolve().parents[1]

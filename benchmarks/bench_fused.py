@@ -11,13 +11,16 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 
 Every column decodes the same ``--symbols`` input.  These columns
 time the numpy kernels: on a host with a C compiler they run as a
-host without one (``numpy_host``, docs/BENCHMARKS.md).
+host without one (``numpy_host``, docs/BENCHMARKS.md).  The tiers and
+the decoder-adaptive sweep report the median (``q1``/``q3`` alongside)
+of ``--repeats`` alternating rounds over all of them
+(``rounds.alternating_rounds``), every output verified.
 
 The ``thread_pool`` section times ``decode_with_pool`` on each kernel
 at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
 ``POOL_SYMBOLS``-symbol input: the median and quartiles of
-``POOL_ROUNDS`` alternating rounds (the config order reverses every
-round), every output verified (docs/BENCHMARKS.md).
+``POOL_ROUNDS`` alternating rounds, every output verified
+(docs/BENCHMARKS.md).
 
 The ``compiled`` section re-times the fused decode on the compiled C
 walk (DESIGN.md §19), the host's own kernel, when a C compiler is
@@ -28,17 +31,17 @@ The JSON this emits is the perf trajectory future PRs regress
 against; CI runs it in smoke mode.  Usage::
 
     python benchmarks/bench_fused.py [--symbols 300000] [--threads 8]
-        [--repeats 3] [--out BENCH_decode.json]
+        [--repeats 9] [--out BENCH_decode.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import pathlib
-import statistics
 import time
 
 import numpy as np
@@ -54,6 +57,7 @@ from repro.rans.model import SymbolModel
 from repro.rans.scalar import ScalarDecoder, ScalarEncoder
 
 from numpy_host import numpy_host
+from rounds import alternating_rounds, symbol_rate
 
 QUANT_BITS = 11
 LANES = 32
@@ -62,18 +66,8 @@ POOL_ROUNDS = 9
 #: large enough that a pool call's fixed cost (thread start, the
 #: GIL-held task setup) stays small next to the decode itself.
 POOL_SYMBOLS = 2_000_000
-
-
-def _rate(fn, check, repeats: int) -> float:
-    """Best-of-N symbols/second for ``fn() -> symbol array``."""
-    out = fn()
-    check(out)  # correctness before speed
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return len(out) / best
+#: decoder-adaptive sweep: thread counts of one 32-split encode.
+SWEEP_THREADS = (1, 8, 16, 32)
 
 
 def _thread_pool() -> dict:
@@ -122,15 +116,12 @@ def _thread_pool() -> dict:
             raise AssertionError(f"thread-pool decode mismatch at {config}")
         return len(data) / elapsed
 
-    for config in configs:  # warm-up, and correctness before speed
-        rate(config)
-    samples: dict[tuple, list[float]] = {c: [] for c in configs}
-    for r in range(POOL_ROUNDS):
-        for config in configs if r % 2 == 0 else configs[::-1]:
-            samples[config].append(rate(config))
+    quartiles = alternating_rounds(
+        {config: functools.partial(rate, config) for config in configs},
+        POOL_ROUNDS,
+    )
     rows = []
-    for (kernel, splits, workers), rates in samples.items():
-        q1, median, q3 = statistics.quantiles(rates, n=4)
+    for (kernel, splits, workers), (q1, median, q3) in quartiles.items():
         rows.append({
             "kernel": kernel,
             "splits": splits,
@@ -148,36 +139,32 @@ def _thread_pool() -> dict:
     }
 
 
-def run(symbols: int, threads: int, repeats: int) -> dict:
+def run(symbols: int, threads: int, rounds: int) -> dict:
     data = text_surrogate(symbols, target_entropy=5.29, seed=77)
     model = SymbolModel.from_data(data, QUANT_BITS, alphabet_size=256)
     provider = StaticModelProvider(model)
 
-    def check(expect):
-        def _check(out):
-            if not np.array_equal(np.asarray(out, np.uint8), expect):
-                raise AssertionError("decode mismatch in benchmark")
-        return _check
+    def check(out):
+        if not np.array_equal(np.asarray(out, np.uint8), data):
+            raise AssertionError("decode mismatch in benchmark")
 
     with numpy_host():
-        rates: dict[str, float] = {}
+        timers = {}
 
         # -- scalar -----------------------------------------------------------
         s_enc = ScalarEncoder(model).encode(data)
         s_dec = ScalarDecoder(model)
-        rates["scalar"] = _rate(
+        timers["scalar"] = symbol_rate(
             lambda: s_dec.decode(s_enc.words, s_enc.final_state, len(data)),
-            check(data),
-            repeats,
+            check,
         )
 
         # -- interleaved (one coder, fused full-stream decode) ----------------
         i_enc = InterleavedEncoder(provider, LANES).encode(data)
         i_dec = InterleavedDecoder(provider, LANES)
-        rates["interleaved"] = _rate(
+        timers["interleaved"] = symbol_rate(
             lambda: i_dec.decode(i_enc.words, i_enc.final_states, len(data)),
-            check(data),
-            repeats,
+            check,
         )
 
         # -- recoil tasks at the requested thread count -----------------------
@@ -187,40 +174,32 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         md = enc.metadata.combine(threads)
         decoder = RecoilDecoder(provider, LANES)
 
-        rates["fused"] = _rate(
-            lambda: decoder.decode(enc.words, enc.final_states, md).symbols,
-            check(data),
-            repeats,
-        )
-        rates["seed_engine"] = _rate(
-            lambda: decoder.decode_reference(
-                enc.words, enc.final_states, md
-            ).symbols,
-            check(data),
-            repeats,
-        )
+        def fused(words, states, metadata):
+            return decoder.decode(words, states, metadata).symbols
+
+        def seed_engine(words, states, metadata):
+            return decoder.decode_reference(words, states, metadata).symbols
+
+        tiers = {"fused": fused, "seed_engine": seed_engine}
+        for name, tier in tiers.items():
+            timers[name] = symbol_rate(
+                functools.partial(tier, enc.words, enc.final_states, md),
+                check,
+            )
 
         # -- decoder-adaptive sweep: the Figure 7 "wider ⇒ faster" curve ------
         wide = RecoilEncoder(provider, LANES).encode(data, num_threads=32)
-        sweep: dict[str, dict[str, float]] = {}
-        for t in (1, 8, 16, 32):
+        for t in SWEEP_THREADS:
             md_t = wide.metadata.combine(t)
-            sweep[str(t)] = {
-                "fused": round(_rate(
-                    lambda: decoder.decode(
-                        wide.words, wide.final_states, md_t
-                    ).symbols,
-                    check(data),
-                    max(repeats - 1, 1),
-                ), 1),
-                "seed_engine": round(_rate(
-                    lambda: decoder.decode_reference(
-                        wide.words, wide.final_states, md_t
-                    ).symbols,
-                    check(data),
-                    max(repeats - 1, 1),
-                ), 1),
-            }
+            for name, tier in tiers.items():
+                timers[(t, name)] = symbol_rate(
+                    functools.partial(
+                        tier, wide.words, wide.final_states, md_t
+                    ),
+                    check,
+                )
+
+        quartiles = alternating_rounds(timers, rounds)
 
     thread_pool = _thread_pool()
 
@@ -233,24 +212,30 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         "toolchain": compiled.toolchain(),
         "host_cpus": os.cpu_count(),
     }
+    fused_rate = quartiles["fused"][1]
     if compiled.kernel_available():
         compiled.warm_up()
         events = compiled.compile_events()
-        compiled_rate = _rate(
-            lambda: decoder.decode(enc.words, enc.final_states, md).symbols,
-            check(data),
-            repeats,
-        )
+        _, compiled_rate, _ = alternating_rounds(
+            {"compiled": timers["fused"]}, rounds
+        )["compiled"]
         if compiled.compile_events() != events:
             raise AssertionError("compile landed inside a timed region")
         compiled_col["symbols_per_sec"] = {
-            "numpy": round(rates["fused"], 1),
+            "numpy": round(fused_rate, 1),
             "compiled": round(compiled_rate, 1),
         }
         compiled_col["speedup_compiled_vs_numpy"] = round(
-            compiled_rate / rates["fused"], 3
+            compiled_rate / fused_rate, 3
         )
 
+    def median(key):
+        return round(quartiles[key][1], 1)
+
+    def q1_q3(key):
+        return [round(quartiles[key][0], 1), round(quartiles[key][2], 1)]
+
+    tier_names = [k for k in timers if isinstance(k, str)]
     return {
         "workload": {
             "dataset": "enwik8-surrogate (Figure 7 CPU panel)",
@@ -259,11 +244,20 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
             "lanes": LANES,
         },
         "threads": threads,
-        "symbols_per_sec": {k: round(v, 1) for k, v in rates.items()},
+        "rounds": rounds,
+        "symbols_per_sec": {k: median(k) for k in tier_names},
+        "symbols_per_sec_q1_q3": {k: q1_q3(k) for k in tier_names},
         "speedup_fused_vs_seed": round(
-            rates["fused"] / rates["seed_engine"], 3
+            fused_rate / quartiles["seed_engine"][1], 3
         ),
-        "threads_sweep_symbols_per_sec": sweep,
+        "threads_sweep_symbols_per_sec": {
+            str(t): {name: median((t, name)) for name in tiers}
+            for t in SWEEP_THREADS
+        },
+        "threads_sweep_q1_q3": {
+            str(t): {name: q1_q3((t, name)) for name in tiers}
+            for t in SWEEP_THREADS
+        },
         "thread_pool": thread_pool,
         "compiled": compiled_col,
     }
@@ -273,7 +267,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--symbols", type=int, default=300_000)
     ap.add_argument("--threads", type=int, default=8)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument(
+        "--repeats", type=int, default=9,
+        help="alternating timing rounds per column (at least 2)",
+    )
     ap.add_argument(
         "--out",
         default=str(pathlib.Path(__file__).resolve().parents[1]

@@ -16,8 +16,10 @@ A self-contained byte layout for an encoded stream::
 
 The *payload never moves*: server-side shrinking
 (:func:`shrink_container`) re-serializes only the metadata section and
-splices the identical payload back — the real-time, no-re-encoding
-operation of paper §3.3.
+splices it between the unchanged head and payload at the offsets the
+parse recorded — the real-time, no-re-encoding operation of paper
+§3.3.  A metadata section written with wider-than-minimal width
+fields parses, and shrinks, like any other.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class ParsedContainer:
     final_states: np.ndarray
     metadata: RecoilMetadata
     provider: AdaptiveModelProvider | None
+    metadata_offset: int  # byte offset of the metadata section
     payload_offset: int  # byte offset of the word payload
     header_bytes: int  # everything before the payload
 
@@ -174,6 +177,7 @@ def _parse_container(
             "provider used for encoding"
         )
 
+    metadata_offset = pos
     metadata, pos = parse_metadata(blob, pos)
     if (
         metadata.num_symbols != num_symbols
@@ -191,6 +195,7 @@ def _parse_container(
         final_states=final_states,
         metadata=metadata,
         provider=provider,
+        metadata_offset=metadata_offset,
         payload_offset=pos,
         header_bytes=pos,
     )
@@ -210,8 +215,8 @@ def shrink_container(blob: bytes, target_threads: int) -> bytes:
         )
     parsed = parse_container(blob, require_model=False)
     combined = parsed.metadata.combine(target_threads)
-    md_old = serialize_metadata(parsed.metadata)
-    md_new = serialize_metadata(combined)
-    # The metadata section sits immediately before the payload.
-    md_start = parsed.payload_offset - len(md_old)
-    return blob[:md_start] + md_new + blob[parsed.payload_offset :]
+    return (
+        blob[: parsed.metadata_offset]
+        + serialize_metadata(combined)
+        + blob[parsed.payload_offset :]
+    )

@@ -28,6 +28,21 @@ import numpy as np
 from repro.errors import MetadataError
 
 
+def lane_group_ids(lane_indices: np.ndarray, lanes: int) -> np.ndarray:
+    """Symbol Group IDs (Table 2) of lane indices whose last axis runs
+    over the ``lanes`` lanes: one entry's ``(K,)`` or stacked ``(n, K)``.
+
+    Lane ``j`` owns symbol indices congruent to ``j + 1`` mod ``K``,
+    so ``index = (group - 1) * K + j + 1`` is exactly invertible.
+    """
+    g, rem = np.divmod(lane_indices - np.arange(lanes) - 1, lanes)
+    if np.any(rem != 0):
+        raise MetadataError(
+            "lane index does not belong to its lane (corrupt entry)"
+        )
+    return g + 1
+
+
 @dataclass(frozen=True)
 class SplitEntry:
     """Metadata for one split point (one decoder thread boundary)."""
@@ -66,18 +81,9 @@ class SplitEntry:
         return self.split_index - self.sync_complete_index + 1
 
     def group_ids(self, lanes: int) -> np.ndarray:
-        """Symbol Group IDs (Table 2): 1-based group of each lane index.
-
-        Lane ``j`` owns symbol indices congruent to ``j + 1`` mod ``K``,
-        so ``index = (group - 1) * K + j + 1`` is exactly invertible.
-        """
-        j = np.arange(lanes)
-        g, rem = np.divmod(self.lane_indices - j - 1, lanes)
-        if np.any(rem != 0):
-            raise MetadataError(
-                "lane index does not belong to its lane (corrupt entry)"
-            )
-        return g + 1
+        """Symbol Group IDs (Table 2): 1-based group of each lane index
+        (:func:`lane_group_ids`)."""
+        return lane_group_ids(self.lane_indices, lanes)
 
     @classmethod
     def from_group_ids(

@@ -32,7 +32,7 @@ from repro.bitio import (
     encode_uvarint,
     gather_bits,
 )
-from repro.core.metadata import RecoilMetadata, SplitEntry
+from repro.core.metadata import RecoilMetadata, SplitEntry, lane_group_ids
 from repro.errors import MetadataError
 
 _WIDTH_FIELD_BITS = 5
@@ -99,7 +99,14 @@ def read_signed_series(reader: BitReader, count: int) -> np.ndarray:
 
 
 def serialize_metadata(md: RecoilMetadata) -> bytes:
-    """Render :class:`RecoilMetadata` into the compact §4.3 format."""
+    """Render :class:`RecoilMetadata` into the compact §4.3 format.
+
+    Group IDs, anchors, record widths and the 16-bit state check are
+    computed once over the stacked ``(n, K)`` entry arrays.  Each
+    entry record is then folded into one Python int and written with
+    one call — no per-bit arrays, whose peak size is many times the
+    metadata's (DESIGN.md §5).
+    """
     head = bytearray()
     head += encode_uvarint(md.lanes)
     head += encode_uvarint(md.num_symbols)
@@ -108,32 +115,44 @@ def serialize_metadata(md: RecoilMetadata) -> bytes:
     if not md.entries:
         return bytes(head)
 
+    K = md.lanes
+    n = len(md.entries)
     M = md.num_threads
     expected_off = -(-md.num_words // M)
-    total_groups = -(-md.num_symbols // md.lanes)
+    total_groups = -(-md.num_symbols // K)
     expected_grp = -(-total_groups // M)
 
-    offsets = np.array([e.word_offset for e in md.entries], dtype=np.int64)
-    anchors = np.array(
-        [int(e.group_ids(md.lanes).max()) for e in md.entries],
-        dtype=np.int64,
+    offsets = np.fromiter(
+        (e.word_offset for e in md.entries), dtype=np.int64, count=n
     )
-    i = np.arange(1, len(md.entries) + 1, dtype=np.int64)
-    off_diffs = offsets - i * expected_off
-    grp_diffs = anchors - i * expected_grp
+    groups = lane_group_ids(
+        np.stack([e.lane_indices for e in md.entries]), K
+    )
+    states = np.stack([e.lane_states for e in md.entries])
+    anchors = groups.max(axis=1)
+    i = np.arange(1, n + 1, dtype=np.int64)
 
     w = BitWriter()
-    write_signed_series(w, off_diffs)
-    write_signed_series(w, grp_diffs)
-    for e, anchor in zip(md.entries, anchors.tolist()):
-        states = e.lane_states
-        if np.any(states >= 1 << 16):
-            raise MetadataError(
-                "entry state exceeds 16 bits — Lemma 3.1 violated?"
-            )
-        w.write_bits_array(states, 16)
-        lane_grp = e.group_ids(md.lanes)
-        write_unsigned_series(w, anchor - lane_grp)
+    write_signed_series(w, offsets - i * expected_off)
+    write_signed_series(w, anchors - i * expected_grp)
+    if np.any(states >= 1 << 16):
+        raise MetadataError(
+            "entry state exceeds 16 bits — Lemma 3.1 violated?"
+        )
+    # Record: [K x 16-bit states][width field][K x width-bit diffs];
+    # the diffs are unsigned because the anchor is the row maximum.
+    diffs = anchors[:, None] - groups
+    widths = [max(1, top.bit_length()) for top in diffs.max(axis=1).tolist()]
+    if max(widths) > _MAX_WIDTH:
+        raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
+    state_bytes = states.astype(">u2").tobytes()
+    span = 2 * K
+    for r, (width, row) in enumerate(zip(widths, diffs.tolist())):
+        rec = int.from_bytes(state_bytes[r * span : (r + 1) * span], "big")
+        rec = (rec << _WIDTH_FIELD_BITS) | (width - 1)
+        for v in row:
+            rec = (rec << width) | v
+        w.write_bits(rec, 8 * span + _WIDTH_FIELD_BITS + K * width)
     return bytes(head) + w.to_bytes()
 
 

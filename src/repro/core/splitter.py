@@ -26,6 +26,14 @@ from repro.core.metadata import RecoilMetadata, SplitEntry
 from repro.errors import MetadataError
 from repro.rans.interleaved import RenormEvents
 
+#: metadata index standing in for a lane's "no event yet" during the
+#: window scan: below every real index, so ``C`` keeps rising and the
+#: candidate stays invalid.
+_NO_EVENT = np.iinfo(np.int64).min // 2
+#: cells (boundaries x max(window, lanes)) per block of the window
+#: scan: keeps its arrays at a few MB however many splits are asked for.
+_SCAN_CELLS = 1 << 16
+
 
 @dataclass
 class SplitterStats:
@@ -65,59 +73,65 @@ class SplitSelector:
         self.num_symbols = num_symbols
         self.window = window
         # Per-lane event positions (indices into the event log), used
-        # for the vectorized backward scan.
+        # for the backward scan's starting point: one stable sort by
+        # lane keeps each lane's positions ascending.
         ev_lane = np.asarray(events.lane)
-        self._lane_positions = [
-            np.flatnonzero(ev_lane == j) for j in range(lanes)
-        ]
-        self._ev_sym = np.asarray(events.symbol_index, dtype=np.int64)
+        self._ev_lane = ev_lane.astype(np.int64)
+        by_lane = np.argsort(ev_lane, kind="stable")
+        counts = np.bincount(self._ev_lane, minlength=lanes)
+        self._lane_positions = np.split(by_lane, np.cumsum(counts)[:-1])
+        # Metadata init index of each event; events are symbol-ordered,
+        # so this array is strictly increasing.
+        self._ev_m = (
+            np.asarray(events.symbol_index, dtype=np.int64) - lanes
+        )
 
     # ------------------------------------------------------------------
 
-    def _scan_candidates(
-        self, cand: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward scan (§4.1) for a batch of candidate event ids.
-
-        For every candidate event and every lane, find the lane's most
-        recent event at or before the candidate.  Returns
-        ``(lane_event_ids, lane_indices, valid)`` where
-        ``lane_event_ids`` is ``(C, K)`` int64 (event-log ids, -1 when
-        the lane has no prior event), ``lane_indices`` the metadata
-        init indices ``m = A-index - K``, and ``valid`` marks
-        candidates where every lane has a usable event (``m >= 1``).
-        """
-        K = self.lanes
-        C = len(cand)
-        lane_event_ids = np.full((C, K), -1, dtype=np.int64)
-        for j in range(K):
-            pos_j = self._lane_positions[j]
+    def _last_events(self, ids: np.ndarray, side: str) -> np.ndarray:
+        """Each lane's last event before (``side="left"``) or at
+        (``side="right"``) every event id in ``ids``: ``(len(ids), K)``
+        event ids, -1 where the lane has none yet (§4.1's backward
+        scan, one ``searchsorted`` per lane)."""
+        last = np.full((len(ids), self.lanes), -1, dtype=np.int64)
+        for j, pos_j in enumerate(self._lane_positions):
             if len(pos_j) == 0:
                 continue
-            # Last event of lane j with event id <= candidate id.
-            k = np.searchsorted(pos_j, cand, side="right") - 1
+            k = np.searchsorted(pos_j, ids, side=side) - 1
             have = k >= 0
-            lane_event_ids[have, j] = pos_j[k[have]]
-        valid = (lane_event_ids >= 0).all(axis=1)
-        lane_indices = np.full((C, K), 0, dtype=np.int64)
-        ids_flat = lane_event_ids[valid]
-        lane_indices[valid] = self._ev_sym[ids_flat] - K
-        valid &= (lane_indices >= 1).all(axis=1)
-        return lane_event_ids, lane_indices, valid
+            last[have, j] = pos_j[k[have]]
+        return last
 
-    def _entry_from_scan(
-        self, cand_id: int, lane_event_ids: np.ndarray
-    ) -> SplitEntry:
-        """Materialize a :class:`SplitEntry` from one scan row."""
-        states = np.asarray(self.events.state_after)[
-            lane_event_ids
-        ].astype(np.uint32)
-        indices = self._ev_sym[lane_event_ids] - self.lanes
-        return SplitEntry(
-            word_offset=int(cand_id),
-            lane_indices=indices,
-            lane_states=states,
-        )
+    def _scan_windows(
+        self, lo: np.ndarray, width: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``S`` and ``C`` of every candidate in every boundary's window.
+
+        Candidate ``w`` of boundary ``b`` is event ``lo[b] + w``.  Each
+        lane's last metadata index is taken once at ``lo`` and then
+        advanced through the window one event at a time, all boundaries
+        together.  ``S`` is the candidate's own index (the newest
+        event; indices increase along the log) and ``C`` the minimum over
+        lanes, with a lane that has no event yet counting as
+        ``_NO_EVENT`` so the candidate fails the ``C > prev_S`` rule.
+        Both rise along a window.  Returns two ``(B, max(width))``
+        arrays; entries past a window's width are unused.
+        """
+        ev_m = self._ev_m
+        start = self._last_events(lo, side="left")
+        cur = np.where(start >= 0, ev_m[np.maximum(start, 0)], _NO_EVENT)
+        rows = np.arange(len(lo))
+        span = int(width.max())
+        S = np.zeros((len(lo), span), dtype=np.int64)
+        C = np.zeros((len(lo), span), dtype=np.int64)
+        last_event = len(ev_m) - 1
+        for w in range(span):
+            ev = np.minimum(lo + w, last_event)
+            live = w < width
+            S[:, w] = ev_m[ev]
+            cur[rows[live], self._ev_lane[ev[live]]] = S[live, w]
+            C[:, w] = cur.min(axis=1)
+        return S, C
 
     # ------------------------------------------------------------------
 
@@ -129,55 +143,78 @@ class SplitSelector:
         keeps the cheapest valid one.  Returns possibly fewer entries
         than requested when the stream is too short or events too
         sparse — the metadata then simply supports fewer threads.
+
+        Every window is scanned in one batched pass
+        (:meth:`_scan_windows`); only the ``prev_S`` rule is
+        sequential, and it runs on the precomputed ``S``/``C`` rows.
         """
         if num_threads < 1:
             raise MetadataError(f"num_threads must be >= 1, got {num_threads}")
         N = self.num_symbols
         E = len(self.events)
-        entries: list[SplitEntry] = []
-        costs: list[float] = []
-        if num_threads == 1 or E == 0 or N <= self.lanes:
-            md = RecoilMetadata(N, E, self.lanes, [])
+        K = self.lanes
+        if num_threads == 1 or E == 0 or N <= K:
+            md = RecoilMetadata(N, E, K, [])
             return md, SplitterStats(num_threads, 1, 0, 0.0)
 
         T = -(-N // num_threads)  # ceil: expected symbols per split
-        # Metadata init index of each event (for searchsorted); events
-        # are symbol-ordered so this array is strictly increasing.
-        ev_m = self._ev_sym - self.lanes
+        # Ideal boundaries t * T, for t < num_threads and t * T < N.
+        ideal = T * np.arange(1, min(num_threads, -(-N // T)), dtype=np.int64)
+        center = np.searchsorted(self._ev_m, ideal)
+        lo = np.maximum(0, center - self.window // 2)
+        width = np.clip(np.minimum(E, lo + self.window) - lo, 0, None)
+        keep = width > 0
+        lo, width = lo[keep], width[keep]
 
+        # Def 4.1 with t = S - prev_S and ts = S - C + 1:
+        #   H = |S - prev_S - T| + |C - 1 - prev_S - T|.
+        # S and C rise along a window, so the valid candidates form one
+        # run: from the first C > prev_S (which also gives S > prev_S)
+        # to the last S < N inside the window.  Boundaries go through
+        # the scan in blocks, which caps its arrays however many splits
+        # are asked for.
+        block = max(1, _SCAN_CELLS // max(self.window, K))
+        chosen: list[int] = []
+        costs: list[float] = []
         prev_S = 0
-        for t in range(1, num_threads):
-            ideal = t * T
-            if ideal >= N:
-                break
-            center = int(np.searchsorted(ev_m, ideal))
-            lo = max(0, center - self.window // 2)
-            hi = min(E, lo + self.window)
-            cand = np.arange(lo, hi)
-            if len(cand) == 0:
-                continue
-            lane_ids, lane_idx, valid = self._scan_candidates(cand)
-            S = lane_idx.max(axis=1)
-            Cc = lane_idx.min(axis=1)
-            # Reject overlaps with the previous split and non-advancing
-            # candidates.
-            valid &= (Cc > prev_S) & (S > prev_S) & (S < N)
-            if not valid.any():
-                continue
-            t_sym = S - prev_S
-            ts = S - Cc + 1
-            cost = np.abs(t_sym - T) + np.abs(t_sym - ts - T)
-            cost = np.where(valid, cost, np.iinfo(np.int64).max)
-            best = int(np.argmin(cost))
-            entries.append(self._entry_from_scan(int(cand[best]), lane_ids[best]))
-            costs.append(float(cost[best]))
-            prev_S = int(S[best])
+        for b0 in range(0, len(lo), block):
+            blo, bwidth = lo[b0 : b0 + block], width[b0 : b0 + block]
+            S, C = self._scan_windows(blo, bwidth)
+            stop = np.minimum(bwidth, (S < N).sum(axis=1))
+            S_T = S - T
+            C_T = C - 1 - T
+            for b, hi in enumerate(stop.tolist()):
+                first = int(np.searchsorted(C[b, :hi], prev_S, side="right"))
+                if first >= hi:
+                    continue
+                cost = (
+                    np.abs(S_T[b, first:hi] - prev_S)
+                    + np.abs(C_T[b, first:hi] - prev_S)
+                )
+                best = first + int(np.argmin(cost))  # first minimum
+                chosen.append(int(blo[b]) + best)
+                costs.append(float(cost[best - first]))
+                prev_S = int(S[b, best])
 
-        md = RecoilMetadata(N, E, self.lanes, entries)
+        # The chosen entries, from one gather of each lane's last event.
+        entries: list[SplitEntry] = []
+        sync = 0
+        if chosen:
+            ids = self._last_events(np.asarray(chosen), side="right")
+            indices = self._ev_m[ids]
+            states = np.asarray(self.events.state_after)[ids].astype(
+                np.uint32
+            )
+            entries = [
+                SplitEntry(c, indices[k], states[k])
+                for k, c in enumerate(chosen)
+            ]
+            sync = int((indices.max(1) - indices.min(1) + 1).sum())
+        md = RecoilMetadata(N, E, K, entries)
         stats = SplitterStats(
             requested_threads=num_threads,
             achieved_threads=md.num_threads,
-            total_sync_symbols=md.sync_overhead_symbols(),
+            total_sync_symbols=sync,
             mean_heuristic_cost=float(np.mean(costs)) if costs else 0.0,
         )
         return md, stats

@@ -403,15 +403,13 @@ class AssetStore:
         provider: AdaptiveModelProvider | None,
     ) -> StoredAsset:
         parsed = parse_container(blob, provider=provider)
-        md_len = len(serialize_metadata(parsed.metadata))
-        md_start = parsed.payload_offset - md_len
         return StoredAsset(
             name=name,
             blob=blob,
             parsed=parsed,
             provider=parsed.provider,
             words=parsed.words(blob),
-            head=blob[:md_start],
+            head=blob[: parsed.metadata_offset],
             payload=blob[parsed.payload_offset :],
             out_dtype=parsed.provider.out_dtype,
         )

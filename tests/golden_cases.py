@@ -65,6 +65,24 @@ def rans_cases() -> list[dict]:
                 splits=splits,
             )
         )
+    # The split choice at serving density: 256 splits on a 16k-symbol
+    # K=32 stream make neighbouring candidate windows overlap, so the
+    # ``prev_S`` rule binds (118 of 255 entries survive); 1024 splits
+    # on a 3k-symbol K=4 stream leave under one word per boundary.
+    for name, lanes, seed, n, splits in (
+        ("static_splits256", 32, 6032, 16_000, 256),
+        ("static_lanes4_splits1024", 4, 6004, 3_000, 1024),
+    ):
+        payload = _exp_bytes(seed, n)
+        cases.append(
+            dict(
+                name=name,
+                payload=payload,
+                provider=_static_provider(payload),
+                lanes=lanes,
+                splits=splits,
+            )
+        )
     for lanes, n, splits in ((4, 400, 8), (32, 700, 16)):
         payload = _exp_bytes(2000 + lanes, n)
         cases.append(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,16 @@ from repro.core import (
     parse_container,
     shrink_container,
 )
+from repro.core.api import recoil_decompress
 from repro.core.encoder import RecoilEncoder
+from repro.core.serialization import serialize_metadata
 from repro.errors import ContainerError
 from repro.rans.adaptive import StaticModelProvider
+
+from golden_cases import rans_cases
+from wide_metadata import EXTRA_BITS, widened_container
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +129,30 @@ class TestShrink:
     def test_shrink_grow_is_noop(self, blob):
         same = shrink_container(blob, 10_000)
         assert parse_container(same).metadata.num_threads == 64
+
+
+class TestMetadataOffset:
+    """Shrinks splice at the metadata offset the parse recorded."""
+
+    @pytest.mark.parametrize(
+        "name", [c["name"] for c in rans_cases()]
+    )
+    def test_offset_locates_golden_sections(self, name):
+        case = next(c for c in rans_cases() if c["name"] == name)
+        with open(os.path.join(GOLDEN_DIR, f"{name}.bin"), "rb") as f:
+            blob = f.read()
+        parsed = parse_container(blob, provider=case["provider"])
+        md_len = len(serialize_metadata(parsed.metadata))
+        assert parsed.metadata_offset + md_len == parsed.payload_offset
+
+    def test_shrink_of_non_minimal_widths_decodes(self):
+        """A valid section longer than its minimal re-serialization:
+        every shrink still decodes bit-exactly."""
+        data, minimal, widened = widened_container()
+        parsed = parse_container(widened)
+        assert len(widened) == len(minimal) + EXTRA_BITS * parsed.lanes // 8
+        assert np.array_equal(recoil_decompress(widened), data)
+        for cap in (2, 4, 8):
+            small = shrink_container(widened, cap)
+            assert small == shrink_container(minimal, cap)
+            assert np.array_equal(recoil_decompress(small), data)

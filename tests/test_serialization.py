@@ -142,6 +142,29 @@ class TestMetadataSerialization:
         with pytest.raises(MetadataError):
             serialize_metadata(md)
 
+    def test_lane_index_outside_its_lane_rejected(self):
+        e = SplitEntry(5, np.array([2, 2, 3, 4]), np.ones(4, dtype=np.uint32))
+        md = RecoilMetadata(100, 50, 4, [e])
+        with pytest.raises(MetadataError):
+            serialize_metadata(md)
+
+    @pytest.mark.parametrize(
+        "lanes_behind, num_words",
+        [
+            (1 << 33, 50),  # a record's group diffs need 34 bits
+            (0, 1 << 40),  # the offset diffs need 39 bits
+        ],
+    )
+    def test_series_wider_than_32_bits_rejected(self, lanes_behind, num_words):
+        K = 2
+        indices = np.array([1, 2]) + np.array([0, K * lanes_behind])
+        e = SplitEntry(5, indices, np.ones(K, dtype=np.uint32))
+        # Anchors sit at their expected value, so only the named series
+        # overflows.
+        md = RecoilMetadata(4 * (lanes_behind + 1), num_words, K, [e])
+        with pytest.raises(MetadataError, match="32 bits"):
+            serialize_metadata(md)
+
     def test_size_accounting_matches(self):
         md = _random_metadata(5)
         assert metadata_size_bytes(md) == len(serialize_metadata(md))

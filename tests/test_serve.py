@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from repro.core import recoil_decompress, recoil_service, recoil_shrink
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
+from repro.core.serialization import serialize_metadata
 from repro.errors import AdmissionError, MetadataError, ServeError
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import StreamSegment, fused_run_multi
@@ -24,6 +26,10 @@ from repro.serve import (
 from repro.serve.batcher import DecodeRequest, geometry_bucket
 
 from conftest import ParkedDispatcher
+from golden_cases import rans_cases
+from wide_metadata import widened_container
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +193,47 @@ class TestAssetStore:
         assert store.cache.evictions == 1
         _, hit = store.shrunk("a", 1)  # evicted: recomputed
         assert not hit
+
+
+class TestMetadataSplice:
+    """Ingest and hydration cut the master at the parsed metadata
+    offset; every variant is head + combined metadata + payload."""
+
+    @pytest.mark.parametrize("name", [c["name"] for c in rans_cases()])
+    def test_head_ends_at_golden_metadata_offset(self, name):
+        case = next(c for c in rans_cases() if c["name"] == name)
+        with open(os.path.join(GOLDEN_DIR, f"{name}.bin"), "rb") as f:
+            blob = f.read()
+        provider = None if case["provider"].is_static else case["provider"]
+        asset = AssetStore().put_container("g", blob, provider=provider)
+        md_len = len(serialize_metadata(asset.parsed.metadata))
+        assert len(asset.head) == asset.parsed.metadata_offset
+        assert len(asset.head) + md_len == asset.parsed.payload_offset
+        assert asset.head + serialize_metadata(asset.parsed.metadata) + (
+            asset.payload
+        ) == blob
+
+    def test_non_minimal_widths_serve_bit_exact(self, tmp_path):
+        """Put, then hydrated from disk after an eviction: the master
+        stays byte for byte and every variant decodes."""
+        data, minimal, widened = widened_container()
+        store = AssetStore(
+            store_dir=tmp_path / "s", resident_bytes=len(widened) + 1
+        )
+        store.put_container("wide", widened)
+        with RecoilService(store=store) as svc:
+            for hydrated in (False, True):
+                if hydrated:
+                    store.put_container("other", minimal)  # evicts "wide"
+                    hydrations = store.hydrations
+                assert store.get("wide").blob == widened
+                for cap in (2, 4, 8):
+                    variant, _ = store.shrunk("wide", cap)
+                    assert variant.blob == recoil_shrink(minimal, cap)
+                    out = recoil_decompress(variant.blob)
+                    assert np.array_equal(out, data)
+                    assert np.array_equal(svc.decompress("wide", cap), data)
+            assert store.hydrations > hydrations
 
 
 class TestShrinkCache:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 
+from repro.core import splitter
 from repro.core.splitter import SplitSelector
 from repro.errors import MetadataError
 from repro.rans.constants import L_BOUND
 from repro.rans.interleaved import InterleavedEncoder
+from repro.rans.model import SymbolModel
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +133,116 @@ class TestHeuristic:
         _, sw = wide.select(16)
         # Greedy: wider windows win on average but not pointwise.
         assert sw.mean_heuristic_cost <= sn.mean_heuristic_cost * 1.10
+
+
+# ---------------------------------------------------------------------------
+# Spec oracle: Definition 4.1 written out per boundary and per candidate.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_select(events, K: int, N: int, num_threads: int, window: int):
+    """Plain-Python split selection, straight from §4.1-4.2: per ideal
+    boundary, every candidate in the window gets a backward scan for
+    each lane's last event, the validity rules and the Def 4.1 cost;
+    the first minimum wins and becomes the next ``prev_S``.  Returns
+    ``(entries, costs)``, entries as ``(word_offset, indices,
+    states)``."""
+    sym = [int(s) - K for s in events.symbol_index]  # metadata indices
+    lane = [int(v) for v in events.lane]
+    state = [int(v) for v in events.state_after]
+    E = len(sym)
+    if num_threads == 1 or E == 0 or N <= K:
+        return [], []
+    T = -(-N // num_threads)
+    entries, costs, prev_S = [], [], 0
+    for t in range(1, num_threads):
+        ideal = t * T
+        if ideal >= N:
+            break
+        center = bisect.bisect_left(sym, ideal)  # sym is increasing
+        lo = max(0, center - window // 2)
+        best = None
+        for c in range(lo, min(E, lo + window)):
+            last = [None] * K  # each lane's last event at or before c
+            found = 0
+            for k in range(c, -1, -1):
+                if last[lane[k]] is None:
+                    last[lane[k]] = k
+                    found += 1
+                    if found == K:
+                        break
+            if found < K:
+                continue
+            idx = [sym[k] for k in last]
+            S, C = max(idx), min(idx)
+            if C < 1 or C <= prev_S or S <= prev_S or S >= N:
+                continue
+            t_sym, ts = S - prev_S, S - C + 1
+            cost = abs(t_sym - T) + abs(t_sym - ts - T)
+            if best is None or cost < best[0]:
+                best = (cost, c, last, S)
+        if best is None:
+            continue
+        cost, c, last, prev_S = best
+        entries.append((c, [sym[k] for k in last], [state[k] for k in last]))
+        costs.append(float(cost))
+    return entries, costs
+
+
+def _oracle_case(lanes: int, n: int, seed: int):
+    r = np.random.default_rng(seed)
+    data = np.minimum(np.floor(r.exponential(9.0, n)), 255).astype(np.uint8)
+    model = SymbolModel.from_data(data, 11, alphabet_size=256)
+    return InterleavedEncoder(model, lanes=lanes).encode(
+        data, record_events=True
+    )
+
+
+#: (lanes, symbols) per grid input: short streams give E < window and
+#: N <= K; dense split counts give overlapping candidate windows.
+_ORACLE_INPUTS = {1: (6, 40, 3_000), 4: (3, 90, 6_000), 32: (20, 300, 12_000)}
+
+
+@pytest.mark.parametrize("lanes", sorted(_ORACLE_INPUTS))
+@pytest.mark.parametrize("splits", [2, 16, 256, 1024])
+@pytest.mark.parametrize("window", [1, 7, 48])
+def test_select_matches_definition_oracle(lanes, splits, window):
+    for n in _ORACLE_INPUTS[lanes]:
+        enc = _oracle_case(lanes, n, seed=7 * lanes + n)
+        _assert_matches_oracle(enc, lanes, splits, window)
+
+
+def test_select_matches_oracle_at_ingest_shape():
+    """The served write path: 150k symbols, K=32, 256 splits."""
+    enc = _oracle_case(32, 150_000, seed=150)
+    _assert_matches_oracle(enc, 32, 256, 48)
+
+
+def test_select_matches_oracle_across_scan_blocks(monkeypatch):
+    """The scan's boundary blocks carry ``prev_S`` across: many small
+    blocks choose exactly what one block does."""
+    monkeypatch.setattr(splitter, "_SCAN_CELLS", 100)
+    for lanes, splits, window in ((32, 256, 48), (4, 1024, 7)):
+        enc = _oracle_case(lanes, 6_000, seed=lanes)
+        _assert_matches_oracle(enc, lanes, splits, window)
+
+
+def _assert_matches_oracle(enc, lanes, splits, window):
+    N = enc.num_symbols
+    want, costs = _oracle_select(enc.events, lanes, N, splits, window)
+    md, stats = SplitSelector(enc.events, lanes, N, window=window).select(
+        splits
+    )
+    got = [
+        (e.word_offset, e.lane_indices.tolist(), e.lane_states.tolist())
+        for e in md.entries
+    ]
+    assert got == want
+    assert stats.requested_threads == splits
+    assert stats.achieved_threads == len(want) + 1
+    assert stats.total_sync_symbols == sum(
+        max(idx) - min(idx) + 1 for _, idx, _ in want
+    )
+    assert stats.mean_heuristic_cost == (
+        float(np.mean(costs)) if costs else 0.0
+    )
