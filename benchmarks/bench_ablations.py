@@ -37,13 +37,13 @@ class TestStateWidthAblation:
         split vs naive 32-bit storage."""
         md = encoded.metadata
         actual = metadata_size_bytes(md)
-        naive_state_bytes = 4 * md.lanes * len(md.entries)
-        packed_state_bytes = 2 * md.lanes * len(md.entries)
+        naive_state_bytes = 4 * md.lane_states.size
+        packed_state_bytes = 2 * md.lane_states.size
         saved = naive_state_bytes - packed_state_bytes
         # The whole serialized metadata is smaller than what the naive
         # states alone would cost.
         assert actual < naive_state_bytes
-        assert saved == 64 * len(md.entries)
+        assert saved == 64 * len(md.word_offsets)
 
 
 class TestDifferenceCodingAblation:
@@ -52,12 +52,12 @@ class TestDifferenceCodingAblation:
         32 x (u16 state + u32 symbol index) per split)."""
         md = encoded.metadata
         actual = metadata_size_bytes(md)
-        naive = len(md.entries) * (4 + 4 + md.lanes * (2 + 4))
+        naive = len(md.word_offsets) * (4 + 4 + md.lanes * (2 + 4))
         assert actual < 0.55 * naive
 
     def test_size_scales_linearly_with_entries(self, encoded):
         md = encoded.metadata
-        half = md.combine(len(md.entries) // 2 + 1)
+        half = md.combine(len(md.word_offsets) // 2 + 1)
         full_size = metadata_size_bytes(md)
         half_size = metadata_size_bytes(half)
         ratio = half_size / full_size

@@ -8,16 +8,11 @@ counts and pins both, plus the serving-path latencies.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import ConventionalCodec
-from repro.codecs import compress_frames, decompress_frames
-from repro.codecs.image_pipeline import HyperpriorImageCodec
-from repro.core import RecoilCodec
 from repro.core.encoder import RecoilEncoder
 from repro.core.serialization import metadata_size_bytes
-from repro.data import synthesize_latents
 
 SPLITS = [16, 64, 256, 1024]
 
@@ -33,7 +28,7 @@ class TestMetadataScaling:
         """Marginal metadata cost is ~flat in the split count."""
         costs = {}
         for s, enc in encodes.items():
-            entries = len(enc.metadata.entries)
+            entries = len(enc.metadata.word_offsets)
             if entries:
                 costs[s] = metadata_size_bytes(enc.metadata) / entries
         values = list(costs.values())
@@ -47,7 +42,7 @@ class TestMetadataScaling:
         conv = ConventionalCodec(bench_provider)
         conv_per = conv.encode(bench_bytes, 2).per_partition_overhead_bytes
         for s, enc in encodes.items():
-            entries = len(enc.metadata.entries)
+            entries = len(enc.metadata.word_offsets)
             if entries:
                 per = metadata_size_bytes(enc.metadata) / entries
                 assert per < conv_per, s
@@ -58,7 +53,7 @@ class TestMetadataScaling:
         2176 splits) the decode overhead is ~2.6% and shrinks further
         with payload size."""
         for s, enc in encodes.items():
-            entries = len(enc.metadata.entries)
+            entries = len(enc.metadata.word_offsets)
             if not entries:
                 continue
             per_entry = enc.metadata.sync_overhead_symbols() / entries
@@ -72,22 +67,3 @@ class TestMetadataScaling:
         blob = benchmark(serialize_metadata, md)
         assert len(blob) > 0
 
-
-class TestComposedCodecBenches:
-    def test_bench_image_pipeline_roundtrip(self, benchmark):
-        plane = synthesize_latents(50_000, seed=9)
-        codec = HyperpriorImageCodec(plane.bank)
-        blob = codec.compress(plane.symbols, plane.scale_ids, 64)
-
-        def roundtrip():
-            symbols, ids = codec.decompress(blob)
-            return symbols
-
-        out = benchmark(roundtrip)
-        assert np.array_equal(out, plane.symbols)
-
-    def test_bench_framed_decompress(self, benchmark, bench_bytes):
-        blob = compress_frames(bench_bytes, frame_symbols=60_000,
-                               num_splits=64)
-        out = benchmark(decompress_frames, blob)
-        assert np.array_equal(out, bench_bytes)

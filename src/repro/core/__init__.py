@@ -25,7 +25,7 @@ from repro.core.decoder import (
     build_thread_tasks,
 )
 from repro.core.encoder import RecoilEncoded, RecoilEncoder
-from repro.core.metadata import RecoilMetadata, SplitEntry
+from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import (
     metadata_size_bytes,
     parse_metadata,
@@ -51,7 +51,6 @@ __all__ = [
     "RecoilDecodeResult",
     "build_thread_tasks",
     "RecoilMetadata",
-    "SplitEntry",
     "SplitSelector",
     "SplitterStats",
     "serialize_metadata",

@@ -55,7 +55,6 @@ class ParsedContainer:
     provider: AdaptiveModelProvider | None
     metadata_offset: int  # byte offset of the metadata section
     payload_offset: int  # byte offset of the word payload
-    header_bytes: int  # everything before the payload
 
     def words(self, blob: bytes) -> np.ndarray:
         return np.frombuffer(
@@ -197,7 +196,6 @@ def _parse_container(
         provider=provider,
         metadata_offset=metadata_offset,
         payload_offset=pos,
-        header_bytes=pos,
     )
 
 

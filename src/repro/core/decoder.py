@@ -1,8 +1,8 @@
 """The Recoil 3-phase parallel decoder (paper §4.1).
 
 Builds one :class:`~repro.parallel.simd.ThreadTask` per split segment
-from the metadata's thread plan and executes them on the batched lane
-engine.  The three phases of §4.1 map onto the task fields:
+from the metadata's ``S``/``C`` ranges and executes them on the
+batched lane engine.  The three phases of §4.1 map onto the task fields:
 
 - **Synchronization Phase** (§4.1.1): the walk between the split index
   and the sync-complete index, where lanes activate one by one at
@@ -47,46 +47,51 @@ def build_thread_tasks(
     num_words: int,
     final_states: np.ndarray,
 ) -> list[ThreadTask]:
-    """Translate a metadata thread plan into engine tasks."""
-    tasks: list[ThreadTask] = []
-    for item in metadata.thread_plan():
-        entry = item["entry"]
-        if entry is None:
-            # The final segment decodes from the transmitted final
-            # states, fully initialized (no synchronization needed).
-            tasks.append(
-                ThreadTask(
-                    start_pos=num_words - 1,
-                    walk_hi=item["walk_hi"],
-                    walk_lo=item["walk_lo"],
-                    commit_hi=item["commit_hi"],
-                    commit_lo=item["commit_lo"],
-                    initial_states=np.asarray(
-                        final_states, dtype=np.uint64
-                    ),
-                    check_terminal=item["walk_lo"] == 1,
-                    terminal_pos=-1,
-                )
+    """One engine task per thread, ranges from each entry's ``S`` and
+    ``C`` (DESIGN.md §7).
+
+    Thread ``t`` (0-based, ascending symbol ranges) walks
+    ``[C_{t-1}, S_t]`` and commits ``[C_{t-1}, C_t - 1]``, with
+    ``C_{-1} = 1``; the final thread walks ``[C_T, N]`` and commits
+    the same, decoding from the transmitted final states, fully
+    initialized (no synchronization needed).
+    """
+    li = metadata.lane_indices
+    N = metadata.num_symbols
+    C = li.min(axis=1).tolist()
+    lo = [1] + C
+    tasks = [
+        ThreadTask(
+            start_pos=offset,
+            walk_hi=S,
+            walk_lo=lo[t],
+            commit_hi=C[t] - 1,
+            commit_lo=lo[t],
+            activations=list(zip(indices, range(metadata.lanes), states)),
+            check_terminal=lo[t] == 1,
+            terminal_pos=-1,
+        )
+        for t, (offset, S, indices, states) in enumerate(
+            zip(
+                metadata.word_offsets.tolist(),
+                li.max(axis=1).tolist(),
+                li.tolist(),
+                metadata.lane_states.tolist(),
             )
-        else:
-            activations = [
-                (int(idx), lane, int(state))
-                for lane, (idx, state) in enumerate(
-                    zip(entry.lane_indices, entry.lane_states)
-                )
-            ]
-            tasks.append(
-                ThreadTask(
-                    start_pos=entry.word_offset,
-                    walk_hi=item["walk_hi"],
-                    walk_lo=item["walk_lo"],
-                    commit_hi=item["commit_hi"],
-                    commit_lo=item["commit_lo"],
-                    activations=activations,
-                    check_terminal=item["walk_lo"] == 1,
-                    terminal_pos=-1,
-                )
-            )
+        )
+    ]
+    tasks.append(
+        ThreadTask(
+            start_pos=num_words - 1,
+            walk_hi=N,
+            walk_lo=lo[-1],
+            commit_hi=N,
+            commit_lo=lo[-1],
+            initial_states=np.asarray(final_states, dtype=np.uint64),
+            check_terminal=lo[-1] == 1,
+            terminal_pos=-1,
+        )
+    )
     return tasks
 
 

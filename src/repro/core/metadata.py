@@ -1,19 +1,22 @@
 """Recoil split metadata (paper §3.3, §4.1, Tables 1–2).
 
-A :class:`SplitEntry` carries everything one decoder thread needs to
-start mid-stream:
+One entry per split carries everything one decoder thread needs to
+start mid-stream.  :class:`RecoilMetadata` keeps the entries as three
+arrays, row ``k`` holding entry ``k``:
 
-- ``word_offset`` — the stream position of the split event's word; the
-  thread's first renormalization read happens there, reading downward.
-- per-lane ``lane_indices`` — the 1-based symbol index at which each
+- ``word_offsets`` ``(n,)`` — the stream position of each split
+  event's word; the thread's first renormalization read happens there,
+  reading downward.
+- ``lane_indices`` ``(n, K)`` — the 1-based symbol index at which each
   interleaved lane initializes (the paper's "Symbol Indices" row of
   Table 2, recoverable from Symbol Group IDs).
-- per-lane ``lane_states`` — the bounded post-renormalization states
+- ``lane_states`` ``(n, K)`` — the bounded post-renormalization states
   (< L, Lemma 3.1), stored in 16 bits each.
 
-The *split index* ``S = max(lane_indices)`` is where the thread's walk
-starts; the *sync-complete index* ``C = min(lane_indices)`` is where
-all lanes are initialized.  The Synchronization Section is ``[C, S]``.
+An entry's *split index* ``S`` (its row's maximum lane index) is where
+its thread's walk starts; its *sync-complete index* ``C`` (the row's
+minimum) is where all lanes are initialized.  The Synchronization
+Section is ``[C, S]``.
 
 Decoder-adaptive scalability (§3.3) is :meth:`RecoilMetadata.combine`:
 dropping entries merges splits, and nothing else changes.
@@ -21,7 +24,7 @@ dropping entries merges splits, and nothing else changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from repro.errors import MetadataError
 
 def lane_group_ids(lane_indices: np.ndarray, lanes: int) -> np.ndarray:
     """Symbol Group IDs (Table 2) of lane indices whose last axis runs
-    over the ``lanes`` lanes: one entry's ``(K,)`` or stacked ``(n, K)``.
+    over the ``lanes`` lanes: one entry's ``(K,)`` or all ``(n, K)``.
 
     Lane ``j`` owns symbol indices congruent to ``j + 1`` mod ``K``,
     so ``index = (group - 1) * K + j + 1`` is exactly invertible.
@@ -43,150 +46,85 @@ def lane_group_ids(lane_indices: np.ndarray, lanes: int) -> np.ndarray:
     return g + 1
 
 
-@dataclass(frozen=True)
-class SplitEntry:
-    """Metadata for one split point (one decoder thread boundary)."""
-
-    word_offset: int
-    lane_indices: np.ndarray  # int64, shape (K,), 1-based symbol indices
-    lane_states: np.ndarray  # uint32, shape (K,); < 2**16 unless full
-
-    def __post_init__(self) -> None:
-        li = np.ascontiguousarray(self.lane_indices, dtype=np.int64)
-        ls = np.ascontiguousarray(self.lane_states, dtype=np.uint32)
-        if li.shape != ls.shape or li.ndim != 1:
-            raise MetadataError("lane arrays must be 1-D and equal length")
-        if np.any(li < 1):
-            raise MetadataError("lane indices must be >= 1")
-        object.__setattr__(self, "lane_indices", li)
-        object.__setattr__(self, "lane_states", ls)
-
-    @property
-    def lanes(self) -> int:
-        return len(self.lane_indices)
-
-    @property
-    def split_index(self) -> int:
-        """``S``: the highest symbol index this entry initializes."""
-        return int(self.lane_indices.max())
-
-    @property
-    def sync_complete_index(self) -> int:
-        """``C``: index at which all lanes are initialized."""
-        return int(self.lane_indices.min())
-
-    @property
-    def sync_section_length(self) -> int:
-        """Symbols in the Synchronization Section ``[C, S]``."""
-        return self.split_index - self.sync_complete_index + 1
-
-    def group_ids(self, lanes: int) -> np.ndarray:
-        """Symbol Group IDs (Table 2): 1-based group of each lane index
-        (:func:`lane_group_ids`)."""
-        return lane_group_ids(self.lane_indices, lanes)
-
-    @classmethod
-    def from_group_ids(
-        cls,
-        word_offset: int,
-        group_ids: np.ndarray,
-        lane_states: np.ndarray,
-    ) -> "SplitEntry":
-        """Inverse of :meth:`group_ids` (used by deserialization)."""
-        group_ids = np.asarray(group_ids, dtype=np.int64)
-        lanes = len(group_ids)
-        indices = (group_ids - 1) * lanes + np.arange(lanes) + 1
-        return cls(word_offset, indices, np.asarray(lane_states))
+def _first(bad: np.ndarray) -> int | None:
+    """Position of the first true element of ``bad``, if any."""
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) if len(hit) else None
 
 
 @dataclass
 class RecoilMetadata:
-    """Ordered collection of split entries plus stream geometry.
+    """Split entries, as three arrays, plus stream geometry.
 
-    ``num_threads = len(entries) + 1``: the final segment (the back of
-    the stream) is decoded from the container's final states and needs
-    no entry.
+    ``num_threads = n + 1``: the final segment (the back of the
+    stream) is decoded from the container's final states and needs no
+    entry.
     """
 
     num_symbols: int
     num_words: int
     lanes: int
-    entries: list[SplitEntry] = field(default_factory=list)
+    word_offsets: np.ndarray  # int64, (n,)
+    lane_indices: np.ndarray  # int64, (n, K), 1-based symbol indices
+    lane_states: np.ndarray  # uint32, (n, K); < 2**16 unless full
 
     def __post_init__(self) -> None:
+        self.word_offsets = np.asarray(self.word_offsets, dtype=np.int64)
+        self.lane_indices = np.asarray(self.lane_indices, dtype=np.int64)
+        self.lane_states = np.asarray(self.lane_states, dtype=np.uint32)
         self.validate()
 
     def validate(self) -> None:
-        """Check ordering/consistency invariants of the entries."""
-        if self.lanes < 1:
-            raise MetadataError(f"lanes must be >= 1, got {self.lanes}")
-        prev_S = 0
-        prev_off = -1
-        for k, e in enumerate(self.entries):
-            if e.lanes != self.lanes:
-                raise MetadataError(
-                    f"entry {k} has {e.lanes} lanes, expected {self.lanes}"
-                )
-            if not 0 <= e.word_offset < max(self.num_words, 1):
-                raise MetadataError(
-                    f"entry {k} word offset {e.word_offset} outside "
-                    f"stream of {self.num_words} words"
-                )
-            if e.word_offset <= prev_off:
-                raise MetadataError("entries must be offset-ordered")
-            if e.sync_complete_index <= prev_S:
-                raise MetadataError(
-                    f"entry {k}: sync section reaches into the previous "
-                    f"split (C={e.sync_complete_index} <= S={prev_S})"
-                )
-            if e.split_index > self.num_symbols:
-                raise MetadataError(
-                    f"entry {k} split index {e.split_index} beyond "
-                    f"sequence of {self.num_symbols} symbols"
-                )
-            prev_S = e.split_index
-            prev_off = e.word_offset
+        """Check the ordering/consistency invariants of the entries,
+        each over all rows at once; a failure names the first bad
+        entry."""
+        K, N, W = self.lanes, self.num_symbols, self.num_words
+        if K < 1:
+            raise MetadataError(f"lanes must be >= 1, got {K}")
+        off, li, ls = self.word_offsets, self.lane_indices, self.lane_states
+        n = off.size
+        if off.shape != (n,) or li.shape != (n, K) or ls.shape != (n, K):
+            raise MetadataError(
+                f"split arrays must have shapes ({n},) and ({n}, {K}), "
+                f"got {off.shape}, {li.shape} and {ls.shape}"
+            )
+        S = li.max(axis=1)
+        C = li.min(axis=1)
+        prev_S = np.concatenate(([0], S))[:-1]
+        prev_off = np.concatenate(([-1], off))[:-1]
+        if (k := _first(C < 1)) is not None:
+            raise MetadataError(f"entry {k}: lane indices must be >= 1")
+        if (k := _first((off < 0) | (off >= max(W, 1)))) is not None:
+            raise MetadataError(
+                f"entry {k} word offset {off[k]} outside "
+                f"stream of {W} words"
+            )
+        if (k := _first(off <= prev_off)) is not None:
+            raise MetadataError(
+                f"entry {k}: entries must be offset-ordered "
+                f"({off[k]} after {prev_off[k]})"
+            )
+        if (k := _first(C <= prev_S)) is not None:
+            raise MetadataError(
+                f"entry {k}: sync section reaches into the previous "
+                f"split (C={C[k]} <= S={prev_S[k]})"
+            )
+        if (k := _first(S > N)) is not None:
+            raise MetadataError(
+                f"entry {k} split index {S[k]} beyond "
+                f"sequence of {N} symbols"
+            )
 
     # ------------------------------------------------------------------
 
     @property
     def num_threads(self) -> int:
-        return len(self.entries) + 1
-
-    def thread_plan(self) -> list[dict]:
-        """Per-thread walk/commit ranges (see DESIGN.md §7).
-
-        Thread ``t`` (0-based, ascending symbol ranges) walks
-        ``[C_{t-1}, S_t]`` and commits ``[C_{t-1}, C_t - 1]``; the final
-        thread walks ``[C_T, N]`` and commits the same.
-        """
-        plan: list[dict] = []
-        prev_c = 1
-        for e in self.entries:
-            plan.append(
-                {
-                    "walk_hi": e.split_index,
-                    "walk_lo": prev_c,
-                    "commit_hi": e.sync_complete_index - 1,
-                    "commit_lo": prev_c,
-                    "entry": e,
-                }
-            )
-            prev_c = e.sync_complete_index
-        plan.append(
-            {
-                "walk_hi": self.num_symbols,
-                "walk_lo": prev_c,
-                "commit_hi": self.num_symbols,
-                "commit_lo": prev_c,
-                "entry": None,
-            }
-        )
-        return plan
+        return len(self.word_offsets) + 1
 
     def sync_overhead_symbols(self) -> int:
         """Total symbols decoded twice (all Synchronization Sections)."""
-        return sum(e.sync_section_length for e in self.entries)
+        li = self.lane_indices
+        return int((li.max(axis=1) - li.min(axis=1) + 1).sum())
 
     # ------------------------------------------------------------------
     # Decoder-adaptive scalability (§3.3): combining splits.
@@ -205,18 +143,13 @@ class RecoilMetadata:
                 f"target_threads must be >= 1, got {target_threads}"
             )
         keep = target_threads - 1
-        if keep >= len(self.entries):
-            return RecoilMetadata(
-                self.num_symbols, self.num_words, self.lanes,
-                list(self.entries),
-            )
+        if keep >= len(self.word_offsets):
+            return self._take(slice(None))
         if keep == 0:
-            return RecoilMetadata(
-                self.num_symbols, self.num_words, self.lanes, []
-            )
+            return self._take([])
         # Pick entries whose split indices best match the ideal
         # equal-symbol boundaries k * N / target.
-        splits = np.array([e.split_index for e in self.entries])
+        splits = self.lane_indices.max(axis=1)
         targets = (
             np.arange(1, target_threads)
             * (self.num_symbols / target_threads)
@@ -241,9 +174,15 @@ class RecoilMetadata:
                 best = nxt
             chosen.append(best)
             last = best
+        return self._take(chosen)
+
+    def _take(self, rows) -> "RecoilMetadata":
+        """The same stream with only the entries in ``rows``."""
         return RecoilMetadata(
             self.num_symbols,
             self.num_words,
             self.lanes,
-            [self.entries[i] for i in chosen],
+            self.word_offsets[rows],
+            self.lane_indices[rows],
+            self.lane_states[rows],
         )

@@ -32,7 +32,7 @@ from repro.bitio import (
     encode_uvarint,
     gather_bits,
 )
-from repro.core.metadata import RecoilMetadata, SplitEntry, lane_group_ids
+from repro.core.metadata import RecoilMetadata, lane_group_ids
 from repro.errors import MetadataError
 
 _WIDTH_FIELD_BITS = 5
@@ -102,33 +102,29 @@ def serialize_metadata(md: RecoilMetadata) -> bytes:
     """Render :class:`RecoilMetadata` into the compact §4.3 format.
 
     Group IDs, anchors, record widths and the 16-bit state check are
-    computed once over the stacked ``(n, K)`` entry arrays.  Each
-    entry record is then folded into one Python int and written with
-    one call — no per-bit arrays, whose peak size is many times the
+    computed once over the metadata's ``(n, K)`` arrays.  Each entry
+    record is then folded into one Python int and written with one
+    call — no per-bit arrays, whose peak size is many times the
     metadata's (DESIGN.md §5).
     """
+    n = len(md.word_offsets)
     head = bytearray()
     head += encode_uvarint(md.lanes)
     head += encode_uvarint(md.num_symbols)
     head += encode_uvarint(md.num_words)
-    head += encode_uvarint(len(md.entries))
-    if not md.entries:
+    head += encode_uvarint(n)
+    if n == 0:
         return bytes(head)
 
     K = md.lanes
-    n = len(md.entries)
     M = md.num_threads
     expected_off = -(-md.num_words // M)
     total_groups = -(-md.num_symbols // K)
     expected_grp = -(-total_groups // M)
 
-    offsets = np.fromiter(
-        (e.word_offset for e in md.entries), dtype=np.int64, count=n
-    )
-    groups = lane_group_ids(
-        np.stack([e.lane_indices for e in md.entries]), K
-    )
-    states = np.stack([e.lane_states for e in md.entries])
+    offsets = md.word_offsets
+    groups = lane_group_ids(md.lane_indices, K)
+    states = md.lane_states
     anchors = groups.max(axis=1)
     i = np.arange(1, n + 1, dtype=np.int64)
 
@@ -167,7 +163,9 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
     num_words, pos = decode_uvarint(blob, pos)
     num_entries, pos = decode_uvarint(blob, pos)
     if num_entries == 0:
-        return RecoilMetadata(num_symbols, num_words, lanes, []), pos
+        none = np.zeros((0, lanes), dtype=np.int64)
+        md = RecoilMetadata(num_symbols, num_words, lanes, [], none, none)
+        return md, pos
     # Every entry consumes at least one bit of the section; a count
     # beyond that is a corrupt length field, not a real container —
     # refuse before sizing arrays (or looping) on it.
@@ -229,17 +227,12 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
         + widths[:, None] * lane_idx
     )
     diffs_all = gather_bits(section, diff_pos, widths[:, None])
-    group_ids_all = anchors[:, None] - diffs_all
-
-    entries = [
-        SplitEntry.from_group_ids(
-            int(offsets[k]), group_ids_all[k], states_all[k]
-        )
-        for k in range(num_entries)
-    ]
-    consumed = (b + 7) // 8
-    md = RecoilMetadata(num_symbols, num_words, lanes, entries)
-    return md, pos + consumed
+    # Group IDs back to lane indices (inverse of lane_group_ids).
+    indices = (anchors[:, None] - diffs_all - 1) * lanes + lane_idx + 1
+    md = RecoilMetadata(
+        num_symbols, num_words, lanes, offsets, indices, states_all
+    )
+    return md, pos + (b + 7) // 8
 
 
 def metadata_size_bytes(md: RecoilMetadata) -> int:

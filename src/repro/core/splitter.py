@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metadata import RecoilMetadata, SplitEntry
+from repro.core.metadata import RecoilMetadata
 from repro.errors import MetadataError
 from repro.rans.interleaved import RenormEvents
 
@@ -154,8 +154,7 @@ class SplitSelector:
         E = len(self.events)
         K = self.lanes
         if num_threads == 1 or E == 0 or N <= K:
-            md = RecoilMetadata(N, E, K, [])
-            return md, SplitterStats(num_threads, 1, 0, 0.0)
+            return self._metadata([]), SplitterStats(num_threads, 1, 0, 0.0)
 
         T = -(-N // num_threads)  # ceil: expected symbols per split
         # Ideal boundaries t * T, for t < num_threads and t * T < N.
@@ -196,25 +195,26 @@ class SplitSelector:
                 costs.append(float(cost[best - first]))
                 prev_S = int(S[b, best])
 
-        # The chosen entries, from one gather of each lane's last event.
-        entries: list[SplitEntry] = []
-        sync = 0
-        if chosen:
-            ids = self._last_events(np.asarray(chosen), side="right")
-            indices = self._ev_m[ids]
-            states = np.asarray(self.events.state_after)[ids].astype(
-                np.uint32
-            )
-            entries = [
-                SplitEntry(c, indices[k], states[k])
-                for k, c in enumerate(chosen)
-            ]
-            sync = int((indices.max(1) - indices.min(1) + 1).sum())
-        md = RecoilMetadata(N, E, K, entries)
+        md = self._metadata(chosen)
         stats = SplitterStats(
             requested_threads=num_threads,
             achieved_threads=md.num_threads,
-            total_sync_symbols=sync,
+            total_sync_symbols=md.sync_overhead_symbols(),
             mean_heuristic_cost=float(np.mean(costs)) if costs else 0.0,
         )
         return md, stats
+
+    def _metadata(self, chosen: list[int]) -> RecoilMetadata:
+        """Metadata of the ``chosen`` split events, from one gather of
+        each lane's last event at each of them."""
+        ids = self._last_events(
+            np.asarray(chosen, dtype=np.int64), side="right"
+        )
+        return RecoilMetadata(
+            self.num_symbols,
+            len(self.events),
+            self.lanes,
+            chosen,
+            self._ev_m[ids],
+            np.asarray(self.events.state_after)[ids],
+        )

@@ -21,6 +21,12 @@ from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.model import SymbolModel
 
 
+#: client capacities every rANS case is shrunk to; the manifest pins
+#: the sha256 of each shrunk container, so the entries ``combine``
+#: keeps are part of the corpus.
+SHRINK_CAPACITIES = (1, 2, 3, 4, 7, 16, 64, 1024)
+
+
 def _exp_bytes(seed: int, n: int, scale: float = 9.0) -> np.ndarray:
     r = np.random.default_rng(seed)
     return np.minimum(np.floor(r.exponential(scale, n)), 255).astype(

@@ -84,6 +84,38 @@ class TestCli:
         assert stats["payload_bytes"] == 2 * stats["payload_words"]
         assert 0 < stats["metadata_bytes"] < stats["container_bytes"]
         assert stats["sync_overhead_symbols"] > 0
+        # The three sections add up to the container.
+        assert (
+            stats["header_bytes"]
+            + stats["metadata_bytes"]
+            + stats["payload_bytes"]
+            == stats["container_bytes"]
+        )
+
+    def test_info_json_widened_metadata(self, tmp_path, capsys):
+        """A metadata section written wider than the minimal encoding
+        is reported at its written size, not at the size
+        re-serializing it would give."""
+        from wide_metadata import widened_container
+
+        _, minimal, widened = widened_container()
+        sizes = {}
+        for name, blob in (("minimal", minimal), ("widened", widened)):
+            path = tmp_path / f"{name}.rcl"
+            path.write_bytes(blob)
+            assert main(["info", str(path), "--json"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert (
+                stats["header_bytes"]
+                + stats["metadata_bytes"]
+                + stats["payload_bytes"]
+                == stats["container_bytes"]
+                == len(blob)
+            )
+            sizes[name] = stats["metadata_bytes"]
+        assert sizes["widened"] - sizes["minimal"] == len(widened) - len(
+            minimal
+        )
 
     def test_serve_bench_smoke(self, capsys):
         import json

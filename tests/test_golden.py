@@ -18,10 +18,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.api import recoil_shrink
 from repro.core.container import parse_container
 from repro.core.decoder import RecoilDecoder
 
 from golden_cases import (
+    SHRINK_CAPACITIES,
     build_rans_blob,
     build_tans_blob,
     rans_cases,
@@ -98,6 +100,18 @@ class TestRansGolden:
             max_threads=1,
         )
         assert res.symbols.tobytes() == _read(f"{name}.expected.bin")
+
+    def test_shrink_byte_exact(self, name, manifest):
+        """Server-side shrinking to every pinned capacity reproduces
+        the recorded bytes: which entries ``combine`` keeps is part of
+        the wire format."""
+        blob = _read(f"{name}.bin")
+        (entry,) = [e for e in manifest["cases"] if e["name"] == name]
+        pinned = entry["shrink_sha256"]
+        assert sorted(map(int, pinned)) == sorted(SHRINK_CAPACITIES)
+        for cap in SHRINK_CAPACITIES:
+            got = hashlib.sha256(recoil_shrink(blob, cap)).hexdigest()
+            assert got == pinned[str(cap)], f"capacity {cap}"
 
 
 @pytest.mark.parametrize("name", sorted(TANS_CASES))

@@ -22,7 +22,7 @@ from repro.core import (
     parse_container,
     recoil_shrink,
 )
-from repro.core.decoder import RecoilDecoder
+from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.rans.constants import L_BOUND
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
@@ -68,8 +68,7 @@ def test_recoil_roundtrip_property(seed, length, quant_bits, splits, kernel):
         )
     assert np.array_equal(res.symbols, data.astype(res.symbols.dtype))
     # Lemma 3.1 on the chosen entries.
-    for e in enc.metadata.entries:
-        assert np.all(e.lane_states < L_BOUND)
+    assert np.all(enc.metadata.lane_states < L_BOUND)
 
 
 @given(
@@ -145,15 +144,16 @@ def test_recoil_any_lane_width_property(seed, lanes):
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(**_SETTINGS)
-def test_thread_plan_partition_property(seed):
+def test_thread_tasks_partition_property(seed):
     """Commit ranges always tile [1, N] regardless of what the
     splitter selected."""
     model, data = _model_and_data(seed, 5000, 11)
     enc = RecoilEncoder(model).encode(data, num_threads=24)
     nxt = 1
-    for item in enc.metadata.thread_plan():
-        assert item["commit_lo"] == nxt
-        assert item["walk_lo"] <= item["commit_lo"]
-        assert item["walk_hi"] >= item["commit_hi"]
-        nxt = item["commit_hi"] + 1
+    tasks = build_thread_tasks(enc.metadata, len(enc.words), enc.final_states)
+    for t in tasks:
+        assert t.commit_lo == nxt
+        assert t.walk_lo <= t.commit_lo
+        assert t.walk_hi >= t.commit_hi
+        nxt = t.commit_hi + 1
     assert nxt == len(data) + 1

@@ -49,10 +49,14 @@ class TestRecoilRoundtrip:
         drop each entry in turn on a thinned metadata)."""
         md = encoded64.metadata.combine(9)
         dec = RecoilDecoder(model11)
-        for k in range(len(md.entries)):
-            entries = [e for i, e in enumerate(md.entries) if i != k]
+        for k in range(len(md.word_offsets)):
             thinned = type(md)(
-                md.num_symbols, md.num_words, md.lanes, entries
+                md.num_symbols,
+                md.num_words,
+                md.lanes,
+                np.delete(md.word_offsets, k),
+                np.delete(md.lane_indices, k, axis=0),
+                np.delete(md.lane_states, k, axis=0),
             )
             res = dec.decode(
                 encoded64.words, encoded64.final_states, thinned
@@ -182,15 +186,12 @@ class TestCorruptionDetection:
         self, encoded64, skewed_bytes, model11
     ):
         md = encoded64.metadata
-        entry = md.entries[len(md.entries) // 2]
-        bad_states = entry.lane_states.copy()
-        bad_states[5] ^= 0x0F0F
-        bad_entry = type(entry)(
-            entry.word_offset, entry.lane_indices, bad_states
+        bad_states = md.lane_states.copy()
+        bad_states[len(bad_states) // 2, 5] ^= 0x0F0F
+        bad_md = type(md)(
+            md.num_symbols, md.num_words, md.lanes, md.word_offsets,
+            md.lane_indices, bad_states,
         )
-        entries = list(md.entries)
-        entries[len(md.entries) // 2] = bad_entry
-        bad_md = type(md)(md.num_symbols, md.num_words, md.lanes, entries)
         try:
             res = RecoilDecoder(model11).decode(
                 encoded64.words, encoded64.final_states, bad_md

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitio import BitReader, BitWriter
-from repro.core.metadata import RecoilMetadata, SplitEntry
+from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import (
     metadata_size_bytes,
     parse_metadata,
@@ -71,9 +71,10 @@ class TestSeries:
 
 def _random_metadata(seed: int, lanes: int = 8, entries: int = 12):
     r = np.random.default_rng(seed)
-    made = []
+    offsets, rows, states = [], [], []
     base = 0
     offset = 0
+    prev_s = 0
     for _ in range(entries):
         base += int(r.integers(lanes * 2, lanes * 10))
         offset += int(r.integers(5, 60))
@@ -85,16 +86,21 @@ def _random_metadata(seed: int, lanes: int = 8, entries: int = 12):
         if indices.min() < 1:
             indices += lanes * 3
             base += lanes * 3
-        states = r.integers(1, 1 << 16, lanes).astype(np.uint32)
-        made.append(SplitEntry(offset, indices, states))
-    # Filter to satisfy the ordering invariant.
-    entries_ok = []
-    prev_s = 0
-    for e in made:
-        if e.sync_complete_index > prev_s:
-            entries_ok.append(e)
-            prev_s = e.split_index
-    return RecoilMetadata(base + lanes * 20, offset + 100, lanes, entries_ok)
+        row_states = r.integers(1, 1 << 16, lanes)
+        # Keep the entries that satisfy the ordering invariant.
+        if indices.min() > prev_s:
+            offsets.append(offset)
+            rows.append(indices)
+            states.append(row_states)
+            prev_s = indices.max()
+    return RecoilMetadata(
+        base + lanes * 20,
+        offset + 100,
+        lanes,
+        offsets,
+        np.reshape(rows, (-1, lanes)),
+        np.reshape(states, (-1, lanes)),
+    )
 
 
 class TestMetadataSerialization:
@@ -107,18 +113,19 @@ class TestMetadataSerialization:
         assert out.num_symbols == md.num_symbols
         assert out.num_words == md.num_words
         assert out.lanes == md.lanes
-        assert len(out.entries) == len(md.entries)
-        for a, b in zip(out.entries, md.entries):
-            assert a.word_offset == b.word_offset
-            assert np.array_equal(a.lane_indices, b.lane_indices)
-            assert np.array_equal(a.lane_states, b.lane_states)
+        assert len(md.word_offsets) > 0
+        assert np.array_equal(out.word_offsets, md.word_offsets)
+        assert np.array_equal(out.lane_indices, md.lane_indices)
+        assert np.array_equal(out.lane_states, md.lane_states)
 
     def test_empty_metadata(self):
-        md = RecoilMetadata(100, 50, 4, [])
+        md = RecoilMetadata(100, 50, 4, [], np.zeros((0, 4)), np.zeros((0, 4)))
         blob = serialize_metadata(md)
         out, consumed = parse_metadata(blob)
         assert consumed == len(blob)
-        assert out.entries == []
+        assert out.num_threads == 1
+        assert out.word_offsets.shape == (0,)
+        assert out.lane_indices.shape == out.lane_states.shape == (0, 4)
 
     def test_trailing_data_untouched(self):
         md = _random_metadata(3)
@@ -130,21 +137,17 @@ class TestMetadataSerialization:
         md = _random_metadata(4)
         blob = b"\xde\xad" + serialize_metadata(md)
         out, consumed = parse_metadata(blob, offset=2)
-        assert len(out.entries) == len(md.entries)
+        assert np.array_equal(out.word_offsets, md.word_offsets)
 
     def test_oversized_state_rejected(self):
-        e = SplitEntry(
-            5,
-            np.arange(1, 5),
-            np.array([1 << 16, 1, 1, 1], dtype=np.uint32),
+        md = RecoilMetadata(
+            100, 50, 4, [5], [np.arange(1, 5)], [[1 << 16, 1, 1, 1]]
         )
-        md = RecoilMetadata(100, 50, 4, [e])
         with pytest.raises(MetadataError):
             serialize_metadata(md)
 
     def test_lane_index_outside_its_lane_rejected(self):
-        e = SplitEntry(5, np.array([2, 2, 3, 4]), np.ones(4, dtype=np.uint32))
-        md = RecoilMetadata(100, 50, 4, [e])
+        md = RecoilMetadata(100, 50, 4, [5], [[2, 2, 3, 4]], np.ones((1, 4)))
         with pytest.raises(MetadataError):
             serialize_metadata(md)
 
@@ -158,10 +161,12 @@ class TestMetadataSerialization:
     def test_series_wider_than_32_bits_rejected(self, lanes_behind, num_words):
         K = 2
         indices = np.array([1, 2]) + np.array([0, K * lanes_behind])
-        e = SplitEntry(5, indices, np.ones(K, dtype=np.uint32))
         # Anchors sit at their expected value, so only the named series
         # overflows.
-        md = RecoilMetadata(4 * (lanes_behind + 1), num_words, K, [e])
+        md = RecoilMetadata(
+            4 * (lanes_behind + 1), num_words, K, [5], [indices],
+            np.ones((1, K)),
+        )
         with pytest.raises(MetadataError, match="32 bits"):
             serialize_metadata(md)
 
@@ -173,7 +178,7 @@ class TestMetadataSerialization:
         """Paper target: tens of bytes per split for 32 lanes (vs
         132 B/partition for Conventional)."""
         md = _random_metadata(6, lanes=32, entries=40)
-        per_entry = (metadata_size_bytes(md) - 8) / max(len(md.entries), 1)
+        per_entry = (metadata_size_bytes(md) - 8) / len(md.word_offsets)
         assert per_entry < 100  # 64B states + ~20B diffs + share of header
 
     def test_states_dominate_size(self):
@@ -181,5 +186,5 @@ class TestMetadataSerialization:
         by the difference coding."""
         md = _random_metadata(7, lanes=32, entries=30)
         size = metadata_size_bytes(md)
-        state_bytes = 2 * 32 * len(md.entries)
+        state_bytes = 2 * 32 * len(md.word_offsets)
         assert state_bytes > 0.6 * size

@@ -91,5 +91,7 @@ class TestSidecar:
     def test_sidecar_size_is_metadata_only(self, encoded, sidecar):
         """A sidecar costs ~80 bytes/split + 9-byte header — no
         payload duplication."""
-        per_split = (len(sidecar) - 9) / max(len(encoded.metadata.entries), 1)
+        per_split = (len(sidecar) - 9) / max(
+            len(encoded.metadata.word_offsets), 1
+        )
         assert per_split < 110

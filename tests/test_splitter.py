@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import splitter
+from repro.core.decoder import build_thread_tasks
 from repro.core.splitter import SplitSelector
 from repro.errors import MetadataError
 from repro.rans.constants import L_BOUND
@@ -39,7 +40,9 @@ class TestSelection:
 
     def test_single_thread_no_entries(self, selector):
         md, _ = selector.select(1)
-        assert md.entries == []
+        assert md.num_threads == 1
+        assert md.word_offsets.shape == (0,)
+        assert md.lane_indices.shape == md.lane_states.shape == (0, 32)
 
     def test_zero_threads_rejected(self, selector):
         with pytest.raises(MetadataError):
@@ -48,8 +51,8 @@ class TestSelection:
     def test_workload_balanced(self, selector, encoded):
         """Per-thread committed symbols within 3x of the ideal."""
         md, _ = selector.select(20)
-        plan = md.thread_plan()
-        sizes = [p["commit_hi"] - p["commit_lo"] + 1 for p in plan]
+        tasks = build_thread_tasks(md, md.num_words, encoded.final_states)
+        sizes = [t.commit_hi - t.commit_lo + 1 for t in tasks]
         ideal = encoded.num_symbols / 20
         assert max(sizes) < 3 * ideal
         assert min(sizes) > ideal / 3
@@ -58,19 +61,17 @@ class TestSelection:
         """Sync sections stay at a few interleave groups each — the
         heuristic's second objective (§4.2)."""
         md, stats = selector.select(32)
-        mean_sync = stats.total_sync_symbols / max(len(md.entries), 1)
+        mean_sync = stats.total_sync_symbols / max(len(md.word_offsets), 1)
         assert mean_sync < 8 * 32  # a handful of groups of K=32
 
     def test_entry_states_bounded(self, selector):
         md, _ = selector.select(16)
-        for e in md.entries:
-            assert np.all(e.lane_states < L_BOUND)  # Lemma 3.1
+        assert np.all(md.lane_states < L_BOUND)  # Lemma 3.1
 
     def test_entry_lane_indices_belong_to_lanes(self, selector):
         md, _ = selector.select(16)
-        for e in md.entries:
-            lanes = np.arange(32)
-            assert np.array_equal((e.lane_indices - 1) % 32, lanes)
+        lanes = np.broadcast_to(np.arange(32), md.lane_indices.shape)
+        assert np.array_equal((md.lane_indices - 1) % 32, lanes)
 
     def test_split_lane_is_max_index(self, selector, encoded):
         """The split event's own lane carries the maximum index (the
@@ -78,11 +79,11 @@ class TestSelection:
         md, _ = selector.select(16)
         ev_sym = np.asarray(encoded.events.symbol_index, dtype=np.int64)
         ev_lane = np.asarray(encoded.events.lane)
-        for e in md.entries:
-            k = e.word_offset  # event id == word position
+        for k, indices in zip(md.word_offsets, md.lane_indices):
+            # k: event id == word position
             lane = int(ev_lane[k])
-            assert e.lane_indices[lane] == e.split_index
-            assert e.split_index == int(ev_sym[k]) - 32
+            assert indices[lane] == indices.max()
+            assert indices.max() == int(ev_sym[k]) - 32
 
     def test_more_threads_more_sync_overhead(self, selector):
         _, s8 = selector.select(8)
@@ -109,7 +110,8 @@ class TestSelection:
         )
         sel = SplitSelector(enc.events, 32, 0)
         md, _ = sel.select(8)
-        assert md.entries == []
+        assert md.num_threads == 1
+        assert md.lane_indices.shape == (0, 32)
 
 
 class TestHeuristic:
@@ -119,8 +121,9 @@ class TestHeuristic:
         M = 10
         md, _ = sel.select(M)
         T = encoded.num_symbols / M
-        for k, e in enumerate(md.entries, start=1):
-            assert abs(e.split_index - k * T) < T
+        splits = md.lane_indices.max(axis=1)
+        for k, split in enumerate(splits, start=1):
+            assert abs(split - k * T) < T
 
     def test_wider_window_not_worse(self, encoded):
         narrow = SplitSelector(
@@ -233,10 +236,13 @@ def _assert_matches_oracle(enc, lanes, splits, window):
     md, stats = SplitSelector(enc.events, lanes, N, window=window).select(
         splits
     )
-    got = [
-        (e.word_offset, e.lane_indices.tolist(), e.lane_states.tolist())
-        for e in md.entries
-    ]
+    got = list(
+        zip(
+            md.word_offsets.tolist(),
+            md.lane_indices.tolist(),
+            md.lane_states.tolist(),
+        )
+    )
     assert got == want
     assert stats.requested_threads == splits
     assert stats.achieved_threads == len(want) + 1

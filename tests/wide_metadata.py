@@ -15,6 +15,7 @@ import numpy as np
 from repro.bitio import BitWriter, encode_uvarint
 from repro.core.api import recoil_compress
 from repro.core.container import parse_container
+from repro.core.metadata import lane_group_ids
 from repro.core.serialization import (
     serialize_metadata,
     write_signed_series,
@@ -41,15 +42,16 @@ def widened_container() -> tuple[np.ndarray, bytes, bytes]:
     K, M = md.lanes, md.num_threads
     expected_off = -(-md.num_words // M)
     expected_grp = -(-(-(-md.num_symbols // K)) // M)
-    groups = [e.group_ids(K) for e in md.entries]
-    anchors = np.array([int(g.max()) for g in groups], dtype=np.int64)
+    groups = lane_group_ids(md.lane_indices, K)
+    anchors = groups.max(axis=1)
     i = np.arange(1, len(groups) + 1, dtype=np.int64)
-    offsets = np.array([e.word_offset for e in md.entries], dtype=np.int64)
     w = BitWriter()
-    write_signed_series(w, offsets - i * expected_off)
+    write_signed_series(w, md.word_offsets - i * expected_off)
     write_signed_series(w, anchors - i * expected_grp)
-    for k, (e, g, anchor) in enumerate(zip(md.entries, groups, anchors)):
-        w.write_bits_array(e.lane_states, 16)
+    for k, (states, g, anchor) in enumerate(
+        zip(md.lane_states, groups, anchors)
+    ):
+        w.write_bits_array(states, 16)
         diffs = anchor - g
         width = max(1, int(diffs.max()).bit_length())
         width += EXTRA_BITS if k == 0 else 0
@@ -57,7 +59,7 @@ def widened_container() -> tuple[np.ndarray, bytes, bytes]:
         w.write_bits_array(diffs, width)
     section = b"".join(
         encode_uvarint(v)
-        for v in (K, md.num_symbols, md.num_words, len(md.entries))
+        for v in (K, md.num_symbols, md.num_words, len(groups))
     ) + w.to_bytes()
     widened = minimal[:start] + section + minimal[parsed.payload_offset :]
     return data, minimal, widened

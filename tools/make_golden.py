@@ -4,8 +4,10 @@
 The corpus pins the wire format: committed container/blob bytes plus
 the exact payload each must decode to.  ``tests/test_golden.py``
 asserts byte-exact encode AND decode against these files on every
-kernel backend, so any change to the encoders, the container layout,
-or the split selector that moves a single wire byte fails loudly.
+kernel backend, and the manifest's ``shrink_sha256`` pins every rANS
+container's shrinks to ``SHRINK_CAPACITIES``, so any change to the
+encoders, the container layout, the split selector or ``combine``
+that moves a single wire byte fails loudly.
 
 Run deliberately (a golden diff is a wire-format change and should be
 reviewed as one):
@@ -25,11 +27,13 @@ sys.path.insert(
 )
 
 from golden_cases import (  # noqa: E402
+    SHRINK_CAPACITIES,
     build_rans_blob,
     build_tans_blob,
     rans_cases,
     tans_cases,
 )
+from repro.core.api import recoil_shrink  # noqa: E402
 
 GOLDEN_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, "tests", "golden"
@@ -50,6 +54,10 @@ def main() -> int:
         entry["lanes"] = case["lanes"]
         entry["splits"] = case["splits"]
         entry["static"] = bool(case["provider"].is_static)
+        entry["shrink_sha256"] = {
+            str(cap): _sha(recoil_shrink(blob, cap))
+            for cap in SHRINK_CAPACITIES
+        }
         manifest["cases"].append(entry)
     for case in tans_cases():
         blob, _ = build_tans_blob(case)
