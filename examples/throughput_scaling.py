@@ -41,24 +41,26 @@ codec = RecoilCodec(model)
 blob = codec.compress(data, num_splits=512)
 parsed = parse_container(blob)
 words = parsed.words(blob)
-tasks = build_thread_tasks(parsed.metadata, len(words), parsed.final_states)
-print(f"{len(data):,} bytes, {len(tasks)} decoder tasks\n")
+plan = build_thread_tasks(parsed.metadata, len(words), parsed.final_states)
+print(f"{len(data):,} bytes, {plan.num_tasks} decoder tasks\n")
 
 
-def run_engine(task_subsets):
+def run_engine(row_subsets):
     out = np.empty(parsed.num_symbols, dtype=np.uint8)
-    for subset in task_subsets:
-        LaneEngine(parsed.provider, parsed.lanes).run(words, subset, out)
+    for rows in row_subsets:
+        LaneEngine(parsed.provider, parsed.lanes).run(
+            words, plan.rows(rows), out
+        )
     return out
 
 
 # ---- 1. batching is the parallel win ---------------------------------
 print("task batching (the SIMD/CUDA analog):")
 for label, subsets in [
-    ("one task per engine run (serial decode)", [[t] for t in tasks[:32]]),
-    ("32 tasks in one batch", [tasks[:32]]),
+    ("one task per engine run (serial decode)", [[t] for t in range(32)]),
+    ("32 tasks in one batch", [range(32)]),
 ]:
-    n_syms = sum(t.walk_hi - t.walk_lo + 1 for s in subsets for t in s)
+    n_syms = sum(int(plan.rows(rows).walk_lengths.sum()) for rows in subsets)
     t0 = time.perf_counter()
     run_engine(subsets)
     wall = time.perf_counter() - t0
@@ -66,7 +68,7 @@ for label, subsets in [
           f"({n_syms / wall / 1e6:6.1f} Msym/s)")
 
 t0 = time.perf_counter()
-out = run_engine([tasks])
+out = run_engine([range(plan.num_tasks)])
 wall_batched = time.perf_counter() - t0
 assert np.array_equal(out, data)
 print(f"  {'all 512 tasks in one batch':<42} {wall_batched:6.2f}s  "
@@ -77,7 +79,7 @@ print("real OS threads (correctness demo; GIL caps the speedup):")
 for workers in (1, 4):
     t0 = time.perf_counter()
     result = decode_with_pool(
-        parsed.provider, parsed.lanes, words, tasks,
+        parsed.provider, parsed.lanes, words, plan,
         parsed.num_symbols, np.uint8, workers,
     )
     wall = time.perf_counter() - t0

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.bitio.varint import decode_uvarint, encode_uvarint
 from repro.errors import ContainerError, EncodeError
-from repro.parallel.simd import EngineStats, LaneEngine, ThreadTask
+from repro.parallel.fused import TaskColumns
+from repro.parallel.simd import EngineStats, LaneEngine
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 from repro.rans.adaptive import (
     AdaptiveModelProvider,
@@ -218,37 +219,35 @@ class ConventionalCodec:
 
     # -- decoding -------------------------------------------------------
 
-    def build_tasks(self, encoded: ConventionalEncoded) -> list[ThreadTask]:
-        """One engine task per partition (all lanes live from start)."""
-        tasks = []
-        region_start = 0
-        for k, (start, end) in enumerate(encoded.bounds):
-            n_local = end - start
-            region_end = int(encoded.word_offsets[k])
-            tasks.append(
-                ThreadTask(
-                    start_pos=region_end - 1,
-                    walk_hi=n_local,
-                    walk_lo=1,
-                    commit_hi=n_local,
-                    commit_lo=1,
-                    global_offset=start,
-                    initial_states=encoded.final_states[k],
-                    check_terminal=True,
-                    terminal_pos=region_start - 1,
-                )
-            )
-            region_start = region_end
-        return tasks
+    def build_tasks(self, encoded: ConventionalEncoded) -> TaskColumns:
+        """The decode plan: one task per partition, all lanes live
+        from the start, each checking its own region's terminal
+        drain."""
+        bounds = np.asarray(encoded.bounds, dtype=np.int64).reshape(-1, 2)
+        n_local = bounds[:, 1] - bounds[:, 0]
+        region_end = np.asarray(encoded.word_offsets, dtype=np.int64)
+        return TaskColumns.build(
+            self.lanes,
+            start_pos=region_end - 1,
+            walk_hi=n_local,
+            walk_lo=1,
+            commit_hi=n_local,
+            commit_lo=1,
+            global_offset=bounds[:, 0],
+            check_terminal=True,
+            terminal_pos=np.concatenate(([0], region_end[:-1])) - 1,
+            init_task=np.arange(len(bounds)),
+            init_states=encoded.final_states,
+        )
 
     def decode(
         self, encoded: ConventionalEncoded
     ) -> tuple[np.ndarray, EngineStats, WorkloadSummary]:
         """Decode all partitions in one batched engine run."""
-        tasks = self.build_tasks(encoded)
+        columns = self.build_tasks(encoded)
         out = np.empty(encoded.num_symbols, dtype=self.provider.out_dtype)
-        stats = self._engine.run(encoded.words, tasks, out)
-        return out, stats, summarize_tasks(tasks)
+        stats = self._engine.run(encoded.words, columns, out)
+        return out, stats, summarize_tasks(columns)
 
     # -- container ------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The Recoil 3-phase parallel decoder (paper §4.1).
 
-Builds one :class:`~repro.parallel.simd.ThreadTask` per split segment
-from the metadata's ``S``/``C`` ranges and executes them on the
-batched lane engine.  The three phases of §4.1 map onto the task fields:
+Builds the decode plan — one :class:`~repro.parallel.fused.TaskColumns`
+row per split segment, from the metadata's ``S``/``C`` ranges, straight
+from its arrays — and executes it on the batched lane engine.  The
+three phases of §4.1 map onto each task's columns:
 
 - **Synchronization Phase** (§4.1.1): the walk between the split index
   and the sync-complete index, where lanes activate one by one at
@@ -26,7 +27,8 @@ import numpy as np
 
 from repro.core.metadata import RecoilMetadata
 from repro.errors import DecodeError
-from repro.parallel.simd import EngineStats, LaneEngine, ThreadTask
+from repro.parallel.fused import TaskColumns
+from repro.parallel.simd import EngineStats, LaneEngine
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 from repro.rans.adaptive import AdaptiveModelProvider, StaticModelProvider
 from repro.rans.constants import DEFAULT_LANES
@@ -46,53 +48,39 @@ def build_thread_tasks(
     metadata: RecoilMetadata,
     num_words: int,
     final_states: np.ndarray,
-) -> list[ThreadTask]:
-    """One engine task per thread, ranges from each entry's ``S`` and
-    ``C`` (DESIGN.md §7).
+) -> TaskColumns:
+    """The decode plan: one task per thread, ranges from each entry's
+    ``S`` and ``C`` (DESIGN.md §7), built from the metadata arrays in
+    a fixed number of array operations.
 
     Thread ``t`` (0-based, ascending symbol ranges) walks
     ``[C_{t-1}, S_t]`` and commits ``[C_{t-1}, C_t - 1]``, with
-    ``C_{-1} = 1``; the final thread walks ``[C_T, N]`` and commits
-    the same, decoding from the transmitted final states, fully
-    initialized (no synchronization needed).
+    ``C_{-1} = 1``, activating lane ``j`` at its recorded index with
+    its recorded state; the final thread walks ``[C_T, N]`` and
+    commits the same, decoding from the transmitted final states,
+    fully initialized (no synchronization needed).  Only the thread
+    whose walk ends at index 1 checks the terminal drain.
     """
     li = metadata.lane_indices
+    n, K = li.shape
+    C = li.min(axis=1)
+    lo = np.concatenate(([1], C))
     N = metadata.num_symbols
-    C = li.min(axis=1).tolist()
-    lo = [1] + C
-    tasks = [
-        ThreadTask(
-            start_pos=offset,
-            walk_hi=S,
-            walk_lo=lo[t],
-            commit_hi=C[t] - 1,
-            commit_lo=lo[t],
-            activations=list(zip(indices, range(metadata.lanes), states)),
-            check_terminal=lo[t] == 1,
-            terminal_pos=-1,
-        )
-        for t, (offset, S, indices, states) in enumerate(
-            zip(
-                metadata.word_offsets.tolist(),
-                li.max(axis=1).tolist(),
-                li.tolist(),
-                metadata.lane_states.tolist(),
-            )
-        )
-    ]
-    tasks.append(
-        ThreadTask(
-            start_pos=num_words - 1,
-            walk_hi=N,
-            walk_lo=lo[-1],
-            commit_hi=N,
-            commit_lo=lo[-1],
-            initial_states=np.asarray(final_states, dtype=np.uint64),
-            check_terminal=lo[-1] == 1,
-            terminal_pos=-1,
-        )
+    return TaskColumns.build(
+        K,
+        start_pos=np.append(metadata.word_offsets, num_words - 1),
+        walk_hi=np.append(li.max(axis=1), N),
+        walk_lo=lo,
+        commit_hi=np.append(C - 1, N),
+        commit_lo=lo,
+        check_terminal=lo == 1,
+        init_task=[n],
+        init_states=np.reshape(final_states, (1, -1)),
+        act_task=np.repeat(np.arange(n), K),
+        act_index=li.ravel(),
+        act_lane=np.tile(np.arange(K), n),
+        act_state=metadata.lane_states.ravel(),
     )
-    return tasks
 
 
 class RecoilDecoder:
@@ -169,11 +157,11 @@ class RecoilDecoder:
             )
         if max_threads is not None:
             metadata = metadata.combine(max_threads)
-        tasks = build_thread_tasks(metadata, len(words), final_states)
+        columns = build_thread_tasks(metadata, len(words), final_states)
         out = np.empty(metadata.num_symbols, dtype=self._out_dtype())
-        stats = run(words, tasks, out)
+        stats = run(words, columns, out)
         return RecoilDecodeResult(
             symbols=out,
             engine_stats=stats,
-            workload=summarize_tasks(tasks),
+            workload=summarize_tasks(columns),
         )

@@ -17,6 +17,9 @@ Layout::
     u8      version (=1)
     u32 LE  payload checksum (FNV-1a over the word bytes)
     metadata section (§4.3 format)
+
+Parsing and shrinking are strict: any malformed sidecar — truncated,
+bit-flipped, or not a sidecar at all — raises :class:`ContainerError`.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import numpy as np
 
 from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import parse_metadata, serialize_metadata
-from repro.errors import ContainerError
+from repro.errors import ContainerError, DecodeError, MetadataError
 
 MAGIC = b"RCSC"
 VERSION = 1
+HEADER_BYTES = 9  # magic, version, checksum
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 
@@ -70,12 +74,8 @@ def parse_sidecar(
 ) -> RecoilMetadata:
     """Parse a sidecar; verifies the payload binding when ``words``
     is provided."""
-    if blob[:4] != MAGIC:
-        raise ContainerError(f"bad sidecar magic {blob[:4]!r}")
-    if blob[4] != VERSION:
-        raise ContainerError(f"unsupported sidecar version {blob[4]}")
-    checksum = int.from_bytes(blob[5:9], "little")
-    metadata, _ = parse_metadata(blob, 9)
+    metadata = _parse(blob)
+    checksum = int.from_bytes(blob[5:HEADER_BYTES], "little")
     if words is not None:
         if len(words) != metadata.num_words:
             raise ContainerError(
@@ -94,8 +94,25 @@ def parse_sidecar(
 def shrink_sidecar(blob: bytes, target_threads: int) -> bytes:
     """Combine splits inside a detached sidecar (server-side §3.3,
     without touching — or even holding — the payload)."""
-    if blob[:4] != MAGIC or blob[4] != VERSION:
-        raise ContainerError("not a sidecar")
-    header = blob[:9]
-    metadata, _ = parse_metadata(blob, 9)
-    return header + serialize_metadata(metadata.combine(target_threads))
+    metadata = _parse(blob)
+    return blob[:HEADER_BYTES] + serialize_metadata(
+        metadata.combine(target_threads)
+    )
+
+
+def _parse(blob: bytes) -> RecoilMetadata:
+    """Check the header and parse the metadata section; every
+    malformation is a :class:`ContainerError`."""
+    if len(blob) < HEADER_BYTES:
+        raise ContainerError(
+            f"truncated sidecar header ({len(blob)} of {HEADER_BYTES} bytes)"
+        )
+    if blob[:4] != MAGIC:
+        raise ContainerError(f"bad sidecar magic {blob[:4]!r}")
+    if blob[4] != VERSION:
+        raise ContainerError(f"unsupported sidecar version {blob[4]}")
+    try:
+        metadata, _ = parse_metadata(blob, HEADER_BYTES)
+    except (MetadataError, DecodeError) as exc:
+        raise ContainerError(f"malformed sidecar metadata: {exc}") from exc
+    return metadata

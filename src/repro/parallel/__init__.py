@@ -5,11 +5,13 @@
   operations (the reproduction's stand-in for AVX vectors and CUDA
   warps).  ``run`` routes through the fused kernel; ``run_reference``
   keeps the original masked loop for differential testing.
-- :mod:`repro.parallel.fused` — the fused wide-lane decode kernel
-  (DESIGN.md §8): one flat state vector across all partitions, an
-  analytically-planned steady-state fast path, zero per-iteration
-  allocation; ``fused_run_multi`` extends it to tasks spanning
-  multiple word buffers (cross-request fusion, DESIGN.md §12).
+- :mod:`repro.parallel.fused` — the decode plan, ``TaskColumns`` (one
+  row per decoder thread, DESIGN.md §7), and the fused wide-lane
+  decode kernel (DESIGN.md §8): one flat state vector across all
+  partitions, an analytically-planned steady-state fast path, zero
+  per-iteration allocation; ``fused_run_multi`` extends it to tasks
+  spanning multiple word buffers (cross-request fusion, DESIGN.md
+  §12).
 - :mod:`repro.parallel.fused_encode` — the encode-side twin
   (DESIGN.md §10): blocked trajectory staging, in-kernel split-event
   recording, independent encodes fused into one wide state vector.
@@ -31,10 +33,11 @@ from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import (
     MultiRunResult,
     StreamSegment,
+    TaskColumns,
     fused_run_multi,
 )
 from repro.parallel.executor import PoolDecodeResult, decode_with_pool
-from repro.parallel.simd import LaneEngine, ThreadTask, EngineStats
+from repro.parallel.simd import LaneEngine, EngineStats
 from repro.parallel.costmodel import (
     DeviceProfile,
     assign_tasks,
@@ -48,7 +51,7 @@ __all__ = [
     "MultiRunResult",
     "ScratchArena",
     "StreamSegment",
-    "ThreadTask",
+    "TaskColumns",
     "EngineStats",
     "fused_run_multi",
     "DeviceProfile",

@@ -19,6 +19,10 @@ Model: a device has ``workers`` independent execution units, each
 processing one decoder task at a time at ``symbols_per_cycle``
 (amortized across its SIMD lanes), with a per-task fixed startup cost
 and a per-word memory cost.  Time is the LPT makespan over workers.
+A task's weight is its walk length, read from the decode plan
+(:attr:`~repro.parallel.fused.TaskColumns.walk_lengths`) by
+:func:`estimate_task_symbols`, :func:`assign_tasks` and the workload
+summary alike.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.parallel.simd import ThreadTask
+import numpy as np
+
+from repro.parallel.fused import TaskColumns
 from repro.parallel.workload import WorkloadSummary
 
 
@@ -154,21 +160,21 @@ PROFILES: dict[str, DeviceProfile] = {
 }
 
 
-def estimate_task_symbols(task: ThreadTask) -> int:
-    """Estimated cost of one decode task, in walked symbols.
+def estimate_task_symbols(columns: TaskColumns) -> np.ndarray:
+    """Estimated cost of each decode task, in walked symbols.
 
-    The walk length (sync + committed + cross-boundary symbols) is the
-    dominant cost term of the device model above — word reads are
-    proportional to it and the startup cost is per-task constant — so
-    it doubles as the scheduling weight for real-thread execution.
+    The walk length (sync + committed + cross-boundary symbols,
+    :attr:`TaskColumns.walk_lengths`) is the dominant cost term of the
+    device model above — word reads are proportional to it and the
+    startup cost is per-task constant — so it doubles as the
+    scheduling weight for real-thread execution.
     """
-    return max(0, task.walk_hi - task.walk_lo + 1)
+    return columns.walk_lengths
 
 
-def assign_tasks(
-    tasks: list[ThreadTask], workers: int
-) -> list[list[ThreadTask]]:
-    """Partition ``tasks`` across at most ``workers`` buckets.
+def assign_tasks(columns: TaskColumns, workers: int) -> list[np.ndarray]:
+    """Partition the plan's tasks across at most ``workers`` buckets,
+    each an array of row indices (:meth:`TaskColumns.rows`).
 
     A longest-processing-time greedy assignment weighted by
     :func:`estimate_task_symbols` — the same makespan model
@@ -179,17 +185,16 @@ def assign_tasks(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    buckets: list[list[ThreadTask]] = [[] for _ in range(workers)]
+    weight = estimate_task_symbols(columns)
+    buckets: list[list[int]] = [[] for _ in range(workers)]
     heap = [(0, w) for w in range(workers)]
-    order = sorted(
-        range(len(tasks)),
-        key=lambda i: (-estimate_task_symbols(tasks[i]), i),
-    )
-    for i in order:
+    # Heaviest first, ties by row.
+    order = np.lexsort((np.arange(len(weight)), -weight))
+    for i, cost in zip(order.tolist(), weight[order].tolist()):
         load, w = heapq.heappop(heap)
-        buckets[w].append(tasks[i])
-        heapq.heappush(heap, (load + estimate_task_symbols(tasks[i]), w))
-    return [b for b in buckets if b]
+        buckets[w].append(i)
+        heapq.heappush(heap, (load + cost, w))
+    return [np.array(b, dtype=np.int64) for b in buckets if b]
 
 
 def project_throughput(

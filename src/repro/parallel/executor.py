@@ -13,8 +13,10 @@ take turns (DESIGN.md §14).
 Recoil threads are fully independent by construction (paper §3.1:
 "These decoders are completely independent of each other since they do
 not share either states or bitstream starting offsets") — each worker
-gets a disjoint subset of tasks and writes to disjoint slices of the
-shared output array, so no locking is needed.
+gets a disjoint subset of the plan's rows (:meth:`TaskColumns.rows`
+of a :func:`~repro.parallel.costmodel.assign_tasks` bucket) and
+writes to disjoint slices of the shared output array, so no locking
+is needed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from repro.errors import ParallelismError
 from repro.parallel import compiled
 from repro.parallel.costmodel import assign_tasks
-from repro.parallel.simd import EngineStats, LaneEngine, ThreadTask
+from repro.parallel.fused import TaskColumns
+from repro.parallel.simd import EngineStats, LaneEngine
 from repro.rans.adaptive import AdaptiveModelProvider
 
 
@@ -51,24 +54,26 @@ def decode_with_pool(
     provider: AdaptiveModelProvider,
     lanes: int,
     words: np.ndarray,
-    tasks: list[ThreadTask],
+    columns: TaskColumns,
     num_symbols: int,
     out_dtype,
     workers: int,
 ) -> PoolDecodeResult:
-    """Decode ``tasks`` on ``workers`` real threads.
+    """Decode the plan ``columns`` on ``workers`` real threads.
 
     Each worker runs the lane engine (with a private scratch arena)
-    over a task subset; commit ranges are disjoint so the shared
-    output needs no locks.  Tasks are spread by estimated cost
-    (walked symbols) via :func:`repro.parallel.costmodel.assign_tasks`.
+    over a subset of the plan's rows; commit ranges are disjoint so
+    the shared output needs no locks.  Tasks are spread by estimated
+    cost (walked symbols) via
+    :func:`repro.parallel.costmodel.assign_tasks`.
     The workers run the compiled walk when the host has it, else the
     numpy kernel (``result.kernel`` says which).
 
     :param provider: model provider shared by all tasks.
     :param lanes: interleaved rANS lanes per task (``K``).
     :param words: the shared 16-bit word stream.
-    :param tasks: decode tasks with disjoint commit ranges.
+    :param columns: the decode plan; tasks have disjoint commit
+        ranges.
     :param num_symbols: length of the output sequence.
     :param out_dtype: output symbol dtype.
     :param workers: maximum worker count (buckets never exceed it).
@@ -81,14 +86,16 @@ def decode_with_pool(
     kernel = "compiled" if compiled.kernel_available() else "numpy"
 
     out = np.empty(num_symbols, dtype=out_dtype)
-    buckets = assign_tasks(tasks, workers)
+    buckets = assign_tasks(columns, workers)
     if not buckets:  # zero tasks: nothing to decode, nothing to commit
         return PoolDecodeResult(
             symbols=out, per_worker_stats=[], workers=0, kernel=kernel
         )
 
-    def run(bucket: list[ThreadTask]) -> EngineStats:
-        return LaneEngine(provider, lanes).run(words, bucket, out)
+    def run(rows: np.ndarray) -> EngineStats:
+        return LaneEngine(provider, lanes).run(
+            words, columns.rows(rows), out
+        )
 
     if len(buckets) == 1:
         stats = [run(buckets[0])]

@@ -35,15 +35,14 @@ On a host with a C compiler one C call replaces all three phases and
 walks every task end to end (:func:`repro.parallel.compiled.rans_walk`,
 DESIGN.md §19): tasks share only the read-only word stream and
 disjoint output ranges, so the compiled walk needs neither lockstep
-masks nor the global steady window.  Its input is the columnar
-:class:`TaskColumns` form of the task list; this numpy path is what a
-host without a compiler runs, and the oracle the compiled walk is
-tested against.
+masks nor the global steady window.  Both read the one decode plan,
+:class:`TaskColumns`; this numpy path is what a host without a
+compiler runs, and the oracle the compiled walk is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,24 +50,17 @@ from repro import faults
 from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
-from repro.parallel.simd import EngineStats, ThreadTask
+from repro.parallel.simd import EngineStats
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS
 
 
-def _group(index: int, lanes: int) -> int:
-    """0-based interleave group of a 1-based symbol index."""
-    return (index - 1) // lanes
-
-
-def _plan_phases(
-    tasks: list[ThreadTask], lanes: int
-) -> tuple[np.ndarray, int, int, int]:
+def _plan_phases(columns: "TaskColumns", lanes: int) -> tuple[int, int, int]:
     """Analytic iteration geometry for a task batch.
 
-    Returns ``(R, R_total, H, S)`` where ``R[t]`` is task ``t``'s total
-    iteration count, ``R_total`` the global loop length, and
-    ``[H, S)`` the global steady-state window (empty when ``H >= S``).
+    Returns ``(R_total, H, S)``: the global loop length (the longest
+    task's iteration count) and the global steady-state window
+    ``[H, S)`` (empty when ``H >= S``).
 
     Task ``t`` is *steady* at iteration ``r`` (walking group
     ``g = g_hi - r``) when:
@@ -81,51 +73,45 @@ def _plan_phases(
       ``g*K + K <= min(walk_hi, commit_hi)``.
     """
     K = lanes
-    T = len(tasks)
-    R = np.zeros(T, dtype=np.int64)
-    starts = np.zeros(T, dtype=np.int64)
-    ends = np.zeros(T, dtype=np.int64)
-    for ti, t in enumerate(tasks):
-        if t.walk_hi < t.walk_lo:
-            continue  # degenerate: dead on arrival, empty window
-        g_hi = _group(t.walk_hi, K)
-        g_lo = _group(t.walk_lo, K)
-        R[ti] = g_hi - g_lo + 1
+    geom = columns.geom
+    T = len(geom)  # >= 1: fused_run returns before planning no tasks
+    walk_hi, walk_lo, commit_hi, commit_lo = geom[:, 1:5].T
+    live = walk_hi >= walk_lo  # degenerate tasks are dead on arrival
+    g_hi = (walk_hi - 1) // K
+    R_total = int(np.where(live, g_hi - (walk_lo - 1) // K + 1, 0).max())
 
-        act_end = 0
-        covered = t.initial_states is not None
-        if not covered:
-            covered = len({lane for _, lane, _ in t.activations}) >= K
-        if not covered:
-            continue  # some lane never activates: no steady window
-        if t.activations:
-            act_end = max(
-                g_hi - _group(idx, K) for idx, _, _ in t.activations
-            ) + 1
+    # Lanes each task ever activates (distinct (task, lane) pairs), and
+    # the iteration after its last activation (act_iter is sorted
+    # within a task, so that is the task's final entry).
+    counts = np.diff(columns.act_ptr)
+    task = np.repeat(np.arange(T), counts)
+    order = np.lexsort((columns.act_lane, task))
+    t_s, l_s = task[order], columns.act_lane[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (t_s[1:] != t_s[:-1]) | (l_s[1:] != l_s[:-1])
+    covered = (columns.has_init != 0) | (
+        np.bincount(t_s[first], minlength=T) >= K
+    )
+    act_end = np.zeros(T, dtype=np.int64)
+    has_act = counts > 0
+    act_end[has_act] = columns.act_iter[columns.act_ptr[1:][has_act] - 1] + 1
 
-        hi_lim = min(t.walk_hi, t.commit_hi)
-        lo_lim = max(t.walk_lo, t.commit_lo)
-        g_max = (hi_lim - K) // K  # last group fully below hi_lim
-        g_min = (lo_lim + K - 2) // K  # first group fully above lo_lim
-        if g_max < g_min:
-            continue
-        starts[ti] = max(act_end, g_hi - g_max)
-        ends[ti] = g_hi - g_min + 1
-
-    R_total = int(R.max()) if T else 0
-    if T and np.all(ends > starts):
-        H = int(starts.max())
-        S = int(ends.min())
-    else:
-        H, S = 0, 0  # at least one task never reaches steady state
-    return R, R_total, H, S
+    hi_lim = np.minimum(walk_hi, commit_hi)
+    lo_lim = np.maximum(walk_lo, commit_lo)
+    g_max = (hi_lim - K) // K  # last group fully below hi_lim
+    g_min = (lo_lim + K - 2) // K  # first group fully above lo_lim
+    starts = np.maximum(act_end, g_hi - g_max)
+    ends = g_hi - g_min + 1
+    if np.all(live & covered & (g_max >= g_min) & (ends > starts)):
+        return R_total, int(starts.max()), int(ends.min())
+    return R_total, 0, 0  # at least one task never reaches steady state
 
 
 def fused_run(
     provider: AdaptiveModelProvider,
     lanes: int,
     words: np.ndarray,
-    tasks: list[ThreadTask],
+    columns: "TaskColumns",
     out: np.ndarray,
     arena: ScratchArena,
 ) -> EngineStats:
@@ -135,7 +121,8 @@ def fused_run(
     :param provider: model provider shared by all tasks.
     :param lanes: interleaved lanes per task (``K``).
     :param words: the 16-bit word stream all tasks read from.
-    :param tasks: decode tasks with disjoint commit ranges.
+    :param columns: the decode plan; tasks have disjoint commit
+        ranges.
     :param out: preallocated output of the full sequence length; each
         position is written by exactly one task.
     :param arena: caller-owned scratch buffers (not thread-safe —
@@ -148,11 +135,10 @@ def fused_run(
         mid-walk, or a terminal drain that does not return every lane
         to the initial state ``L``.
     """
-    columns = TaskColumns.from_tasks(tasks, lanes)
     if _runs_compiled(out):
         return _compiled_walk(provider, lanes, words, columns, out)
     K = lanes
-    T = len(tasks)
+    T = columns.num_tasks
     stats = EngineStats(tasks=T)
     if T == 0:
         return stats
@@ -203,7 +189,7 @@ def fused_run(
     a_state = columns.act_state[order]
     a_ptr = 0
 
-    _, R_total, H, S = _plan_phases(tasks, K)
+    R_total, H, S = _plan_phases(columns, K)
 
     lane_col = np.arange(K, dtype=np.int64)[None, :]
     out_dtype = out.dtype
@@ -318,14 +304,13 @@ def fused_run(
     stats.max_task_iterations = int(per_task_iters.max()) if T else 0
 
     # ---- terminal drain & checks ---------------------------------------
-    for ti, t in enumerate(tasks):
-        if not t.check_terminal:
-            continue
+    for ti in np.flatnonzero(geom[:, 6]).tolist():
+        terminal_pos = int(geom[ti, 7])
         p = int(pos[ti])
         for lane in range(K - 1, -1, -1):
             xv = int(x[ti, lane])
             while xv < L_BOUND:
-                if p <= t.terminal_pos:
+                if p <= terminal_pos:
                     raise DecodeError(
                         f"task {ti}: stream exhausted in terminal drain"
                     )
@@ -333,10 +318,10 @@ def fused_run(
                 p -= 1
                 stats.words_read += 1
             x[ti, lane] = xv
-        if p != t.terminal_pos:
+        if p != terminal_pos:
             raise DecodeError(
                 f"task {ti}: stream region not fully consumed "
-                f"(pos {p}, expected {t.terminal_pos})"
+                f"(pos {p}, expected {terminal_pos})"
             )
         if np.any(x[ti] != L_BOUND):
             raise DecodeError(
@@ -424,24 +409,37 @@ def _numpy_steady(
 
 
 # ---------------------------------------------------------------------------
-# The compiled walk: columnar tasks, vectorized plan checks, one C call.
+# The decode plan, and the compiled walk: one C call over its columns.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TaskColumns:
-    """A task list in the columnar form the compiled walk reads.
+    """The decode plan: every task of a batch, as columns.
+
+    A *task* is one logical decoder thread: ``K`` interleaved lanes
+    walking local symbol indices from ``walk_hi`` down to ``walk_lo``
+    (1-based) over a word stream, reading backwards from
+    ``start_pos``, and writing the symbols inside
+    ``[commit_lo, commit_hi]`` to output position
+    ``global_offset + index - 1`` (DESIGN.md §7).  Its lanes come
+    alive from initial states (all lanes live from the start, e.g. a
+    decode from the final states) or from *activations*: lane
+    ``lane`` takes state ``state`` when the walk reaches ``index`` —
+    the Recoil synchronization mechanism; a task may have both.  A
+    task with ``check_terminal`` set drains its lanes after the walk
+    and verifies they return to ``L`` with the stream consumed down
+    to ``terminal_pos`` (one before its region start).
 
     ``geom[t]`` holds task ``t``'s ``start_pos``, ``walk_hi``,
     ``walk_lo``, ``commit_hi``, ``commit_lo``, ``global_offset``,
     ``check_terminal`` and ``terminal_pos``; ``init`` its initial
-    states (``L`` where ``has_init[t]`` is 0).  The
-    activations of task ``t`` are ``act_*[act_ptr[t]:act_ptr[t+1]]``,
-    ordered by ``act_iter`` — the walk iteration that installs them —
-    with ties in list order.  Building the columns checks the
-    stream-independent plan invariants, so a cached instance is
-    already validated; :func:`_compiled_walk` checks start positions
-    against the stream it runs on.
+    states (``L`` where ``has_init[t]`` is 0).  The activations of
+    task ``t`` are ``act_*[act_ptr[t]:act_ptr[t+1]]``, ordered by
+    ``act_iter`` — the walk iteration that installs them — with ties
+    in input order.  :meth:`build` checks the stream-independent plan
+    invariants, so a cached instance is already validated; the kernels
+    check start positions against the stream they run on.
     """
 
     geom: np.ndarray  # (T, 8) int64
@@ -453,46 +451,71 @@ class TaskColumns:
     act_state: np.ndarray  # (A,) uint64
 
     @classmethod
-    def from_tasks(
-        cls, tasks: list[ThreadTask], lanes: int
+    def build(
+        cls,
+        lanes: int,
+        *,
+        start_pos,
+        walk_hi,
+        walk_lo,
+        commit_hi,
+        commit_lo,
+        global_offset=0,
+        check_terminal=False,
+        terminal_pos=-1,
+        init_task=(),
+        init_states=None,
+        act_task=(),
+        act_index=(),
+        act_lane=(),
+        act_state=(),
     ) -> "TaskColumns":
-        """Columns of ``tasks`` (O(T) Python, vectorized checks).
+        """The validated plan of ``T`` tasks (vectorized, no Python
+        work per task or activation).
 
-        :raises DecodeError: ``lanes < 1``, ``initial_states`` not of
+        Each geometry argument is a ``(T,)`` column, or a scalar every
+        task shares.  Row ``i`` of ``init_states`` (``(I, lanes)``)
+        seeds task ``init_task[i]``; activation ``a`` installs
+        ``act_state[a]`` into lane ``act_lane[a]`` of task
+        ``act_task[a]`` when its walk reaches local index
+        ``act_index[a]``.
+
+        :raises DecodeError: ``lanes < 1``, initial states not of
             shape ``(lanes,)``, or an activation index outside its
             task's walk range.
         """
         K = lanes
         if K < 1:
             raise DecodeError(f"lanes must be >= 1, got {K}")
-        T = len(tasks)
-        geom = np.array(
+        geom = np.stack(
             [
-                (t.start_pos, t.walk_hi, t.walk_lo, t.commit_hi,
-                 t.commit_lo, t.global_offset, t.check_terminal,
-                 t.terminal_pos)
-                for t in tasks
+                np.atleast_1d(c)
+                for c in np.broadcast_arrays(*(
+                    np.asarray(c, dtype=np.int64)
+                    for c in (
+                        start_pos, walk_hi, walk_lo, commit_hi, commit_lo,
+                        global_offset, check_terminal, terminal_pos,
+                    )
+                ))
             ],
-            dtype=np.int64,
-        ).reshape(T, 8)
+            axis=1,
+        )
+        T = len(geom)
+        init_task = np.asarray(init_task, dtype=np.int64).reshape(-1)
         init = np.full((T, K), L_BOUND, dtype=np.uint64)
         has_init = np.zeros(T, dtype=np.uint8)
-        counts = np.zeros(T, dtype=np.int64)
-        acts: list[tuple[int, int, int]] = []
-        for ti, t in enumerate(tasks):
-            if t.initial_states is not None:
-                st = np.asarray(t.initial_states, dtype=np.uint64)
-                if st.shape != (K,):
-                    raise DecodeError(
-                        f"task {ti}: initial_states must have shape ({K},)"
-                    )
-                init[ti] = st
-                has_init[ti] = 1
-            counts[ti] = len(t.activations)
-            acts += t.activations
-        idx, lane, state = zip(*acts) if acts else ((), (), ())
-        act_idx = np.array(idx, dtype=np.int64)
-        act_task = np.repeat(np.arange(T), counts)
+        if init_task.size:
+            states = np.asarray(init_states, dtype=np.uint64)
+            if states.shape != (init_task.size, K):
+                raise DecodeError(
+                    f"task {init_task[0]}: initial_states must have "
+                    f"shape ({K},)"
+                )
+            init[init_task] = states
+            has_init[init_task] = 1
+
+        act_task = np.asarray(act_task, dtype=np.int64).reshape(-1)
+        act_idx = np.asarray(act_index, dtype=np.int64).reshape(-1)
         hi = geom[act_task, 1]
         lo = geom[act_task, 2]
         bad = np.flatnonzero((act_idx < lo) | (act_idx > hi))
@@ -502,16 +525,55 @@ class TaskColumns:
                 f"task {act_task[a]}: activation index {act_idx[a]} "
                 f"outside walk range [{lo[a]}, {hi[a]}]"
             )
-        act_iter = (hi - 1) // K - (act_idx - 1) // K
-        order = np.lexsort((act_iter, act_task))
+        act_iter = (hi - 1) // K - (act_idx - 1) // K  # >= 0 here
+        # One stable sort on a (task, iteration) key: ties keep input
+        # order (a two-key lexsort costs about twice as much).
+        order = np.argsort(
+            act_task * (int(act_iter.max(initial=0)) + 1) + act_iter,
+            kind="stable",
+        )
+        lane = np.asarray(act_lane, dtype=np.int64).reshape(-1)
+        state = np.asarray(act_state, dtype=np.uint64).reshape(-1)
         return cls(
             geom=geom,
             init=init,
             has_init=has_init,
-            act_ptr=np.concatenate(([0], np.cumsum(counts))),
+            act_ptr=np.concatenate(
+                ([0], np.cumsum(np.bincount(act_task, minlength=T)))
+            ),
             act_iter=act_iter[order],
-            act_lane=np.array(lane, dtype=np.int64)[order],
-            act_state=np.array(state, dtype=np.uint64)[order],
+            act_lane=lane[order],
+            act_state=state[order],
+        )
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self.geom)
+
+    @property
+    def walk_lengths(self) -> np.ndarray:
+        """Symbols each task walks — sync, committed and cross-boundary
+        alike: ``walk_hi - walk_lo + 1``, 0 for an empty walk.  The one
+        per-task cost weight of the thread pool, the cost model and the
+        workload summary."""
+        return np.maximum(self.geom[:, 1] - self.geom[:, 2] + 1, 0)
+
+    def rows(self, index) -> "TaskColumns":
+        """The plan of the tasks at ``index``, in that order (a pool
+        bucket, or one task run on its own)."""
+        index = np.asarray(index, dtype=np.int64).reshape(-1)
+        first = self.act_ptr[index]
+        counts = self.act_ptr[index + 1] - first
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        pick = np.repeat(first - ptr[:-1], counts) + np.arange(ptr[-1])
+        return TaskColumns(
+            geom=self.geom[index],
+            init=self.init[index],
+            has_init=self.has_init[index],
+            act_ptr=ptr,
+            act_iter=self.act_iter[pick],
+            act_lane=self.act_lane[pick],
+            act_state=self.act_state[pick],
         )
 
     @classmethod
@@ -519,9 +581,13 @@ class TaskColumns:
         cls, parts: list[tuple["TaskColumns", int, int]]
     ) -> "TaskColumns":
         """Stack ``(columns, word_base, sym_base)`` parts into one
-        batch, shifting stream positions by the word base and output
-        positions by the symbol base (the :func:`fuse_segments`
-        rebasing, O(parts) numpy calls)."""
+        batch, shifting stream positions (``start_pos``,
+        ``terminal_pos``) by the word base and output positions
+        (``global_offset``) by the symbol base, in O(parts) numpy
+        calls.  Walk and commit indices and activations stay as they
+        are: the walk is defined in task-local coordinates (DESIGN.md
+        §7), so a rebased task is indistinguishable from a native
+        one."""
         if len(parts) == 1 and parts[0][1] == 0 and parts[0][2] == 0:
             return parts[0][0]
         cols = [c for c, _, _ in parts]
@@ -610,7 +676,7 @@ def _compiled_walk(
 # ---------------------------------------------------------------------------
 
 
-def geometry_bucket(tasks, lanes: int) -> int:
+def geometry_bucket(columns: TaskColumns, lanes: int) -> int:
     """Walk-geometry bucket for fusion grouping.
 
     The numpy kernel's steady-state fast path covers the intersection
@@ -624,11 +690,10 @@ def geometry_bucket(tasks, lanes: int) -> int:
     same-shape decodes always share a bucket while pathologically
     unequal ones never do.  The compiled walk runs each task on its
     own and has no such window; the bucket only matters on the numpy
-    path.  Used by the serve batcher and the multi-frame decoder.
+    path.  Used by the serve batcher.
     """
-    longest = max(
-        (t.walk_hi - t.walk_lo) // lanes + 1 for t in tasks
-    )
+    geom = columns.geom
+    longest = int(((geom[:, 1] - geom[:, 2]) // lanes + 1).max())
     return longest.bit_length()
 
 
@@ -637,7 +702,7 @@ class StreamSegment:
     """One independent decode joining a fused multi-buffer run.
 
     A segment is exactly the argument triple of :func:`fused_run` —
-    a word stream, the tasks walking it, and the output length — for
+    a word stream, the plan walking it, and the output length — for
     one logical request.  :func:`fused_run_multi` concatenates many
     segments into a single virtual stream/output so their tasks
     advance together in one ``(sum(T_i) * K,)``-wide kernel call
@@ -645,17 +710,8 @@ class StreamSegment:
     """
 
     words: np.ndarray
-    tasks: list[ThreadTask] = field(repr=False)
+    columns: TaskColumns = field(repr=False)
     num_symbols: int
-    #: ``tasks`` in columnar form when the caller caches it (the
-    #: serve path keeps one per shrunk variant); built on demand by
-    #: the compiled walk otherwise.
-    columns: TaskColumns | None = field(default=None, repr=False)
-
-    @property
-    def lane_count(self) -> int:
-        """Task-lanes this segment contributes to a fused batch."""
-        return len(self.tasks)
 
 
 @dataclass
@@ -672,12 +728,16 @@ class MultiRunResult:
 
 def _stack_streams(
     segments: list[StreamSegment],
-) -> tuple[np.ndarray, list[tuple[int, int]], list[slice], int]:
-    """Concatenate the segments' word streams and lay out one output.
+) -> tuple[np.ndarray, list[tuple[int, int]], list[slice]]:
+    """Concatenate the (one or more) segments' word streams and lay
+    out one output.
 
-    Returns ``(words, bases, out_slices, total_symbols)`` where
-    ``bases[i]`` is segment ``i``'s ``(word_base, sym_base)``.
-    Segments sharing one word-buffer *object* share one copy of it.
+    Returns ``(words, bases, out_slices)`` where ``bases[i]`` is
+    segment ``i``'s ``(word_base, sym_base)``.  Segments sharing one
+    word-buffer *object* (the dominant serving case: many concurrent
+    requests for the same asset) share one copy in the concatenation
+    — their tasks simply rebase onto the same word base, like
+    multiple tasks of a single stream.
     """
     word_arrays: list[np.ndarray] = []
     word_bases: dict[int, int] = {}  # id(words) -> assigned base
@@ -695,44 +755,7 @@ def _stack_streams(
         bases.append((word_base, sym_base))
         out_slices.append(slice(sym_base, sym_base + seg.num_symbols))
         sym_base += seg.num_symbols
-    if word_arrays:
-        words = np.concatenate(word_arrays)
-    else:
-        words = np.empty(0, dtype=np.uint16)
-    return words, bases, out_slices, sym_base
-
-
-def fuse_segments(
-    segments: list[StreamSegment],
-) -> tuple[np.ndarray, list[ThreadTask], list[slice], int]:
-    """Rebase many segments onto one concatenated stream and output.
-
-    Word streams are stacked back to back and every task's stream
-    positions (``start_pos``, ``terminal_pos``) shift by its segment's
-    word base; output positions shift via ``global_offset``.  Local
-    walk/commit indices and activation entries are untouched — the
-    walk is defined in task-local coordinates (DESIGN.md §7), so a
-    rebased task is indistinguishable from a native one.
-
-    Segments sharing one word-buffer *object* (the dominant serving
-    case: many concurrent requests for the same asset) share one copy
-    in the concatenation — their tasks simply rebase onto the same
-    word base, like multiple tasks of a single stream.
-
-    Returns ``(words, tasks, out_slices, total_symbols)``.
-    """
-    words, bases, out_slices, total = _stack_streams(segments)
-    fused_tasks = [
-        replace(
-            t,
-            start_pos=t.start_pos + word_base,
-            global_offset=t.global_offset + sym_base,
-            terminal_pos=t.terminal_pos + word_base,
-        )
-        for seg, (word_base, sym_base) in zip(segments, bases)
-        for t in seg.tasks
-    ]
-    return words, fused_tasks, out_slices, total
+    return np.concatenate(word_arrays), bases, out_slices
 
 
 def fused_run_multi(
@@ -742,7 +765,7 @@ def fused_run_multi(
     arena: ScratchArena,
     out_dtype=None,
 ) -> MultiRunResult:
-    """Decode many independent (words, tasks) segments as ONE kernel run.
+    """Decode many independent (words, plan) segments as ONE kernel run.
 
     This is the serving-side payoff of the fused layout: ``S``
     requests of ``T_i`` tasks each become a single ``(sum(T_i), K)``
@@ -781,22 +804,12 @@ def fused_run_multi(
     # Results escape to callers, so the output is a fresh allocation
     # (arena rule 2, DESIGN.md §9); segment views share this buffer.
     out = np.empty(sum(s.num_symbols for s in segments), dtype=out_dtype)
-    if segments and _runs_compiled(out):
-        # Columnar rebasing: O(segments) numpy calls, no per-task
-        # ThreadTask copies.
-        words, bases, out_slices, _ = _stack_streams(segments)
-        columns = TaskColumns.concat([
-            (
-                seg.columns
-                if seg.columns is not None
-                else TaskColumns.from_tasks(seg.tasks, lanes),
-                word_base,
-                sym_base,
-            )
-            for seg, (word_base, sym_base) in zip(segments, bases)
-        ])
-        stats = _compiled_walk(provider, lanes, words, columns, out)
-    else:
-        words, tasks, out_slices, _ = fuse_segments(segments)
-        stats = fused_run(provider, lanes, words, tasks, out, arena)
+    if not segments:
+        return MultiRunResult(out=out, slices=[], stats=EngineStats())
+    words, bases, out_slices = _stack_streams(segments)
+    columns = TaskColumns.concat([
+        (seg.columns, word_base, sym_base)
+        for seg, (word_base, sym_base) in zip(segments, bases)
+    ])
+    stats = fused_run(provider, lanes, words, columns, out, arena)
     return MultiRunResult(out=out, slices=out_slices, stats=stats)

@@ -1,9 +1,11 @@
 """Batched lane engine: many decoder threads as numpy arrays.
 
 This module is the reproduction's substitute for the paper's SIMD and
-CUDA decoders (DESIGN.md substitution table).  A *thread task* is one
+CUDA decoders (DESIGN.md substitution table).  A *task* is one
 logical decoder thread: a group of ``K`` interleaved rANS lanes walking
-a symbol-index range backwards over a shared word stream.  The engine
+a symbol-index range backwards over a shared word stream; a batch of
+tasks is one :class:`~repro.parallel.fused.TaskColumns` plan, one row
+per task (DESIGN.md §7).  The engine
 advances **all tasks simultaneously**, one interleave group per
 iteration, with every per-lane operation expressed as dense
 ``(tasks, lanes)`` array arithmetic — exactly the data layout a GPU
@@ -22,7 +24,8 @@ committed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,37 +33,8 @@ from repro.errors import DecodeError
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS
 
-
-@dataclass
-class ThreadTask:
-    """One logical decoder thread.
-
-    Indices are *local* to the task (1-based); the global symbol index
-    is ``local + global_offset`` and output position
-    ``global_offset + local - 1``.  For Recoil threads over one shared
-    stream the offset is 0 and local == global; for Conventional
-    partitions each task gets its own offset and stream region.
-
-    Exactly one of ``initial_states`` (all lanes live from the start,
-    e.g. a full-stream decode from final states) or ``activations``
-    (lanes come alive mid-walk, the Recoil synchronization mechanism)
-    populates the lanes; both may be combined if a task needs it.
-    """
-
-    start_pos: int
-    walk_hi: int
-    walk_lo: int
-    commit_hi: int
-    commit_lo: int
-    global_offset: int = 0
-    initial_states: np.ndarray | None = None
-    activations: list[tuple[int, int, int]] = field(default_factory=list)
-    #: verify the walk drains the stream region back to the initial
-    #: coder states (only meaningful when ``walk_lo == 1``).
-    check_terminal: bool = False
-    #: expected stream position after the terminal drain (one before
-    #: the task's region start).
-    terminal_pos: int = -1
+if TYPE_CHECKING:
+    from repro.parallel.fused import TaskColumns
 
 
 @dataclass
@@ -81,7 +55,8 @@ class EngineStats:
 
 
 class LaneEngine:
-    """Vectorized executor for batches of :class:`ThreadTask`.
+    """Vectorized executor for a :class:`~repro.parallel.fused.TaskColumns`
+    plan.
 
     :meth:`run` routes through the fused wide-lane kernel
     (:mod:`repro.parallel.fused`) — the compiled walk on a host with a
@@ -118,7 +93,7 @@ class LaneEngine:
     def run(
         self,
         words: np.ndarray,
-        tasks: list[ThreadTask],
+        columns: TaskColumns,
         out: np.ndarray,
     ) -> EngineStats:
         """Decode every task, writing committed symbols into ``out``.
@@ -130,7 +105,7 @@ class LaneEngine:
         from repro.parallel.fused import fused_run
 
         return fused_run(
-            self.provider, self.lanes, words, tasks, out, self.arena
+            self.provider, self.lanes, words, columns, out, self.arena
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +113,7 @@ class LaneEngine:
     def run_reference(
         self,
         words: np.ndarray,
-        tasks: list[ThreadTask],
+        columns: TaskColumns,
         out: np.ndarray,
     ) -> EngineStats:
         """The original masked per-group loop (differential reference).
@@ -148,7 +123,7 @@ class LaneEngine:
         """
         provider = self.provider
         K = self.lanes
-        T = len(tasks)
+        T = columns.num_tasks
         stats = EngineStats(tasks=T)
         if T == 0:
             return stats
@@ -172,62 +147,25 @@ class LaneEngine:
             ids_arr = self._dense_ids(len(out))
 
         # ---- task state arrays ---------------------------------------
-        for ti, t in enumerate(tasks):
-            if t.start_pos >= len(words):
-                raise DecodeError(
-                    f"task {ti}: start position {t.start_pos} beyond "
-                    f"stream of {len(words)} words"
-                )
-        pos = np.array([t.start_pos for t in tasks], dtype=np.int64)
-        cur = np.array([t.walk_hi for t in tasks], dtype=np.int64)
-        lo = np.array([t.walk_lo for t in tasks], dtype=np.int64)
-        c_hi = np.array([t.commit_hi for t in tasks], dtype=np.int64)
-        c_lo = np.array([t.commit_lo for t in tasks], dtype=np.int64)
-        offs = np.array([t.global_offset for t in tasks], dtype=np.int64)
+        from repro.parallel.fused import _check_starts
 
-        x = np.full((T, K), L_BOUND, dtype=np.uint64)
-        active = np.zeros((T, K), dtype=bool)
-        for ti, t in enumerate(tasks):
-            if t.initial_states is not None:
-                st = np.asarray(t.initial_states, dtype=np.uint64)
-                if st.shape != (K,):
-                    raise DecodeError(
-                        f"task {ti}: initial_states must have shape ({K},)"
-                    )
-                x[ti] = st
-                active[ti] = True
+        geom = columns.geom
+        _check_starts(geom, len(words))
+        pos = geom[:, 0].copy()
+        cur = geom[:, 1].copy()
+        lo, c_hi, c_lo, offs = geom[:, 2], geom[:, 3], geom[:, 4], geom[:, 5]
+
+        x = columns.init.copy()
+        active = np.repeat(columns.has_init[:, None] != 0, K, axis=1)
 
         # ---- activation schedule -------------------------------------
-        # Activation (local_index, lane, state) installs at iteration
-        # r = group(walk_hi) - group(local_index): each iteration
+        # Activations install at their ``act_iter``: each iteration
         # advances every live task exactly one interleave group.
-        act_task: list[int] = []
-        act_lane: list[int] = []
-        act_state: list[int] = []
-        act_iter: list[int] = []
-        for ti, t in enumerate(tasks):
-            g0 = (t.walk_hi - 1) // K
-            for idx, lane, state in t.activations:
-                if not t.walk_lo <= idx <= t.walk_hi:
-                    raise DecodeError(
-                        f"task {ti}: activation index {idx} outside walk "
-                        f"range [{t.walk_lo}, {t.walk_hi}]"
-                    )
-                act_task.append(ti)
-                act_lane.append(lane)
-                act_state.append(state)
-                act_iter.append(g0 - (idx - 1) // K)
-        if act_task:
-            a_iter = np.array(act_iter)
-            order = np.argsort(a_iter, kind="stable")
-            a_iter = a_iter[order]
-            a_task = np.array(act_task)[order]
-            a_lane = np.array(act_lane)[order]
-            a_state = np.array(act_state, dtype=np.uint64)[order]
-        else:
-            a_iter = np.empty(0, dtype=np.int64)
-            a_task = a_lane = np.empty(0, dtype=np.int64)
-            a_state = np.empty(0, dtype=np.uint64)
+        order = np.argsort(columns.act_iter, kind="stable")
+        a_iter = columns.act_iter[order]
+        a_task = np.repeat(np.arange(T), np.diff(columns.act_ptr))[order]
+        a_lane = columns.act_lane[order]
+        a_state = columns.act_state[order]
         a_ptr = 0
 
         lane_col = np.arange(K, dtype=np.int64)[None, :]
@@ -316,14 +254,13 @@ class LaneEngine:
         stats.max_task_iterations = int(per_task_iters.max()) if T else 0
 
         # ---- terminal drain & checks ----------------------------------
-        for ti, t in enumerate(tasks):
-            if not t.check_terminal:
-                continue
+        for ti in np.flatnonzero(geom[:, 6]).tolist():
+            terminal_pos = int(geom[ti, 7])
             p = int(pos[ti])
             for lane in range(K - 1, -1, -1):
                 xv = int(x[ti, lane])
                 while xv < L_BOUND:
-                    if p <= t.terminal_pos:
+                    if p <= terminal_pos:
                         raise DecodeError(
                             f"task {ti}: stream exhausted in terminal drain"
                         )
@@ -331,10 +268,10 @@ class LaneEngine:
                     p -= 1
                     stats.words_read += 1
                 x[ti, lane] = xv
-            if p != t.terminal_pos:
+            if p != terminal_pos:
                 raise DecodeError(
                     f"task {ti}: stream region not fully consumed "
-                    f"(pos {p}, expected {t.terminal_pos})"
+                    f"(pos {p}, expected {terminal_pos})"
                 )
             if np.any(x[ti] != L_BOUND):
                 raise DecodeError(

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.parallel.simd import ThreadTask
+if TYPE_CHECKING:
+    from repro.parallel.fused import TaskColumns
 
 
 @dataclass
@@ -72,17 +74,14 @@ class WorkloadSummary:
         return max(heap)
 
 
-def summarize_tasks(tasks: list[ThreadTask]) -> WorkloadSummary:
-    """Count payload and overhead symbols across a task list."""
-    per = np.array(
-        [max(0, t.walk_hi - t.walk_lo + 1) for t in tasks], dtype=np.int64
-    )
-    payload = sum(
-        max(0, t.commit_hi - t.commit_lo + 1) for t in tasks
-    )
+def summarize_tasks(columns: TaskColumns) -> WorkloadSummary:
+    """Count payload and overhead symbols across a decode plan."""
+    per = columns.walk_lengths
+    commit_hi, commit_lo = columns.geom[:, 3], columns.geom[:, 4]
+    payload = int(np.maximum(commit_hi - commit_lo + 1, 0).sum())
     total = int(per.sum())
     return WorkloadSummary(
-        num_tasks=len(tasks),
+        num_tasks=columns.num_tasks,
         payload_symbols=payload,
         overhead_symbols=total - payload,
         per_task_symbols=per,

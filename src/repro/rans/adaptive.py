@@ -303,10 +303,10 @@ class StaticModelProvider(AdaptiveModelProvider):
 def provider_fingerprint(provider: AdaptiveModelProvider) -> bytes:
     """Content fingerprint of a static provider's model.
 
-    Fusion keys (serve batching, multi-frame decode) must group by
-    *model equality*, not provider identity: callers routinely parse
-    their own :class:`StaticModelProvider` from embedded model bytes,
-    so ``id(provider)`` would silently forbid fusing identical models.
+    Fusion keys (serve batching) must group by *model equality*, not
+    provider identity: callers routinely parse their own
+    :class:`StaticModelProvider` from embedded model bytes, so
+    ``id(provider)`` would silently forbid fusing identical models.
     Computed once and cached on the provider instance.
     """
     fp = getattr(provider, "_model_fingerprint", None)

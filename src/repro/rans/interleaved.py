@@ -313,7 +313,7 @@ class InterleavedDecoder:
         emission.  :meth:`decode_reference` is the pure-Python
         differential reference.
         """
-        from repro.parallel.simd import ThreadTask
+        from repro.parallel.fused import TaskColumns
 
         K = self.lanes
         N = int(num_symbols)
@@ -331,17 +331,18 @@ class InterleavedDecoder:
                 raise DecodeError("terminal check failed on empty stream")
             return out
 
-        task = ThreadTask(
+        columns = TaskColumns.build(
+            K,
             start_pos=len(words) - 1,
             walk_hi=N,
             walk_lo=1,
             commit_hi=N,
             commit_lo=1,
-            initial_states=x,
             check_terminal=check_terminal,
-            terminal_pos=-1,
+            init_task=[0],
+            init_states=x[None],
         )
-        self._get_engine().run(words, [task], out)
+        self._get_engine().run(words, columns, out)
         return out
 
     # ------------------------------------------------------------------

@@ -77,7 +77,7 @@ class DecodeRequest:
                 provider_fingerprint(asset.provider),
                 asset.lanes,
                 asset.out_dtype,
-                geometry_bucket(variant.tasks, asset.lanes),
+                geometry_bucket(variant.columns, asset.lanes),
             )
         else:
             # Adaptive model ids are positional in the original
@@ -89,7 +89,7 @@ class DecodeRequest:
     @property
     def task_lanes(self) -> int:
         """Lane-budget weight: decoder threads this request adds."""
-        return len(self.variant.tasks)
+        return self.variant.columns.num_tasks
 
     @property
     def cost_symbols(self) -> int:
@@ -99,9 +99,8 @@ class DecodeRequest:
     def segment(self) -> StreamSegment:
         return StreamSegment(
             words=self.asset.words,
-            tasks=self.variant.tasks,
-            num_symbols=self.asset.num_symbols,
             columns=self.variant.columns,
+            num_symbols=self.asset.num_symbols,
         )
 
     # -- completion (a stdlib Future carries the handoff) --------------

@@ -22,13 +22,14 @@ memory and disk (DESIGN.md §18):
   metadata combine + splice (the payload never moves).
 
 A cached :class:`ShrunkVariant` carries the servable container bytes
-*and* the prebuilt decoder thread tasks for that capacity, so the
-request batcher can go straight to the fused kernel.
+*and* the prebuilt decode plan for that capacity — one
+:class:`~repro.parallel.fused.TaskColumns`, built straight from the
+combined metadata arrays — so the request batcher can go straight to
+the fused kernel.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections import OrderedDict
@@ -44,7 +45,6 @@ from repro.core.serialization import serialize_metadata
 from repro.errors import MetadataError, ServeError
 from repro.parallel.costmodel import estimate_task_symbols
 from repro.parallel.fused import TaskColumns
-from repro.parallel.simd import ThreadTask
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import DEFAULT_LANES
 from repro.rans.model import SymbolModel
@@ -61,27 +61,21 @@ PERSIST_FAILURE_LIMIT = 3
 class ShrunkVariant:
     """One (asset, capacity) serving variant.
 
-    ``blob`` is what goes on the wire; ``tasks`` is what the decode
-    path feeds the fused kernel — both derived from the same combined
+    ``blob`` is what goes on the wire; ``columns`` is the decode plan
+    the fused kernel runs — both derived from the same combined
     metadata, computed once and cached.  ``asset`` is the exact stored
-    asset the variant was derived from: consumers must pair the tasks
+    asset the variant was derived from: consumers must pair the plan
     with *its* word stream (a later ``put`` may replace the name).
     """
 
     capacity: int
     blob: bytes
     metadata: RecoilMetadata
-    tasks: list[ThreadTask] = field(repr=False)
-    #: admission-control weight: total walked symbols of ``tasks``
+    columns: TaskColumns = field(repr=False)
+    #: admission-control weight: total walked symbols of ``columns``
     #: (:func:`repro.parallel.costmodel.estimate_task_symbols`).
     cost_symbols: int
     asset: "StoredAsset" = field(repr=False, default=None)
-
-    @functools.cached_property
-    def columns(self) -> TaskColumns:
-        """``tasks`` in the compiled walk's columnar form, built on
-        the variant's first decode and reused by every later one."""
-        return TaskColumns.from_tasks(self.tasks, self.asset.lanes)
 
 
 @dataclass
@@ -127,16 +121,15 @@ class StoredAsset:
             )
         md = self.parsed.metadata.combine(capacity)
         blob = self.head + serialize_metadata(md) + self.payload
-        tasks = build_thread_tasks(
+        columns = build_thread_tasks(
             md, self.parsed.num_words, self.parsed.final_states
         )
-        cost = sum(estimate_task_symbols(t) for t in tasks)
         return ShrunkVariant(
             capacity=capacity,
             blob=blob,
             metadata=md,
-            tasks=tasks,
-            cost_symbols=cost,
+            columns=columns,
+            cost_symbols=int(estimate_task_symbols(columns).sum()),
             asset=self,
         )
 

@@ -177,3 +177,31 @@ def build_tans_blob(case: dict) -> tuple[bytes, object]:
     )
     codec = MultiansCodec(table)
     return codec.compress(case["payload"]), codec
+
+
+#: the :class:`~repro.parallel.simd.EngineStats` counters the manifest
+#: pins per shrink capacity (``engine_stats``).
+ENGINE_COUNTERS = (
+    "iterations",
+    "symbols_decoded",
+    "words_read",
+    "tasks",
+    "max_task_iterations",
+)
+
+
+def engine_counters(case: dict, blob: bytes, capacity: int) -> dict:
+    """The work counters of decoding ``blob`` at ``capacity`` threads
+    (``RecoilDecoder.decode(..., max_threads=capacity)``), on the
+    host's kernel."""
+    from repro.core.container import parse_container
+    from repro.core.decoder import RecoilDecoder
+
+    parsed = parse_container(blob, provider=case["provider"])
+    stats = RecoilDecoder(case["provider"], lanes=case["lanes"]).decode(
+        parsed.words(blob),
+        parsed.final_states,
+        parsed.metadata,
+        max_threads=capacity,
+    ).engine_stats
+    return {name: getattr(stats, name) for name in ENGINE_COUNTERS}

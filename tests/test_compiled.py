@@ -23,6 +23,7 @@ from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
+from repro.parallel.fused import TaskColumns
 from repro.parallel.simd import LaneEngine
 
 from conftest import needs_compiled, running_on
@@ -202,17 +203,36 @@ class TestWalkBoundsChecks:
         )
 
     def _task(self, enc, **changes):
-        (task,) = build_thread_tasks(
-            enc.metadata, len(enc.words), enc.final_states
+        """The stream's one task (a single split decodes from the final
+        states), with any plan argument overridden by ``changes``."""
+        plan = dict(
+            start_pos=len(enc.words) - 1,
+            walk_hi=enc.num_symbols,
+            walk_lo=1,
+            commit_hi=enc.num_symbols,
+            commit_lo=1,
+            check_terminal=True,
+            init_task=[0],
+            init_states=[enc.final_states],
         )
-        for name, value in changes.items():
-            setattr(task, name, value)
-        return task
+        return TaskColumns.build(4, **{**plan, **changes})
 
     def _decode(self, provider, enc, task, n=None):
         out = np.zeros(enc.num_symbols if n is None else n, np.uint8)
-        LaneEngine(provider, 4).run(enc.words, [task], out)
+        LaneEngine(provider, 4).run(enc.words, task, out)
         return out
+
+    def test_task_is_the_built_plan(self, stream):
+        """``_task()`` is exactly what :func:`build_thread_tasks` plans
+        for the stream, so the hostile cases below edit a real plan."""
+        _, enc = stream
+        built = build_thread_tasks(
+            enc.metadata, len(enc.words), enc.final_states
+        )
+        for a, b in zip(
+            dataclasses.astuple(built), dataclasses.astuple(self._task(enc))
+        ):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_clean_task_decodes(self, stream, provider11):
         data, enc = stream
@@ -227,17 +247,21 @@ class TestWalkBoundsChecks:
             ({"global_offset": -1}, "output position outside"),
             ({"start_pos": 3}, "stream read out of range"),
             ({"terminal_pos": -5}, "not fully consumed"),
-            ({"initial_states": None,
-              "activations": [(3_000, 4, 1 << 16)]},
+            ({"init_task": [], "init_states": None, "act_task": [0],
+              "act_index": [3_000], "act_lane": [4], "act_state": [1 << 16]},
              "activation lane outside"),
             ({"start_pos": 10**6}, "beyond stream"),
-            ({"activations": [(0, 0, 1 << 16)]}, "outside walk range"),
-            ({"initial_states": np.ones(3, np.uint64)}, "shape"),
+            ({"act_task": [0], "act_index": [0], "act_lane": [0],
+              "act_state": [1 << 16]},
+             "outside walk range"),
+            ({"init_states": [np.ones(3, np.uint64)]}, "shape"),
         ],
     )
     def test_hostile_task_fails_typed(
         self, stream, provider11, changes, message
     ):
+        """Building the plan or running it raises, each with its own
+        message; the lane outside ``[0, K)`` is the C kernel's check."""
         _, enc = stream
         with pytest.raises(DecodeError, match=message):
             self._decode(provider11, enc, self._task(enc, **changes))

@@ -9,8 +9,6 @@ tasks, corrupt task metadata.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError, ParallelismError
 from repro.parallel.executor import decode_with_pool
+from repro.parallel.fused import TaskColumns
 
 from conftest import needs_compiled
 
@@ -59,7 +58,7 @@ class TestPoolDecode:
             encoded.num_symbols, np.uint8, workers,
         )
         assert np.array_equal(res.symbols, skewed_bytes)
-        assert res.workers == min(workers, len(tasks))
+        assert res.workers == min(workers, tasks.num_tasks)
         assert res.kernel == kernel_backend
 
     def test_stats_cover_all_work(
@@ -78,12 +77,12 @@ class TestPoolDecode:
             provider11, 32, encoded.words, tasks,
             encoded.num_symbols, np.uint8, 100,
         )
-        assert res.workers == len(tasks)
+        assert res.workers == tasks.num_tasks
         assert np.array_equal(res.symbols, skewed_bytes)
 
     def test_single_task(self, encoded, single_task, provider11,
                          skewed_bytes, kernel_backend):
-        assert len(single_task) == 1
+        assert single_task.num_tasks == 1
         res = decode_with_pool(
             provider11, 32, encoded.words, single_task,
             encoded.num_symbols, np.uint8, 4,
@@ -91,9 +90,10 @@ class TestPoolDecode:
         assert res.workers == 1
         assert np.array_equal(res.symbols, skewed_bytes)
 
-    def test_zero_tasks(self, encoded, provider11, kernel_backend):
+    def test_zero_tasks(self, encoded, tasks, provider11, kernel_backend):
+        empty = tasks.rows([])
         res = decode_with_pool(
-            provider11, 32, encoded.words, [], 0, np.uint8, 4
+            provider11, 32, encoded.words, empty, 0, np.uint8, 4
         )
         assert res.workers == 0
         assert res.per_worker_stats == []
@@ -102,8 +102,23 @@ class TestPoolDecode:
     def test_corrupt_metadata_raises_decode_error(
         self, encoded, tasks, provider11, kernel_backend
     ):
-        bad = [replace(tasks[0], start_pos=len(encoded.words) + 5)]
-        with pytest.raises(DecodeError):
+        # The first thread's task, its start moved past the stream.
+        md = encoded.metadata
+        _, walk_hi, walk_lo, commit_hi, commit_lo = tasks.geom[0, :5]
+        bad = TaskColumns.build(
+            32,
+            start_pos=len(encoded.words) + 5,
+            walk_hi=walk_hi,
+            walk_lo=walk_lo,
+            commit_hi=commit_hi,
+            commit_lo=commit_lo,
+            check_terminal=True,
+            act_task=np.zeros(32, dtype=np.int64),
+            act_index=md.lane_indices[0],
+            act_lane=np.arange(32),
+            act_state=md.lane_states[0],
+        )
+        with pytest.raises(DecodeError, match="beyond stream"):
             decode_with_pool(
                 provider11, 32, encoded.words, bad,
                 encoded.num_symbols, np.uint8, 2,

@@ -16,6 +16,8 @@ an approximation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,13 @@ from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.fused import StreamSegment, fuse_segments, fused_run_multi
-from repro.parallel.simd import LaneEngine, ThreadTask
+from repro.parallel.fused import (
+    StreamSegment,
+    TaskColumns,
+    _stack_streams,
+    fused_run_multi,
+)
+from repro.parallel.simd import LaneEngine
 from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
@@ -143,7 +150,7 @@ class TestPooledFused:
         )
         assert res.kernel == kernel_backend
         assert np.array_equal(res.symbols, payload)
-        assert res.workers == min(workers, len(tasks))
+        assert res.workers == min(workers, tasks.num_tasks)
 
 
 class TestFusedEdgeCases:
@@ -186,20 +193,22 @@ class TestFusedEdgeCases:
         shrinks to the committed span, head/tail run masked."""
         provider = _provider("static", payload, None)
         enc = InterleavedEncoder(provider, lanes=32).encode(payload)
-        task = ThreadTask(
+        task = TaskColumns.build(
+            32,
             start_pos=len(enc.words) - 1,
             walk_hi=enc.num_symbols,
             walk_lo=1,
             commit_hi=200,
             commit_lo=101,
-            initial_states=enc.final_states,
+            init_task=[0],
+            init_states=[enc.final_states],
             check_terminal=False,
         )
         engine = LaneEngine(provider, 32)
         out_f = np.zeros(enc.num_symbols, dtype=np.uint8)
         out_r = np.zeros(enc.num_symbols, dtype=np.uint8)
-        sf = engine.run(enc.words, [task], out_f)
-        sr = engine.run_reference(enc.words, [task], out_r)
+        sf = engine.run(enc.words, task, out_f)
+        sr = engine.run_reference(enc.words, task, out_r)
         assert np.array_equal(out_f[100:200], payload[100:200])
         assert np.all(out_f[200:] == 0)
         assert np.array_equal(out_f, out_r)
@@ -224,6 +233,31 @@ class TestFusedEdgeCases:
         dec = InterleavedDecoder(provider, lanes=32)
         with pytest.raises(DecodeError):
             dec.decode(enc.words, bad, enc.num_symbols)
+
+
+def _recoil_plan(enc) -> dict:
+    """The :meth:`TaskColumns.build` arguments
+    :func:`build_thread_tasks` derives from ``enc``'s metadata, for
+    tests to edit before building."""
+    li = enc.metadata.lane_indices
+    n, K = li.shape
+    C = li.min(axis=1)
+    lo = np.concatenate(([1], C))
+    N = enc.num_symbols
+    return dict(
+        start_pos=np.append(enc.metadata.word_offsets, len(enc.words) - 1),
+        walk_hi=np.append(li.max(axis=1), N),
+        walk_lo=lo,
+        commit_hi=np.append(C - 1, N),
+        commit_lo=lo,
+        check_terminal=lo == 1,
+        init_task=np.array([n]),
+        init_states=np.reshape(enc.final_states, (1, -1)),
+        act_task=np.repeat(np.arange(n), K),
+        act_index=li.ravel(),
+        act_lane=np.tile(np.arange(K), n),
+        act_state=enc.metadata.lane_states.ravel(),
+    )
 
 
 def _run_both(provider, lanes, words, tasks, n):
@@ -271,9 +305,13 @@ class TestWholeWalkBatches:
         res = fused_run_multi(provider, 32, segments, ScratchArena())
         for seg_out in res.segment_outputs():
             assert np.array_equal(seg_out, payload)
-        words, tasks, _, total = fuse_segments(segments)
-        out_r = np.empty(total, dtype=np.uint8)
-        sr = LaneEngine(provider, 32).run_reference(words, tasks, out_r)
+        words, bases, _ = _stack_streams(segments)
+        plan = TaskColumns.concat([
+            (seg.columns, word_base, sym_base)
+            for seg, (word_base, sym_base) in zip(segments, bases)
+        ])
+        out_r = np.empty(3 * enc.num_symbols, dtype=np.uint8)
+        sr = LaneEngine(provider, 32).run_reference(words, plan, out_r)
         assert np.array_equal(res.out, out_r)
         assert _stats_tuple(res.stats) == _stats_tuple(sr)
 
@@ -282,37 +320,46 @@ class TestWholeWalkBatches:
         enc = RecoilEncoder(provider, lanes=4).encode(
             payload, num_threads=4
         )
-        tasks = build_thread_tasks(
+        plan = _recoil_plan(enc)
+        built = build_thread_tasks(
             enc.metadata, len(enc.words), enc.final_states
         )
-        mid = tasks[1]
-        mid.activations = [a for a in mid.activations if a[1] != 2]
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                dataclasses.astuple(built),
+                dataclasses.astuple(TaskColumns.build(4, **plan)),
+            )
+        )
+        keep = ~((plan["act_task"] == 1) & (plan["act_lane"] == 2))
+        for name in ("act_task", "act_index", "act_lane", "act_state"):
+            plan[name] = plan[name][keep]
+        tasks = TaskColumns.build(4, **plan)
         assert _run_both(provider, 4, enc.words, tasks, enc.num_symbols)
 
     def test_degenerate_tasks(self, payload, kernel_backend):
         provider = _provider("static", payload, None)
         enc = InterleavedEncoder(provider, lanes=32).encode(payload)
-        full = ThreadTask(
-            start_pos=len(enc.words) - 1,
-            walk_hi=enc.num_symbols,
-            walk_lo=1,
-            commit_hi=enc.num_symbols,
-            commit_lo=1,
-            initial_states=enc.final_states,
-            check_terminal=True,
-        )
-        dead = ThreadTask(
-            start_pos=0, walk_hi=5, walk_lo=9, commit_hi=5, commit_lo=9
-        )
-        # walk_hi < walk_lo with a terminal check: no walk, only the
-        # drain of lanes already at L, consuming nothing.
-        empty = ThreadTask(
-            start_pos=-1, walk_hi=0, walk_lo=1, commit_hi=0, commit_lo=1,
-            initial_states=np.full(32, 1 << 16, dtype=np.uint64),
-            check_terminal=True, terminal_pos=-1,
+        # Task 0 is dead: walk_hi < walk_lo, nothing to do.  Task 1
+        # walks the whole stream.  Task 2 has walk_hi < walk_lo with a
+        # terminal check: no walk, only the drain of lanes already at
+        # L, consuming nothing.
+        tasks = TaskColumns.build(
+            32,
+            start_pos=[0, len(enc.words) - 1, -1],
+            walk_hi=[5, enc.num_symbols, 0],
+            walk_lo=[9, 1, 1],
+            commit_hi=[5, enc.num_symbols, 0],
+            commit_lo=[9, 1, 1],
+            check_terminal=[False, True, True],
+            terminal_pos=-1,
+            init_task=[1, 2],
+            init_states=[
+                enc.final_states, np.full(32, 1 << 16, dtype=np.uint64)
+            ],
         )
         out, stats = _run_both(
-            provider, 32, enc.words, [dead, full, empty], enc.num_symbols
+            provider, 32, enc.words, tasks, enc.num_symbols
         )
         assert np.array_equal(out, payload)
         assert stats.tasks == 3
@@ -321,16 +368,18 @@ class TestWholeWalkBatches:
         """Lanes live from the start, then re-seeded mid-walk."""
         provider = _provider("static", payload, None)
         enc = RecoilEncoder(provider).encode(payload, num_threads=2)
-        tasks = build_thread_tasks(
-            enc.metadata, len(enc.words), enc.final_states
+        plan = _recoil_plan(enc)
+        assert list(plan["init_task"]) == [1]
+        assert np.any(plan["act_task"] == 0)
+        plan["init_task"] = [0, 1]
+        plan["init_states"] = np.concatenate(
+            ([np.full(32, 1 << 20, dtype=np.uint64)], plan["init_states"])
         )
-        first = tasks[0]
-        assert first.activations and first.initial_states is None
-        first.initial_states = np.full(32, 1 << 20, dtype=np.uint64)
         # The early lanes read words the activations expected to find,
         # so the walk decodes garbage: skip the terminal check and
         # compare what both kernels make of it.
-        first.check_terminal = False
+        plan["check_terminal"] = plan["check_terminal"] & [False, True]
+        tasks = TaskColumns.build(32, **plan)
         assert _run_both(provider, 32, enc.words, tasks, enc.num_symbols)
 
     def test_adaptive_segment(

@@ -158,12 +158,12 @@ def differential_chunk(first_seed: int, count: int) -> dict:
     arena = ScratchArena()
     tally = {"rejected": 0, "typed": 0, "identical": 0}
 
-    def decode(asset, tasks, kernel):
+    def decode(asset, columns, kernel):
         try:
             with running_on(kernel):
                 res = fused_run_multi(
                     asset.provider, asset.lanes,
-                    [StreamSegment(asset.words, tasks, asset.num_symbols)],
+                    [StreamSegment(asset.words, columns, asset.num_symbols)],
                     arena, out_dtype=asset.out_dtype,
                 )
         except ReproError as exc:
@@ -184,9 +184,9 @@ def differential_chunk(first_seed: int, count: int) -> dict:
             tally["rejected"] += 1
             continue
         for cap in DIFF_CAPACITIES:
-            tasks = asset.shrink(cap).tasks
-            a = decode(asset, tasks, "numpy")
-            b = decode(asset, tasks, "compiled")
+            columns = asset.shrink(cap).columns
+            a = decode(asset, columns, "numpy")
+            b = decode(asset, columns, "compiled")
             if isinstance(a, type) and isinstance(b, type):
                 tally["typed"] += 1
                 continue

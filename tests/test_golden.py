@@ -26,6 +26,7 @@ from golden_cases import (
     SHRINK_CAPACITIES,
     build_rans_blob,
     build_tans_blob,
+    engine_counters,
     rans_cases,
     tans_cases,
 )
@@ -111,6 +112,19 @@ class TestRansGolden:
         assert sorted(map(int, pinned)) == sorted(SHRINK_CAPACITIES)
         for cap in SHRINK_CAPACITIES:
             got = hashlib.sha256(recoil_shrink(blob, cap)).hexdigest()
+            assert got == pinned[str(cap)], f"capacity {cap}"
+
+    def test_engine_counters_pinned(self, name, manifest, kernel_backend):
+        """The decode plan's observable work at every pinned capacity:
+        the ``EngineStats`` counters (``lane_util`` and ``wasted_pct``
+        are built from them) match the manifest on this kernel."""
+        case = RANS_CASES[name]
+        blob = _read(f"{name}.bin")
+        (entry,) = [e for e in manifest["cases"] if e["name"] == name]
+        pinned = entry["engine_stats"]
+        assert sorted(map(int, pinned)) == sorted(SHRINK_CAPACITIES)
+        for cap in SHRINK_CAPACITIES:
+            got = engine_counters(case, blob, cap)
             assert got == pinned[str(cap)], f"capacity {cap}"
 
 

@@ -71,24 +71,26 @@ class TestRecoilMetadata:
         """Commit ranges must tile [1, N] exactly, in order."""
         md = self.make_md()
         tasks = self.tasks(md)
-        assert len(tasks) == md.num_threads
+        assert tasks.num_tasks == md.num_threads
         expected_next = 1
-        for t in tasks:
-            assert t.commit_lo == expected_next
-            assert t.commit_hi >= t.commit_lo - 1
-            expected_next = t.commit_hi + 1
+        for commit_hi, commit_lo in tasks.geom[:, 3:5].tolist():
+            assert commit_lo == expected_next
+            assert commit_hi >= commit_lo - 1
+            expected_next = commit_hi + 1
         assert expected_next == md.num_symbols + 1
 
     def test_task_walks_cover_commits(self):
         md = self.make_md()
-        for t in self.tasks(md):
-            assert t.walk_lo <= t.commit_lo
-            assert t.walk_hi >= t.commit_hi
+        _, walk_hi, walk_lo, commit_hi, commit_lo = self.tasks(md).geom[
+            :, :5
+        ].T
+        assert np.all(walk_lo <= commit_lo)
+        assert np.all(walk_hi >= commit_hi)
 
     def test_walk_overlap_is_sync_sections(self):
         md = self.make_md()
         tasks = self.tasks(md)
-        total_walk = sum(t.walk_hi - t.walk_lo + 1 for t in tasks)
+        total_walk = int(tasks.walk_lengths.sum())
         assert total_walk == md.num_symbols + md.sync_overhead_symbols()
 
     # Every invariant check raises its MetadataError, naming the first

@@ -151,9 +151,11 @@ def test_thread_tasks_partition_property(seed):
     enc = RecoilEncoder(model).encode(data, num_threads=24)
     nxt = 1
     tasks = build_thread_tasks(enc.metadata, len(enc.words), enc.final_states)
-    for t in tasks:
-        assert t.commit_lo == nxt
-        assert t.walk_lo <= t.commit_lo
-        assert t.walk_hi >= t.commit_hi
-        nxt = t.commit_hi + 1
+    for _, walk_hi, walk_lo, commit_hi, commit_lo in tasks.geom[
+        :, :5
+    ].tolist():
+        assert commit_lo == nxt
+        assert walk_lo <= commit_lo
+        assert walk_hi >= commit_hi
+        nxt = commit_hi + 1
     assert nxt == len(data) + 1

@@ -146,17 +146,17 @@ class TestThreePhaseAccounting:
             len(encoded64.words),
             encoded64.final_states,
         )
-        assert len(tasks) == encoded64.metadata.num_threads
+        assert tasks.num_tasks == encoded64.metadata.num_threads
         # Exactly the first task checks terminal conditions; exactly
         # the last runs from the transmitted final states.
-        assert tasks[0].check_terminal
-        assert tasks[-1].initial_states is not None
-        assert all(t.initial_states is None for t in tasks[:-1])
+        assert tasks.geom[0, 6]
+        assert tasks.has_init[-1]
+        assert not np.any(tasks.has_init[:-1])
         # Commit ranges tile [1, N].
         nxt = 1
-        for t in tasks:
-            assert t.commit_lo == nxt
-            nxt = t.commit_hi + 1
+        for commit_hi, commit_lo in tasks.geom[:, 3:5].tolist():
+            assert commit_lo == nxt
+            nxt = commit_hi + 1
         assert nxt == encoded64.num_symbols + 1
 
 

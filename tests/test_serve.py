@@ -84,7 +84,9 @@ class TestFusedMulti:
         )
         for segment_out, exp in zip(result.segment_outputs(), expected):
             assert np.array_equal(segment_out, exp)
-        assert result.stats.tasks == sum(len(s.tasks) for s in segments)
+        assert result.stats.tasks == sum(
+            s.columns.num_tasks for s in segments
+        )
 
     def test_single_segment_matches_plain_run(
         self, skewed_bytes, provider11
@@ -109,7 +111,7 @@ class TestFusedMulti:
         assert result.slices == []
 
     def test_shared_word_buffer_deduped(self, skewed_bytes, provider11):
-        from repro.parallel.fused import fuse_segments
+        from repro.parallel.fused import _stack_streams
 
         enc = RecoilEncoder(provider11).encode(
             skewed_bytes[:10_000], num_threads=8
@@ -123,7 +125,7 @@ class TestFusedMulti:
             segments.append(
                 StreamSegment(enc.words, tasks, enc.num_symbols)
             )
-        words, _, _, _ = fuse_segments(segments)
+        words, _, _ = _stack_streams(segments)
         assert len(words) == len(enc.words)  # one copy, not three
         result = fused_run_multi(
             provider11, 32, segments, ScratchArena()
@@ -154,7 +156,7 @@ class TestAssetStore:
         v1, hit1 = store.shrunk("hero", 7)
         v2, hit2 = store.shrunk("hero", 7)
         assert v2 is v1 and hit2
-        assert v1.tasks and v1.cost_symbols > 0
+        assert v1.columns.num_tasks and v1.cost_symbols > 0
 
     def test_capacity_clamped_to_master(self, store):
         asset = store.get("hero")
@@ -299,8 +301,8 @@ class TestBatcher:
         assert r1.fuse_key != r16.fuse_key
         assert r16.fuse_key == r16b.fuse_key
         asset = store.get("hero")
-        assert geometry_bucket(r1.variant.tasks, asset.lanes) > (
-            geometry_bucket(r16.variant.tasks, asset.lanes)
+        assert geometry_bucket(r1.variant.columns, asset.lanes) > (
+            geometry_bucket(r16.variant.columns, asset.lanes)
         )
 
     def test_same_model_different_assets_share_fuse_key(

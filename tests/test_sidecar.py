@@ -95,3 +95,14 @@ class TestSidecar:
             len(encoded.metadata.word_offsets), 1
         )
         assert per_split < 110
+
+    def test_every_prefix_fails_typed(self, sidecar):
+        """Parsing or shrinking any truncation of a valid sidecar —
+        the header included — raises ContainerError, never a builtin
+        or another error class."""
+        for n in range(len(sidecar)):
+            prefix = sidecar[:n]
+            with pytest.raises(ContainerError):
+                parse_sidecar(prefix)
+            with pytest.raises(ContainerError):
+                shrink_sidecar(prefix, 2)

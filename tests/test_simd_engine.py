@@ -8,7 +8,8 @@ import pytest
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
-from repro.parallel.simd import LaneEngine, ThreadTask
+from repro.parallel.fused import TaskColumns
+from repro.parallel.simd import LaneEngine
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedEncoder
 
@@ -20,24 +21,28 @@ def enc(skewed_bytes, model11):
     )
 
 
-def full_task(enc, check=True) -> ThreadTask:
-    return ThreadTask(
+def full_task(enc, check=True, **changes) -> TaskColumns:
+    """One task walking the whole stream from its final states, with
+    any plan argument overridden by ``changes``."""
+    plan = dict(
         start_pos=len(enc.words) - 1,
         walk_hi=enc.num_symbols,
         walk_lo=1,
         commit_hi=enc.num_symbols,
         commit_lo=1,
-        initial_states=enc.final_states,
+        init_task=[0],
+        init_states=[enc.final_states],
         check_terminal=check,
         terminal_pos=-1,
     )
+    return TaskColumns.build(32, **{**plan, **changes})
 
 
 class TestEngineBasics:
     def test_full_stream_task(self, enc, provider11, skewed_bytes):
         out = np.empty(enc.num_symbols, dtype=np.uint8)
         stats = LaneEngine(provider11, 32).run(
-            enc.words, [full_task(enc)], out
+            enc.words, full_task(enc), out
         )
         assert np.array_equal(out, skewed_bytes[:10_000])
         assert stats.symbols_decoded == enc.num_symbols
@@ -46,53 +51,48 @@ class TestEngineBasics:
 
     def test_empty_task_list(self, enc, provider11):
         out = np.empty(0, dtype=np.uint8)
-        stats = LaneEngine(provider11, 32).run(enc.words, [], out)
+        empty = TaskColumns.build(
+            32, start_pos=[], walk_hi=[], walk_lo=[], commit_hi=[],
+            commit_lo=[],
+        )
+        stats = LaneEngine(provider11, 32).run(enc.words, empty, out)
         assert stats.iterations == 0
 
     def test_commit_window(self, enc, provider11, skewed_bytes):
         """Only the commit range is written."""
-        t = full_task(enc, check=False)
-        t.commit_lo, t.commit_hi = 101, 200
+        t = full_task(enc, check=False, commit_lo=101, commit_hi=200)
         out = np.zeros(enc.num_symbols, dtype=np.uint8)
-        LaneEngine(provider11, 32).run(enc.words, [t], out)
+        LaneEngine(provider11, 32).run(enc.words, t, out)
         assert np.array_equal(out[100:200], skewed_bytes[100:200])
         assert np.all(out[200:] == 0)
 
     def test_bad_initial_states_shape(self, enc, provider11):
-        t = full_task(enc)
-        t.initial_states = np.zeros(7, dtype=np.uint64)
-        with pytest.raises(DecodeError):
-            LaneEngine(provider11, 32).run(
-                enc.words, [t], np.empty(enc.num_symbols, dtype=np.uint8)
-            )
+        with pytest.raises(DecodeError, match=r"shape \(32,\)"):
+            full_task(enc, init_states=[np.zeros(7, dtype=np.uint64)])
 
     def test_start_pos_out_of_range(self, enc, provider11):
-        t = full_task(enc)
-        t.start_pos = len(enc.words)
-        with pytest.raises(DecodeError):
+        t = full_task(enc, start_pos=len(enc.words))
+        with pytest.raises(DecodeError, match="beyond stream"):
             LaneEngine(provider11, 32).run(
-                enc.words, [t], np.empty(enc.num_symbols, dtype=np.uint8)
+                enc.words, t, np.empty(enc.num_symbols, dtype=np.uint8)
             )
 
     def test_activation_outside_walk_rejected(self, enc, provider11):
-        t = ThreadTask(
-            start_pos=10, walk_hi=100, walk_lo=50,
-            commit_hi=100, commit_lo=50,
-            activations=[(101, 0, 1234)],
-        )
-        with pytest.raises(DecodeError):
-            LaneEngine(provider11, 32).run(
-                enc.words, [t], np.empty(enc.num_symbols, dtype=np.uint8)
+        with pytest.raises(DecodeError, match="outside walk range"):
+            TaskColumns.build(
+                32, start_pos=10, walk_hi=100, walk_lo=50,
+                commit_hi=100, commit_lo=50,
+                act_task=[0], act_index=[101], act_lane=[0],
+                act_state=[1234],
             )
 
     def test_terminal_check_catches_bad_state(self, enc, provider11):
-        t = full_task(enc)
         bad = np.asarray(enc.final_states).copy()
         bad[3] ^= 0x77
-        t.initial_states = bad
+        t = full_task(enc, init_states=[bad])
         with pytest.raises(DecodeError):
             LaneEngine(provider11, 32).run(
-                enc.words, [t],
+                enc.words, t,
                 np.empty(enc.num_symbols, dtype=np.uint8),
             )
 
@@ -151,8 +151,8 @@ class TestSynchronizationPhase:
         )
         provider = StaticModelProvider(model11)
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        for t in tasks:
-            LaneEngine(provider, 32).run(enc.words, [t], out)
+        for t in range(tasks.num_tasks):
+            LaneEngine(provider, 32).run(enc.words, tasks.rows([t]), out)
         # After running all tasks separately, every commit range is
         # present and correct.
         assert np.array_equal(out, skewed_bytes[:20_000])
@@ -170,6 +170,6 @@ class TestSynchronizationPhase:
         )
         provider = StaticModelProvider(model11)
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        for t in reversed(tasks):
-            LaneEngine(provider, 32).run(enc.words, [t], out)
+        for t in reversed(range(tasks.num_tasks)):
+            LaneEngine(provider, 32).run(enc.words, tasks.rows([t]), out)
         assert np.array_equal(out, skewed_bytes[:20_000])

@@ -52,7 +52,7 @@ class TestSelection:
         """Per-thread committed symbols within 3x of the ideal."""
         md, _ = selector.select(20)
         tasks = build_thread_tasks(md, md.num_words, encoded.final_states)
-        sizes = [t.commit_hi - t.commit_lo + 1 for t in tasks]
+        sizes = tasks.geom[:, 3] - tasks.geom[:, 4] + 1
         ideal = encoded.num_symbols / 20
         assert max(sizes) < 3 * ideal
         assert min(sizes) > ideal / 3

@@ -10,7 +10,7 @@ from repro.parallel.costmodel import (
     PROFILES,
     project_throughput,
 )
-from repro.parallel.simd import ThreadTask
+from repro.parallel.fused import TaskColumns
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 
 
@@ -26,12 +26,10 @@ def make_summary(per_task) -> WorkloadSummary:
 
 class TestWorkload:
     def test_summarize_tasks(self):
-        tasks = [
-            ThreadTask(0, walk_hi=100, walk_lo=1, commit_hi=80,
-                       commit_lo=1),
-            ThreadTask(0, walk_hi=220, walk_lo=81, commit_hi=220,
-                       commit_lo=81),
-        ]
+        tasks = TaskColumns.build(
+            32, start_pos=0, walk_hi=[100, 220], walk_lo=[1, 81],
+            commit_hi=[80, 220], commit_lo=[1, 81],
+        )
         s = summarize_tasks(tasks)
         assert s.num_tasks == 2
         assert s.payload_symbols == 80 + 140

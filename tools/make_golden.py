@@ -7,7 +7,10 @@ asserts byte-exact encode AND decode against these files on every
 kernel backend, and the manifest's ``shrink_sha256`` pins every rANS
 container's shrinks to ``SHRINK_CAPACITIES``, so any change to the
 encoders, the container layout, the split selector or ``combine``
-that moves a single wire byte fails loudly.
+that moves a single wire byte fails loudly.  ``engine_stats`` pins
+the decode plan's observable work at those capacities: the
+``EngineStats`` counters of ``RecoilDecoder.decode(...,
+max_threads=cap)``, which both kernels must reproduce.
 
 Run deliberately (a golden diff is a wire-format change and should be
 reviewed as one):
@@ -30,6 +33,7 @@ from golden_cases import (  # noqa: E402
     SHRINK_CAPACITIES,
     build_rans_blob,
     build_tans_blob,
+    engine_counters,
     rans_cases,
     tans_cases,
 )
@@ -56,6 +60,10 @@ def main() -> int:
         entry["static"] = bool(case["provider"].is_static)
         entry["shrink_sha256"] = {
             str(cap): _sha(recoil_shrink(blob, cap))
+            for cap in SHRINK_CAPACITIES
+        }
+        entry["engine_stats"] = {
+            str(cap): engine_counters(case, blob, cap)
             for cap in SHRINK_CAPACITIES
         }
         manifest["cases"].append(entry)
