@@ -20,7 +20,8 @@ from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.core.serialization import metadata_size_bytes
 from repro.core.splitter import SplitSelector
-from repro.parallel.simd import LaneEngine
+from repro.parallel.buffers import ScratchArena
+from repro.parallel.fused import fused_run
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedEncoder
 
@@ -134,7 +135,9 @@ class TestLaneCountAblation:
                 enc.metadata, len(enc.words), enc.final_states
             )
             out = np.empty(len(bench_bytes), dtype=np.uint8)
-            stats = LaneEngine(provider, lanes).run(enc.words, tasks, out)
+            stats = fused_run(
+                provider, lanes, enc.words, tasks, out, ScratchArena()
+            )
             iters[lanes] = stats.iterations
         assert iters[32] < iters[8] / 2.5
 
@@ -150,9 +153,11 @@ class TestLaneCountAblation:
             enc.metadata, len(enc.words), enc.final_states
         )
 
+        arena = ScratchArena()
+
         def decode():
             out = np.empty(len(bench_bytes), dtype=np.uint8)
-            LaneEngine(provider, lanes).run(enc.words, tasks, out)
+            fused_run(provider, lanes, enc.words, tasks, out, arena)
             return out
 
         out = benchmark(decode)

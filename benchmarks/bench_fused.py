@@ -6,8 +6,9 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 - ``scalar``       — the single-state pure-Python reference decoder;
 - ``interleaved``  — one 32-lane coder, full-stream decode (fused);
 - ``fused``        — 8 recoil tasks, one fused wide-lane kernel;
-- ``seed_engine``  — the same 8 tasks on the pre-fusion reference
-  engine (``LaneEngine.run_reference``), i.e. the seed hot path.
+- ``seed_engine``  — the same 8 tasks on the differential reference
+  (``fused.reference_walk``): the kernel's own walk with every
+  iteration on the masked per-group loop, the seed's hot-path shape.
 
 Every column decodes the same ``--symbols`` input.  These columns
 time the numpy kernels: on a host with a C compiler they run as a
@@ -51,6 +52,7 @@ from repro.core.encoder import RecoilEncoder
 from repro.data import text_surrogate
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
+from repro.parallel.fused import reference_walk
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
@@ -178,7 +180,10 @@ def run(symbols: int, threads: int, rounds: int) -> dict:
             return decoder.decode(words, states, metadata).symbols
 
         def seed_engine(words, states, metadata):
-            return decoder.decode_reference(words, states, metadata).symbols
+            columns = build_thread_tasks(metadata, len(words), states)
+            out = np.empty(metadata.num_symbols, dtype=np.uint8)
+            reference_walk(provider, LANES, words, columns, out)
+            return out
 
         tiers = {"fused": fused, "seed_engine": seed_engine}
         for name, tier in tiers.items():

@@ -4,14 +4,14 @@
 Three views of the same decode workload (paper §5.3 / Figure 7):
 
 1. **Task batching** (the SIMD/CUDA analog): Recoil's decoder threads
-   are data-parallel, so the lane engine can advance *all of them at
+   are data-parallel, so the fused kernel can advance *all of them at
    once* as (tasks x lanes) numpy arrays.  Batching 512 tasks into one
-   engine run is dramatically faster than decoding them one-by-one —
+   kernel run is dramatically faster than decoding them one-by-one —
    in Python as on a GPU, and for the same reason (amortized
    instruction overhead across parallel work).
 2. **Real OS threads**: the tasks are genuinely independent (disjoint
    stream regions, disjoint outputs), so a thread pool decodes them
-   concurrently and correctly.  Note: in CPython the batched engine
+   concurrently and correctly.  Note: in CPython the batched kernel
    already saturates the interpreter, so wall-clock gains from
    *threads* are limited by the GIL — the honest takeaway is that
    parallel correctness is free, parallel speed in Python comes from
@@ -30,9 +30,10 @@ import numpy as np
 from repro.core import RecoilCodec, parse_container
 from repro.core.decoder import build_thread_tasks
 from repro.data import exponential_bytes
+from repro.parallel.buffers import ScratchArena
 from repro.parallel.costmodel import PROFILES, project_throughput
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.simd import LaneEngine
+from repro.parallel.fused import fused_run
 from repro.rans.model import SymbolModel
 
 data = exponential_bytes(6_000_000, lam=100, seed=3)
@@ -45,11 +46,14 @@ plan = build_thread_tasks(parsed.metadata, len(words), parsed.final_states)
 print(f"{len(data):,} bytes, {plan.num_tasks} decoder tasks\n")
 
 
-def run_engine(row_subsets):
+arena = ScratchArena()
+
+
+def run_kernel(row_subsets):
     out = np.empty(parsed.num_symbols, dtype=np.uint8)
     for rows in row_subsets:
-        LaneEngine(parsed.provider, parsed.lanes).run(
-            words, plan.rows(rows), out
+        fused_run(
+            parsed.provider, parsed.lanes, words, plan.rows(rows), out, arena
         )
     return out
 
@@ -57,18 +61,18 @@ def run_engine(row_subsets):
 # ---- 1. batching is the parallel win ---------------------------------
 print("task batching (the SIMD/CUDA analog):")
 for label, subsets in [
-    ("one task per engine run (serial decode)", [[t] for t in range(32)]),
+    ("one task per kernel run (serial decode)", [[t] for t in range(32)]),
     ("32 tasks in one batch", [range(32)]),
 ]:
     n_syms = sum(int(plan.rows(rows).walk_lengths.sum()) for rows in subsets)
     t0 = time.perf_counter()
-    run_engine(subsets)
+    run_kernel(subsets)
     wall = time.perf_counter() - t0
     print(f"  {label:<42} {wall:6.2f}s  "
           f"({n_syms / wall / 1e6:6.1f} Msym/s)")
 
 t0 = time.perf_counter()
-out = run_engine([range(plan.num_tasks)])
+out = run_kernel([range(plan.num_tasks)])
 wall_batched = time.perf_counter() - t0
 assert np.array_equal(out, data)
 print(f"  {'all 512 tasks in one batch':<42} {wall_batched:6.2f}s  "

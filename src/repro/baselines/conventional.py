@@ -35,8 +35,8 @@ import numpy as np
 
 from repro.bitio.varint import decode_uvarint, encode_uvarint
 from repro.errors import ContainerError, EncodeError
-from repro.parallel.fused import TaskColumns
-from repro.parallel.simd import EngineStats, LaneEngine
+from repro.parallel.buffers import ScratchArena
+from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 from repro.rans.adaptive import (
     AdaptiveModelProvider,
@@ -110,9 +110,9 @@ class ConventionalEncoded:
 class ConventionalCodec:
     """Encoder/decoder for the partitioning-symbols baseline.
 
-    A codec instance reuses one lane engine (and scratch arena) across
-    :meth:`decode` calls, so it must not be shared between
-    concurrently decoding threads (DESIGN.md §9).
+    A codec instance reuses one scratch arena across :meth:`decode`
+    calls, so it must not be shared between concurrently decoding
+    threads (DESIGN.md §9).
     """
 
     def __init__(
@@ -124,10 +124,9 @@ class ConventionalCodec:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        # Reused across decode calls so the fused kernel's scratch
-        # arena amortizes (DESIGN.md §9).
-        self._engine = LaneEngine(provider, lanes)
-        self._encode_arena = None  # fused encode scratch, lazy
+        # Scratch reused across calls (DESIGN.md §9), one per kernel.
+        self._arena = ScratchArena()
+        self._encode_arena = ScratchArena()
 
     # -- encoding -------------------------------------------------------
 
@@ -151,10 +150,6 @@ class ConventionalCodec:
             EncodeTask(data[start:end], start_index=start + 1)
             for start, end in bounds
         ]
-        if self._encode_arena is None:
-            from repro.parallel.buffers import ScratchArena
-
-            self._encode_arena = ScratchArena()
         outs = fused_encode_run(
             self.provider, self.lanes, tasks, self._encode_arena
         )
@@ -243,10 +238,13 @@ class ConventionalCodec:
     def decode(
         self, encoded: ConventionalEncoded
     ) -> tuple[np.ndarray, EngineStats, WorkloadSummary]:
-        """Decode all partitions in one batched engine run."""
+        """Decode all partitions in one fused kernel run."""
         columns = self.build_tasks(encoded)
         out = np.empty(encoded.num_symbols, dtype=self.provider.out_dtype)
-        stats = self._engine.run(encoded.words, columns, out)
+        stats = fused_run(
+            self.provider, self.lanes, encoded.words, columns, out,
+            self._arena,
+        )
         return out, stats, summarize_tasks(columns)
 
     # -- container ------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Builds the decode plan — one :class:`~repro.parallel.fused.TaskColumns`
 row per split segment, from the metadata's ``S``/``C`` ranges, straight
-from its arrays — and executes it on the batched lane engine.  The
+from its arrays — and executes it on the fused decode kernel
+(:func:`~repro.parallel.fused.fused_run`).  The
 three phases of §4.1 map onto each task's columns:
 
 - **Synchronization Phase** (§4.1.1): the walk between the split index
@@ -16,7 +17,7 @@ three phases of §4.1 map onto each task's columns:
   committing those symbols, and terminates at its sync-complete point.
 
 Because all three phases are just index ranges of one uniform walk,
-the engine needs no per-phase logic — only the commit mask changes.
+the kernel needs no per-phase logic — only the commit mask changes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from repro.core.metadata import RecoilMetadata
 from repro.errors import DecodeError
-from repro.parallel.fused import TaskColumns
-from repro.parallel.simd import EngineStats, LaneEngine
+from repro.parallel.buffers import ScratchArena
+from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 from repro.rans.adaptive import AdaptiveModelProvider, StaticModelProvider
 from repro.rans.constants import DEFAULT_LANES
@@ -86,10 +87,10 @@ def build_thread_tasks(
 class RecoilDecoder:
     """Massively parallel decoder for Recoil streams.
 
-    A decoder instance owns one lane engine whose scratch buffers are
-    reused across :meth:`decode` calls (DESIGN.md §9) — cheap repeated
-    decodes, but an instance must not be shared between concurrently
-    decoding threads; give each thread its own decoder.
+    A decoder instance owns one scratch arena, reused across
+    :meth:`decode` calls (DESIGN.md §9) — cheap repeated decodes, but
+    an instance must not be shared between concurrently decoding
+    threads; give each thread its own decoder.
     """
 
     def __init__(
@@ -101,12 +102,7 @@ class RecoilDecoder:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        # One engine for the decoder's lifetime: its scratch arena is
-        # reused across decode calls (DESIGN.md §9).
-        self._engine = LaneEngine(provider, lanes)
-
-    def _out_dtype(self):
-        return self.provider.out_dtype
+        self._arena = ScratchArena()
 
     def decode(
         self,
@@ -123,33 +119,6 @@ class RecoilDecoder:
         kernel: the compiled walk on a host with a C compiler, numpy
         otherwise (DESIGN.md §19).
         """
-        return self._decode(
-            self._engine.run, words, final_states, metadata, max_threads
-        )
-
-    def decode_reference(
-        self,
-        words: np.ndarray,
-        final_states: np.ndarray,
-        metadata: RecoilMetadata,
-        max_threads: int | None = None,
-    ) -> RecoilDecodeResult:
-        """:meth:`decode` on the masked reference loop
-        (:meth:`~repro.parallel.simd.LaneEngine.run_reference`), kept
-        for differential testing."""
-        return self._decode(
-            self._engine.run_reference, words, final_states, metadata,
-            max_threads,
-        )
-
-    def _decode(
-        self,
-        run,
-        words: np.ndarray,
-        final_states: np.ndarray,
-        metadata: RecoilMetadata,
-        max_threads: int | None,
-    ) -> RecoilDecodeResult:
         if metadata.lanes != self.lanes:
             raise DecodeError(
                 f"metadata is for {metadata.lanes}-way interleaving, "
@@ -158,8 +127,10 @@ class RecoilDecoder:
         if max_threads is not None:
             metadata = metadata.combine(max_threads)
         columns = build_thread_tasks(metadata, len(words), final_states)
-        out = np.empty(metadata.num_symbols, dtype=self._out_dtype())
-        stats = run(words, columns, out)
+        out = np.empty(metadata.num_symbols, dtype=self.provider.out_dtype)
+        stats = fused_run(
+            self.provider, self.lanes, words, columns, out, self._arena
+        )
         return RecoilDecodeResult(
             symbols=out,
             engine_stats=stats,

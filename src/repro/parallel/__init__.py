@@ -1,17 +1,15 @@
 """Parallel execution substrate.
 
-- :mod:`repro.parallel.simd` — the lane-engine front end: a batch of
-  decoder threads, each with 32 interleaved lanes, as dense array
-  operations (the reproduction's stand-in for AVX vectors and CUDA
-  warps).  ``run`` routes through the fused kernel; ``run_reference``
-  keeps the original masked loop for differential testing.
 - :mod:`repro.parallel.fused` — the decode plan, ``TaskColumns`` (one
   row per decoder thread, DESIGN.md §7), and the fused wide-lane
-  decode kernel (DESIGN.md §8): one flat state vector across all
-  partitions, an analytically-planned steady-state fast path, zero
-  per-iteration allocation; ``fused_run_multi`` extends it to tasks
-  spanning multiple word buffers (cross-request fusion, DESIGN.md
-  §12).
+  decode kernel ``fused_run`` (DESIGN.md §8): a batch of decoder
+  threads, each with 32 interleaved lanes, as one flat state vector
+  (the reproduction's stand-in for AVX vectors and CUDA warps), an
+  analytically-planned steady-state fast path, zero per-iteration
+  allocation.  ``reference_walk`` runs the same walk on the masked
+  loop alone, for differential testing; ``fused_run_multi`` extends
+  the kernel to tasks spanning multiple word buffers (cross-request
+  fusion, DESIGN.md §12).
 - :mod:`repro.parallel.fused_encode` — the encode-side twin
   (DESIGN.md §10): blocked trajectory staging, in-kernel split-event
   recording, independent encodes fused into one wide state vector.
@@ -31,13 +29,13 @@
 
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import (
+    EngineStats,
     MultiRunResult,
     StreamSegment,
     TaskColumns,
     fused_run_multi,
 )
 from repro.parallel.executor import PoolDecodeResult, decode_with_pool
-from repro.parallel.simd import LaneEngine, EngineStats
 from repro.parallel.costmodel import (
     DeviceProfile,
     assign_tasks,
@@ -47,7 +45,6 @@ from repro.parallel.costmodel import (
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 
 __all__ = [
-    "LaneEngine",
     "MultiRunResult",
     "ScratchArena",
     "StreamSegment",

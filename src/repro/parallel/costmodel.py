@@ -3,9 +3,9 @@
 Pure Python cannot hit the paper's 90 GB/s, so Figure 7 is reproduced
 in two layers (DESIGN.md substitution table):
 
-1. the *work* is executed for real by :class:`~repro.parallel.simd.LaneEngine`
-   (so sync overhead, workload imbalance and stragglers are measured,
-   not assumed), and
+1. the *work* is executed for real by the fused decode kernel
+   (:func:`~repro.parallel.fused.fused_run`), so sync overhead,
+   workload imbalance and stragglers are measured, not assumed, and
 2. this module converts the counted work into projected wall-clock
    seconds for calibrated device profiles resembling the paper's
    testbed (Xeon W-3245 16C for AVX2/AVX512, RTX 2080 Ti for CUDA).

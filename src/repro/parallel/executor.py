@@ -1,9 +1,10 @@
 """Executing decode tasks on a pool of real OS threads.
 
-The batched :class:`~repro.parallel.simd.LaneEngine` already *models*
-massive parallelism faithfully (work, sync overhead, stragglers); this
-module additionally runs the same tasks on real threads so the
-examples and benchmarks can demonstrate genuine concurrent decoding.
+The fused kernel (:func:`~repro.parallel.fused.fused_run`) already
+*models* massive parallelism faithfully (work, sync overhead,
+stragglers); this module additionally runs the same tasks on real
+threads so the examples and benchmarks can demonstrate genuine
+concurrent decoding.
 On a host with a C compiler each thread spends its time inside one
 ``ctypes`` call, which releases the GIL, so the threads decode on
 separate cores; on the numpy kernel (a host without one) the GIL-held
@@ -29,8 +30,8 @@ import numpy as np
 from repro.errors import ParallelismError
 from repro.parallel import compiled
 from repro.parallel.costmodel import assign_tasks
-from repro.parallel.fused import TaskColumns
-from repro.parallel.simd import EngineStats, LaneEngine
+from repro.parallel.buffers import ScratchArena
+from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.rans.adaptive import AdaptiveModelProvider
 
 
@@ -61,7 +62,7 @@ def decode_with_pool(
 ) -> PoolDecodeResult:
     """Decode the plan ``columns`` on ``workers`` real threads.
 
-    Each worker runs the lane engine (with a private scratch arena)
+    Each worker runs the fused kernel (with a private scratch arena)
     over a subset of the plan's rows; commit ranges are disjoint so
     the shared output needs no locks.  Tasks are spread by estimated
     cost (walked symbols) via
@@ -93,8 +94,8 @@ def decode_with_pool(
         )
 
     def run(rows: np.ndarray) -> EngineStats:
-        return LaneEngine(provider, lanes).run(
-            words, columns.rows(rows), out
+        return fused_run(
+            provider, lanes, words, columns.rows(rows), out, ScratchArena()
         )
 
     if len(buckets) == 1:

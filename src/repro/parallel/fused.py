@@ -1,18 +1,16 @@
 """Fused wide-lane rANS decode kernel.
 
-This is the hot path of the whole reproduction (DESIGN.md §8).  The
-reference engine (:meth:`~repro.parallel.simd.LaneEngine.run_reference`)
-models the paper's SIMD/CUDA decoders faithfully but spends most of its
-time in Python/numpy *dispatch*: every iteration rebuilds participation
-masks, reallocates temporaries and re-casts tables for arrays of only
-``tasks x 32`` elements.  The fused kernel keeps the exact same walk
-semantics (DESIGN.md §7) while restructuring the work so that the
-common case — every partition mid-stream, all lanes live, full groups,
-everything committed — runs a minimal straight-line sequence of
-in-place vectorized operations over one flat ``(M*K,)`` state vector.
-This is the paper's decoder-adaptive scalability claim made real in
-Python: combining M partitions widens the effective vector M-fold and
-the per-symbol interpreter overhead drops accordingly.
+This is the hot path of the whole reproduction (DESIGN.md §8).  A
+*task* is one logical decoder thread — ``K`` interleaved lanes walking
+a symbol-index range backwards over a shared word stream — and a
+batch of tasks is one :class:`TaskColumns` plan (DESIGN.md §7).  The
+numpy kernel advances every task at once, one interleave group per
+iteration, as dense ``(tasks, lanes)`` array arithmetic: the data
+layout of the paper's SIMD and CUDA decoders (one warp per task, one
+CUDA lane per rANS lane).  Combining M partitions widens the effective
+vector M-fold and the per-symbol interpreter overhead drops
+accordingly — the paper's decoder-adaptive scalability claim made real
+in Python.
 
 Structure of one run:
 
@@ -29,15 +27,18 @@ Structure of one run:
 
 Phase boundaries are computed analytically from the task geometry
 before the loop starts, so the steady loop carries no per-iteration
-phase checks.
+phase checks.  :func:`reference_walk` runs the same walk with the
+steady window empty — every iteration on the masked loop — and is the
+differential reference the steady loop and the compiled walk are
+tested against.
 
 On a host with a C compiler one C call replaces all three phases and
 walks every task end to end (:func:`repro.parallel.compiled.rans_walk`,
 DESIGN.md §19): tasks share only the read-only word stream and
 disjoint output ranges, so the compiled walk needs neither lockstep
 masks nor the global steady window.  Both read the one decode plan,
-:class:`TaskColumns`; this numpy path is what a host without a
-compiler runs, and the oracle the compiled walk is tested against.
+:class:`TaskColumns`; the numpy path is what a host without a
+compiler runs.
 """
 
 from __future__ import annotations
@@ -50,9 +51,30 @@ from repro import faults
 from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
-from repro.parallel.simd import EngineStats
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS
+
+
+@dataclass
+class EngineStats:
+    """Work counters from one decode run (feeds the cost model).
+
+    Every live task advances one interleave group per iteration, so
+    the longest task's iteration count is the run's:
+    ``max_task_iterations == iterations`` on both kernels.
+    """
+
+    iterations: int = 0
+    symbols_decoded: int = 0  # includes discarded sync-section symbols
+    words_read: int = 0
+    tasks: int = 0
+    max_task_iterations: int = 0
+
+    @property
+    def lane_utilization(self) -> float:
+        """Decoded symbols per (iteration x task) slot, at most ``K``."""
+        denom = self.iterations * max(self.tasks, 1)
+        return self.symbols_decoded / denom if denom else 0.0
 
 
 def _plan_phases(columns: "TaskColumns", lanes: int) -> tuple[int, int, int]:
@@ -115,8 +137,8 @@ def fused_run(
     out: np.ndarray,
     arena: ScratchArena,
 ) -> EngineStats:
-    """Decode every task into ``out`` (same contract as
-    :meth:`~repro.parallel.simd.LaneEngine.run`).
+    """Decode every task of the plan, writing committed symbols into
+    ``out``.
 
     :param provider: model provider shared by all tasks.
     :param lanes: interleaved lanes per task (``K``).
@@ -137,6 +159,41 @@ def fused_run(
     """
     if _runs_compiled(out):
         return _compiled_walk(provider, lanes, words, columns, out)
+    return _numpy_walk(
+        provider, lanes, words, columns, out, arena, steady=True
+    )
+
+
+def reference_walk(
+    provider: AdaptiveModelProvider,
+    lanes: int,
+    words: np.ndarray,
+    columns: "TaskColumns",
+    out: np.ndarray,
+) -> EngineStats:
+    """:func:`fused_run`'s numpy walk with an empty steady window:
+    every iteration runs the generic masked loop, on every host.
+
+    The differential reference for the steady loop and the compiled
+    walk: same contract, same output, same :class:`EngineStats`, same
+    errors.  Unoptimized on purpose (fresh scratch per call).
+    """
+    return _numpy_walk(
+        provider, lanes, words, columns, out, ScratchArena(), steady=False
+    )
+
+
+def _numpy_walk(
+    provider: AdaptiveModelProvider,
+    lanes: int,
+    words: np.ndarray,
+    columns: "TaskColumns",
+    out: np.ndarray,
+    arena: ScratchArena,
+    steady: bool,
+) -> EngineStats:
+    """The numpy walk: head, steady window (when ``steady`` and the
+    plan has one), tail, then the terminal drain."""
     K = lanes
     T = columns.num_tasks
     stats = EngineStats(tasks=T)
@@ -190,10 +247,11 @@ def fused_run(
     a_ptr = 0
 
     R_total, H, S = _plan_phases(columns, K)
+    if not steady:
+        H = S = 0
 
     lane_col = np.arange(K, dtype=np.int64)[None, :]
     out_dtype = out.dtype
-    per_task_iters = np.zeros(T, dtype=np.int64)
     symbols_decoded = 0
     words_read = 0
     r = 0
@@ -266,7 +324,6 @@ def fused_run(
                 )
 
             symbols_decoded += int(part.sum())
-            per_task_iters[alive] += 1
             np.copyto(cur, sl - 1, where=alive)
             r += 1
         return r
@@ -292,16 +349,14 @@ def fused_run(
 
         words_read += pos_sum_before - int(pos.sum())
         symbols_decoded += steady_iters * T * K
-        per_task_iters += steady_iters
         cur -= K * steady_iters
         r = S
 
     r = generic_until(r, R_total)
 
-    stats.iterations = r
+    stats.iterations = stats.max_task_iterations = r
     stats.symbols_decoded = symbols_decoded
     stats.words_read = words_read
-    stats.max_task_iterations = int(per_task_iters.max()) if T else 0
 
     # ---- terminal drain & checks ---------------------------------------
     for ti in np.flatnonzero(geom[:, 6]).tolist():

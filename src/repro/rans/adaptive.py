@@ -15,8 +15,9 @@ hyperprior-based context".  This module provides that machinery:
   a discrete scale table, mirroring learned-image-codec entropy
   parameter banks.
 
-All providers expose dense tables (``freq_table``, ``cdf_table``,
-``lut_table``) so the vectorized engines can gather per-symbol
+All providers expose dense tables (``freq_table``, ``cdf_table``, and
+the kernels' slot- and symbol-indexed ``decode_tables`` and
+``encode_tables``) so the vectorized kernels can gather per-symbol
 parameters with single numpy fancy-indexing operations.
 """
 
@@ -122,7 +123,6 @@ class AdaptiveModelProvider:
         self.alphabet_size = models[0].alphabet_size
         self._freq_table: np.ndarray | None = None
         self._cdf_table: np.ndarray | None = None
-        self._lut_table: np.ndarray | None = None
         self._decode_tables: DecodeTables | None = None
         self._encode_tables: EncodeTables | None = None
         self._dense_ids: np.ndarray | None = None
@@ -160,15 +160,6 @@ class AdaptiveModelProvider:
         if self._cdf_table is None:
             self._cdf_table = np.stack([m.cdf for m in self._models])
         return self._cdf_table
-
-    @property
-    def lut_table(self) -> np.ndarray:
-        """``(num_models, 2**n)`` slot→symbol table."""
-        if self._lut_table is None:
-            self._lut_table = np.stack(
-                [m.slot_to_symbol.astype(np.uint32) for m in self._models]
-            )
-        return self._lut_table
 
     @property
     def decode_tables(self) -> DecodeTables:

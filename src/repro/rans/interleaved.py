@@ -277,16 +277,16 @@ class InterleavedDecoder:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        self._engine = None
+        self._arena = None  # scratch buffers, reused across decode calls
 
-    def _get_engine(self):
-        """Cached fused lane engine (lazy import: the parallel package
-        imports this module's package at load time)."""
-        if self._engine is None:
-            from repro.parallel.simd import LaneEngine
+    def _get_arena(self):
+        # Lazy import: the parallel package imports this module's
+        # package at load time.
+        if self._arena is None:
+            from repro.parallel.buffers import ScratchArena
 
-            self._engine = LaneEngine(self.provider, self.lanes)
-        return self._engine
+            self._arena = ScratchArena()
+        return self._arena
 
     def _out_dtype(self) -> type:
         a = self.provider.alphabet_size
@@ -313,7 +313,7 @@ class InterleavedDecoder:
         emission.  :meth:`decode_reference` is the pure-Python
         differential reference.
         """
-        from repro.parallel.fused import TaskColumns
+        from repro.parallel.fused import TaskColumns, fused_run
 
         K = self.lanes
         N = int(num_symbols)
@@ -342,7 +342,9 @@ class InterleavedDecoder:
             init_task=[0],
             init_states=x[None],
         )
-        self._get_engine().run(words, columns, out)
+        fused_run(
+            self.provider, K, words, columns, out, self._get_arena()
+        )
         return out
 
     # ------------------------------------------------------------------

@@ -626,6 +626,8 @@ def fused_stitch(
                 nb = nb_t[e]
                 tail[i] = x
                 if nb:
+                    if p + nb > bit_count:
+                        raise DecodeError("tANS bitstream exhausted")
                     x = base_t[e] + (
                         (win24[p >> 3] >> (24 - (p & 7) - nb))
                         & ((1 << nb) - 1)

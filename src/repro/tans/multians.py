@@ -103,6 +103,25 @@ class MultiansCodec:
         return bytes(out)
 
     def parse(self, blob: bytes) -> tuple[TansEncodeResult, TansTable]:
+        """Parse a container into the stream and its table.
+
+        The error surface is strict, like
+        :func:`~repro.core.container.parse_container`'s: any malformed
+        input — truncation, bit flips, nonsense fields — raises
+        :class:`ContainerError`, never a builtin.
+        """
+        try:
+            return self._parse(blob)
+        except ContainerError:
+            raise
+        except (ValueError, IndexError, OverflowError, MemoryError) as exc:
+            raise ContainerError(
+                f"malformed multians container ({type(exc).__name__}: "
+                f"{exc})"
+            ) from exc
+
+    @staticmethod
+    def _parse(blob: bytes) -> tuple[TansEncodeResult, TansTable]:
         if blob[:4] != MAGIC:
             raise ContainerError(f"bad magic {blob[:4]!r}")
         if blob[4] != VERSION:
@@ -112,6 +131,11 @@ class MultiansCodec:
         bit_count, pos = decode_uvarint(blob, pos)
         initial_state, pos = decode_uvarint(blob, pos)
         table, pos = TansTable.from_bytes(blob, pos)
+        T = table.table_size
+        if not T <= initial_state < 2 * T:
+            raise ContainerError(
+                f"initial state {initial_state} outside [{T}, {2 * T})"
+            )
         payload = blob[pos:]
         if len(payload) < (bit_count + 7) // 8:
             raise ContainerError("truncated tANS payload")

@@ -188,26 +188,31 @@ class TansTable:
     @classmethod
     def from_bytes(cls, blob: bytes, offset: int = 0) -> tuple["TansTable", int]:
         """Rebuild a table from its dump (frequencies are recovered by
-        counting spread occupancy)."""
+        counting spread occupancy).
+
+        :raises ContainerError: a header the dump format cannot hold
+            (more than 16 table bits or ``2**16`` symbols), or a dump
+            cut short.
+        """
         table_bits, pos = decode_uvarint(blob, offset)
         alphabet, pos = decode_uvarint(blob, pos)
+        if table_bits > 16 or alphabet > 1 << 16:
+            raise ContainerError(
+                f"implausible tANS table: {table_bits} table bits, "
+                f"{alphabet} symbols"
+            )
         T = 1 << table_bits
-        if alphabet <= 256 and table_bits <= 15:
-            packed = np.frombuffer(blob, dtype="<u4", count=T, offset=pos)
-            pos += 4 * T
-            dec_sym = (packed & 0xFF).astype(np.int64)
-        elif alphabet <= 256:
-            dec_sym = np.frombuffer(
-                blob, dtype="<u1", count=T, offset=pos
-            ).astype(np.int64)
-            pos += T + T + 4 * T
+        packed = alphabet <= 256 and table_bits <= 15
+        sym_bytes = 1 if alphabet <= 256 else 2
+        size = 4 * T if packed else (sym_bytes + 1 + 4) * T
+        if pos + size > len(blob):
+            raise ContainerError("truncated tANS table dump")
+        if packed:
+            entries = np.frombuffer(blob, dtype="<u4", count=T, offset=pos)
+            dec_sym = (entries & 0xFF).astype(np.int64)
         else:
             dec_sym = np.frombuffer(
-                blob, dtype="<u2", count=T, offset=pos
+                blob, dtype=f"<u{sym_bytes}", count=T, offset=pos
             ).astype(np.int64)
-            pos += 2 * T + T + 4 * T
         freqs = np.bincount(dec_sym, minlength=alphabet)
-        table = cls(freqs.astype(np.int64), table_bits)
-        if pos > len(blob):
-            raise ContainerError("truncated tANS table dump")
-        return table, pos
+        return cls(freqs.astype(np.int64), table_bits), pos + size

@@ -179,7 +179,7 @@ def build_tans_blob(case: dict) -> tuple[bytes, object]:
     return codec.compress(case["payload"]), codec
 
 
-#: the :class:`~repro.parallel.simd.EngineStats` counters the manifest
+#: the :class:`~repro.parallel.fused.EngineStats` counters the manifest
 #: pins per shrink capacity (``engine_stats``).
 ENGINE_COUNTERS = (
     "iterations",

@@ -85,7 +85,6 @@ class TestIndexedProvider:
         p = IndexedModelProvider([model11, m2], np.array([0, 1]))
         assert p.freq_table.shape == (2, 256)
         assert p.cdf_table.shape == (2, 257)
-        assert p.lut_table.shape == (2, 2**11)
 
     def test_empty_models_rejected(self):
         with pytest.raises(ModelError):

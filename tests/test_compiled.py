@@ -23,8 +23,8 @@ from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.fused import TaskColumns
-from repro.parallel.simd import LaneEngine
+from repro.parallel.buffers import ScratchArena
+from repro.parallel.fused import TaskColumns, fused_run
 
 from conftest import needs_compiled, running_on
 
@@ -73,7 +73,7 @@ class TestFallbackWithoutToolchain:
             enc.metadata, len(enc.words), enc.final_states
         )
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        LaneEngine(provider11, 32).run(enc.words, tasks, out)
+        fused_run(provider11, 32, enc.words, tasks, out, ScratchArena())
         assert np.array_equal(out, data)
 
     def test_pool_reports_effective_numpy(
@@ -219,7 +219,7 @@ class TestWalkBoundsChecks:
 
     def _decode(self, provider, enc, task, n=None):
         out = np.zeros(enc.num_symbols if n is None else n, np.uint8)
-        LaneEngine(provider, 4).run(enc.words, task, out)
+        fused_run(provider, 4, enc.words, task, out, ScratchArena())
         return out
 
     def test_task_is_the_built_plan(self, stream):

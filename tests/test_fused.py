@@ -2,10 +2,11 @@
 
 Every configuration pits three implementations against each other:
 
-- ``LaneEngine.run`` — the fused kernel (head / steady-state / tail on
+- ``fused_run`` — the fused kernel (head / steady-state / tail on
   numpy, or the compiled walk: the ``kernel_backend`` tests run both,
   the others the host's kernel);
-- ``LaneEngine.run_reference`` — the original masked per-group loop;
+- ``reference_walk`` — the same numpy walk with an empty steady
+  window, every iteration on the masked per-group loop;
 - ``InterleavedDecoder.decode_reference`` — the pure-Python walk.
 
 Outputs must be bit-identical and the :class:`EngineStats` counters
@@ -29,10 +30,12 @@ from repro.parallel.executor import decode_with_pool
 from repro.parallel.fused import (
     StreamSegment,
     TaskColumns,
+    _plan_phases,
     _stack_streams,
+    fused_run,
     fused_run_multi,
+    reference_walk,
 )
-from repro.parallel.simd import LaneEngine
 from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
@@ -89,11 +92,17 @@ class TestFusedVsReference:
         tasks = build_thread_tasks(
             enc.metadata, len(enc.words), enc.final_states
         )
-        engine = LaneEngine(provider, lanes)
+        # A non-empty steady window [H, S): on numpy the kernel's
+        # steady loop, not the masked loop, is what meets the
+        # reference.
+        _, H, S = _plan_phases(tasks, lanes)
+        assert H < S
         out_f = np.empty(enc.num_symbols, dtype=np.uint8)
         out_r = np.empty(enc.num_symbols, dtype=np.uint8)
-        sf = engine.run(enc.words, tasks, out_f)
-        sr = engine.run_reference(enc.words, tasks, out_r)
+        sf = fused_run(
+            provider, lanes, enc.words, tasks, out_f, ScratchArena()
+        )
+        sr = reference_walk(provider, lanes, enc.words, tasks, out_r)
         assert np.array_equal(out_f, payload)
         assert np.array_equal(out_r, payload)
         assert _stats_tuple(sf) == _stats_tuple(sr)
@@ -120,18 +129,17 @@ class TestFusedVsReference:
     ):
         provider = _provider(kind, payload, adaptive_provider)
         enc = RecoilEncoder(provider).encode(payload, num_threads=8)
-        dec = RecoilDecoder(provider)
-        res_f = dec.decode(
+        res = RecoilDecoder(provider).decode(
             enc.words, enc.final_states, enc.metadata, max_threads=threads
         )
-        res_r = dec.decode_reference(
-            enc.words, enc.final_states, enc.metadata, max_threads=threads
+        tasks = build_thread_tasks(
+            enc.metadata.combine(threads), len(enc.words), enc.final_states
         )
-        assert np.array_equal(res_f.symbols, payload)
-        assert np.array_equal(res_f.symbols, res_r.symbols)
-        assert _stats_tuple(res_f.engine_stats) == _stats_tuple(
-            res_r.engine_stats
-        )
+        out_r = np.empty(enc.num_symbols, dtype=np.uint8)
+        sr = reference_walk(provider, 32, enc.words, tasks, out_r)
+        assert np.array_equal(res.symbols, payload)
+        assert np.array_equal(res.symbols, out_r)
+        assert _stats_tuple(res.engine_stats) == _stats_tuple(sr)
 
 
 class TestPooledFused:
@@ -204,11 +212,10 @@ class TestFusedEdgeCases:
             init_states=[enc.final_states],
             check_terminal=False,
         )
-        engine = LaneEngine(provider, 32)
         out_f = np.zeros(enc.num_symbols, dtype=np.uint8)
         out_r = np.zeros(enc.num_symbols, dtype=np.uint8)
-        sf = engine.run(enc.words, task, out_f)
-        sr = engine.run_reference(enc.words, task, out_r)
+        sf = fused_run(provider, 32, enc.words, task, out_f, ScratchArena())
+        sr = reference_walk(provider, 32, enc.words, task, out_r)
         assert np.array_equal(out_f[100:200], payload[100:200])
         assert np.all(out_f[200:] == 0)
         assert np.array_equal(out_f, out_r)
@@ -268,16 +275,15 @@ def _run_both(provider, lanes, words, tasks, n):
     are identical.  Returns the kernel's ``(out, stats)``, or None
     when both raised.
     """
-    engine = LaneEngine(provider, lanes)
     out_k = np.zeros(n, dtype=np.uint8)
     out_r = np.zeros(n, dtype=np.uint8)
     try:
-        sr = engine.run_reference(words, tasks, out_r)
+        sr = reference_walk(provider, lanes, words, tasks, out_r)
     except DecodeError:
         with pytest.raises(DecodeError):
-            engine.run(words, tasks, out_k)
+            fused_run(provider, lanes, words, tasks, out_k, ScratchArena())
         return None
-    sk = engine.run(words, tasks, out_k)
+    sk = fused_run(provider, lanes, words, tasks, out_k, ScratchArena())
     assert np.array_equal(out_k, out_r)
     assert _stats_tuple(sk) == _stats_tuple(sr)
     return out_k, sk
@@ -311,7 +317,7 @@ class TestWholeWalkBatches:
             for seg, (word_base, sym_base) in zip(segments, bases)
         ])
         out_r = np.empty(3 * enc.num_symbols, dtype=np.uint8)
-        sr = LaneEngine(provider, 32).run_reference(words, plan, out_r)
+        sr = reference_walk(provider, 32, words, plan, out_r)
         assert np.array_equal(res.out, out_r)
         assert _stats_tuple(res.stats) == _stats_tuple(sr)
 
@@ -397,9 +403,7 @@ class TestWholeWalkBatches:
             ScratchArena(),
         )
         out_r = np.empty(enc.num_symbols, dtype=np.uint8)
-        sr = LaneEngine(adaptive_provider, 32).run_reference(
-            enc.words, tasks, out_r
-        )
+        sr = reference_walk(adaptive_provider, 32, enc.words, tasks, out_r)
         assert np.array_equal(res.out, payload)
         assert np.array_equal(res.out, out_r)
         assert _stats_tuple(res.stats) == _stats_tuple(sr)

@@ -4,10 +4,10 @@ A rANS container decoder facing random corruption, on either kernel,
 may either (a) raise a library error
 (:class:`~repro.errors.ReproError`) or (b) decode to output that
 differs from the original; the two kernels must agree on which, and
-on the output.  The tANS multians decoder may still raise a bounded
-builtin (``ACCEPTABLE``).  What no decoder may do is hang, crash the
-interpreter, or silently return the *right* data from wrong bytes
-when integrity checks could have caught it.
+on the output.  The tANS multians decoder too fails with a
+``ReproError`` or wrong output, never a builtin.  What no decoder may
+do is hang, crash the interpreter, or silently return the *right*
+data from wrong bytes when integrity checks could have caught it.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from repro.rans.model import SymbolModel
 from repro.tans import MultiansCodec, TansTable
 
 from conftest import needs_compiled, running_on
-
-#: what the tANS multians fuzz tolerates besides a ReproError.
-ACCEPTABLE = (ReproError, ValueError, OverflowError, MemoryError, IndexError)
-
 
 @pytest.fixture(scope="module")
 def codec(model11):
@@ -221,6 +217,9 @@ def test_kernels_agree_on_corrupt_containers(chunk):
 
 
 class TestMultiansFuzz:
+    """Corrupt multians containers fail typed: a :class:`ReproError`,
+    never a builtin."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_corruption(self, skewed_bytes, seed):
         table = TansTable.from_data(skewed_bytes, 11, alphabet_size=256)
@@ -230,11 +229,24 @@ class TestMultiansFuzz:
         bad = _flip(blob, int(r.integers(0, len(blob))))
         try:
             out, _ = mc.decompress(bad, num_threads=8)
-        except ACCEPTABLE:
+        except ReproError:
             return
         # tANS self-synchronizes, so payload corruption yields locally
         # wrong output rather than an error — that is expected.
         assert len(out) == 5_000
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_truncation(self, skewed_bytes, seed):
+        """A cut anywhere — header, table dump or payload — is refused
+        typed, at 11 and 12 table bits and 8 and 64 threads."""
+        table = TansTable.from_data(
+            skewed_bytes, 11 + seed % 2, alphabet_size=256
+        )
+        mc = MultiansCodec(table)
+        blob = mc.compress(skewed_bytes[:5_000])
+        cut = int(np.random.default_rng(seed).integers(0, len(blob)))
+        with pytest.raises(ReproError):
+            mc.decompress(blob[:cut], num_threads=8 if seed < 4 else 64)
 
 
 #: the ONLY errors the ingest surfaces may raise on malformed bytes.
@@ -261,6 +273,21 @@ class TestIngestStrictErrorSurface:
         store = AssetStore()
         with pytest.raises(STRICT):
             store.put_container("x", blob[:length])
+
+    def test_every_prefix_fails_typed(self, codec, skewed_bytes):
+        """Parsing or ingesting any truncation of a valid container —
+        the header included — raises a strict error, never a builtin
+        or another error class (a cut inside the metadata section
+        exhausts its bit reader)."""
+        from repro.serve import AssetStore
+
+        small = codec.compress(skewed_bytes[:2_000], 8)
+        store = AssetStore()
+        for n in range(len(small)):
+            with pytest.raises(STRICT):
+                parse_container(small[:n])
+            with pytest.raises(STRICT):
+                store.put_container("x", small[:n])
 
     @pytest.mark.parametrize("seed", range(48))
     def test_bit_flips_through_put_container(self, blob, seed):

@@ -1,4 +1,5 @@
-"""Low-level tests for the batched lane engine."""
+"""Low-level tests for the fused decode entry point, ``fused_run``:
+every decoder thread of a plan advanced as one batch of lanes."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ import pytest
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
-from repro.parallel.fused import TaskColumns
-from repro.parallel.simd import LaneEngine
+from repro.parallel.buffers import ScratchArena
+from repro.parallel.fused import TaskColumns, fused_run
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedEncoder
 
@@ -41,8 +42,8 @@ def full_task(enc, check=True, **changes) -> TaskColumns:
 class TestEngineBasics:
     def test_full_stream_task(self, enc, provider11, skewed_bytes):
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        stats = LaneEngine(provider11, 32).run(
-            enc.words, full_task(enc), out
+        stats = fused_run(
+            provider11, 32, enc.words, full_task(enc), out, ScratchArena()
         )
         assert np.array_equal(out, skewed_bytes[:10_000])
         assert stats.symbols_decoded == enc.num_symbols
@@ -55,14 +56,16 @@ class TestEngineBasics:
             32, start_pos=[], walk_hi=[], walk_lo=[], commit_hi=[],
             commit_lo=[],
         )
-        stats = LaneEngine(provider11, 32).run(enc.words, empty, out)
+        stats = fused_run(
+            provider11, 32, enc.words, empty, out, ScratchArena()
+        )
         assert stats.iterations == 0
 
     def test_commit_window(self, enc, provider11, skewed_bytes):
         """Only the commit range is written."""
         t = full_task(enc, check=False, commit_lo=101, commit_hi=200)
         out = np.zeros(enc.num_symbols, dtype=np.uint8)
-        LaneEngine(provider11, 32).run(enc.words, t, out)
+        fused_run(provider11, 32, enc.words, t, out, ScratchArena())
         assert np.array_equal(out[100:200], skewed_bytes[100:200])
         assert np.all(out[200:] == 0)
 
@@ -73,8 +76,9 @@ class TestEngineBasics:
     def test_start_pos_out_of_range(self, enc, provider11):
         t = full_task(enc, start_pos=len(enc.words))
         with pytest.raises(DecodeError, match="beyond stream"):
-            LaneEngine(provider11, 32).run(
-                enc.words, t, np.empty(enc.num_symbols, dtype=np.uint8)
+            fused_run(
+                provider11, 32, enc.words, t,
+                np.empty(enc.num_symbols, dtype=np.uint8), ScratchArena(),
             )
 
     def test_activation_outside_walk_rejected(self, enc, provider11):
@@ -91,9 +95,9 @@ class TestEngineBasics:
         bad[3] ^= 0x77
         t = full_task(enc, init_states=[bad])
         with pytest.raises(DecodeError):
-            LaneEngine(provider11, 32).run(
-                enc.words, t,
-                np.empty(enc.num_symbols, dtype=np.uint8),
+            fused_run(
+                provider11, 32, enc.words, t,
+                np.empty(enc.num_symbols, dtype=np.uint8), ScratchArena(),
             )
 
 
@@ -107,8 +111,9 @@ class TestEngineStats:
             enc.metadata, len(enc.words), enc.final_states
         )
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        stats = LaneEngine(StaticModelProvider(model11), 32).run(
-            enc.words, tasks, out
+        stats = fused_run(
+            StaticModelProvider(model11), 32, enc.words, tasks, out,
+            ScratchArena(),
         )
         assert 0 < stats.lane_utilization <= 32
         assert stats.max_task_iterations <= stats.iterations
@@ -122,17 +127,17 @@ class TestEngineStats:
         enc1 = RecoilEncoder(model11).encode(data, num_threads=1)
         enc16 = RecoilEncoder(model11).encode(data, num_threads=16)
         out = np.empty(len(data), dtype=np.uint8)
-        s1 = LaneEngine(provider, 32).run(
-            enc1.words,
+        s1 = fused_run(
+            provider, 32, enc1.words,
             build_thread_tasks(enc1.metadata, len(enc1.words),
                                enc1.final_states),
-            out,
+            out, ScratchArena(),
         )
-        s16 = LaneEngine(provider, 32).run(
-            enc16.words,
+        s16 = fused_run(
+            provider, 32, enc16.words,
             build_thread_tasks(enc16.metadata, len(enc16.words),
                                enc16.final_states),
-            out,
+            out, ScratchArena(),
         )
         assert s16.iterations < s1.iterations / 8
 
@@ -152,7 +157,9 @@ class TestSynchronizationPhase:
         provider = StaticModelProvider(model11)
         out = np.empty(enc.num_symbols, dtype=np.uint8)
         for t in range(tasks.num_tasks):
-            LaneEngine(provider, 32).run(enc.words, tasks.rows([t]), out)
+            fused_run(
+                provider, 32, enc.words, tasks.rows([t]), out, ScratchArena()
+            )
         # After running all tasks separately, every commit range is
         # present and correct.
         assert np.array_equal(out, skewed_bytes[:20_000])
@@ -171,5 +178,7 @@ class TestSynchronizationPhase:
         provider = StaticModelProvider(model11)
         out = np.empty(enc.num_symbols, dtype=np.uint8)
         for t in reversed(range(tasks.num_tasks)):
-            LaneEngine(provider, 32).run(enc.words, tasks.rows([t]), out)
+            fused_run(
+                provider, 32, enc.words, tasks.rows([t]), out, ScratchArena()
+            )
         assert np.array_equal(out, skewed_bytes[:20_000])
