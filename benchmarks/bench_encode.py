@@ -28,7 +28,8 @@ docs/BENCHMARKS.md).  The ``compiled`` section re-times ``fused`` and
 ``compress_splits256`` on the compiled kernel twin (DESIGN.md §19),
 the host's own kernel, when a toolchain is present.  Every column is
 the median (``q1``/``q3`` alongside) of ``--repeats`` alternating
-rounds over all columns of its section (``rounds.alternating_rounds``).
+rounds over all columns of its section
+(``repro.stats.timing.alternating_rounds``).
 CI runs this in smoke mode.  Usage::
 
     python benchmarks/bench_encode.py [--symbols 300000] [--repeats 9]
@@ -54,9 +55,9 @@ from repro.rans.adaptive import StaticModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS, RENORM_MASK
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
+from repro.stats.timing import alternating_rounds
 
 from numpy_host import numpy_host
-from rounds import alternating_rounds
 
 QUANT_BITS = 11
 LANES = 32

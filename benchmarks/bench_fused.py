@@ -15,7 +15,7 @@ time the numpy kernels: on a host with a C compiler they run as a
 host without one (``numpy_host``, docs/BENCHMARKS.md).  The tiers and
 the decoder-adaptive sweep report the median (``q1``/``q3`` alongside)
 of ``--repeats`` alternating rounds over all of them
-(``rounds.alternating_rounds``), every output verified.
+(``repro.stats.timing.alternating_rounds``), every output verified.
 
 The ``thread_pool`` section times ``decode_with_pool`` on each kernel
 at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
@@ -57,9 +57,9 @@ from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 from repro.rans.scalar import ScalarDecoder, ScalarEncoder
+from repro.stats.timing import alternating_rounds, symbol_rate
 
 from numpy_host import numpy_host
-from rounds import alternating_rounds, symbol_rate
 
 QUANT_BITS = 11
 LANES = 32

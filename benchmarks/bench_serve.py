@@ -17,7 +17,11 @@ against; CI runs it in smoke mode and gates on
 ``speedup_batched_vs_unbatched_max_clients``.  Usage::
 
     python benchmarks/bench_serve.py [--symbols 200000]
-        [--clients 1 8 64] [--repeats 2] [--out BENCH_serve.json]
+        [--clients 1 8 64] [--repeats 5] [--out BENCH_serve.json]
+
+Each level times the two services in ``--repeats`` alternating rounds
+and reports their median throughput with quartiles
+(``*_mb_s_q1_q3``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--symbols", type=int, default=200_000)
     ap.add_argument("--clients", type=int, nargs="+", default=[1, 8, 64])
-    ap.add_argument("--repeats", type=int, default=2)
+    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument(
         "--out",
         default=str(pathlib.Path(__file__).resolve().parents[1]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitio.varint import decode_uvarint, encode_uvarint
-from repro.errors import ContainerError, EncodeError
+from repro.errors import ContainerError, EncodeError, ModelError
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
@@ -267,8 +267,36 @@ class ConventionalCodec:
         return bytes(out)
 
     def parse_container(self, blob: bytes) -> ConventionalEncoded:
+        """Parse a container written by :meth:`build_container`.
+
+        The error surface is strict, like
+        :func:`repro.core.container.parse_container`: any malformed
+        input — truncation, bit flips, nonsense length fields, lanes
+        or a model other than this codec's — raises
+        :class:`ContainerError`, never a builtin.
+        """
+        try:
+            return self._parse_container(blob)
+        except ContainerError:
+            raise
+        except (EncodeError, ModelError) as exc:
+            raise ContainerError(f"malformed container: {exc}") from exc
+        except (
+            ValueError,
+            IndexError,
+            KeyError,
+            OverflowError,
+            MemoryError,
+        ) as exc:
+            raise ContainerError(
+                f"malformed container ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    def _parse_container(self, blob: bytes) -> ConventionalEncoded:
         if blob[:4] != MAGIC:
             raise ContainerError(f"bad magic {blob[:4]!r}")
+        if len(blob) < 7:
+            raise ContainerError("truncated header")
         if blob[4] != VERSION:
             raise ContainerError(f"unsupported version {blob[4]}")
         flags = blob[5]
@@ -277,9 +305,22 @@ class ConventionalCodec:
         lanes, pos = decode_uvarint(blob, pos)
         num_symbols, pos = decode_uvarint(blob, pos)
         partitions, pos = decode_uvarint(blob, pos)
+        if lanes != self.lanes:
+            raise ContainerError(
+                f"container has {lanes} lanes, the codec {self.lanes}"
+            )
+        if pos + 4 * partitions * (1 + lanes) > len(blob):
+            raise ContainerError("truncated offset table or final states")
+        bounds = partition_bounds(num_symbols, partitions)
+        if len(bounds) != partitions:
+            raise ContainerError(
+                f"{partitions} partitions for {num_symbols} symbols"
+            )
         offsets = np.frombuffer(
             blob, dtype="<u4", count=partitions, offset=pos
         ).astype(np.int64)
+        if np.any(np.diff(offsets) < 0):
+            raise ContainerError("word offset table is not ascending")
         pos += 4 * partitions
         finals = (
             np.frombuffer(
@@ -295,13 +336,15 @@ class ConventionalCodec:
                 raise ContainerError(
                     "embedded model disagrees with codec provider"
                 )
-        num_words = int(offsets[-1]) if partitions else 0
+        num_words = int(offsets[-1])
+        if pos + 2 * num_words > len(blob):
+            raise ContainerError("truncated payload")
         words = np.frombuffer(blob, dtype="<u2", count=num_words, offset=pos)
         return ConventionalEncoded(
             words=words,
             word_offsets=offsets,
             final_states=finals,
-            bounds=partition_bounds(num_symbols, partitions),
+            bounds=bounds,
             num_symbols=num_symbols,
             lanes=lanes,
             quant_bits=quant_bits,

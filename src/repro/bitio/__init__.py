@@ -7,14 +7,7 @@ and reader used for that, plus LEB128 varints for container headers.
 
 from repro.bitio.bitwriter import BitWriter
 from repro.bitio.bitreader import BitReader, gather_bits
-from repro.bitio.varint import (
-    decode_uvarint,
-    decode_varint,
-    encode_uvarint,
-    encode_varint,
-    read_uvarint,
-    read_varint,
-)
+from repro.bitio.varint import decode_uvarint, encode_uvarint
 
 __all__ = [
     "BitWriter",
@@ -22,8 +15,4 @@ __all__ = [
     "gather_bits",
     "encode_uvarint",
     "decode_uvarint",
-    "encode_varint",
-    "decode_varint",
-    "read_uvarint",
-    "read_varint",
 ]

@@ -74,10 +74,6 @@ class BitReader:
         """Current absolute bit offset from the start of the buffer."""
         return self._pos
 
-    @property
-    def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._pos
-
     def read_bit(self) -> int:
         if self._pos >= 8 * len(self._data):
             raise DecodeError("bit reader exhausted")
@@ -95,10 +91,10 @@ class BitReader:
             raise ValueError(f"width must be >= 0, got {width}")
         if width == 0:
             return 0
-        if width > self.bits_remaining:
+        left = 8 * len(self._data) - self._pos
+        if width > left:
             raise DecodeError(
-                f"bit reader exhausted: need {width} bits, "
-                f"have {self.bits_remaining}"
+                f"bit reader exhausted: need {width} bits, have {left}"
             )
         pos = self._pos
         end = pos + width
@@ -128,10 +124,10 @@ class BitReader:
                 dtype=np.int64,
             )
         total = count * width
-        if total > self.bits_remaining:
+        left = 8 * len(self._data) - self._pos
+        if total > left:
             raise DecodeError(
-                f"bit reader exhausted: need {total} bits, "
-                f"have {self.bits_remaining}"
+                f"bit reader exhausted: need {total} bits, have {left}"
             )
         start = self._pos
         first = start >> 3
@@ -143,22 +139,3 @@ class BitReader:
         )
         self._pos = start + total
         return bits.reshape(count, width) @ powers
-
-    def read_unary(self) -> int:
-        """Read one-bits until a zero terminator; return their count."""
-        count = 0
-        while self.read_bit():
-            count += 1
-        return count
-
-    def read_signed(self, width: int) -> int:
-        """Inverse of :meth:`BitWriter.write_signed`."""
-        negative = self.read_bit()
-        magnitude = self.read_bits(width)
-        return -magnitude if negative else magnitude
-
-    def align_to_byte(self) -> None:
-        """Skip padding bits up to the next byte boundary."""
-        rem = self._pos & 7
-        if rem:
-            self._pos += 8 - rem

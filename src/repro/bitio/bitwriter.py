@@ -43,11 +43,6 @@ class BitWriter:
         """Alias for ``len(self)``."""
         return len(self)
 
-    @property
-    def byte_length(self) -> int:
-        """Number of bytes ``to_bytes`` would return right now."""
-        return len(self._buf) + (1 if self._nbits else 0)
-
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
         if bit not in (0, 1):
@@ -143,26 +138,6 @@ class BitWriter:
             acc = (acc << 1) | int(b)
         self._acc = acc
         self._nbits = rem
-
-    def write_unary(self, value: int) -> None:
-        """Append ``value`` one-bits followed by a terminating zero."""
-        if value < 0:
-            raise ValueError("unary value must be >= 0")
-        # One bulk write: `value` ones then the terminating zero.
-        self.write_bits((1 << (value + 1)) - 2, value + 1)
-
-    def write_signed(self, value: int, width: int) -> None:
-        """Append a sign bit (1 = negative) then ``width`` magnitude bits."""
-        self.write_bit(1 if value < 0 else 0)
-        self.write_bits(abs(value), width)
-
-    def align_to_byte(self) -> None:
-        """Zero-pad to the next byte boundary."""
-        if self._nbits:
-            self._acc <<= 8 - self._nbits
-            self._buf.append(self._acc & 0xFF)
-            self._acc = 0
-            self._nbits = 0
 
     def to_bytes(self) -> bytes:
         """Render the written bits, zero-padding the final partial byte.

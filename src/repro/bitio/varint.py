@@ -1,7 +1,7 @@
 """LEB128 varints used in container headers.
 
 Unsigned values are encoded 7 bits at a time, little-endian groups,
-high bit as continuation flag.  Signed values use zigzag mapping.
+high bit as continuation flag.
 """
 
 from __future__ import annotations
@@ -43,40 +43,3 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise ContainerError("uvarint too long (>64 bits)")
-
-
-def encode_varint(value: int) -> bytes:
-    """Zigzag-encode a signed integer then LEB128 it."""
-    zz = ((-value) << 1) - 1 if value < 0 else value << 1
-    return encode_uvarint(zz)
-
-
-def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Inverse of :func:`encode_varint`."""
-    zz, pos = decode_uvarint(data, offset)
-    value = (zz + 1) >> 1 if zz & 1 else zz >> 1
-    return (-value if zz & 1 else value), pos
-
-
-def read_uvarint(stream) -> int:
-    """Read a LEB128 integer from a file-like object."""
-    value = 0
-    shift = 0
-    while True:
-        chunk = stream.read(1)
-        if not chunk:
-            raise ContainerError("truncated uvarint in stream")
-        byte = chunk[0]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
-        if shift > 63:
-            raise ContainerError("uvarint too long (>64 bits)")
-
-
-def read_varint(stream) -> int:
-    """Read a zigzag varint from a file-like object."""
-    zz = read_uvarint(stream)
-    value = (zz + 1) >> 1 if zz & 1 else zz >> 1
-    return -value if zz & 1 else value

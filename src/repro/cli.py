@@ -384,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="asset size in symbols")
     b.add_argument("--clients", type=int, nargs="+", default=[1, 8, 64],
                    help="concurrent-client counts to sweep")
-    b.add_argument("--repeats", type=int, default=2,
-                   help="best-of repeat count per measurement")
+    b.add_argument("--repeats", type=int, default=5,
+                   help="alternating timing rounds per concurrency "
+                   "level (at least 2)")
     b.add_argument("--faults", default=None, metavar="SPEC",
                    help="chaos spec armed during the client sweep, e.g. "
                    "'kernel.exec:nth=3,batch.dispatch:p=0.05:seed=7' — "

@@ -15,11 +15,12 @@ A self-contained byte layout for an encoded stream::
     payload                     (num_words x u16 LE)
 
 The *payload never moves*: server-side shrinking
-(:func:`shrink_container`) re-serializes only the metadata section and
-splices it between the unchanged head and payload at the offsets the
-parse recorded — the real-time, no-re-encoding operation of paper
-§3.3.  A metadata section written with wider-than-minimal width
-fields parses, and shrinks, like any other.
+(:func:`shrink_container`, and the serving store) re-serializes only
+the metadata section and splices it between the unchanged head and
+payload at the offsets the parse recorded
+(:meth:`ParsedContainer.splice`) — the real-time, no-re-encoding
+operation of paper §3.3.  A metadata section written with
+wider-than-minimal width fields parses, and shrinks, like any other.
 """
 
 from __future__ import annotations
@@ -67,6 +68,20 @@ class ParsedContainer:
             dtype="<u2",
             count=self.num_words,
             offset=self.payload_offset,
+        )
+
+    def splice(self, blob: bytes, metadata_section: bytes) -> bytes:
+        """``blob`` (the container this parse describes) with its
+        metadata section replaced by ``metadata_section``: the head
+        and the payload are copied once, from views of ``blob`` at
+        the parsed offsets, into the one result."""
+        view = memoryview(blob)
+        return b"".join(
+            (
+                view[: self.metadata_offset],
+                metadata_section,
+                view[self.payload_offset :],
+            )
         )
 
 
@@ -220,8 +235,4 @@ def shrink_container(blob: bytes, target_threads: int) -> bytes:
         )
     parsed = parse_container(blob, require_model=False)
     combined = parsed.metadata.combine(target_threads)
-    return (
-        blob[: parsed.metadata_offset]
-        + serialize_metadata(combined)
-        + blob[parsed.payload_offset :]
-    )
+    return parsed.splice(blob, serialize_metadata(combined))

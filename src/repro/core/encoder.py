@@ -37,18 +37,6 @@ class RecoilEncoded:
     def payload_bytes(self) -> int:
         return 2 * len(self.words)
 
-    def with_metadata(self, md: RecoilMetadata) -> "RecoilEncoded":
-        """Same stream, different (e.g. combined) metadata."""
-        return RecoilEncoded(
-            words=self.words,
-            final_states=self.final_states,
-            num_symbols=self.num_symbols,
-            lanes=self.lanes,
-            quant_bits=self.quant_bits,
-            metadata=md,
-            splitter_stats=self.splitter_stats,
-        )
-
 
 class RecoilEncoder:
     """Encode a symbol sequence once, with decoder-adaptive metadata.

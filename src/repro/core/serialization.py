@@ -47,23 +47,6 @@ def _series_width(values: np.ndarray) -> int:
     return max(1, top.bit_length())
 
 
-def write_unsigned_series(writer: BitWriter, values: np.ndarray) -> None:
-    """Width field + fixed-width non-negative values."""
-    values = np.asarray(values, dtype=np.int64)
-    if np.any(values < 0):
-        raise MetadataError("unsigned series contains negative values")
-    width = _series_width(values)
-    if width > _MAX_WIDTH:
-        raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
-    writer.write_bits(width - 1, _WIDTH_FIELD_BITS)
-    writer.write_bits_array(values, width)
-
-
-def read_unsigned_series(reader: BitReader, count: int) -> np.ndarray:
-    width = reader.read_bits(_WIDTH_FIELD_BITS) + 1
-    return reader.read_bits_array(count, width)
-
-
 def write_signed_series(writer: BitWriter, values: np.ndarray) -> None:
     """Width field + sign-presence flag + values.
 

@@ -70,6 +70,8 @@ class DecodeRequest:
         self.trace_root: int | None = None
         self.trace_parent: int | None = None
         self._future: Future = Future()
+        #: set by the service when the request ends, before its
+        #: future resolves.
         self.completed_at: float | None = None
         # Requests with equal keys may share one fused kernel call.
         if asset.provider.is_static:
@@ -105,13 +107,15 @@ class DecodeRequest:
 
     # -- completion (a stdlib Future carries the handoff) --------------
 
-    def set_result(self, symbols: np.ndarray) -> None:
-        self.completed_at = time.perf_counter()
-        self._future.set_result(symbols)
-
-    def set_error(self, error: Exception) -> None:
-        self.completed_at = time.perf_counter()
-        self._future.set_exception(error)
+    def resolve(self, outcome: np.ndarray | BaseException) -> None:
+        """Hand the caller its symbols, or the exception to raise.
+        Only :meth:`RecoilService._complete
+        <repro.serve.service.RecoilService._complete>` calls this,
+        after it has stamped ``completed_at`` and counted the request."""
+        if isinstance(outcome, BaseException):
+            self._future.set_exception(outcome)
+        else:
+            self._future.set_result(outcome)
 
     def result(self, timeout: float | None = None) -> np.ndarray:
         """Block until completion; raises the service-side error (or

@@ -8,7 +8,11 @@ request per kernel call in arrival order.  The speedup therefore
 measures batching alone, never a kernel difference.
 
 Every response of both services is verified bit-identical to the
-``recoil_decompress`` reference before any timing is recorded.
+``recoil_decompress`` reference before any timing is recorded.  The
+two services are timed in alternating rounds
+(:func:`repro.stats.timing.alternating_rounds`): each level reports
+the median throughput of each with its quartiles, and the speedup is
+the ratio of the medians.
 
 Both ``recoil serve-bench`` and ``benchmarks/bench_serve.py`` (which
 emits ``BENCH_serve.json``, the number CI gates on) call
@@ -28,19 +32,11 @@ from repro.core.api import recoil_decompress
 from repro.data import text_surrogate
 from repro.errors import ReproError
 from repro.serve.service import RecoilService, ServiceConfig
+from repro.stats.timing import alternating_rounds
 
 #: client classes cycled across concurrent requests (advertised
 #: decoder capacities, as in the paper's content-delivery scenario).
 DEFAULT_CAPACITIES = (1, 4, 16)
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def run_serve_bench(
@@ -48,7 +44,7 @@ def run_serve_bench(
     clients: tuple[int, ...] = (1, 8, 64),
     capacities: tuple[int, ...] = DEFAULT_CAPACITIES,
     num_splits: int = 256,
-    repeats: int = 2,
+    repeats: int = 5,
     seed: int = 11,
     faults: str | None = None,
 ) -> dict:
@@ -65,6 +61,9 @@ def run_serve_bench(
     - ``batched``: the request batcher fuses them into multi-request
       kernel calls.
 
+    ``repeats`` is the number of alternating timing rounds per level
+    (at least 2; a smaller value runs 2), after one untimed round.
+
     ``faults`` optionally arms a chaos spec
     (:func:`repro.faults.parse_spec` format) for the duration of the
     client sweep — the ``recoil serve-bench --faults`` knob.  With
@@ -74,6 +73,7 @@ def run_serve_bench(
     asserted on every request that completes; the timings then
     describe the service *under fire*, not a clean baseline.
     """
+    repeats = max(repeats, 2)
     chaos = bool(faults and faults.strip())
     if chaos:
         fault_injection.parse_spec(faults)  # fail fast on a bad spec
@@ -142,16 +142,35 @@ def run_serve_bench(
                                 "corrupt response under fault injection"
                             )
 
-                t_unbatched = _best_of(lambda: drive(solo_service), repeats)
-                t_batched = _best_of(lambda: drive(service), repeats)
                 total = num_clients * out_bytes
-                results[str(num_clients)] = {
-                    "unbatched_s": round(t_unbatched, 4),
-                    "batched_s": round(t_batched, 4),
-                    "unbatched_mb_s": round(total / t_unbatched / 1e6, 2),
-                    "batched_mb_s": round(total / t_batched / 1e6, 2),
-                    "speedup": round(t_unbatched / t_batched, 3),
-                }
+
+                def rate(svc: RecoilService):
+                    def timer() -> float:
+                        t0 = time.perf_counter()
+                        drive(svc)
+                        return total / (time.perf_counter() - t0)
+
+                    return timer
+
+                rates = alternating_rounds(
+                    {
+                        "unbatched": rate(solo_service),
+                        "batched": rate(service),
+                    },
+                    repeats,
+                )
+                row = {}
+                for label, (q1, median, q3) in rates.items():
+                    row[f"{label}_s"] = round(total / median, 4)
+                    row[f"{label}_mb_s"] = round(median / 1e6, 2)
+                    row[f"{label}_mb_s_q1_q3"] = [
+                        round(q1 / 1e6, 2),
+                        round(q3 / 1e6, 2),
+                    ]
+                row["speedup"] = round(
+                    rates["batched"][1] / rates["unbatched"][1], 3
+                )
+                results[str(num_clients)] = row
             if chaos:
                 fault_report = fault_injection.snapshot()
 
@@ -291,14 +310,19 @@ def _tiered_cold_warm(symbols: int, seed: int) -> dict:
 
 def render_table(result: dict) -> str:
     """Human-readable summary of a :func:`run_serve_bench` result."""
+
+    def mb_s(row: dict, label: str) -> str:
+        q1, q3 = row[f"{label}_mb_s_q1_q3"]
+        return f"{row[f'{label}_mb_s']:.2f} ({q1:.2f}-{q3:.2f})"
+
     lines = [
-        f"{'clients':>8} {'unbatched MB/s':>15} {'batched MB/s':>13} "
-        f"{'speedup':>8}"
+        f"{'clients':>8} {'unbatched MB/s (q1-q3)':>24} "
+        f"{'batched MB/s (q1-q3)':>24} {'speedup':>8}"
     ]
     for clients, row in result["clients"].items():
         lines.append(
-            f"{clients:>8} {row['unbatched_mb_s']:>15.2f} "
-            f"{row['batched_mb_s']:>13.2f} {row['speedup']:>7.2f}x"
+            f"{clients:>8} {mb_s(row, 'unbatched'):>24} "
+            f"{mb_s(row, 'batched'):>24} {row['speedup']:>7.2f}x"
         )
     m = result["service_metrics"]
     lines.append(

@@ -13,30 +13,90 @@ errors, deadline kills, load shedding and drain outcomes, updated from
 the accept loop and every connection thread.  A server attaches its
 instance to the service (``service.attach_network_metrics``) so
 ``metrics_snapshot()`` reports one unified view under ``"network"``.
+
+Both carry one latency histogram per stage of a request, and one
+recorder, :meth:`~ServeMetrics.stage`, feeds it: a stage's histogram
+sample and, for a traced request, its span (``serve.*`` and
+``net.*``, DESIGN.md §17) come from the same two clock reads, so the
+distribution and the timeline cannot drift apart.
 """
 
 from __future__ import annotations
 
 import threading
 
+from .. import trace
 from ..trace.hist import LatencyHistogram
 
-#: service-side stages with their own latency distribution (DESIGN.md
-#: §17): where a request's time goes between submit and completion.
-SERVICE_STAGES = ("shrink", "admission", "batch_window", "kernel", "request")
 
-#: network-side stages: the connection thread's view of one request.
-NET_STAGES = ("read", "handle", "write", "e2e")
+class _StageMetrics:
+    """The lock and the per-stage instruments both metrics classes
+    share: one always-on histogram per stage, mirrored by a span when
+    the request is traced."""
 
-
-class ServeMetrics:
-    """Thread-safe counters for one service instance."""
+    #: stage name -> the span it records for a traced request.
+    SPANS: dict[str, str] = {}
+    SPAN_CAT = "serve"
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: per-stage latency distributions (log-bucketed streaming
         #: histograms — bounded memory, own leaf locks).
-        self.stages = {s: LatencyHistogram() for s in SERVICE_STAGES}
+        self.stages = {s: LatencyHistogram() for s in self.SPANS}
+
+    def record_stage(self, stage: str, seconds: float) -> None:
+        """Add one sample to a stage's latency histogram.
+
+        Histograms carry their own leaf lock, so this never takes the
+        counter lock — stage recording stays off the counter hot path.
+        """
+        self.stages[stage].record(seconds)
+
+    def stage(
+        self,
+        name: str,
+        t0: float,
+        t1: float,
+        *,
+        req: int | None = None,
+        parent: int | None = None,
+        sid: int | None = None,
+        args: dict | None = None,
+        excluded_s: float = 0.0,
+    ) -> None:
+        """Record one stage of a request from the same two clock
+        reads: ``t1 - t0`` into the stage's histogram, always, and the
+        ``[t0, t1]`` span when the request is traced (``req`` is its
+        trace request id).  ``excluded_s`` comes off the histogram
+        sample only: the handle stage leaves out its response writes,
+        so read + handle + write == e2e, while its span still covers
+        them."""
+        self.stages[name].record(t1 - t0 - excluded_s)
+        if req is not None:
+            trace.record_span(
+                self.SPANS[name],
+                t0,
+                t1,
+                cat=self.SPAN_CAT,
+                req=req,
+                parent=parent,
+                sid=sid,
+                args=args,
+            )
+
+
+class ServeMetrics(_StageMetrics):
+    """Thread-safe counters for one service instance."""
+
+    #: where a request's time goes between submit and completion
+    #: (DESIGN.md §17), each stage with its ``serve.*`` span.
+    SPANS = {
+        s: f"serve.{s}"
+        for s in ("shrink", "admission", "batch_window", "kernel", "request")
+    }
+
+    def __init__(self) -> None:
+        super().__init__()
         # -- request lifecycle -----------------------------------------
         self.requests_submitted = 0
         self.requests_completed = 0
@@ -132,14 +192,6 @@ class ServeMetrics:
                 self.shrink_cache_misses += 1
             self.bytes_served += nbytes
 
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Add one sample to a stage's latency histogram.
-
-        Histograms carry their own leaf lock, so this never takes the
-        counter lock — stage recording stays off the counter hot path.
-        """
-        self.stages[stage].record(seconds)
-
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -199,7 +251,7 @@ class ServeMetrics:
             }
 
 
-class NetMetrics:
+class NetMetrics(_StageMetrics):
     """Thread-safe counters for one network front-end.
 
     Invariants asserted by the test suite (``tests/test_serve.py``):
@@ -212,10 +264,18 @@ class NetMetrics:
       request in flight).
     """
 
+    #: the connection thread's view of one request; the end-to-end
+    #: stage is the request's root span.
+    SPANS = {
+        "read": "net.read",
+        "handle": "net.handle",
+        "write": "net.write",
+        "e2e": "net.request",
+    }
+    SPAN_CAT = "net"
+
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: per-stage latency distributions (read/handle/write/e2e).
-        self.stages = {s: LatencyHistogram() for s in NET_STAGES}
+        super().__init__()
         # -- connection lifecycle --------------------------------------
         self.connections_opened = 0
         self.connections_closed = 0
@@ -296,11 +356,6 @@ class NetMetrics:
                 self.drain_forced += 1
             else:
                 self.drain_clean += 1
-
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Add one sample to a stage's latency histogram (leaf-locked,
-        never takes the counter lock)."""
-        self.stages[stage].record(seconds)
 
     # ------------------------------------------------------------------
 

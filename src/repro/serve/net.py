@@ -47,7 +47,13 @@ Robustness layer (the point of this module, DESIGN.md §16):
 
 All counters live in :class:`~repro.serve.metrics.NetMetrics`,
 attached to the service so ``metrics_snapshot()["network"]`` reports
-them alongside the serve/resilience sections.
+them alongside the serve/resilience sections.  Each request's
+``read``, ``handle``, ``write`` and ``e2e`` stages are recorded once,
+through :meth:`NetMetrics.stage <repro.serve.metrics.NetMetrics.stage>`,
+which feeds the stage's histogram and, for a traced request, its
+``net.*`` span.  A connection is counted closed before its socket
+closes, so a peer that sees EOF sees ``connections.active`` without
+it.
 """
 
 from __future__ import annotations
@@ -323,7 +329,10 @@ class NetServer:
             for conn in leftovers:
                 conn.record_drain_once(self.metrics, forced=True)
                 conn.force_close()
-            for conn in leftovers:
+            # A connection leaves the set before its thread closes the
+            # socket and records its drain outcome: wait for every
+            # thread, so the drain counts below are final.
+            for conn in conns:
                 if conn.thread is not None:
                     conn.thread.join(2.0)
         return self.metrics.snapshot()["drain"]
@@ -416,20 +425,18 @@ class NetServer:
                         self.metrics.record_transport_error()
                     return
                 t_read = time.perf_counter()
-                self.metrics.record_stage("read", t_read - t_first)
                 conn.write_s = 0.0
                 conn.trace_req = trace.new_request()
                 conn.trace_root = trace.next_span_id()
-                if conn.trace_req is not None:
-                    trace.record_span(
-                        "net.read",
-                        t_first,
-                        t_read,
-                        cat="net",
-                        req=conn.trace_req,
-                        parent=conn.trace_root,
-                        args={"op": ftype, "bytes": len(body)},
-                    )
+                m = self.metrics
+                traced = {"req": conn.trace_req, "parent": conn.trace_root}
+                m.stage(
+                    "read",
+                    t_first,
+                    t_read,
+                    args={"op": ftype, "bytes": len(body)},
+                    **traced,
+                )
                 conn.busy = True
                 try:
                     self._handle(conn, ftype, body)
@@ -438,30 +445,23 @@ class NetServer:
                     t_done = time.perf_counter()
                     # handle excludes time spent writing frames, so
                     # read + handle + write == e2e (stage-sum rule).
-                    self.metrics.record_stage(
-                        "handle", max(t_done - t_read - conn.write_s, 0.0)
+                    m.stage(
+                        "handle",
+                        t_read,
+                        t_done,
+                        excluded_s=conn.write_s,
+                        **traced,
                     )
-                    self.metrics.record_stage("e2e", t_done - t_first)
-                    if conn.trace_req is not None:
-                        trace.record_span(
-                            "net.handle",
-                            t_read,
-                            t_done,
-                            cat="net",
-                            req=conn.trace_req,
-                            parent=conn.trace_root,
-                        )
-                        trace.record_span(
-                            "net.request",
-                            t_first,
-                            t_done,
-                            cat="net",
-                            req=conn.trace_req,
-                            sid=conn.trace_root,
-                            args={"op": ftype},
-                        )
-                        conn.trace_req = None
-                        conn.trace_root = None
+                    m.stage(
+                        "e2e",
+                        t_first,
+                        t_done,
+                        req=conn.trace_req,
+                        sid=conn.trace_root,
+                        args={"op": ftype},
+                    )
+                    conn.trace_req = None
+                    conn.trace_root = None
         except _Deadline as kill:
             self.metrics.record_deadline_kill(write=kill.write)
         except ProtocolError as exc:
@@ -476,12 +476,14 @@ class NetServer:
                 conn, ServeError(f"internal error: {exc!r}")
             )
         finally:
-            conn.close()
             with self._lock:
-                # Under the lock: shutdown() sees this connection gone
-                # only once the metrics count it closed.
+                # Counted closed under the lock and before the socket
+                # closes: shutdown() sees this connection gone only
+                # once the metrics count it, and a peer that sees EOF
+                # finds it counted too.
                 self._conns.discard(conn)
                 self.metrics.connection_closed()
+            conn.close()
             if self._draining.is_set():
                 conn.record_drain_once(
                     self.metrics, forced=conn.forced
@@ -569,18 +571,11 @@ class NetServer:
             except TimeoutError:
                 raise _Deadline(write=True) from None
             self.metrics.record_bytes(written=len(frame))
-        elapsed = time.perf_counter() - t0
-        conn.write_s += elapsed
-        self.metrics.record_stage("write", elapsed)
-        if conn.trace_req is not None:
-            trace.record_span(
-                "net.write",
-                t0,
-                t0 + elapsed,
-                cat="net",
-                req=conn.trace_req,
-                parent=conn.trace_root,
-            )
+        t1 = time.perf_counter()
+        conn.write_s += t1 - t0
+        self.metrics.stage(
+            "write", t0, t1, req=conn.trace_req, parent=conn.trace_root
+        )
 
     def _stream_frames(
         self, kind: int, dtype: str, payload: bytes, item_count: int

@@ -30,6 +30,15 @@ retried request-by-request so only the poisoned request errors;
 per-request deadlines are enforced *before* kernel dispatch, so an
 expired request never occupies kernel time.  All of it is visible in
 :meth:`RecoilService.metrics_snapshot` under ``"resilience"``.
+
+One request lifecycle: however a request ends — decoded, failed in
+its batch or its solo retry, expired in the queue or the retry, or
+drained by ``close()`` — :meth:`RecoilService._complete` ends it,
+stamping, counting and recording its stages before its future
+resolves, so a caller never sees a result the metrics have not
+counted.  Each stage is recorded once, by
+:meth:`ServeMetrics.stage <repro.serve.metrics.ServeMetrics.stage>`,
+into its histogram and (traced) its span.
 """
 
 from __future__ import annotations
@@ -216,8 +225,7 @@ class RecoilService:
                 self._inflight_symbols = 0
                 self._cond.notify_all()
             for req in leftovers:
-                req.set_error(ServeError("service closed"))
-                self.metrics.record_completion(req.latency_s, ok=False)
+                self._complete(req, ServeError("service closed"))
             self._close_done.set()
             if wedged:
                 raise ServeError(
@@ -360,7 +368,6 @@ class RecoilService:
         variant, hit = self.store.shrunk(name, capacity)
         t_shrunk = time.perf_counter()
         self.metrics.record_shrink(len(variant.blob), cache_hit=hit)
-        self.metrics.record_stage("shrink", t_shrunk - t_submit)
         # variant.asset, not a second store.get(): a concurrent put()
         # replacing the name must not pair old tasks with new words.
         request_deadline = (
@@ -378,14 +385,14 @@ class RecoilService:
             )
             request.trace_parent = trace_parent
             request.trace_root = trace.next_span_id()
-            trace.record_span(
-                "serve.shrink",
-                t_submit,
-                t_shrunk,
-                req=request.trace_req,
-                parent=request.trace_root,
-                args={"asset": name, "cache_hit": hit},
-            )
+        self.metrics.stage(
+            "shrink",
+            t_submit,
+            t_shrunk,
+            req=request.trace_req,
+            parent=request.trace_root,
+            args={"asset": name, "cache_hit": hit},
+        )
 
         cost = request.cost_symbols
         admit_by = time.perf_counter() + self.config.admission_timeout_s
@@ -434,18 +441,14 @@ class RecoilService:
             # reconciles with completed + failed.
             self.metrics.record_submit()
             self._cond.notify_all()
-        self.metrics.record_stage(
-            "admission", request.admitted_at - t_admission
+        self.metrics.stage(
+            "admission",
+            t_admission,
+            request.admitted_at,
+            req=request.trace_req,
+            parent=request.trace_root,
+            args={"waited": waited},
         )
-        if request.trace_req is not None:
-            trace.record_span(
-                "serve.admission",
-                t_admission,
-                request.admitted_at,
-                req=request.trace_req,
-                parent=request.trace_root,
-                args={"waited": waited},
-            )
         return request
 
     def decompress(
@@ -554,16 +557,16 @@ class RecoilService:
                 batch = self._batcher.pop_batch()
             for req in expired:
                 self.metrics.record_deadline_expired()
-                req.set_error(
+                self._complete(
+                    req,
                     DeadlineError(
                         f"deadline expired after "
-                        f"{req.latency_s:.3g}s in queue "
-                        f"(asset {req.asset.name!r})"
-                    )
+                        f"{time.perf_counter() - req.enqueued_at:.3g}s in "
+                        f"queue (asset {req.asset.name!r})"
+                    ),
                 )
-                self.metrics.record_completion(req.latency_s, ok=False)
             if batch:
-                self._execute(batch, arena)
+                self._dispatch(batch, arena)
                 with self._cond:
                     for req in batch:
                         self._inflight_symbols -= req.cost_symbols
@@ -586,148 +589,114 @@ class RecoilService:
             out_dtype=first.out_dtype,
         )
 
-    def _traced_run_batch(
-        self, batch: list[DecodeRequest], arena: ScratchArena
-    ) -> MultiRunResult:
-        """:meth:`_run_batch` under a ``serve.batch`` span.  With
-        tracing disabled this is a direct call — no span."""
-        if not trace.enabled():
-            return self._run_batch(batch, arena)
+    def _dispatch(
+        self,
+        batch: list[DecodeRequest],
+        arena: ScratchArena,
+        *,
+        retry: bool = False,
+    ) -> None:
+        """Run ``batch`` as one kernel call (:meth:`_run_batch`, under
+        a ``serve.batch`` span) and complete every request in it.
+
+        Poison isolation: one bad request must not fail its
+        batchmates, and a one-shot fault must not fail a lone request.
+        A failed batch, whatever its size, reruns each of its requests
+        alone through this routine (``retry=True``, exactly once) —
+        innocents decode bit-identically (the kernel is deterministic
+        and each solo run sees only its own segment), and only the
+        poisoned request fails.  A request whose deadline lapsed
+        during the failed attempt is failed without kernel time, like
+        any other expired request.
+        """
+        m = self.metrics
         t0 = time.perf_counter()
         try:
-            return self._run_batch(batch, arena)
-        finally:
-            trace.record_span(
-                "serve.batch",
-                t0,
-                args={"requests": len(batch), "kernel": self._kernel},
+            result, error = self._run_batch(batch, arena), None
+        except Exception as exc:
+            result, error = None, exc
+        t1 = time.perf_counter()
+        trace.record_span(
+            "serve.batch",
+            t0,
+            t1,
+            args={"requests": len(batch), "kernel": self._kernel},
+        )
+        if error is None:
+            m.record_batch(
+                len(batch),
+                result.stats.tasks,
+                result.stats.symbols_decoded,
+                t1 - t0,
             )
+            outcomes = result.segment_outputs()
+        else:
+            m.record_batch(
+                len(batch), sum(r.task_lanes for r in batch), 0, t1 - t0
+            )
+            if not retry:
+                m.record_poison_batch()
+                for req in batch:
+                    if (
+                        req.deadline is not None
+                        and time.perf_counter() >= req.deadline
+                    ):
+                        m.record_deadline_expired()
+                        self._complete(
+                            req,
+                            DeadlineError(
+                                f"deadline expired during "
+                                f"poison-isolation retry (asset "
+                                f"{req.asset.name!r})"
+                            ),
+                        )
+                    else:
+                        self._dispatch([req], arena, retry=True)
+                return
+            outcomes = [error]
+        if retry:
+            m.record_poison_retry(isolated=error is not None)
+        for req, outcome in zip(batch, outcomes):
+            self._complete(req, outcome, t0, t1)
 
-    def _finish_stages(
+    def _complete(
         self,
         req: DecodeRequest,
-        kernel_t0: float,
-        kernel_s: float,
-        ok: bool,
+        outcome,
+        kernel_t0: float | None = None,
+        kernel_t1: float | None = None,
     ) -> None:
-        """Per-request stage accounting at completion: the
-        ``batch_window`` stage (the wait for a free dispatcher, from
-        admission to the start of the request's batch), kernel time
-        (the whole batch's elapsed — the time the request spent in
-        dispatch), and the end-to-end ``request`` stage, plus the
-        matching spans when the request is traced.
+        """End one request: the only place a request's future resolves.
 
-        The stage decomposition is designed to sum: ``request ≈
-        shrink + admission + batch_window + kernel`` (the remainder is
+        Stamps the completion time, counts the request, and — when it
+        reached the kernel, whose call spanned ``[kernel_t0,
+        kernel_t1]`` — records its stages: ``batch_window`` (the wait
+        for a free dispatcher, from admission to the start of its
+        batch), ``kernel`` (the whole batch's call) and the end-to-end
+        ``request``.  Only then does the caller get ``outcome``: the
+        decoded symbols, or the exception to raise.  So a caller that
+        sees its result also sees it in :meth:`metrics_snapshot`.
+
+        The stages are designed to sum: ``request ≈ shrink +
+        admission + batch_window + kernel`` (the remainder is
         result-delivery slack), which the benchmark stage-breakdown
         sections assert against end-to-end latency.
         """
+        req.completed_at = time.perf_counter()
+        ok = not isinstance(outcome, BaseException)
         m = self.metrics
-        if req.admitted_at is not None:
-            m.record_stage(
-                "batch_window", max(kernel_t0 - req.admitted_at, 0.0)
-            )
-        m.record_stage("kernel", kernel_s)
-        completed = (
-            req.completed_at
-            if req.completed_at is not None
-            else kernel_t0 + kernel_s
-        )
-        m.record_stage("request", completed - req.submitted_at)
-        if req.trace_req is not None:
-            if req.admitted_at is not None:
-                trace.record_span(
-                    "serve.batch_window",
-                    req.admitted_at,
-                    kernel_t0,
-                    req=req.trace_req,
-                    parent=req.trace_root,
-                )
-            trace.record_span(
-                "serve.kernel",
-                kernel_t0,
-                kernel_t0 + kernel_s,
-                req=req.trace_req,
-                parent=req.trace_root,
-            )
-            trace.record_span(
-                "serve.request",
+        m.record_completion(req.latency_s, ok=ok)
+        if kernel_t0 is not None:
+            traced = {"req": req.trace_req, "parent": req.trace_root}
+            m.stage("batch_window", req.admitted_at, kernel_t0, **traced)
+            m.stage("kernel", kernel_t0, kernel_t1, **traced)
+            m.stage(
+                "request",
                 req.submitted_at,
-                completed,
+                req.completed_at,
                 req=req.trace_req,
                 parent=req.trace_parent,
                 sid=req.trace_root,
                 args={"asset": req.asset.name, "ok": ok},
             )
-
-    def _execute(
-        self, batch: list[DecodeRequest], arena: ScratchArena
-    ) -> None:
-        t0 = time.perf_counter()
-        try:
-            result = self._traced_run_batch(batch, arena)
-        except Exception:
-            elapsed = time.perf_counter() - t0
-            self.metrics.record_batch(
-                len(batch), sum(r.task_lanes for r in batch), 0, elapsed
-            )
-            # Poison isolation: one bad request must not fail its
-            # batchmates, and a one-shot fault must not fail a lone
-            # request.  Retry each request alone through the same
-            # path, whatever the batch size — innocents decode
-            # bit-identically (the kernel is deterministic and each
-            # solo run sees only its own segment), and only the
-            # poisoned request re-raises.
-            self.metrics.record_poison_batch()
-            self._retry_individually(batch, arena)
-            return
-        elapsed = time.perf_counter() - t0
-        for req, symbols in zip(batch, result.segment_outputs()):
-            req.set_result(symbols)
-            self.metrics.record_completion(req.latency_s, ok=True)
-            self._finish_stages(req, t0, elapsed, ok=True)
-        self.metrics.record_batch(
-            len(batch),
-            result.stats.tasks,
-            result.stats.symbols_decoded,
-            elapsed,
-        )
-
-    def _retry_individually(
-        self, batch: list[DecodeRequest], arena: ScratchArena
-    ) -> None:
-        """Re-run a failed batch one request at a time (poison
-        isolation).  Requests whose deadline lapsed during the failed
-        group attempt are failed without kernel time, like any other
-        expired request."""
-        for req in batch:
-            now = time.perf_counter()
-            if req.deadline is not None and now >= req.deadline:
-                self.metrics.record_deadline_expired()
-                req.set_error(
-                    DeadlineError(
-                        f"deadline expired during poison-isolation "
-                        f"retry (asset {req.asset.name!r})"
-                    )
-                )
-                self.metrics.record_completion(req.latency_s, ok=False)
-                continue
-            t0 = time.perf_counter()
-            try:
-                solo = self._traced_run_batch([req], arena)
-            except Exception as exc:
-                elapsed = time.perf_counter() - t0
-                self.metrics.record_poison_retry(isolated=True)
-                self.metrics.record_batch(1, req.task_lanes, 0, elapsed)
-                req.set_error(exc)
-                self.metrics.record_completion(req.latency_s, ok=False)
-                self._finish_stages(req, t0, elapsed, ok=False)
-                continue
-            elapsed = time.perf_counter() - t0
-            self.metrics.record_poison_retry(isolated=False)
-            req.set_result(solo.segment_outputs()[0])
-            self.metrics.record_completion(req.latency_s, ok=True)
-            self._finish_stages(req, t0, elapsed, ok=True)
-            self.metrics.record_batch(
-                1, solo.stats.tasks, solo.stats.symbols_decoded, elapsed
-            )
+        req.resolve(outcome)

@@ -87,8 +87,6 @@ class StoredAsset:
     parsed: ParsedContainer
     provider: AdaptiveModelProvider
     words: np.ndarray  # payload view over ``blob`` (zero-copy)
-    head: bytes  # container bytes before the metadata section
-    payload: bytes  # container bytes from the payload onward
     out_dtype: np.dtype
     #: not evictable from the resident tier: the asset has no durable
     #: on-disk copy (out-of-band model provider, persist failure, or
@@ -113,14 +111,15 @@ class StoredAsset:
         :meth:`AssetStore.shrunk`).
 
         The blob is spliced, never re-encoded: master head + combined
-        metadata + identical payload (§3.3).
+        metadata + identical payload (§3.3), copied from views of the
+        one resident master.
         """
         if capacity < 1:
             raise MetadataError(
                 f"client capacity must be >= 1, got {capacity}"
             )
         md = self.parsed.metadata.combine(capacity)
-        blob = self.head + serialize_metadata(md) + self.payload
+        blob = self.parsed.splice(self.blob, serialize_metadata(md))
         columns = build_thread_tasks(
             md, self.parsed.num_words, self.parsed.final_states
         )
@@ -402,8 +401,6 @@ class AssetStore:
             parsed=parsed,
             provider=parsed.provider,
             words=parsed.words(blob),
-            head=blob[: parsed.metadata_offset],
-            payload=blob[parsed.payload_offset :],
             out_dtype=parsed.provider.out_dtype,
         )
 

@@ -6,7 +6,7 @@ from repro.stats.entropy import (
     kl_divergence_bits,
 )
 from repro.stats.report import Table, format_bytes, format_delta
-from repro.stats.timing import Timer, measure_throughput
+from repro.stats.timing import alternating_rounds, symbol_rate
 
 __all__ = [
     "empirical_entropy",
@@ -15,6 +15,6 @@ __all__ = [
     "Table",
     "format_bytes",
     "format_delta",
-    "Timer",
-    "measure_throughput",
+    "alternating_rounds",
+    "symbol_rate",
 ]

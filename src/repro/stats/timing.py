@@ -1,55 +1,47 @@
-"""Wall-clock measurement helpers."""
+"""Alternating timing rounds: how the harnesses estimate a rate.
+
+Every timer runs once untimed (warm-up and its own output check), then
+once per round.  The timer order reverses every other round, so a slow
+phase of a shared host lands on every timer alike, and each timer
+reports the median and quartiles of its per-round rates
+(docs/BENCHMARKS.md, common protocol).  The benchmark harnesses and
+``recoil serve-bench`` all time this way.
+"""
 
 from __future__ import annotations
 
+import statistics
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
-class Timer:
-    """Context-manager stopwatch with repeat support."""
-
-    elapsed: float = 0.0
-    laps: list[float] = field(default_factory=list)
-    _start: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        lap = time.perf_counter() - self._start
-        self.elapsed += lap
-        self.laps.append(lap)
-
-    @property
-    def best(self) -> float:
-        return min(self.laps) if self.laps else 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.elapsed / len(self.laps) if self.laps else 0.0
-
-
-def measure_throughput(
-    fn, payload_bytes: int, repeats: int = 3, warmup: int = 1
-) -> dict:
-    """Run ``fn`` repeatedly; report bytes/second statistics.
-
-    Matches the paper's §5.3 protocol (averaged over runs, excluding
-    setup/transfer) at a Python-appropriate repeat count.
-    """
-    for _ in range(warmup):
-        fn()
-    t = Timer()
-    for _ in range(repeats):
-        with t:
-            fn()
+def alternating_rounds(timers: dict, rounds: int) -> dict:
+    """``{name: (q1, median, q3)}`` of the rates ``timers[name]()``
+    returns, over ``rounds`` (at least 2) alternating rounds."""
+    if rounds < 2:
+        raise ValueError(f"need at least 2 rounds, got {rounds}")
+    for timer in timers.values():
+        timer()
+    samples: dict = {name: [] for name in timers}
+    order = list(timers)
+    for r in range(rounds):
+        for name in order if r % 2 == 0 else order[::-1]:
+            samples[name].append(timers[name]())
     return {
-        "mean_seconds": t.mean,
-        "best_seconds": t.best,
-        "mean_bytes_per_second": payload_bytes / t.mean if t.mean else 0.0,
-        "best_bytes_per_second": payload_bytes / t.best if t.best else 0.0,
+        name: tuple(statistics.quantiles(rates, n=4))
+        for name, rates in samples.items()
     }
 
+
+def symbol_rate(fn, check):
+    """A timer for :func:`alternating_rounds`: one timed call of
+    ``fn() -> symbols``, checked by ``check`` outside the timed region;
+    returns symbols/second."""
+
+    def timer() -> float:
+        t0 = time.perf_counter()
+        out = fn()
+        elapsed = time.perf_counter() - t0
+        check(out)
+        return len(out) / elapsed
+
+    return timer

@@ -58,14 +58,6 @@ class MultiansStats:
         return int(self.overlap_symbols.sum())
 
     @property
-    def mean_overlap(self) -> float:
-        return (
-            float(self.overlap_symbols.mean())
-            if len(self.overlap_symbols)
-            else 0.0
-        )
-
-    @property
     def per_thread_symbols(self) -> np.ndarray:
         """Work per thread: own chunk plus stitching overlap."""
         base = np.full(self.threads, self.chunk_symbols)

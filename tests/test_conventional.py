@@ -62,6 +62,23 @@ class TestConventionalRoundtrip:
         with pytest.raises(ContainerError):
             codec.parse_container(b"ZZZZ" + blob[4:])
 
+    def test_every_prefix_fails_typed(self, skewed_bytes, provider11):
+        """A truncated container fails with ContainerError wherever
+        it is cut — header, offset table, final states, model or
+        payload — never with a builtin."""
+        codec = ConventionalCodec(provider11)
+        blob = codec.compress(skewed_bytes[:2_000], 4)
+        for n in range(len(blob)):
+            with pytest.raises(ContainerError):
+                codec.decompress(blob[:n])
+
+    def test_foreign_lane_count_rejected(self, skewed_bytes, provider11):
+        blob = ConventionalCodec(provider11, lanes=8).compress(
+            skewed_bytes[:2_000], 4
+        )
+        with pytest.raises(ContainerError, match="lanes"):
+            ConventionalCodec(provider11).decompress(blob)
+
     def test_adaptive_partitions(self):
         """Conventional must also handle per-index models (the image
         comparison in Table 6)."""

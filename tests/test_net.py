@@ -175,6 +175,37 @@ class TestDeadlines:
         assert snap["deadline_kills"]["read"] == 1
         assert snap["connections"]["active"] == 0
 
+    def test_peer_sees_eof_only_once_counted_closed(
+        self, service, monkeypatch
+    ):
+        """The socket close is held open after the socket shuts, so a
+        server that closed before it counted would be caught with
+        ``connections.active`` still 1 when the peer reads EOF."""
+        from repro.serve import net
+
+        release = threading.Event()
+        close = net._Connection.close
+
+        def held_close(conn) -> None:
+            close(conn)
+            release.wait(10)
+
+        monkeypatch.setattr(net._Connection, "close", held_close)
+        with _server(service, read_timeout_s=0.3) as server:
+            try:
+                sock = socket.create_connection(server.address, timeout=5)
+                try:
+                    sock.sendall(protocol.MAGIC + bytes([protocol.OP_PING]))
+                    sock.settimeout(5)
+                    assert sock.recv(1) == b""
+                    snap = server.metrics.snapshot()
+                finally:
+                    sock.close()
+            finally:
+                release.set()
+        assert snap["deadline_kills"]["read"] == 1
+        assert snap["connections"]["active"] == 0
+
     def test_idle_connection_killed(self, service):
         with _server(service, idle_timeout_s=0.2) as server:
             host, port = server.address

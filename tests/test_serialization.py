@@ -12,36 +12,23 @@ from repro.core.serialization import (
     metadata_size_bytes,
     parse_metadata,
     read_signed_series,
-    read_unsigned_series,
     serialize_metadata,
     write_signed_series,
-    write_unsigned_series,
 )
 from repro.errors import MetadataError
 
 
 class TestSeries:
-    def test_unsigned_roundtrip(self):
-        w = BitWriter()
-        values = np.array([0, 1, 5, 13])
-        write_unsigned_series(w, values)
-        out = read_unsigned_series(BitReader(w.to_bytes()), 4)
-        assert np.array_equal(out, values)
-
     def test_all_zero_series_one_bit_each(self):
         """Paper footnote: zeros still use one bit per element."""
         w = BitWriter()
-        write_unsigned_series(w, np.zeros(32, dtype=int))
-        assert len(w) == 5 + 32  # width field + one bit each
+        write_signed_series(w, np.zeros(32, dtype=int))
+        assert len(w) == 5 + 1 + 32  # width field + sign flag + 1 bit each
 
     def test_width_follows_max(self):
         w = BitWriter()
-        write_unsigned_series(w, np.array([0, 255]))
-        assert len(w) == 5 + 2 * 8
-
-    def test_negative_in_unsigned_rejected(self):
-        with pytest.raises(MetadataError):
-            write_unsigned_series(BitWriter(), np.array([-1]))
+        write_signed_series(w, np.array([0, 255]))
+        assert len(w) == 5 + 1 + 2 * 8
 
     def test_signed_roundtrip(self):
         w = BitWriter()

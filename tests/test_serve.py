@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core import recoil_decompress, recoil_service, recoil_shrink
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
@@ -198,8 +201,8 @@ class TestAssetStore:
 
 
 class TestMetadataSplice:
-    """Ingest and hydration cut the master at the parsed metadata
-    offset; every variant is head + combined metadata + payload."""
+    """Variants splice the master at the parsed metadata offsets;
+    every variant is head + combined metadata + payload."""
 
     @pytest.mark.parametrize("name", [c["name"] for c in rans_cases()])
     def test_head_ends_at_golden_metadata_offset(self, name):
@@ -208,12 +211,11 @@ class TestMetadataSplice:
             blob = f.read()
         provider = None if case["provider"].is_static else case["provider"]
         asset = AssetStore().put_container("g", blob, provider=provider)
-        md_len = len(serialize_metadata(asset.parsed.metadata))
-        assert len(asset.head) == asset.parsed.metadata_offset
-        assert len(asset.head) + md_len == asset.parsed.payload_offset
-        assert asset.head + serialize_metadata(asset.parsed.metadata) + (
-            asset.payload
-        ) == blob
+        parsed = asset.parsed
+        section = serialize_metadata(parsed.metadata)
+        assert parsed.metadata_offset + len(section) == parsed.payload_offset
+        assert blob[parsed.metadata_offset : parsed.payload_offset] == section
+        assert parsed.splice(blob, section) == blob
 
     def test_non_minimal_widths_serve_bit_exact(self, tmp_path):
         """Put, then hydrated from disk after an eviction: the master
@@ -532,16 +534,32 @@ class TestMetricsUnderConcurrency:
         errors: list[Exception] = []
         violations: list[str] = []
         done = threading.Event()
+        returned_lock = threading.Lock()
+        returned = 0
 
         with RecoilService(store=store) as svc:
 
             def client(worker: int) -> None:
+                nonlocal returned
                 try:
                     for i in range(per_client):
                         cap = (worker + i) % 16 + 1
                         out = svc.decompress("hero", cap, timeout=120)
                         if not np.array_equal(out, payload):
                             raise AssertionError("bit mismatch")
+                        # Every returned result was counted before it
+                        # was handed over, so completed never lags
+                        # the results callers hold.
+                        with returned_lock:
+                            returned += 1
+                            held = returned
+                        completed = svc.metrics_snapshot()["requests"][
+                            "completed"
+                        ]
+                        if completed < held:
+                            violations.append(
+                                f"completed {completed} < {held} returned"
+                            )
                 except Exception as exc:
                     errors.append(exc)
 
@@ -578,13 +596,19 @@ class TestMetricsUnderConcurrency:
                 threading.Thread(target=watcher, daemon=True)
                 for _ in range(2)
             ]
-            for t in watchers + threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=300)
-            done.set()
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in watchers + threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=300)
+            finally:
+                sys.setswitchinterval(switch)
+                done.set()
             for t in watchers:
                 t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads + watchers)
             snap = svc.metrics_snapshot()
 
         assert not errors, errors
@@ -597,6 +621,51 @@ class TestMetricsUnderConcurrency:
         res = dict(snap["resilience"])
         res.pop("kernel")
         assert all(v == 0 for v in res.values()), res
+
+
+class TestCompletionAccounting:
+    """A request's result never becomes visible before
+    ``metrics_snapshot()`` counts it: a done-callback on each queued
+    request's future snapshots the metrics at the instant the result
+    is handed over, on the batch path and on the solo-retry path."""
+
+    @pytest.mark.parametrize("path", ["batch", "solo_retry"])
+    def test_result_visible_only_once_counted(self, store, path):
+        queued = 5
+        seen: list[dict] = []
+        with RecoilService(store=store) as svc:
+
+            def probe(_future) -> None:
+                seen.append(svc.metrics_snapshot()["requests"])
+
+            with contextlib.ExitStack() as stack:
+                if path == "solo_retry":
+                    # The parked blocker is the rule's first hit; the
+                    # queued batch is its second and fails, so every
+                    # request is rerun alone.
+                    stack.enter_context(
+                        faults.inject(faults.BATCH_DISPATCH, nth=2)
+                    )
+                with ParkedDispatcher(svc, "hero"):
+                    requests = [
+                        svc.submit("hero", 4) for _ in range(queued)
+                    ]
+                    for req in requests:
+                        req._future.add_done_callback(probe)
+                for req in requests:
+                    req.result(120)
+            snap = svc.metrics_snapshot()
+
+        # The blocker completed first; the k-th queued request must
+        # already be counted when its own result is handed over.
+        assert [s["completed"] for s in seen] == list(
+            range(2, queued + 2)
+        )
+        assert snap["requests"]["completed"] == queued + 1
+        retries = 0 if path == "batch" else queued
+        assert snap["resilience"]["poison_retries"] == retries
+        # The blocker's batch, the queued batch, and the solo reruns.
+        assert snap["batches"]["dispatched"] == 2 + retries
 
 
 class TestNetworkSnapshotInvariants:

@@ -7,13 +7,13 @@ import pytest
 
 from repro.stats import (
     Table,
-    Timer,
+    alternating_rounds,
     empirical_entropy,
     format_bytes,
     format_delta,
     ideal_compressed_bytes,
     kl_divergence_bits,
-    measure_throughput,
+    symbol_rate,
 )
 
 
@@ -95,18 +95,36 @@ class TestTable:
 
 
 class TestTiming:
-    def test_timer_laps(self):
-        t = Timer()
-        for _ in range(3):
-            with t:
-                sum(range(1000))
-        assert len(t.laps) == 3
-        assert t.best <= t.mean <= t.elapsed
+    def test_alternating_rounds_order_and_quartiles(self):
+        calls: list[str] = []
 
-    def test_measure_throughput(self):
-        stats = measure_throughput(
-            lambda: sum(range(10_000)), payload_bytes=1_000_000,
-            repeats=2, warmup=1,
+        def timer(name, rates):
+            def run() -> float:
+                calls.append(name)
+                return rates.pop(0)
+
+            return run
+
+        out = alternating_rounds(
+            {
+                "a": timer("a", [0.0, 1.0, 2.0, 3.0, 4.0]),
+                "b": timer("b", [0.0, 10.0, 20.0, 30.0, 40.0]),
+            },
+            rounds=4,
         )
-        assert stats["mean_bytes_per_second"] > 0
-        assert stats["best_bytes_per_second"] >= stats["mean_bytes_per_second"]
+        # One untimed warm-up call each, then the order reverses
+        # every other round.
+        assert calls == ["a", "b"] + ["a", "b", "b", "a"] * 2
+        assert out["a"][1] == 2.5
+        assert out["b"][1] == 25.0
+        assert out["a"][0] <= out["a"][1] <= out["a"][2]
+
+    def test_alternating_rounds_needs_two(self):
+        with pytest.raises(ValueError):
+            alternating_rounds({"a": lambda: 1.0}, rounds=1)
+
+    def test_symbol_rate_checks_outside_the_clock(self):
+        checked: list[int] = []
+        rate = symbol_rate(lambda: np.zeros(1000), checked.append)()
+        assert rate > 0
+        assert len(checked) == 1
