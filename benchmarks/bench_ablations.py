@@ -20,7 +20,6 @@ from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.core.serialization import metadata_size_bytes
 from repro.core.splitter import SplitSelector
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import fused_run
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedEncoder
@@ -135,9 +134,7 @@ class TestLaneCountAblation:
                 enc.metadata, len(enc.words), enc.final_states
             )
             out = np.empty(len(bench_bytes), dtype=np.uint8)
-            stats = fused_run(
-                provider, lanes, enc.words, tasks, out, ScratchArena()
-            )
+            stats = fused_run(provider, lanes, enc.words, tasks, out)
             iters[lanes] = stats.iterations
         assert iters[32] < iters[8] / 2.5
 
@@ -153,11 +150,9 @@ class TestLaneCountAblation:
             enc.metadata, len(enc.words), enc.final_states
         )
 
-        arena = ScratchArena()
-
         def decode():
             out = np.empty(len(bench_bytes), dtype=np.uint8)
-            fused_run(provider, lanes, enc.words, tasks, out, arena)
+            fused_run(provider, lanes, enc.words, tasks, out)
             return out
 
         out = benchmark(decode)

@@ -30,7 +30,6 @@ import numpy as np
 from repro.core import RecoilCodec, parse_container
 from repro.core.decoder import build_thread_tasks
 from repro.data import exponential_bytes
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.costmodel import PROFILES, project_throughput
 from repro.parallel.executor import decode_with_pool
 from repro.parallel.fused import fused_run
@@ -46,15 +45,10 @@ plan = build_thread_tasks(parsed.metadata, len(words), parsed.final_states)
 print(f"{len(data):,} bytes, {plan.num_tasks} decoder tasks\n")
 
 
-arena = ScratchArena()
-
-
 def run_kernel(row_subsets):
     out = np.empty(parsed.num_symbols, dtype=np.uint8)
     for rows in row_subsets:
-        fused_run(
-            parsed.provider, parsed.lanes, words, plan.rows(rows), out, arena
-        )
+        fused_run(parsed.provider, parsed.lanes, words, plan.rows(rows), out)
     return out
 
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.bitio.varint import decode_uvarint, encode_uvarint
 from repro.errors import ContainerError, EncodeError, ModelError
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 from repro.rans.adaptive import (
@@ -110,9 +109,8 @@ class ConventionalEncoded:
 class ConventionalCodec:
     """Encoder/decoder for the partitioning-symbols baseline.
 
-    A codec instance reuses one scratch arena across :meth:`decode`
-    calls, so it must not be shared between concurrently decoding
-    threads (DESIGN.md §9).
+    Stateless between calls: an instance may be shared between
+    threads (the kernels' scratch is per thread, DESIGN.md §9).
     """
 
     def __init__(
@@ -124,9 +122,6 @@ class ConventionalCodec:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        # Scratch reused across calls (DESIGN.md §9), one per kernel.
-        self._arena = ScratchArena()
-        self._encode_arena = ScratchArena()
 
     # -- encoding -------------------------------------------------------
 
@@ -150,9 +145,7 @@ class ConventionalCodec:
             EncodeTask(data[start:end], start_index=start + 1)
             for start, end in bounds
         ]
-        outs = fused_encode_run(
-            self.provider, self.lanes, tasks, self._encode_arena
-        )
+        outs = fused_encode_run(self.provider, self.lanes, tasks)
         finals = np.empty((len(bounds), self.lanes), dtype=np.uint64)
         offsets = np.empty(len(bounds), dtype=np.int64)
         total = 0
@@ -242,8 +235,7 @@ class ConventionalCodec:
         columns = self.build_tasks(encoded)
         out = np.empty(encoded.num_symbols, dtype=self.provider.out_dtype)
         stats = fused_run(
-            self.provider, self.lanes, encoded.words, columns, out,
-            self._arena,
+            self.provider, self.lanes, encoded.words, columns, out
         )
         return out, stats, summarize_tasks(columns)
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.metadata import RecoilMetadata
 from repro.errors import DecodeError
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.parallel.workload import WorkloadSummary, summarize_tasks
 from repro.rans.adaptive import AdaptiveModelProvider, StaticModelProvider
@@ -87,10 +86,8 @@ def build_thread_tasks(
 class RecoilDecoder:
     """Massively parallel decoder for Recoil streams.
 
-    A decoder instance owns one scratch arena, reused across
-    :meth:`decode` calls (DESIGN.md §9) — cheap repeated decodes, but
-    an instance must not be shared between concurrently decoding
-    threads; give each thread its own decoder.
+    Stateless between calls: an instance may be shared between
+    threads (the kernel's scratch is per thread, DESIGN.md §9).
     """
 
     def __init__(
@@ -102,7 +99,6 @@ class RecoilDecoder:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        self._arena = ScratchArena()
 
     def decode(
         self,
@@ -128,9 +124,7 @@ class RecoilDecoder:
             metadata = metadata.combine(max_threads)
         columns = build_thread_tasks(metadata, len(words), final_states)
         out = np.empty(metadata.num_symbols, dtype=self.provider.out_dtype)
-        stats = fused_run(
-            self.provider, self.lanes, words, columns, out, self._arena
-        )
+        stats = fused_run(self.provider, self.lanes, words, columns, out)
         return RecoilDecodeResult(
             symbols=out,
             engine_stats=stats,

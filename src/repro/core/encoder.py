@@ -63,9 +63,6 @@ class RecoilEncoder:
         self.provider = provider
         self.lanes = lanes
         self.window = window
-        # One long-lived interleaved encoder per Recoil encoder, so the
-        # fused kernel's scratch arena survives across encode calls
-        # (DESIGN.md §9); therefore not shareable between threads.
         self._encoder = InterleavedEncoder(provider, lanes)
 
     def encode(self, data: np.ndarray, num_threads: int) -> RecoilEncoded:

@@ -48,8 +48,8 @@ def run(
 
     encoder = InterleavedEncoder(provider)
     # Warm one-time lazy state (the compiled kernels, provider
-    # gather/encode tables, fused arena) so the timed rows compare
-    # steady-state loops, not setup.
+    # gather/encode tables, this thread's scratch arena) so the timed
+    # rows compare steady-state loops, not setup.
     compiled.warm_up()
     encoder.encode_reference(symbols[:1024])
     encoder.encode(symbols[:1024])

@@ -13,8 +13,8 @@
 - :mod:`repro.parallel.fused_encode` — the encode-side twin
   (DESIGN.md §10): blocked trajectory staging, in-kernel split-event
   recording, independent encodes fused into one wide state vector.
-- :mod:`repro.parallel.buffers` — the scratch-buffer arena backing the
-  kernels (DESIGN.md §9).
+- :mod:`repro.parallel.buffers` — the scratch arenas backing the
+  kernels, one per thread (DESIGN.md §9).
 - :mod:`repro.parallel.executor` — pooled execution of decode tasks
   on real OS threads, cost-balanced via the cost model.
 - :mod:`repro.parallel.compiled` — the C twins of the inner loops

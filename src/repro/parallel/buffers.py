@@ -8,17 +8,23 @@ iterations *and* across calls (DESIGN.md §9: buffer-reuse rules).
 
 Rules:
 
-- An arena is owned by exactly one engine/encoder instance and is
-  **not** thread-safe; pooled decoding gives each worker its own
-  engine (and therefore its own arena).
+- One arena per thread, owned here: the kernels fetch the calling
+  thread's arena themselves (:func:`thread_arena`), so no caller
+  passes or owns one, and any codec instance may be shared between
+  threads.  The differential references build a fresh arena per call
+  and so stay independent of the kernels they check.
 - Arena buffers never escape the owning kernel: anything returned to
   a caller is freshly allocated or an explicit compacting copy.
-- Buffers are keyed by name; a request with a different shape or
-  dtype reallocates that slot (streams of varying size simply reuse
-  the largest-seen allocation via ``get_at_least``).
+- Buffers are keyed by name, one per name; a request with a
+  different shape or dtype reallocates that slot (streams of varying
+  size simply reuse the largest-seen allocation via
+  ``get_at_least``).  A thread's arena lives as long as the thread,
+  so no name may depend on the call's geometry.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -55,5 +61,14 @@ class ScratchArena:
             self._bufs[name] = buf
         return buf
 
-    def clear(self) -> None:
-        self._bufs.clear()
+
+_local = threading.local()
+
+
+def thread_arena() -> ScratchArena:
+    """The calling thread's arena, created on its first use and freed
+    with the thread."""
+    arena = getattr(_local, "arena", None)
+    if arena is None:
+        arena = _local.arena = ScratchArena()
+    return arena

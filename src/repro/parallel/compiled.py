@@ -56,12 +56,6 @@ _state: dict = {
     "compile_events": 0,
 }
 
-# uint64 copies of narrow gather tables, keyed by id() of the source
-# array; the source is kept alive in the value so ids cannot be
-# recycled.  Bounded: one entry per live DecodeTables (per provider).
-_U64_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_U64_CACHE_MAX = 64
-
 
 # ---------------------------------------------------------------------------
 # Toolchain detection.
@@ -412,25 +406,6 @@ def warm_up() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _u64_view(arr: np.ndarray) -> np.ndarray:
-    """A cached C-contiguous uint64 copy of a gather table."""
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype == np.uint64:
-        return arr
-    # Key on the owning buffer (kept alive in the value, so the id
-    # cannot be recycled) plus the view geometry.
-    owner = arr.base if arr.base is not None else arr
-    key = (id(owner), arr.shape, str(arr.dtype), arr.ctypes.data)
-    hit = _U64_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    if len(_U64_CACHE) >= _U64_CACHE_MAX:
-        _U64_CACHE.clear()
-    conv = arr.astype(np.uint64)
-    _U64_CACHE[key] = (arr, conv)
-    return conv
-
-
 def walk_output_supported(out: np.ndarray) -> bool:
     """Whether :func:`rans_walk` can store into ``out`` directly: a
     C-contiguous, aligned, native-endian integer array."""
@@ -487,7 +462,6 @@ def rans_walk(
     impl = _impl()
     if impl is None:
         raise RuntimeError("compiled kernel unavailable")
-    sym = _u64_view(sym)
     T = len(geom)
     typed = [
         (words, np.uint16), (freq, np.uint64), (bias, np.uint64),

@@ -30,7 +30,6 @@ import numpy as np
 from repro.errors import ParallelismError
 from repro.parallel import compiled
 from repro.parallel.costmodel import assign_tasks
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import EngineStats, TaskColumns, fused_run
 from repro.rans.adaptive import AdaptiveModelProvider
 
@@ -62,7 +61,7 @@ def decode_with_pool(
 ) -> PoolDecodeResult:
     """Decode the plan ``columns`` on ``workers`` real threads.
 
-    Each worker runs the fused kernel (with a private scratch arena)
+    Each worker runs the fused kernel (on its thread's scratch arena)
     over a subset of the plan's rows; commit ranges are disjoint so
     the shared output needs no locks.  Tasks are spread by estimated
     cost (walked symbols) via
@@ -94,9 +93,7 @@ def decode_with_pool(
         )
 
     def run(rows: np.ndarray) -> EngineStats:
-        return fused_run(
-            provider, lanes, words, columns.rows(rows), out, ScratchArena()
-        )
+        return fused_run(provider, lanes, words, columns.rows(rows), out)
 
     if len(buckets) == 1:
         stats = [run(buckets[0])]

@@ -18,8 +18,9 @@ Structure of one run:
    activations (the Synchronization Phase), commit-range boundaries.
 2. **Steady state**: every task is alive, fully activated, walking
    full interleave groups that are entirely inside its commit range.
-   No masks, no ``np.where``, no allocation — all operands live in a
-   :class:`~repro.parallel.buffers.ScratchArena` and every Eq. 2
+   No masks, no ``np.where``, no allocation — all operands live in
+   the calling thread's :class:`~repro.parallel.buffers.ScratchArena`
+   (:func:`~repro.parallel.buffers.thread_arena`) and every Eq. 2
    table access is a single gather into a pre-materialized
    slot-indexed uint64 table (:class:`~repro.rans.adaptive.DecodeTables`).
 3. **Tail** (generic again): the final, possibly partial, group of
@@ -50,7 +51,7 @@ import numpy as np
 from repro import faults
 from repro.errors import DecodeError
 from repro.parallel import compiled
-from repro.parallel.buffers import ScratchArena
+from repro.parallel.buffers import ScratchArena, thread_arena
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS
 
@@ -135,7 +136,6 @@ def fused_run(
     words: np.ndarray,
     columns: "TaskColumns",
     out: np.ndarray,
-    arena: ScratchArena,
 ) -> EngineStats:
     """Decode every task of the plan, writing committed symbols into
     ``out``.
@@ -147,10 +147,6 @@ def fused_run(
         ranges.
     :param out: preallocated output of the full sequence length; each
         position is written by exactly one task.
-    :param arena: caller-owned scratch buffers (not thread-safe —
-        one arena per concurrently running kernel, DESIGN.md §9).
-        Unused when the compiled walk runs (a host with a C
-        compiler): it walks every task in one call, bit-identical.
     :returns: work counters (iterations, symbols, words read).
     :raises DecodeError: task geometry inconsistent with the stream
         (start/activation out of range), the bitstream exhausting
@@ -160,7 +156,7 @@ def fused_run(
     if _runs_compiled(out):
         return _compiled_walk(provider, lanes, words, columns, out)
     return _numpy_walk(
-        provider, lanes, words, columns, out, arena, steady=True
+        provider, lanes, words, columns, out, thread_arena(), steady=True
     )
 
 
@@ -701,13 +697,13 @@ def _compiled_walk(
     tables = provider.decode_tables
     if provider.is_static:
         gather = (
-            tables.freq_slot[0], tables.bias_slot[0], tables.sym_slot[0]
+            tables.freq_slot[0], tables.bias_slot[0], tables.sym_u64[0]
         )
         ids = None
     else:
         gather = (
             tables.freq_slot.ravel(), tables.bias_slot.ravel(),
-            tables.sym_slot.ravel(),
+            tables.sym_u64.ravel(),
         )
         ids = provider.dense_model_ids(len(out))
     counters = compiled.rans_walk(
@@ -817,7 +813,6 @@ def fused_run_multi(
     provider: AdaptiveModelProvider,
     lanes: int,
     segments: list[StreamSegment],
-    arena: ScratchArena,
     out_dtype=None,
 ) -> MultiRunResult:
     """Decode many independent (words, plan) segments as ONE kernel run.
@@ -838,7 +833,6 @@ def fused_run_multi(
 
     :param segments: independent decodes to fuse; shared word-buffer
         objects are concatenated only once.
-    :param arena: caller-owned scratch buffers (DESIGN.md §9).
     :param out_dtype: output dtype (default: the provider's).
     :returns: one freshly allocated flat output plus per-segment
         slices and aggregate work counters.
@@ -866,5 +860,5 @@ def fused_run_multi(
         (seg.columns, word_base, sym_base)
         for seg, (word_base, sym_base) in zip(segments, bases)
     ])
-    stats = fused_run(provider, lanes, words, columns, out, arena)
+    stats = fused_run(provider, lanes, words, columns, out)
     return MultiRunResult(out=out, slices=out_slices, stats=stats)

@@ -42,13 +42,16 @@ import numpy as np
 
 from repro.errors import EncodeError, ModelError
 from repro.parallel import compiled
-from repro.parallel.buffers import ScratchArena
+from repro.parallel.buffers import thread_arena
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS, RENORM_MASK
 
 #: Steady-phase staging target, in symbols per block.  Blocks bound the
 #: trajectory/operand scratch to a few MB regardless of task count and
-#: keep the working set cache-resident.
+#: keep the working set cache-resident.  Each block buffer is one flat
+#: scratch of this many elements (``2 * W`` for a fused width ``W``
+#: above half of it), viewed as ``(rows, W)``: one set serves every
+#: width.
 _BLOCK_SYMBOLS = 1 << 16
 
 
@@ -96,14 +99,13 @@ def fused_encode_run(
     provider: AdaptiveModelProvider,
     lanes: int,
     tasks: list[EncodeTask],
-    arena: ScratchArena,
 ) -> list[EncodeTaskOut]:
     """Encode every task, bit-identical to the reference loop.
 
     Tasks are independent; their lane states advance together through
     the fused steady phase (full interleave groups present in every
-    task), then each task finishes its remaining groups alone.  The
-    caller owns ``arena`` (not thread-safe, DESIGN.md §9).
+    task), then each task finishes its remaining groups alone.
+    Scratch comes from the calling thread's arena (DESIGN.md §9).
 
     On a host with a C compiler the sequential trajectory sweep — the
     only data-dependent chain — runs on the compiled twin
@@ -173,6 +175,7 @@ def fused_encode_run(
             ev_lane_bufs.append(None)
             ev_state_bufs.append(None)
 
+    arena = thread_arena()
     x2d = arena.get("enc_x", (T, K), np.uint64)
     x2d[:] = L_BOUND
 
@@ -193,19 +196,24 @@ def fused_encode_run(
             return
         W = Tb * K  # the fused vector width: every row below is (W,)
         xv = x2d[sel[0] : sel[0] + Tb].reshape(W)
-        block = max(1, _BLOCK_SYMBOLS // W)
-        # Scratch keyed by width so steady/tail phases don't thrash.
-        suffix = f"_{W}"
-        symb_f = arena.get("enc_sym" + suffix, (block, W), np.intp)
-        fb_f = arena.get("enc_f" + suffix, (block, W), np.uint64)
-        cb_f = arena.get("enc_c" + suffix, (block, W), np.uint64)
-        db_f = arena.get("enc_d" + suffix, (block, W), np.uint64)
-        bb_f = arena.get("enc_b" + suffix, (block, W), np.uint64)
-        X_f = arena.get("enc_X" + suffix, (block + 1, W), np.uint64)
-        need_f = arena.get("enc_need" + suffix, (block, W), bool)
-        xr = arena.get("enc_xr" + suffix, (W,), np.uint64)
-        q = arena.get("enc_q" + suffix, (W,), np.uint64)
-        tmp = arena.get("enc_tmp" + suffix, (W,), np.uint64)
+        # The trajectory ``X`` takes ``block + 1`` rows of the scratch.
+        flat = max(_BLOCK_SYMBOLS, 2 * W)
+        block = flat // W - 1
+
+        def staged(name: str, dtype, n: int = block) -> np.ndarray:
+            buf = arena.get_at_least(name, flat, dtype)
+            return buf[: n * W].reshape(n, W)
+
+        symb_f = staged("enc_sym", np.intp)
+        fb_f = staged("enc_f", np.uint64)
+        cb_f = staged("enc_c", np.uint64)
+        db_f = staged("enc_d", np.uint64)
+        bb_f = staged("enc_b", np.uint64)
+        X_f = staged("enc_X", np.uint64, block + 1)
+        need_f = staged("enc_need", bool)
+        xr = arena.get_at_least("enc_xr", W, np.uint64)[:W]
+        q = arena.get_at_least("enc_q", W, np.uint64)[:W]
+        tmp = arena.get_at_least("enc_tmp", W, np.uint64)[:W]
 
         less = np.less
         right_shift = np.right_shift

@@ -23,6 +23,7 @@ parameters with single numpy fancy-indexing operations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -75,8 +76,9 @@ class DecodeTables:
     per-iteration dtype casts:
 
     - ``sym_slot[m, slot]``  — the decoded symbol, stored in the
-      narrowest uint dtype that holds the alphabet (so output scatters
-      need no cast);
+      provider's :attr:`~AdaptiveModelProvider.out_dtype` (so output
+      scatters need no cast), and as uint64 in :attr:`sym_u64`, the
+      table the compiled walk gathers from;
     - ``freq_slot[m, slot]`` — ``f(sym)`` as uint64;
     - ``bias_slot[m, slot]`` — ``slot - F(sym)`` as uint64 (always in
       ``[0, f)``), so the state update collapses to
@@ -93,6 +95,12 @@ class DecodeTables:
     @property
     def slot_count(self) -> int:
         return self.sym_slot.shape[1]
+
+    @functools.cached_property
+    def sym_u64(self) -> np.ndarray:
+        """``sym_slot`` as uint64, built on the compiled walk's first
+        use."""
+        return self.sym_slot.astype(np.uint64)
 
 
 class AdaptiveModelProvider:
@@ -171,13 +179,7 @@ class AdaptiveModelProvider:
         if self._decode_tables is None:
             n = self.quant_bits
             slot_count = 1 << n
-            alphabet = self.alphabet_size
-            if alphabet <= 256:
-                sym_dtype = np.uint8
-            elif alphabet <= 65536:
-                sym_dtype = np.uint16
-            else:
-                sym_dtype = np.uint32
+            sym_dtype = self.out_dtype
             M = self.num_models
             slots = np.arange(slot_count, dtype=np.uint64)
             sym = np.empty((M, slot_count), dtype=sym_dtype)

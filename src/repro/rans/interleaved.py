@@ -92,9 +92,8 @@ class InterleavedEncodeResult:
 class InterleavedEncoder:
     """K-way interleaved rANS encoder over an adaptive model provider.
 
-    Instances reuse scratch buffers across :meth:`encode` calls and
-    must not be shared between concurrently encoding threads
-    (DESIGN.md §9).
+    Stateless between calls: an instance may be shared between
+    threads (the kernel's scratch is per thread, DESIGN.md §9).
     """
 
     def __init__(
@@ -108,14 +107,6 @@ class InterleavedEncoder:
             raise EncodeError(f"need at least one lane, got {lanes}")
         self.provider = provider
         self.lanes = lanes
-        self._arena = None  # scratch buffers, reused across encode calls
-
-    def _get_arena(self):
-        if self._arena is None:
-            from repro.parallel.buffers import ScratchArena
-
-            self._arena = ScratchArena()
-        return self._arena
 
     def encode(
         self,
@@ -141,9 +132,7 @@ class InterleavedEncoder:
         if data.ndim != 1:
             raise EncodeError(f"data must be 1-D, got shape {data.shape}")
         task = EncodeTask(data, start_index=1, record_events=record_events)
-        out = fused_encode_run(
-            self.provider, self.lanes, [task], self._get_arena()
-        )[0]
+        out = fused_encode_run(self.provider, self.lanes, [task])[0]
         events = None
         if record_events:
             events = RenormEvents(
@@ -195,14 +184,12 @@ class InterleavedEncoder:
 
         f_all, cdf_all = self.provider.gather_freq_cdf(data, start_index=1)
 
-        arena = self._get_arena()
         # Renormalization thresholds (Eq. 3) for the whole sequence,
         # hoisted out of the group loop.
-        bound_all = arena.get_at_least("bounds", N, np.uint64)[:N]
-        np.left_shift(f_all, shift, out=bound_all)
-        need_buf = arena.get("need", (K,), bool)
-        q_buf = arena.get("q", (K,), np.uint64)
-        rem_buf = arena.get("rem", (K,), np.uint64)
+        bound_all = f_all << shift
+        need_buf = np.empty(K, dtype=bool)
+        q_buf = np.empty(K, dtype=np.uint64)
+        rem_buf = np.empty(K, dtype=np.uint64)
 
         x = np.full(K, L_BOUND, dtype=np.uint64)
         words = np.empty(N + 8, dtype=np.uint16)  # <= 1 word per symbol
@@ -263,9 +250,8 @@ class InterleavedEncoder:
 class InterleavedDecoder:
     """K-way interleaved rANS decoder (full-stream, vectorized).
 
-    Instances reuse scratch buffers across :meth:`decode` calls and
-    must not be shared between concurrently decoding threads
-    (DESIGN.md §9).
+    Stateless between calls: an instance may be shared between
+    threads (the kernel's scratch is per thread, DESIGN.md §9).
     """
 
     def __init__(
@@ -277,24 +263,6 @@ class InterleavedDecoder:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        self._arena = None  # scratch buffers, reused across decode calls
-
-    def _get_arena(self):
-        # Lazy import: the parallel package imports this module's
-        # package at load time.
-        if self._arena is None:
-            from repro.parallel.buffers import ScratchArena
-
-            self._arena = ScratchArena()
-        return self._arena
-
-    def _out_dtype(self) -> type:
-        a = self.provider.alphabet_size
-        if a <= 256:
-            return np.uint8
-        if a <= 65536:
-            return np.uint16
-        return np.uint32
 
     def decode(
         self,
@@ -325,7 +293,7 @@ class InterleavedDecoder:
             )
         x = np.ascontiguousarray(final_states, dtype=np.uint64)
         words = np.asarray(words, dtype=np.uint16)
-        out = np.empty(N, dtype=self._out_dtype())
+        out = np.empty(N, dtype=self.provider.out_dtype)
         if N == 0:
             if check_terminal and (len(words) != 0 or np.any(x != lbound)):
                 raise DecodeError("terminal check failed on empty stream")
@@ -342,9 +310,7 @@ class InterleavedDecoder:
             init_task=[0],
             init_states=x[None],
         )
-        fused_run(
-            self.provider, K, words, columns, out, self._get_arena()
-        )
+        fused_run(self.provider, K, words, columns, out)
         return out
 
     # ------------------------------------------------------------------
@@ -372,7 +338,7 @@ class InterleavedDecoder:
                 f"expected {K} final states, got {len(states)}"
             )
         p = len(words) - 1
-        out = np.empty(N, dtype=self._out_dtype())
+        out = np.empty(N, dtype=self.provider.out_dtype)
         for i in range(N, 0, -1):
             lane = (i - 1) % K
             model = provider.model_for_index(i)

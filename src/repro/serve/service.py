@@ -19,8 +19,7 @@ DESIGN.md §12:
 
 Clients are threads in the same process: ``decompress`` blocks for the
 result, ``submit`` returns a request handle for async use.  A single
-dispatcher thread owns the kernel-side scratch arena (arena rule 1,
-DESIGN.md §9) and executes each batch as one
+dispatcher thread executes each batch as one
 :func:`~repro.parallel.fused.fused_run_multi` call — by default one
 GIL-releasing call into the C decode walk (DESIGN.md §19), so client
 threads keep running.
@@ -52,7 +51,6 @@ import numpy as np
 from repro import faults, trace
 from repro.errors import AdmissionError, DeadlineError, ServeError
 from repro.parallel import compiled
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import MultiRunResult, fused_run_multi
 from repro.rans.model import SymbolModel
 from repro.serve.batcher import BatchPolicy, DecodeRequest, RequestBatcher
@@ -535,9 +533,6 @@ class RecoilService:
     # -- dispatcher ----------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        # The dispatcher owns the kernel scratch arena: one thread,
-        # one arena (DESIGN.md §9 rule 1).
-        arena = ScratchArena()
         while True:
             with self._cond:
                 while self._running and not len(self._batcher):
@@ -566,15 +561,13 @@ class RecoilService:
                     ),
                 )
             if batch:
-                self._dispatch(batch, arena)
+                self._dispatch(batch)
                 with self._cond:
                     for req in batch:
                         self._inflight_symbols -= req.cost_symbols
                     self._cond.notify_all()
 
-    def _run_batch(
-        self, batch: list[DecodeRequest], arena: ScratchArena
-    ) -> MultiRunResult:
+    def _run_batch(self, batch: list[DecodeRequest]) -> MultiRunResult:
         """Execute one fused batch: a single kernel call on the
         dispatcher thread."""
         faults.fire(faults.BATCH_DISPATCH)
@@ -585,16 +578,11 @@ class RecoilService:
             first.provider,
             first.lanes,
             [req.segment() for req in batch],
-            arena,
             out_dtype=first.out_dtype,
         )
 
     def _dispatch(
-        self,
-        batch: list[DecodeRequest],
-        arena: ScratchArena,
-        *,
-        retry: bool = False,
+        self, batch: list[DecodeRequest], *, retry: bool = False
     ) -> None:
         """Run ``batch`` as one kernel call (:meth:`_run_batch`, under
         a ``serve.batch`` span) and complete every request in it.
@@ -612,7 +600,7 @@ class RecoilService:
         m = self.metrics
         t0 = time.perf_counter()
         try:
-            result, error = self._run_batch(batch, arena), None
+            result, error = self._run_batch(batch), None
         except Exception as exc:
             result, error = None, exc
         t1 = time.perf_counter()
@@ -651,7 +639,7 @@ class RecoilService:
                             ),
                         )
                     else:
-                        self._dispatch([req], arena, retry=True)
+                        self._dispatch([req], retry=True)
                 return
             outcomes = [error]
         if retry:

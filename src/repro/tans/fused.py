@@ -79,6 +79,11 @@ _ABORT_ZERO_STEP = 512
 _ABORT_FRACTION_STEP = 2048
 _CHECK_EVERY = 32
 
+# The stitch's serial tail stages at most this many states per array:
+# ``num_symbols`` comes from the container, so an inflated count must
+# run out of payload (``DecodeError``) before it sizes an allocation.
+_TAIL_CHUNK = 1 << 16
+
 
 def bit_windows(payload: np.ndarray) -> np.ndarray:
     """24-bit big-endian windows, one per byte offset of ``payload``.
@@ -618,10 +623,10 @@ def fused_stitch(
             if emitted < N:
                 x = int(wide.end_state[lane])
                 p = int(wide.end_pos[lane])
-        if emitted < N:
+        while emitted < N:
             nb_t, base_t, win24 = _scalar_tables()
-            tail = np.empty(N - emitted, dtype=np.int64)
-            for i in range(N - emitted):
+            tail = np.empty(min(N - emitted, _TAIL_CHUNK), dtype=np.int64)
+            for i in range(len(tail)):
                 e = x - T
                 nb = nb_t[e]
                 tail[i] = x
@@ -636,7 +641,7 @@ def fused_stitch(
                 else:
                     x = base_t[e]
             state_pieces.append(tail)
-        emitted = N
+            emitted += len(tail)
 
     states = np.concatenate(state_pieces)[:N]
     if len(states) != N:

@@ -85,8 +85,8 @@ class ParkedDispatcher:
     def __enter__(self) -> "ParkedDispatcher":
         run_batch = self.service._run_batch
 
-        def park(batch, arena):
-            result = run_batch(batch, arena)
+        def park(batch):
+            result = run_batch(batch)
             if not self._parked.is_set():
                 self._parked.set()
                 self._release.wait(60)

@@ -23,7 +23,6 @@ from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import TaskColumns, fused_run
 
 from conftest import needs_compiled, running_on
@@ -73,7 +72,7 @@ class TestFallbackWithoutToolchain:
             enc.metadata, len(enc.words), enc.final_states
         )
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        fused_run(provider11, 32, enc.words, tasks, out, ScratchArena())
+        fused_run(provider11, 32, enc.words, tasks, out)
         assert np.array_equal(out, data)
 
     def test_pool_reports_effective_numpy(
@@ -219,7 +218,7 @@ class TestWalkBoundsChecks:
 
     def _decode(self, provider, enc, task, n=None):
         out = np.zeros(enc.num_symbols if n is None else n, np.uint8)
-        fused_run(provider, 4, enc.words, task, out, ScratchArena())
+        fused_run(provider, 4, enc.words, task, out)
         return out
 
     def test_task_is_the_built_plan(self, stream):
@@ -297,5 +296,9 @@ class TestWalkBoundsChecks:
             compiled.rans_walk(**args)  # act_ptr runs past act_*
         args["act_ptr"] = np.zeros(2, np.int64)
         args["geom"] = np.zeros((1, 8), np.int32)
+        with pytest.raises(ValueError, match="layout"):
+            compiled.rans_walk(**args)
+        args["geom"] = np.zeros((1, 8), np.int64)
+        args["sym"] = np.ones(2, np.uint8)  # the walk reads 8-byte symbols
         with pytest.raises(ValueError, match="layout"):
             compiled.rans_walk(**args)

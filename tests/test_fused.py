@@ -25,7 +25,6 @@ import pytest
 from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.executor import decode_with_pool
 from repro.parallel.fused import (
     StreamSegment,
@@ -99,9 +98,7 @@ class TestFusedVsReference:
         assert H < S
         out_f = np.empty(enc.num_symbols, dtype=np.uint8)
         out_r = np.empty(enc.num_symbols, dtype=np.uint8)
-        sf = fused_run(
-            provider, lanes, enc.words, tasks, out_f, ScratchArena()
-        )
+        sf = fused_run(provider, lanes, enc.words, tasks, out_f)
         sr = reference_walk(provider, lanes, enc.words, tasks, out_r)
         assert np.array_equal(out_f, payload)
         assert np.array_equal(out_r, payload)
@@ -214,7 +211,7 @@ class TestFusedEdgeCases:
         )
         out_f = np.zeros(enc.num_symbols, dtype=np.uint8)
         out_r = np.zeros(enc.num_symbols, dtype=np.uint8)
-        sf = fused_run(provider, 32, enc.words, task, out_f, ScratchArena())
+        sf = fused_run(provider, 32, enc.words, task, out_f)
         sr = reference_walk(provider, 32, enc.words, task, out_r)
         assert np.array_equal(out_f[100:200], payload[100:200])
         assert np.all(out_f[200:] == 0)
@@ -222,8 +219,8 @@ class TestFusedEdgeCases:
         assert _stats_tuple(sf) == _stats_tuple(sr)
 
     def test_arena_reuse_across_stream_sizes(self, payload):
-        """One engine instance decoding different geometries must not
-        leak state between calls through its scratch arena."""
+        """Decodes of different geometries on one thread must not leak
+        state between calls through the thread's arena."""
         provider = _provider("static", payload, None)
         dec = InterleavedDecoder(provider, lanes=32)
         for n in (4_096, 100, 6_000, 33):
@@ -281,9 +278,9 @@ def _run_both(provider, lanes, words, tasks, n):
         sr = reference_walk(provider, lanes, words, tasks, out_r)
     except DecodeError:
         with pytest.raises(DecodeError):
-            fused_run(provider, lanes, words, tasks, out_k, ScratchArena())
+            fused_run(provider, lanes, words, tasks, out_k)
         return None
-    sk = fused_run(provider, lanes, words, tasks, out_k, ScratchArena())
+    sk = fused_run(provider, lanes, words, tasks, out_k)
     assert np.array_equal(out_k, out_r)
     assert _stats_tuple(sk) == _stats_tuple(sr)
     return out_k, sk
@@ -308,7 +305,7 @@ class TestWholeWalkBatches:
             )
             for cap in (1, 4, 64)
         ]
-        res = fused_run_multi(provider, 32, segments, ScratchArena())
+        res = fused_run_multi(provider, 32, segments)
         for seg_out in res.segment_outputs():
             assert np.array_equal(seg_out, payload)
         words, bases, _ = _stack_streams(segments)
@@ -399,8 +396,7 @@ class TestWholeWalkBatches:
         )
         res = fused_run_multi(
             adaptive_provider, 32,
-            [StreamSegment(enc.words, tasks, enc.num_symbols)],
-            ScratchArena(),
+            [StreamSegment(enc.words, tasks, enc.num_symbols)]
         )
         out_r = np.empty(enc.num_symbols, dtype=np.uint8)
         sr = reference_walk(adaptive_provider, 32, enc.words, tasks, out_r)

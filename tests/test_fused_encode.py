@@ -20,7 +20,6 @@ from repro.baselines.conventional import ConventionalCodec
 from repro.core.decoder import RecoilDecoder
 from repro.core.encoder import RecoilEncoder
 from repro.errors import EncodeError, ModelError
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused_encode import EncodeTask, fused_encode_run
 from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
@@ -123,8 +122,9 @@ class TestFusedVsReference:
         assert np.array_equal(md_fused.lane_states, md_ref.lane_states)
 
     def test_arena_reuse_across_sizes(self, payload):
-        """One encoder instance across shifting geometries must not
-        leak scratch state between calls (DESIGN.md §9)."""
+        """Encodes of shifting geometries on one thread must not leak
+        state between calls through the thread's arena (DESIGN.md
+        §9)."""
         provider = _provider("static", payload, None)
         enc = InterleavedEncoder(provider, lanes=32)
         for n in (4_096, 100, 6_000, 33, 0, 5_000):
@@ -208,12 +208,11 @@ class TestMultiTaskFusion:
         """Tasks of very different sizes: short ones drain in the
         steady window, long ones continue through per-task tails."""
         provider = _provider("static", payload, None)
-        arena = ScratchArena()
         sizes = [0, 7, 65, 2_000, 31, 6_000]
         tasks = [
             EncodeTask(payload[:sz], record_events=True) for sz in sizes
         ]
-        outs = fused_encode_run(provider, 32, tasks, arena)
+        outs = fused_encode_run(provider, 32, tasks)
         enc = InterleavedEncoder(provider, lanes=32)
         for sz, out in zip(sizes, outs):
             ref = enc.encode_reference(payload[:sz], record_events=True)
@@ -229,17 +228,13 @@ class TestMultiTaskFusion:
 
     def test_results_never_alias_scratch(self, payload):
         """Arena rule 2: returned arrays are fresh — re-running the
-        kernel must not mutate previously returned results."""
+        kernel on the same thread's arena must not mutate previously
+        returned results."""
         provider = _provider("static", payload, None)
-        arena = ScratchArena()
-        first = fused_encode_run(
-            provider, 32, [EncodeTask(payload[:1000])], arena
-        )[0]
+        first = fused_encode_run(provider, 32, [EncodeTask(payload[:1000])])[0]
         words_copy = first.words.copy()
         states_copy = first.final_states.copy()
-        fused_encode_run(
-            provider, 32, [EncodeTask(payload[1000:3000])], arena
-        )
+        fused_encode_run(provider, 32, [EncodeTask(payload[1000:3000])])
         assert np.array_equal(first.words, words_copy)
         assert np.array_equal(first.final_states, states_copy)
 

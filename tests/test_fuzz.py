@@ -23,6 +23,7 @@ from repro.core import RecoilCodec, parse_container, recoil_shrink
 from repro.core.decoder import RecoilDecoder
 from repro.errors import (
     ContainerError,
+    DecodeError,
     MetadataError,
     ModelError,
     ReproError,
@@ -142,7 +143,6 @@ def differential_chunk(first_seed: int, count: int) -> dict:
     both return identical symbols and :class:`EngineStats`.  Runs in
     a subprocess of the test, so a crash fails one chunk.
     """
-    from repro.parallel.buffers import ScratchArena
     from repro.parallel.fused import StreamSegment, fused_run_multi
     from repro.serve import AssetStore
 
@@ -151,7 +151,6 @@ def differential_chunk(first_seed: int, count: int) -> dict:
     blob = RecoilCodec(
         SymbolModel.from_data(data.astype(np.uint8), 11, 256)
     ).compress(data.astype(np.uint8), 64)
-    arena = ScratchArena()
     tally = {"rejected": 0, "typed": 0, "identical": 0}
 
     def decode(asset, columns, kernel):
@@ -160,7 +159,7 @@ def differential_chunk(first_seed: int, count: int) -> dict:
                 res = fused_run_multi(
                     asset.provider, asset.lanes,
                     [StreamSegment(asset.words, columns, asset.num_symbols)],
-                    arena, out_dtype=asset.out_dtype,
+                    out_dtype=asset.out_dtype,
                 )
         except ReproError as exc:
             return type(exc)
@@ -247,6 +246,22 @@ class TestMultiansFuzz:
         cut = int(np.random.default_rng(seed).integers(0, len(blob)))
         with pytest.raises(ReproError):
             mc.decompress(blob[:cut], num_threads=8 if seed < 4 else 64)
+
+    @pytest.mark.parametrize("threads", [1, 8, 64])
+    def test_inflated_symbol_count(self, skewed_bytes, threads):
+        """A valid container whose ``num_symbols`` is rewritten to
+        10**12 runs out of payload, a typed error, at every thread
+        count: no allocation is sized by the declared count."""
+        from repro.bitio.varint import decode_uvarint, encode_uvarint
+
+        mc = MultiansCodec(
+            TansTable.from_data(skewed_bytes, 11, alphabet_size=256)
+        )
+        blob = mc.compress(skewed_bytes[:5_000])
+        _, end = decode_uvarint(blob, 5)  # the count follows magic+version
+        bad = blob[:5] + encode_uvarint(10**12) + blob[end:]
+        with pytest.raises(DecodeError, match="exhausted"):
+            mc.decompress(bad, num_threads=threads)
 
 
 #: the ONLY errors the ingest surfaces may raise on malformed bytes.

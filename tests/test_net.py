@@ -68,12 +68,25 @@ def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 
 
 def _wait_closed(sock: socket.socket, timeout: float = 5.0) -> bool:
-    """True iff the server closes ``sock`` within ``timeout``."""
+    """True iff the server closes ``sock`` within ``timeout``: EOF or
+    a reset; a wait that times out is False."""
     sock.settimeout(timeout)
     try:
         return sock.recv(1) == b""
-    except (TimeoutError, ConnectionError, OSError):
+    except TimeoutError:
+        return False
+    except ConnectionError:
         return True
+
+
+def test_wait_closed_needs_the_peer_to_close():
+    """The helper the deadline and drain tests rely on: a peer that
+    stays open is not closed, however long the wait."""
+    sock, peer = socket.socketpair()
+    with sock, peer:
+        assert not _wait_closed(sock, timeout=0.2)
+        peer.close()
+        assert _wait_closed(sock, timeout=5.0)
 
 
 class TestRoundtrips:

@@ -16,7 +16,6 @@ from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.core.serialization import serialize_metadata
 from repro.errors import AdmissionError, MetadataError, ServeError
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import StreamSegment, fused_run_multi
 from repro.serve import (
     AssetStore,
@@ -82,9 +81,7 @@ class TestFusedMulti:
             skewed_bytes[20_000:29_000]
         ] * 2
 
-        result = fused_run_multi(
-            provider11, 32, segments, ScratchArena()
-        )
+        result = fused_run_multi(provider11, 32, segments)
         for segment_out, exp in zip(result.segment_outputs(), expected):
             assert np.array_equal(segment_out, exp)
         assert result.stats.tasks == sum(
@@ -103,13 +100,12 @@ class TestFusedMulti:
         result = fused_run_multi(
             provider11,
             32,
-            [StreamSegment(enc.words, tasks, enc.num_symbols)],
-            ScratchArena(),
+            [StreamSegment(enc.words, tasks, enc.num_symbols)]
         )
         assert np.array_equal(result.out, skewed_bytes[:10_000])
 
     def test_empty_batch(self, provider11):
-        result = fused_run_multi(provider11, 32, [], ScratchArena())
+        result = fused_run_multi(provider11, 32, [])
         assert result.out.size == 0
         assert result.slices == []
 
@@ -130,9 +126,7 @@ class TestFusedMulti:
             )
         words, _, _ = _stack_streams(segments)
         assert len(words) == len(enc.words)  # one copy, not three
-        result = fused_run_multi(
-            provider11, 32, segments, ScratchArena()
-        )
+        result = fused_run_multi(provider11, 32, segments)
         for sl in result.slices:
             assert np.array_equal(result.out[sl], skewed_bytes[:10_000])
 

@@ -9,7 +9,6 @@ import pytest
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import DecodeError
-from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import TaskColumns, fused_run
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedEncoder
@@ -42,9 +41,7 @@ def full_task(enc, check=True, **changes) -> TaskColumns:
 class TestEngineBasics:
     def test_full_stream_task(self, enc, provider11, skewed_bytes):
         out = np.empty(enc.num_symbols, dtype=np.uint8)
-        stats = fused_run(
-            provider11, 32, enc.words, full_task(enc), out, ScratchArena()
-        )
+        stats = fused_run(provider11, 32, enc.words, full_task(enc), out)
         assert np.array_equal(out, skewed_bytes[:10_000])
         assert stats.symbols_decoded == enc.num_symbols
         assert stats.words_read == len(enc.words)
@@ -56,16 +53,14 @@ class TestEngineBasics:
             32, start_pos=[], walk_hi=[], walk_lo=[], commit_hi=[],
             commit_lo=[],
         )
-        stats = fused_run(
-            provider11, 32, enc.words, empty, out, ScratchArena()
-        )
+        stats = fused_run(provider11, 32, enc.words, empty, out)
         assert stats.iterations == 0
 
     def test_commit_window(self, enc, provider11, skewed_bytes):
         """Only the commit range is written."""
         t = full_task(enc, check=False, commit_lo=101, commit_hi=200)
         out = np.zeros(enc.num_symbols, dtype=np.uint8)
-        fused_run(provider11, 32, enc.words, t, out, ScratchArena())
+        fused_run(provider11, 32, enc.words, t, out)
         assert np.array_equal(out[100:200], skewed_bytes[100:200])
         assert np.all(out[200:] == 0)
 
@@ -78,7 +73,7 @@ class TestEngineBasics:
         with pytest.raises(DecodeError, match="beyond stream"):
             fused_run(
                 provider11, 32, enc.words, t,
-                np.empty(enc.num_symbols, dtype=np.uint8), ScratchArena(),
+                np.empty(enc.num_symbols, dtype=np.uint8)
             )
 
     def test_activation_outside_walk_rejected(self, enc, provider11):
@@ -97,7 +92,7 @@ class TestEngineBasics:
         with pytest.raises(DecodeError):
             fused_run(
                 provider11, 32, enc.words, t,
-                np.empty(enc.num_symbols, dtype=np.uint8), ScratchArena(),
+                np.empty(enc.num_symbols, dtype=np.uint8)
             )
 
 
@@ -112,8 +107,7 @@ class TestEngineStats:
         )
         out = np.empty(enc.num_symbols, dtype=np.uint8)
         stats = fused_run(
-            StaticModelProvider(model11), 32, enc.words, tasks, out,
-            ScratchArena(),
+            StaticModelProvider(model11), 32, enc.words, tasks, out
         )
         assert 0 < stats.lane_utilization <= 32
         assert stats.max_task_iterations <= stats.iterations
@@ -131,13 +125,13 @@ class TestEngineStats:
             provider, 32, enc1.words,
             build_thread_tasks(enc1.metadata, len(enc1.words),
                                enc1.final_states),
-            out, ScratchArena(),
+            out
         )
         s16 = fused_run(
             provider, 32, enc16.words,
             build_thread_tasks(enc16.metadata, len(enc16.words),
                                enc16.final_states),
-            out, ScratchArena(),
+            out
         )
         assert s16.iterations < s1.iterations / 8
 
@@ -157,9 +151,7 @@ class TestSynchronizationPhase:
         provider = StaticModelProvider(model11)
         out = np.empty(enc.num_symbols, dtype=np.uint8)
         for t in range(tasks.num_tasks):
-            fused_run(
-                provider, 32, enc.words, tasks.rows([t]), out, ScratchArena()
-            )
+            fused_run(provider, 32, enc.words, tasks.rows([t]), out)
         # After running all tasks separately, every commit range is
         # present and correct.
         assert np.array_equal(out, skewed_bytes[:20_000])
@@ -178,7 +170,5 @@ class TestSynchronizationPhase:
         provider = StaticModelProvider(model11)
         out = np.empty(enc.num_symbols, dtype=np.uint8)
         for t in reversed(range(tasks.num_tasks)):
-            fused_run(
-                provider, 32, enc.words, tasks.rows([t]), out, ScratchArena()
-            )
+            fused_run(provider, 32, enc.words, tasks.rows([t]), out)
         assert np.array_equal(out, skewed_bytes[:20_000])
