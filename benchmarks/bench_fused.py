@@ -26,7 +26,14 @@ at 1..``host_cpus`` worker threads over 16 and 64 splits of its own
 The ``compiled`` section re-times the fused decode on the compiled C
 walk (DESIGN.md §19), the host's own kernel, when a C compiler is
 present; the section always records ``available``/``toolchain``/
-``host_cpus`` so a fallback run is visible in the JSON.
+``host_cpus``/``host_body`` so a fallback run is visible in the JSON.
+Its ``rows`` time the same decode at n = 11, 12 and 16 on the host's
+C body (``compiled``: full interleave groups on the AVX2 body where
+the host has one) and on the scalar body
+(``compiled_scalar``, reached through the ``packed`` argument of the
+internal ``compiled.rans_walk`` call by ``tests/walk_bodies.py``, the
+tests' hook), in alternating rounds, with
+the share of decoded symbols that ran on the SIMD body.
 
 The JSON this emits is the perf trajectory future PRs regress
 against; CI runs it in smoke mode.  Usage::
@@ -43,6 +50,7 @@ import functools
 import json
 import os
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -61,8 +69,14 @@ from repro.stats.timing import alternating_rounds, symbol_rate
 
 from numpy_host import numpy_host
 
+# The tests' one hook on the compiled walk's two bodies.
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from walk_bodies import c_walks  # noqa: E402
+
 QUANT_BITS = 11
 LANES = 32
+#: quantization levels of the ``compiled`` section's rows.
+COMPILED_QUANT_BITS = (11, 12, 16)
 POOL_SPLITS = (16, 64)
 POOL_ROUNDS = 9
 #: large enough that a pool call's fixed cost (thread start, the
@@ -141,6 +155,59 @@ def _thread_pool() -> dict:
     }
 
 
+def _compiled_rows(data, threads: int, rounds: int, check) -> list[dict]:
+    """The fused decode of ``data`` at ``threads`` splits for each of
+    :data:`COMPILED_QUANT_BITS`, on the host's C body and on the
+    scalar body, in alternating rounds; ``simd_symbol_share`` is the
+    share of decoded symbols (sync-phase ones included) that ran in
+    SIMD groups of 32."""
+    timers, rows = {}, []
+    for n in COMPILED_QUANT_BITS:
+        provider = StaticModelProvider(
+            SymbolModel.from_data(data, n, alphabet_size=256)
+        )
+        enc = RecoilEncoder(provider, LANES).encode(data, num_threads=threads)
+        decode = functools.partial(
+            RecoilDecoder(provider, LANES).decode,
+            enc.words, enc.final_states, enc.metadata,
+        )
+        with c_walks() as groups:
+            stats = decode().engine_stats
+
+        def scalar(decode=decode):
+            with c_walks(scalar=True):
+                return decode().symbols
+
+        timers[n, "compiled"] = symbol_rate(
+            lambda decode=decode: decode().symbols, check
+        )
+        timers[n, "compiled_scalar"] = symbol_rate(scalar, check)
+        rows.append({
+            "quant_bits": n,
+            "packed_table": provider.decode_tables.packed is not None,
+            "simd_symbol_share": round(
+                32 * sum(groups) / stats.symbols_decoded, 4
+            ),
+        })
+    events = compiled.compile_events()
+    quartiles = alternating_rounds(timers, rounds)
+    if compiled.compile_events() != events:
+        raise AssertionError("compile landed inside a timed region")
+    for row in rows:
+        q = {
+            body: quartiles[row["quant_bits"], body]
+            for body in ("compiled", "compiled_scalar")
+        }
+        row["symbols_per_sec"] = {b: round(v[1], 1) for b, v in q.items()}
+        row["symbols_per_sec_q1_q3"] = {
+            b: [round(v[0], 1), round(v[2], 1)] for b, v in q.items()
+        }
+        row["speedup_host_body_vs_scalar"] = round(
+            q["compiled"][1] / q["compiled_scalar"][1], 3
+        )
+    return rows
+
+
 def run(symbols: int, threads: int, rounds: int) -> dict:
     data = text_surrogate(symbols, target_entropy=5.29, seed=77)
     model = SymbolModel.from_data(data, QUANT_BITS, alphabet_size=256)
@@ -209,30 +276,28 @@ def run(symbols: int, threads: int, rounds: int) -> dict:
     thread_pool = _thread_pool()
 
     # -- compiled kernel column (DESIGN.md §19) -------------------------
-    # Same fused decode, whole walk on the compiled kernel.  Warm-up
-    # happens before timing; the compile-event counter must stay
-    # frozen across the timed region or the measurement is invalid.
+    # Same fused decode, whole walk on the compiled kernel, on the
+    # host's C body and on the scalar body.  Warm-up happens before
+    # timing; the compile-event counter must stay frozen across the
+    # timed region or the measurement is invalid.
     compiled_col: dict = {
         "available": compiled.kernel_available(),
         "toolchain": compiled.toolchain(),
         "host_cpus": os.cpu_count(),
+        "host_body": "avx2" if compiled.avx2_host() else "scalar",
     }
     fused_rate = quartiles["fused"][1]
     if compiled.kernel_available():
         compiled.warm_up()
-        events = compiled.compile_events()
-        _, compiled_rate, _ = alternating_rounds(
-            {"compiled": timers["fused"]}, rounds
-        )["compiled"]
-        if compiled.compile_events() != events:
-            raise AssertionError("compile landed inside a timed region")
+        rows = _compiled_rows(data, threads, rounds, check)
+        (main,) = [r for r in rows if r["quant_bits"] == QUANT_BITS]
         compiled_col["symbols_per_sec"] = {
-            "numpy": round(fused_rate, 1),
-            "compiled": round(compiled_rate, 1),
+            "numpy": round(fused_rate, 1), **main["symbols_per_sec"]
         }
         compiled_col["speedup_compiled_vs_numpy"] = round(
-            compiled_rate / fused_rate, 3
+            main["symbols_per_sec"]["compiled"] / fused_rate, 3
         )
+        compiled_col["rows"] = rows
 
     def median(key):
         return round(quartiles[key][1], 1)

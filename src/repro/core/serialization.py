@@ -140,8 +140,13 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
 
     Returns ``(metadata, next_offset)`` where ``next_offset`` points
     just past the metadata section (byte-aligned).
+
+    :raises MetadataError: a section declaring no lanes, an
+        implausible entry count, or a truncated section.
     """
     lanes, pos = decode_uvarint(blob, offset)
+    if lanes < 1:  # before any arithmetic divides by it
+        raise MetadataError(f"metadata declares {lanes} lanes")
     num_symbols, pos = decode_uvarint(blob, pos)
     num_words, pos = decode_uvarint(blob, pos)
     num_entries, pos = decode_uvarint(blob, pos)

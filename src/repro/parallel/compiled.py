@@ -8,7 +8,9 @@ counterparts:
 - the whole rANS decode walk of a task batch — activations, partial
   groups, commit ranges, renormalization reads, terminal drain —
   with every word read, output store and model-id read
-  bounds-checked (:func:`rans_walk`);
+  bounds-checked (:func:`rans_walk`); on an AVX2 host its full
+  interleave groups run a SIMD body with the same arithmetic,
+  chosen at run time in C (:func:`avx2_host`, DESIGN.md §19);
 - the rANS encode sweep, twin of the steady inner loop of
   ``fused_encode.run_blocks`` (:func:`encode_sweep`).
 
@@ -130,6 +132,12 @@ WALK_DRAIN, WALK_CONSUMED, WALK_FINAL = 5, 6, 7
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define AVX2_BODY 1
+#else
+#define AVX2_BODY 0
+#endif
 
 enum { WALK_READ = 1, WALK_STORE, WALK_MODEL, WALK_LANE,
        WALK_DRAIN, WALK_CONSUMED, WALK_FINAL };
@@ -151,6 +159,130 @@ static inline void store(void *out, int64_t o, int64_t itemsize,
     }
 }
 
+/* Full groups (DESIGN.md §19): the groups of 32 lanes, from the one
+   whose top index is cur downwards, that lie inside the walk range,
+   the commit range and the output, checked once for the whole
+   stretch; 0 when the group at cur is not one.  The caller checks the
+   rest of the predicate: every lane active, no activation due, every
+   state below 2^32. */
+static int64_t full_groups(int64_t cur, int64_t lo, int64_t c_hi,
+                           int64_t c_lo, int64_t off, int64_t n_out)
+{
+    if (cur < 32 || cur % 32 != 0 || cur > c_hi)
+        return 0;
+    const int64_t lo_lim = lo > c_lo ? lo : c_lo;
+    if (lo_lim < 1 || lo_lim > cur - 31)
+        return 0;
+    const int64_t b_lo = (lo_lim + 30) / 32 * 32;  /* lowest group base */
+    if (off < -b_lo || off > n_out - cur)
+        return 0;
+    return (cur - b_lo) / 32;
+}
+
+#if AVX2_BODY
+/* route[m][j]: the word renormalizing lane j of an 8-lane vector takes
+   from an 8-word load ending at pos, when mask m marks the lanes that
+   renormalize: lanes read downwards from pos, top lane first, so lane
+   j reads the word 7 - popcount(m >> (j + 1)).  The permuted load of
+   F. Giesen, "Interleaved entropy coders" (arXiv:1402.3392). */
+#define PC8(m) (((m) & 1) + ((m) >> 1 & 1) + ((m) >> 2 & 1) \
+                + ((m) >> 3 & 1) + ((m) >> 4 & 1) + ((m) >> 5 & 1) \
+                + ((m) >> 6 & 1) + ((m) >> 7 & 1))
+#define ROUTE(m) { 7 - PC8((m) >> 1), 7 - PC8((m) >> 2), \
+                   7 - PC8((m) >> 3), 7 - PC8((m) >> 4), \
+                   7 - PC8((m) >> 5), 7 - PC8((m) >> 6), \
+                   7 - PC8((m) >> 7), 7 }
+#define ROUTE4(m) ROUTE(m), ROUTE((m) + 1), ROUTE((m) + 2), ROUTE((m) + 3)
+#define ROUTE16(m) ROUTE4(m), ROUTE4((m) + 4), ROUTE4((m) + 8), \
+                   ROUTE4((m) + 12)
+#define ROUTE64(m) ROUTE16(m), ROUTE16((m) + 16), ROUTE16((m) + 32), \
+                   ROUTE16((m) + 48)
+static const int32_t route[256][8] __attribute__((aligned(32))) = {
+    ROUTE64(0), ROUTE64(64), ROUTE64(128), ROUTE64(192)
+};
+
+/* The SIMD body: up to `groups` full groups of 32 lanes from the one
+   whose 32 output bytes start at out, each walked with the scalar
+   body's arithmetic.  The states are four vectors of eight uint32
+   lanes; packed[slot] is freq | bias << 12 | sym << 24 with
+   freq <= 2^shift and bias < freq, so every state stays below 2^32
+   and 32-bit products are exact.  Stops before a group with fewer
+   than 32 words at or below *pos (every word load is then inside
+   the stream); returns the groups walked. */
+__attribute__((target("avx2")))
+static int64_t walk_full_groups_avx2(
+    const uint16_t *words, const uint32_t *packed, uint64_t shift,
+    uint64_t slot_mask, uint8_t *out, uint64_t *x, int64_t *pos,
+    int64_t groups)
+{
+    uint32_t lanes[32];
+    __m256i v[4], sym[4];
+    for (int l = 0; l < 32; ++l)
+        lanes[l] = (uint32_t)x[l];
+    for (int k = 0; k < 4; ++k)
+        v[k] = _mm256_loadu_si256((const __m256i *)(lanes + 8 * k));
+    const __m256i mask = _mm256_set1_epi32((int)slot_mask);
+    const __m256i low12 = _mm256_set1_epi32(0xFFF);
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    const __m128i n = _mm_cvtsi32_si128((int)shift);
+    int64_t p = *pos, g = 0;
+    for (; g < groups && p >= 31; ++g) {
+        for (int k = 3; k >= 0; --k) {
+            const __m256i need = _mm256_cmpeq_epi32(
+                _mm256_srli_epi32(v[k], 16), zero);
+            const int m = _mm256_movemask_ps(_mm256_castsi256_ps(need));
+            const __m256i w = _mm256_permutevar8x32_epi32(
+                _mm256_cvtepu16_epi32(
+                    _mm_loadu_si128((const __m128i *)(words + p - 7))),
+                _mm256_load_si256((const __m256i *)route[m]));
+            v[k] = _mm256_blendv_epi8(
+                v[k], _mm256_or_si256(_mm256_slli_epi32(v[k], 16), w),
+                need);
+            p -= __builtin_popcount((unsigned)m);
+            const __m256i e = _mm256_i32gather_epi32(
+                (const int *)packed, _mm256_and_si256(v[k], mask), 4);
+            v[k] = _mm256_add_epi32(
+                _mm256_mullo_epi32(_mm256_and_si256(e, low12),
+                                   _mm256_srl_epi32(v[k], n)),
+                _mm256_and_si256(_mm256_srli_epi32(e, 12), low12));
+            sym[k] = _mm256_srli_epi32(e, 24);
+        }
+        const __m256i bytes = _mm256_packus_epi16(
+            _mm256_packus_epi32(sym[0], sym[1]),
+            _mm256_packus_epi32(sym[2], sym[3]));
+        _mm256_storeu_si256((__m256i *)(out - 32 * g),
+                            _mm256_permutevar8x32_epi32(bytes, order));
+    }
+    for (int k = 0; k < 4; ++k)
+        _mm256_storeu_si256((__m256i *)(lanes + 8 * k), v[k]);
+    for (int l = 0; l < 32; ++l)
+        x[l] = lanes[l];
+    *pos = p;
+    return g;
+}
+
+int64_t recoil_avx2_host(void)
+{
+    return __builtin_cpu_supports("avx2");
+}
+#else
+static int64_t walk_full_groups_avx2(
+    const uint16_t *words, const uint32_t *packed, uint64_t shift,
+    uint64_t slot_mask, uint8_t *out, uint64_t *x, int64_t *pos,
+    int64_t groups)
+{
+    (void)words; (void)packed; (void)shift; (void)slot_mask;
+    (void)out; (void)x; (void)pos; (void)groups;
+    return 0;
+}
+
+int64_t recoil_avx2_host(void)
+{
+    return 0;
+}
+#endif
+
 /* The whole fused rANS decode walk (DESIGN.md §7/§19), one task after
    another: tasks share only the read-only word stream and disjoint
    output ranges, so each runs its own walk end to end with the exact
@@ -159,13 +291,17 @@ static inline void store(void *out, int64_t o, int64_t itemsize,
    install due activations, renormalize the group's active lanes in
    descending lane order, decode them (Eq. 2), commit the symbols
    inside [commit_lo, commit_hi]; finally the terminal drain.  Every
-   word read, output store and model-id read is bounds-checked.
+   word read, output store and model-id read is bounds-checked; a
+   stretch of full groups runs the SIMD body instead, in the cases
+   `simd` lists (packed NULL: never).
    counters: [symbols decoded, words read, max task iterations,
-   failing task, drain position]; returns 0 or a WALK_* error code. */
+   SIMD groups, failing task, drain position]; returns 0 or a WALK_*
+   error code. */
 int64_t recoil_rans_walk(
     const uint16_t *words, int64_t W,
     const uint64_t *freq, const uint64_t *bias, const uint64_t *sym,
     uint64_t table_len, uint64_t slot_count, uint64_t slot_mask,
+    const uint32_t *packed, uint64_t packed_len,
     const uint64_t *ids, int64_t n_ids,  /* ids NULL: static model */
     uint64_t shift, uint64_t rb, uint64_t lbound,
     void *out, int64_t n_out, int64_t itemsize,
@@ -175,7 +311,14 @@ int64_t recoil_rans_walk(
     const int64_t *act_lane, const uint64_t *act_state,
     uint64_t *x, uint8_t *active, int64_t *counters)
 {
-    int64_t symbols = 0, words_read = 0, max_r = 0;
+    /* The SIMD body's cases (DESIGN.md §19): an AVX2 host, a packed
+       table covering every slot, K = 32, a static model, uint8 output
+       and the Table 3 renormalization (b = 16, L = 2^16). */
+    const int simd = packed != 0 && slot_mask < packed_len
+        && packed_len <= ((uint64_t)1 << 16) && shift < 32 && K == 32
+        && ids == 0 && itemsize == 1 && rb == 16
+        && lbound == ((uint64_t)1 << 16) && recoil_avx2_host();
+    int64_t symbols = 0, words_read = 0, max_r = 0, simd_groups = 0;
     int64_t err = 0, t = 0;
     for (; t < T; ++t) {
         const int64_t *g = geom + 8 * t;
@@ -194,6 +337,26 @@ int64_t recoil_rans_walk(
                 if (ln < 0 || ln >= K) { err = WALK_LANE; goto fail; }
                 x[ln] = act_state[a];
                 active[ln] = 1;
+            }
+            if (simd && a == a_end && pos < W) {
+                int64_t n = full_groups(cur, lo, c_hi, c_lo, off, n_out);
+                for (int64_t l = 0; n && l < K; ++l)
+                    if (!active[l] || x[l] >> 32)
+                        n = 0;
+                if (n) {
+                    const int64_t pos0 = pos;
+                    n = walk_full_groups_avx2(
+                        words, packed, shift, slot_mask,
+                        (uint8_t *)out + (off + cur - 32), x, &pos, n);
+                    words_read += pos0 - pos;
+                    symbols += 32 * n;
+                    simd_groups += n;
+                    cur -= 32 * n;
+                    if (n) {
+                        r += n - 1;  /* the loop's ++r counts the last */
+                        continue;
+                    }
+                }
             }
             const int64_t base = floordiv(cur - 1, K) * K;
             const int64_t sl = lo > base + 1 ? lo : base + 1;
@@ -244,7 +407,11 @@ int64_t recoil_rans_walk(
                     ++words_read;
                 }
             }
-            if (pos != term) { counters[4] = pos; err = WALK_CONSUMED; goto fail; }
+            if (pos != term) {
+                counters[5] = pos;
+                err = WALK_CONSUMED;
+                goto fail;
+            }
             for (int64_t l = 0; l < K; ++l)
                 if (x[l] != lbound) { err = WALK_FINAL; goto fail; }
         }
@@ -253,7 +420,8 @@ fail:
     counters[0] = symbols;
     counters[1] = words_read;
     counters[2] = max_r;
-    counters[3] = t;
+    counters[3] = simd_groups;
+    counters[4] = t;
     return err;
 }
 
@@ -286,19 +454,27 @@ void recoil_rans_encode_sweep(
 """
 
 
+def kernel_path() -> str:
+    """Where the kernel library for this source lives: the per-user
+    cache under the system temp directory, keyed by the source hash.
+    A library already there is loaded as is (how
+    ``tools/sanitize_kernels.py`` plants an instrumented build)."""
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    return os.path.join(
+        tempfile.gettempdir(), f"repro-kernels-{os.getuid()}",
+        f"librepro-{digest}.so",
+    )
+
+
 def _build_cc_lib():
     """Compile (or reuse) the shared library and wire up ctypes."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache_dir = os.path.join(
-        tempfile.gettempdir(), f"repro-kernels-{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"librepro-{digest}.so")
+    so_path = kernel_path()
     if not os.path.exists(so_path):
         compiler = _find_cc()
         if compiler is None:
             return None
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"repro-{digest}.c")
+        os.makedirs(os.path.dirname(so_path), exist_ok=True)
+        src_path = os.path.splitext(so_path)[0] + ".c"
         tmp_so = so_path + f".tmp.{os.getpid()}"
         with open(src_path, "w") as fh:
             fh.write(_C_SOURCE)
@@ -324,9 +500,11 @@ def _build_cc_lib():
     u64 = ctypes.c_uint64
     lib.recoil_rans_walk.restype = i64
     lib.recoil_rans_walk.argtypes = [
-        p, i64, p, p, p, u64, u64, u64, p, i64, u64, u64, u64,
+        p, i64, p, p, p, u64, u64, u64, p, u64, p, i64, u64, u64, u64,
         p, i64, i64, i64, i64, p, p, p, p, p, p, p, p, p, p,
     ]
+    lib.recoil_avx2_host.restype = i64
+    lib.recoil_avx2_host.argtypes = []
     lib.recoil_rans_encode_sweep.restype = None
     lib.recoil_rans_encode_sweep.argtypes = [
         p, p, p, p, p, p, u64, i64, i64,
@@ -341,6 +519,7 @@ def _build_cc_lib():
 
     return {
         "rans_walk": lib.recoil_rans_walk,
+        "avx2_host": bool(lib.recoil_avx2_host()),
         "encode_sweep": encode_sweep,
     }
 
@@ -368,6 +547,13 @@ def _impl() -> dict | None:
                     "kernels"
                 )
         return _state["impl"] or None
+
+
+def avx2_host() -> bool:
+    """Whether this host's C walk runs full interleave groups on the
+    AVX2 body (DESIGN.md §19); False without the compiled kernel."""
+    impl = _impl()
+    return impl is not None and impl["avx2_host"]
 
 
 def warm_up() -> str:
@@ -438,6 +624,7 @@ def rans_walk(
     act_iter: np.ndarray,
     act_lane: np.ndarray,
     act_state: np.ndarray,
+    packed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the whole decode walk of a task batch in one C call.
 
@@ -448,10 +635,14 @@ def rans_walk(
     (``(T+1,)`` offsets) and ordered by iteration within a task.
     ``ids`` is the dense model-id array (``None`` for a static
     model); ``words`` a uint16 stream and ``out`` an array passing
-    :func:`walk_output_supported`.
+    :func:`walk_output_supported`.  ``packed`` is
+    :attr:`~repro.rans.adaptive.DecodeTables.packed` (its first row):
+    with it, full interleave groups run the SIMD body on an AVX2 host
+    in the cases DESIGN.md §19 lists; ``None`` runs every group on the
+    scalar body.  Both give the same output and counters.
 
     :returns: int64 counters ``[symbols decoded, words read, max task
-        iterations]``.
+        iterations, groups on the SIMD body]``.
     :raises DecodeError: a read outside the stream, an output store
         outside ``out``, a model id outside the table, an activation
         lane outside ``[0, K)``, or a failed terminal drain.
@@ -468,7 +659,9 @@ def rans_walk(
         (sym, np.uint64), (geom, np.int64), (init, np.uint64),
         (has_init, np.uint8), (act_ptr, np.int64), (act_iter, np.int64),
         (act_lane, np.int64), (act_state, np.uint64),
-    ] + ([] if ids is None else [(ids, np.uint64)])
+    ] + ([] if ids is None else [(ids, np.uint64)]) + (
+        [] if packed is None else [(packed, np.uint32)]
+    )
     if not (
         all(
             a.dtype == dt and a.flags["C_CONTIGUOUS"] and a.flags["ALIGNED"]
@@ -481,6 +674,7 @@ def rans_walk(
         and has_init.shape == (T,)
         and act_ptr.shape == (T + 1,)
         and len(freq) == len(bias) == len(sym)
+        and (packed is None or packed.ndim == 1)
         and act_ptr[0] == 0
         and act_ptr[-1] == len(act_iter) == len(act_lane) == len(act_state)
         and bool(np.all(act_ptr[1:] >= act_ptr[:-1]))
@@ -489,11 +683,13 @@ def rans_walk(
     n_ids = 0 if ids is None else len(ids)
     x = np.empty(lanes, dtype=np.uint64)
     active = np.empty(lanes, dtype=np.uint8)
-    counters = np.zeros(5, dtype=np.int64)
+    counters = np.zeros(6, dtype=np.int64)
     err = impl["rans_walk"](
         words.ctypes.data, len(words),
         freq.ctypes.data, bias.ctypes.data, sym.ctypes.data,
         len(freq), slot_count, slot_mask,
+        None if packed is None else packed.ctypes.data,
+        0 if packed is None else len(packed),
         None if ids is None else ids.ctypes.data, n_ids,
         quant_bits, renorm_bits, lbound,
         out.ctypes.data, len(out), out.dtype.itemsize,
@@ -506,7 +702,7 @@ def rans_walk(
     if err:
         from repro.errors import DecodeError
 
-        t = int(counters[3])
+        t = int(counters[4])
         raise DecodeError(f"task {t}: " + {
             WALK_READ: "stream read out of range during "
                        "renormalization (corrupt metadata or "
@@ -517,11 +713,11 @@ def rans_walk(
             WALK_LANE: f"activation lane outside [0, {lanes})",
             WALK_DRAIN: "stream exhausted in terminal drain",
             WALK_CONSUMED: f"stream region not fully consumed (pos "
-                           f"{int(counters[4])}, expected "
+                           f"{int(counters[5])}, expected "
                            f"{int(geom[t, 7])})",
             WALK_FINAL: "lanes did not return to the initial state L",
         }[err])
-    return counters[:3]
+    return counters[:4]
 
 
 def encode_sweep(

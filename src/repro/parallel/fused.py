@@ -695,11 +695,14 @@ def _compiled_walk(
     _check_starts(geom, len(words))
     n = provider.quant_bits
     tables = provider.decode_tables
+    packed = None
     if provider.is_static:
         gather = (
             tables.freq_slot[0], tables.bias_slot[0], tables.sym_u64[0]
         )
         ids = None
+        if tables.packed is not None:
+            packed = tables.packed[0]
     else:
         gather = (
             tables.freq_slot.ravel(), tables.bias_slot.ravel(),
@@ -710,9 +713,9 @@ def _compiled_walk(
         words, *gather, tables.slot_count, (1 << n) - 1, ids, n,
         RENORM_BITS, L_BOUND, out, lanes, geom, columns.init,
         columns.has_init, columns.act_ptr, columns.act_iter,
-        columns.act_lane, columns.act_state,
+        columns.act_lane, columns.act_state, packed=packed,
     )
-    symbols, words_read, iterations = (int(c) for c in counters)
+    symbols, words_read, iterations = (int(c) for c in counters[:3])
     return EngineStats(
         iterations=iterations,
         symbols_decoded=symbols,

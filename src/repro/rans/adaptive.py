@@ -102,6 +102,27 @@ class DecodeTables:
         use."""
         return self.sym_slot.astype(np.uint64)
 
+    @functools.cached_property
+    def packed(self) -> np.ndarray | None:
+        """The compiled walk's SIMD table (DESIGN.md §19): one uint32
+        ``freq | bias << 12 | sym << 24`` per slot, built on its first
+        use.  ``None`` above n = 12, where no committed benchmark shows
+        the SIMD body winning, and unless every entry fits its field
+        and has ``freq <= 2**n`` and ``bias < freq``, the bounds that
+        keep 32-bit state arithmetic exact."""
+        freq, bias = self.freq_slot, self.bias_slot
+        sym = self.sym_slot.astype(np.uint64)
+        if not (
+            self.slot_count <= 1 << 12
+            and np.all(freq <= min(self.slot_count, 0xFFF))
+            and np.all(bias < freq)
+            and np.all(sym <= 0xFF)
+        ):
+            return None
+        return (freq | bias << np.uint64(12) | sym << np.uint64(24)).astype(
+            np.uint32
+        )
+
 
 class AdaptiveModelProvider:
     """Base class: a bank of models plus an index→model mapping.

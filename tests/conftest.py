@@ -13,6 +13,8 @@ from repro.parallel import compiled
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.model import SymbolModel
 
+from walk_bodies import c_walks
+
 #: skip marker for tests that need a working compiled kernel (a C
 #: compiler on PATH) — CI's fallback leg runs with
 #: ``REPRO_COMPILED_TOOLCHAIN=none`` and must skip these cleanly.
@@ -26,18 +28,33 @@ needs_compiled = pytest.mark.skipif(
 #: must produce bit-identical streams/outputs on both.
 KERNELS = ["numpy", pytest.param("compiled", marks=needs_compiled)]
 
+#: decode kernels: the two above, plus the compiled walk with its
+#: scalar body forced (``"compiled_scalar"``).  On an AVX2 host
+#: ``"compiled"`` runs full interleave groups on the SIMD body
+#: (DESIGN.md §19), so the decode suites check both C bodies.
+DECODE_KERNELS = KERNELS + [
+    pytest.param("compiled_scalar", marks=needs_compiled)
+]
+
 
 @contextlib.contextmanager
 def running_on(kernel: str):
     """Run the body on ``kernel``.  No call takes a kernel: host
     detection picks it (DESIGN.md §19).  ``"compiled"`` is what a host
     with a C compiler runs (warmed up front, so no test ever times a
-    first-use build); ``"numpy"`` is reached the way CI's fallback leg
-    reaches it, by acting as a host without one —
-    ``REPRO_COMPILED_TOOLCHAIN=none`` plus a re-detection."""
-    if kernel == "compiled":
+    first-use build), and ``"compiled_scalar"`` the same with the C
+    walk's scalar body forced (``walk_bodies.c_walks``); ``"numpy"`` is
+    reached the way CI's fallback leg reaches it, by acting as a host
+    without one — ``REPRO_COMPILED_TOOLCHAIN=none`` plus a
+    re-detection."""
+    if kernel in ("compiled", "compiled_scalar"):
         assert compiled.warm_up() == "compiled"
-        yield kernel
+        body = (
+            c_walks(scalar=True) if kernel == "compiled_scalar"
+            else contextlib.nullcontext()
+        )
+        with body:
+            yield kernel
         return
     env = "REPRO_COMPILED_TOOLCHAIN"
     saved = os.environ.get(env)
@@ -57,6 +74,14 @@ def running_on(kernel: str):
 def kernel_backend(request):
     """``"numpy"`` or ``"compiled"``: the test body runs on that
     kernel (:func:`running_on`)."""
+    with running_on(request.param) as kernel:
+        yield kernel
+
+
+@pytest.fixture(params=DECODE_KERNELS)
+def decode_backend(request):
+    """``"numpy"``, ``"compiled"`` or ``"compiled_scalar"``: the test
+    body decodes on that kernel and C body (:func:`running_on`)."""
     with running_on(request.param) as kernel:
         yield kernel
 

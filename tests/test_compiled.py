@@ -2,30 +2,38 @@
 
 Covers host detection — the only kernel choice: no decode, encode or
 serving surface takes a kernel — the numpy fallback when no toolchain
-exists (forced via ``REPRO_COMPILED_TOOLCHAIN=none``), and the warm-up
+exists (forced via ``REPRO_COMPILED_TOOLCHAIN=none``), the warm-up
 contract: after :func:`repro.parallel.compiled.warm_up` no compile may
 ever land inside a timed region (asserted through the compile-event
-counter).  Bit-identity of the compiled loops themselves is asserted
-by the kernel-parametrized differential suites (``test_fused*``,
-``test_golden``), not here.
+counter), a warning-free C source, and the two bodies of the C walk
+(:class:`TestWalkBodies`): the SIMD body, the scalar body and
+``reference_walk`` agree on every plan shape that decides whether a
+group runs SIMD.  Bit-identity of the compiled loops on containers is
+asserted by the kernel-parametrized differential suites
+(``test_fused*``, ``test_golden``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+import subprocess
 
 import numpy as np
 import pytest
 
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
+from repro.data import text_surrogate
 from repro.errors import DecodeError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.fused import TaskColumns, fused_run
+from repro.parallel.fused import TaskColumns, fused_run, reference_walk
+from repro.rans.adaptive import StaticModelProvider
+from repro.rans.model import SymbolModel
 
 from conftest import needs_compiled, running_on
+from walk_bodies import c_walks
 
 
 class TestSplitBackend:
@@ -302,3 +310,262 @@ class TestWalkBoundsChecks:
         args["sym"] = np.ones(2, np.uint8)  # the walk reads 8-byte symbols
         with pytest.raises(ValueError, match="layout"):
             compiled.rans_walk(**args)
+        args["sym"] = np.ones(2, np.uint64)
+        for packed in (np.ones(2, np.uint64), np.ones((1, 2), np.uint32)):
+            with pytest.raises(ValueError, match="layout"):
+                compiled.rans_walk(**args, packed=packed)
+
+
+@pytest.mark.skipif(compiled._find_cc() is None, reason="no C compiler")
+def test_c_source_builds_without_warnings(tmp_path):
+    """The kernel source compiles warning-free under the strict flags
+    (the SIMD body's casts and the scalar walk's integer widths)."""
+    src = tmp_path / "kernels.c"
+    src.write_text(compiled._C_SOURCE)
+    proc = subprocess.run(
+        [compiled._find_cc(), "-O3", "-shared", "-fPIC", "-Wall",
+         "-Wextra", "-Wconversion", "-Werror", "-o",
+         str(tmp_path / "kernels.so"), str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _walk_on(body, provider, lanes, words, columns, out):
+    """``body`` ("simd", "scalar" or "reference") on one plan: the
+    output and :class:`EngineStats`, or the error type and message,
+    plus the groups the SIMD body ran."""
+    walk = reference_walk if body == "reference" else fused_run
+    try:
+        with c_walks(scalar=body == "scalar") as calls:
+            stats = walk(provider, lanes, words, columns, out)
+    except DecodeError as exc:
+        return (DecodeError, str(exc)), sum(calls)
+    return (out.copy(), stats), sum(calls)
+
+
+def walk_bodies_agree(provider, lanes, words, columns, n_out,
+                      dtype=np.uint8, store_error=False):
+    """Run a plan on the C walk's SIMD body, its scalar body and
+    ``reference_walk``; assert identical output and ``EngineStats``
+    (or the same error: the same message on both C bodies), and
+    return the groups the SIMD body ran.  With ``store_error`` the
+    plan stores outside ``out`` and both C bodies must fail that
+    store with the same DecodeError; the reference is not run, since
+    its numpy stores wrap a negative position and raise IndexError
+    past the end."""
+    results = {}
+    bodies = ("simd", "scalar") + (() if store_error else ("reference",))
+    for body in bodies:
+        out = np.zeros(n_out, dtype=dtype)
+        results[body], groups = _walk_on(
+            body, provider, lanes, words, columns, out
+        )
+        if body == "simd":
+            simd_groups = groups
+        else:
+            assert groups == 0, body
+    if store_error:
+        for body in ("simd", "scalar"):
+            assert results[body][0] is DecodeError, body
+            assert "output position outside" in results[body][1], body
+        assert results["simd"][1] == results["scalar"][1]
+        return simd_groups
+    ref = results["reference"]
+    for body in ("simd", "scalar"):
+        got = results[body]
+        assert got[0] is DecodeError if ref[0] is DecodeError else (
+            np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        ), (body, got, ref)
+    if ref[0] is DecodeError:
+        assert results["simd"][1] == results["scalar"][1]
+    return simd_groups
+
+
+@pytest.fixture(scope="module")
+def text_stream():
+    """200k symbols of the text surrogate, n=11, K=32, 64 splits."""
+    data = text_surrogate(200_000, target_entropy=5.29, seed=5)
+    provider = StaticModelProvider(
+        SymbolModel.from_data(data, 11, alphabet_size=256)
+    )
+    return data, provider, RecoilEncoder(provider, 32).encode(data, 64)
+
+
+def _one_task(enc, lanes=32, **changes):
+    """The stream's whole decode as one task from the final states."""
+    plan = dict(
+        start_pos=len(enc.words) - 1, walk_hi=enc.num_symbols, walk_lo=1,
+        commit_hi=enc.num_symbols, commit_lo=1, check_terminal=True,
+        init_task=[0], init_states=[enc.final_states],
+    )
+    return TaskColumns.build(lanes, **{**plan, **changes})
+
+
+@needs_compiled
+class TestWalkBodies:
+    """The C walk's SIMD body (full interleave groups, DESIGN.md §19),
+    its scalar body and ``reference_walk`` agree on output and
+    ``EngineStats`` on the plan shapes that decide which body runs a
+    group: capacities, the stream running low, commit ranges off the
+    group grid, states of 2^32 and above, output dtypes, n and K.  On
+    a host without AVX2 both C calls run the scalar body."""
+
+    @pytest.mark.parametrize("capacity", [1, 4, 16, 64])
+    def test_text_capacities(self, text_stream, capacity):
+        data, provider, enc = text_stream
+        columns = build_thread_tasks(
+            enc.metadata.combine(capacity), len(enc.words), enc.final_states
+        )
+        groups = walk_bodies_agree(
+            provider, 32, enc.words, columns, len(data)
+        )
+        assert (groups > 0) == compiled.avx2_host()
+
+    def test_words_running_low_fall_back(self, text_stream):
+        """With fewer than K words left at or below ``pos`` a stretch
+        ends and the scalar body takes over: at the bottom of a clean
+        stream, and mid-stretch in a plan whose stream runs out (both
+        C bodies then fail the same read)."""
+        data, provider, enc = text_stream
+        clean = walk_bodies_agree(
+            provider, 32, enc.words, _one_task(enc), len(data)
+        )
+        if compiled.avx2_host():
+            assert 0 < clean < len(data) // 32
+        short = _one_task(enc, start_pos=len(enc.words) // 2)
+        walk_bodies_agree(provider, 32, enc.words, short, len(data))
+        with pytest.raises(DecodeError, match="stream read out of range"):
+            fused_run(
+                provider, 32, enc.words, short, np.zeros(len(data), np.uint8)
+            )
+
+    @pytest.mark.parametrize(
+        "commit", [(1_001, 150_017), (33, 64), (7, 199_999)]
+    )
+    def test_commit_range_off_the_group_grid(self, text_stream, commit):
+        data, provider, enc = text_stream
+        lo, hi = commit
+        task = _one_task(enc, commit_lo=lo, commit_hi=hi,
+                         check_terminal=False)
+        walk_bodies_agree(provider, 32, enc.words, task, len(data))
+
+    @pytest.mark.parametrize(
+        "offset,spare,commit_lo",
+        [(-1, 0, 1), (1, 0, 1), (5, 0, 1), (0, -1, 1), (0, -40, 1),
+         (-1_025, 0, 1_025), (-1, 0, 2), (-1_024, 0, 1_025), (5, 5, 1)],
+    )
+    def test_output_range(self, text_stream, offset, spare, commit_lo):
+        """The SIMD body's 32-byte stores are unchecked, so a stretch
+        enters it only if every store of the stretch lies in ``out``
+        (checked once).  A plan storing one byte below ``out`` (a
+        negative global offset) or past its end (a positive one, or an
+        ``out`` ``-spare`` bytes shorter than the walk) fails the same
+        store on both C bodies, having run no SIMD group; a plan whose
+        stores just fit, starting at ``out[0]`` or ending at its last
+        byte, decodes identically on all three walks, with SIMD
+        groups."""
+        data, provider, enc = text_stream
+        task = _one_task(enc, global_offset=offset, commit_lo=commit_lo)
+        inside = offset + commit_lo - 1 >= 0 and offset <= spare
+        groups = walk_bodies_agree(
+            provider, 32, enc.words, task, len(data) + spare,
+            store_error=not inside,
+        )
+        assert (groups > 0) == (inside and compiled.avx2_host())
+
+    @pytest.mark.parametrize("state", [1 << 32, (1 << 40) + 12_345,
+                                       (1 << 64) - 1])
+    def test_initial_state_at_or_above_2_32(self, text_stream, state):
+        """A hostile plan's 64-bit state keeps its task on the scalar
+        body, whose uint64 arithmetic the reference shares, until the
+        state falls below 2^32.  Walking the upper half decodes
+        (wrong symbols); the whole stream fails its reads."""
+        data, provider, enc = text_stream
+        init = np.array(enc.final_states, dtype=np.uint64)
+        init[5] = state
+        half = _one_task(enc, init_states=[init], walk_lo=100_001,
+                         commit_lo=100_001, check_terminal=False)
+        groups = walk_bodies_agree(provider, 32, enc.words, half, len(data))
+        if compiled.avx2_host():
+            assert 0 < groups < 100_000 // 32
+        whole = _one_task(enc, init_states=[init])
+        walk_bodies_agree(provider, 32, enc.words, whole, len(data))
+
+    def test_activation_due_mid_walk(self, text_stream):
+        """A task with initial states that also installs an activation
+        deep in its walk: the groups before it are full, and the group
+        that installs it must not be skipped.  (Its walk ends well
+        above the stream's start, so the overwritten state garbles
+        symbols but reads stay in range.)"""
+        data, provider, enc = text_stream
+        task = _one_task(enc, walk_lo=80_001, commit_lo=80_001,
+                         check_terminal=False, act_task=[0],
+                         act_index=[100_000], act_lane=[3],
+                         act_state=[1 << 16])
+        groups = walk_bodies_agree(provider, 32, enc.words, task, len(data))
+        if compiled.avx2_host():
+            assert groups > 0
+
+    def test_lanes_never_all_active(self, text_stream):
+        """A task one of whose lanes never activates stays on the
+        scalar body: its inactive lane neither reads nor decodes."""
+        data, provider, enc = text_stream
+        plan = build_thread_tasks(
+            enc.metadata.combine(4), len(enc.words), enc.final_states
+        )
+        t = int(np.flatnonzero(plan.has_init == 0)[0])
+        task = plan.rows([t])
+        keep = task.act_lane != 0
+        task = dataclasses.replace(
+            task,
+            act_ptr=np.array([0, int(keep.sum())]),
+            act_iter=task.act_iter[keep],
+            act_lane=task.act_lane[keep],
+            act_state=task.act_state[keep],
+        )
+        assert walk_bodies_agree(
+            provider, 32, enc.words, task, len(data)
+        ) == 0
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_wider_output(self, text_stream, dtype):
+        data, provider, enc = text_stream
+        columns = build_thread_tasks(
+            enc.metadata.combine(16), len(enc.words), enc.final_states
+        )
+        groups = walk_bodies_agree(
+            provider, 32, enc.words, columns, len(data), dtype
+        )
+        assert groups == 0
+
+    @pytest.mark.parametrize("quant_bits", [12, 16])
+    def test_quant_bits(self, quant_bits):
+        data = text_surrogate(60_000, target_entropy=5.29, seed=6)
+        provider = StaticModelProvider(
+            SymbolModel.from_data(data, quant_bits, alphabet_size=256)
+        )
+        enc = RecoilEncoder(provider, 32).encode(data, 16)
+        columns = build_thread_tasks(
+            enc.metadata, len(enc.words), enc.final_states
+        )
+        groups = walk_bodies_agree(
+            provider, 32, enc.words, columns, len(data)
+        )
+        packed = provider.decode_tables.packed
+        assert (groups > 0) == (packed is not None and compiled.avx2_host())
+
+    @pytest.mark.parametrize("lanes", [4, 8, 32])
+    def test_lane_counts(self, lanes):
+        data = text_surrogate(60_000, target_entropy=5.29, seed=7)
+        provider = StaticModelProvider(
+            SymbolModel.from_data(data, 11, alphabet_size=256)
+        )
+        enc = RecoilEncoder(provider, lanes).encode(data, 16)
+        columns = build_thread_tasks(
+            enc.metadata, len(enc.words), enc.final_states
+        )
+        groups = walk_bodies_agree(
+            provider, lanes, enc.words, columns, len(data)
+        )
+        assert (groups > 0) == (lanes == 32 and compiled.avx2_host())

@@ -107,6 +107,21 @@ class TestContainerFuzz:
         except ReproError:
             pass
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_head_corruption(self, codec, blob, seed):
+        """1-3 XORed bytes inside the header, model and metadata
+        (offsets below ``payload_offset``), where prefix cuts change
+        no byte: every case decodes or raises a :class:`ReproError`."""
+        r = np.random.default_rng(1000 + seed)
+        head = parse_container(blob).payload_offset
+        bad = bytearray(blob)
+        for _ in range(int(r.integers(1, 4))):
+            bad[int(r.integers(0, head))] ^= int(r.integers(1, 256))
+        try:
+            _decompress(codec, bytes(bad))
+        except ReproError:
+            pass
+
     def test_header_field_corruption_each_byte(self, codec, blob,
                                                skewed_bytes):
         """Flip every byte of the fixed header individually."""
@@ -117,6 +132,53 @@ class TestContainerFuzz:
             except ReproError:
                 continue
             assert not np.array_equal(out, skewed_bytes[:20_000])
+
+
+class TestZeroMetadataLanes:
+    """A metadata section declaring 0 lanes is a typed error at every
+    entry point that parses it, not a builtin ``ZeroDivisionError``
+    from sizing its entries."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, skewed_bytes, model11):
+        """A 3,000-symbol, 8-split container, its metadata ``lanes``
+        (one uvarint byte) set to 0."""
+        blob = RecoilCodec(model11).compress(skewed_bytes[:3_000], 8)
+        bad = bytearray(blob)
+        bad[parse_container(blob).metadata_offset] = 0
+        return bytes(bad)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["parse_container", "recoil_shrink", "recoil_decompress",
+         "put_container"],
+    )
+    def test_container_entry_points(self, blob, entry):
+        from repro.core import recoil_decompress
+        from repro.serve import AssetStore
+
+        call = {
+            "parse_container": parse_container,
+            "recoil_shrink": lambda b: recoil_shrink(b, 4),
+            "recoil_decompress": lambda b: recoil_decompress(b, 4),
+            "put_container": lambda b: AssetStore().put_container("x", b),
+        }[entry]
+        with pytest.raises(MetadataError, match="0 lanes"):
+            call(blob)
+
+    def test_parse_sidecar(self, skewed_bytes, model11):
+        from repro.core.encoder import RecoilEncoder
+        from repro.core.sidecar import (
+            HEADER_BYTES,
+            build_sidecar,
+            parse_sidecar,
+        )
+
+        enc = RecoilEncoder(model11).encode(skewed_bytes[:3_000], 8)
+        bad = bytearray(build_sidecar(enc.metadata, enc.words))
+        bad[HEADER_BYTES] = 0
+        with pytest.raises(ContainerError, match="0 lanes"):
+            parse_sidecar(bytes(bad), enc.words)
 
 
 @needs_compiled
@@ -133,15 +195,16 @@ DIFF_CAPACITIES = (1, 4, 64)
 
 
 def differential_chunk(first_seed: int, count: int) -> dict:
-    """Decode corrupted containers on both kernels; they must agree.
+    """Decode corrupted containers on every kernel; they must agree.
 
     Container ``seed`` gets 1-3 random byte flips, half of them inside
     the header and metadata.  One that ``put_container`` accepts is
     decoded on the serve path (shrink, then :func:`fused_run_multi`)
-    at every capacity in :data:`DIFF_CAPACITIES`, on the numpy and on
-    the compiled kernel: both must raise a :class:`ReproError`, or
-    both return identical symbols and :class:`EngineStats`.  Runs in
-    a subprocess of the test, so a crash fails one chunk.
+    at every capacity in :data:`DIFF_CAPACITIES`, on the numpy kernel
+    and on both bodies of the compiled walk (SIMD and scalar): all
+    must raise a :class:`ReproError`, or all return identical symbols
+    and :class:`EngineStats`.  Runs in a subprocess of the test, so a
+    crash fails one chunk.
     """
     from repro.parallel.fused import StreamSegment, fused_run_multi
     from repro.serve import AssetStore
@@ -181,17 +244,18 @@ def differential_chunk(first_seed: int, count: int) -> dict:
         for cap in DIFF_CAPACITIES:
             columns = asset.shrink(cap).columns
             a = decode(asset, columns, "numpy")
-            b = decode(asset, columns, "compiled")
-            if isinstance(a, type) and isinstance(b, type):
-                tally["typed"] += 1
-                continue
-            assert not isinstance(a, type) and not isinstance(b, type), (
-                f"seed {seed} capacity {cap}: numpy -> {a!r:.80}, "
-                f"compiled -> {b!r:.80}"
-            )
-            assert np.array_equal(a[0], b[0]), f"seed {seed} cap {cap}"
-            assert a[1] == b[1], f"seed {seed} cap {cap}: {a[1]} {b[1]}"
-            tally["identical"] += 1
+            for kernel in ("compiled", "compiled_scalar"):
+                b = decode(asset, columns, kernel)
+                if isinstance(a, type) and isinstance(b, type):
+                    tally["typed"] += 1
+                    continue
+                assert not isinstance(a, type) and not isinstance(b, type), (
+                    f"seed {seed} capacity {cap}: numpy -> {a!r:.80}, "
+                    f"{kernel} -> {b!r:.80}"
+                )
+                assert np.array_equal(a[0], b[0]), f"seed {seed} cap {cap}"
+                assert a[1] == b[1], f"seed {seed} cap {cap}: {a[1]} {b[1]}"
+                tally["identical"] += 1
     return tally
 
 

@@ -3,8 +3,9 @@
 Every committed container under ``tests/golden/`` must be reproduced
 byte-for-byte by today's encoder and decoded byte-for-byte back to its
 committed payload — on EVERY kernel backend (numpy and, when a
-toolchain is present, compiled).  A failure here means the wire format
-moved: either fix the regression or regenerate deliberately with
+toolchain is present, compiled, on both C walk bodies).  A failure
+here means the wire format moved: either fix the regression or
+regenerate deliberately with
 ``PYTHONPATH=src python tools/make_golden.py`` and review the corpus
 diff as a format change.
 """
@@ -21,7 +22,9 @@ import pytest
 from repro.core.api import recoil_shrink
 from repro.core.container import parse_container
 from repro.core.decoder import RecoilDecoder
+from repro.parallel import compiled
 
+from walk_bodies import c_walks
 from golden_cases import (
     SHRINK_CAPACITIES,
     build_rans_blob,
@@ -78,7 +81,7 @@ class TestRansGolden:
         case = RANS_CASES[name]
         assert build_rans_blob(case) == _read(f"{name}.bin")
 
-    def test_decode_byte_exact(self, name, kernel_backend):
+    def test_decode_byte_exact(self, name, decode_backend):
         """The committed container decodes byte-for-byte back to its
         committed payload on this kernel backend."""
         case = RANS_CASES[name]
@@ -89,7 +92,7 @@ class TestRansGolden:
         )
         assert res.symbols.tobytes() == _read(f"{name}.expected.bin")
 
-    def test_decode_at_reduced_parallelism(self, name, kernel_backend):
+    def test_decode_at_reduced_parallelism(self, name, decode_backend):
         """Combining splits client-side never changes the bytes."""
         case = RANS_CASES[name]
         blob = _read(f"{name}.bin")
@@ -114,7 +117,7 @@ class TestRansGolden:
             got = hashlib.sha256(recoil_shrink(blob, cap)).hexdigest()
             assert got == pinned[str(cap)], f"capacity {cap}"
 
-    def test_engine_counters_pinned(self, name, manifest, kernel_backend):
+    def test_engine_counters_pinned(self, name, manifest, decode_backend):
         """The decode plan's observable work at every pinned capacity:
         the ``EngineStats`` counters (``lane_util`` and ``wasted_pct``
         are built from them) match the manifest on this kernel."""
@@ -126,6 +129,22 @@ class TestRansGolden:
         for cap in SHRINK_CAPACITIES:
             got = engine_counters(case, blob, cap)
             assert got == pinned[str(cap)], f"capacity {cap}"
+
+
+@pytest.mark.skipif(
+    not compiled.avx2_host(), reason="the C walk has no SIMD body here"
+)
+@pytest.mark.parametrize("name", ["static_lanes32", "static_splits256"])
+def test_simd_body_runs_the_corpus(name):
+    """On an AVX2 host the served default's cases run full groups on
+    the SIMD body at every pinned capacity, so the byte and counter
+    pins above check it, not only the scalar body."""
+    case = RANS_CASES[name]
+    blob = _read(f"{name}.bin")
+    with c_walks() as calls:
+        for cap in SHRINK_CAPACITIES:
+            engine_counters(case, blob, cap)
+    assert len(calls) == len(SHRINK_CAPACITIES) and min(calls) > 0
 
 
 @pytest.mark.parametrize("name", sorted(TANS_CASES))

@@ -28,7 +28,7 @@ from repro.rans.constants import L_BOUND
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 
-from conftest import KERNELS, running_on
+from conftest import DECODE_KERNELS, running_on
 
 _SETTINGS = dict(
     max_examples=25,
@@ -58,7 +58,7 @@ def _model_and_data(seed: int, length: int, quant_bits: int):
     splits=st.sampled_from([1, 2, 5, 16, 64]),
 )
 @settings(**_SETTINGS)
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", DECODE_KERNELS)
 def test_recoil_roundtrip_property(seed, length, quant_bits, splits, kernel):
     model, data = _model_and_data(seed, length, quant_bits)
     with running_on(kernel):

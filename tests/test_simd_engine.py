@@ -1,17 +1,23 @@
 """Low-level tests for the fused decode entry point, ``fused_run``:
-every decoder thread of a plan advanced as one batch of lanes."""
+every decoder thread of a plan advanced as one batch of lanes, and the
+packed table the C walk's SIMD body gathers from."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.decoder import build_thread_tasks
+from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
+from repro.data import text_surrogate
 from repro.errors import DecodeError
+from repro.parallel import compiled
 from repro.parallel.fused import TaskColumns, fused_run
 from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedEncoder
+from repro.rans.model import SymbolModel
+
+from walk_bodies import c_walks
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +178,61 @@ class TestSynchronizationPhase:
         for t in reversed(range(tasks.num_tasks)):
             fused_run(provider, 32, enc.words, tasks.rows([t]), out)
         assert np.array_equal(out, skewed_bytes[:20_000])
+
+
+class TestSimdBody:
+    """The packed table, and that the served default reaches the C
+    walk's SIMD body (DESIGN.md §19)."""
+
+    @pytest.mark.skipif(
+        not compiled.avx2_host(), reason="the C walk has no SIMD body here"
+    )
+    def test_served_default_runs_simd_groups(self):
+        """A 200k-symbol capacity-16 decode of the served default
+        (K=32, static n=11, bytes) runs most groups on the SIMD body:
+        a silently disabled body fails here, not only in a benchmark."""
+        data = text_surrogate(200_000, target_entropy=5.29, seed=8)
+        model = SymbolModel.from_data(data, 11, alphabet_size=256)
+        enc = RecoilEncoder(model).encode(data, num_threads=64)
+        with c_walks() as calls:
+            res = RecoilDecoder(model).decode(
+                enc.words, enc.final_states, enc.metadata, max_threads=16
+            )
+        assert np.array_equal(res.symbols, data)
+        (groups,) = calls
+        assert groups > 0.9 * res.engine_stats.symbols_decoded / 32
+
+    def test_packed_table_fields(self, provider11):
+        """``freq | bias << 12 | sym << 24`` per slot, exactly the
+        uint64 tables' entries."""
+        tables = provider11.decode_tables
+        packed = tables.packed.astype(np.uint64)
+        assert tables.packed.dtype == np.uint32
+        assert np.array_equal(packed & 0xFFF, tables.freq_slot)
+        assert np.array_equal(packed >> 12 & 0xFFF, tables.bias_slot)
+        assert np.array_equal(packed >> 24, tables.sym_u64)
+
+    def test_packed_table_only_up_to_n12(self):
+        """A flat model's fields fit at any n, but the table (so the
+        SIMD body) stops at n = 12, the last level a committed
+        benchmark row shows the body winning at."""
+        for n in (8, 11, 12, 13, 16):
+            tables = StaticModelProvider(
+                SymbolModel.uniform(256, n)
+            ).decode_tables
+            assert int(tables.freq_slot.max()) <= 0xFFF
+            assert (tables.packed is not None) == (n <= 12), n
+
+    def test_no_packed_table_when_a_field_overflows(self, skewed_bytes):
+        """No table (so no SIMD body) unless every entry fits: a
+        frequency above 12 bits, or a symbol above 255."""
+        n16 = StaticModelProvider(
+            SymbolModel.from_data(skewed_bytes, 16, alphabet_size=256)
+        )
+        assert int(n16.decode_tables.freq_slot.max()) > 0xFFF
+        assert n16.decode_tables.packed is None
+        wide = np.arange(300, dtype=np.uint16).repeat(4)
+        provider = StaticModelProvider(
+            SymbolModel.from_data(wide, 11, alphabet_size=300)
+        )
+        assert provider.decode_tables.packed is None
