@@ -2,10 +2,11 @@
 
 Measures end-to-end multi-client decode throughput of the
 content-delivery service (``repro.serve``) at 1/8/64 concurrent
-clients of mixed capacities, batched (cross-request fusion into one
-wide-lane kernel per geometry group) vs. unbatched (the same service
-on the same kernel with ``batching=False``: one request per kernel
-call).  All responses are verified bit-identical to
+clients of mixed capacities, batched (cross-request fusion: up to 64
+queued requests in one kernel call, which the numpy walk runs as
+lockstep groups of similar walk length) vs. unbatched (the same
+service on the same kernel with ``max_batch_requests=1``: one request
+per kernel call).  All responses are verified bit-identical to
 ``recoil_decompress`` before timing.  Both services run the numpy
 kernel, where fusion is what the CI gate measures: on a host with a C
 compiler the harness acts as a host without one (``numpy_host``,

@@ -13,7 +13,6 @@ import numpy as np
 from repro.baselines.conventional import ConventionalCodec
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import DEFAULT_LANES
-from repro.rans.interleaved import InterleavedDecoder
 from repro.rans.model import SymbolModel
 
 
@@ -31,12 +30,3 @@ class SingleThreadCodec(ConventionalCodec):
         if partitions != 1:
             raise ValueError("SingleThreadCodec always uses one partition")
         return super().compress(data, 1)
-
-    def decompress_serial(self, blob: bytes) -> np.ndarray:
-        """Decode with the plain serial interleaved decoder (the
-        paper's Single-Thread timing path, no task batching)."""
-        encoded = self.parse_container(blob)
-        dec = InterleavedDecoder(self.provider, self.lanes)
-        return dec.decode(
-            encoded.words, encoded.final_states[0], encoded.num_symbols
-        )

@@ -49,7 +49,7 @@ import numpy as np
 
 log = logging.getLogger("repro.compiled")
 
-_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|cc|none
+_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|none
 
 _lock = threading.Lock()
 _state: dict = {
@@ -78,14 +78,21 @@ def _requested_toolchain() -> str:
 
 
 def _detect_toolchain() -> str:
-    if _requested_toolchain() in ("cc", "auto") and _find_cc() is not None:
-        return "cc"
-    return "none"
+    requested = _requested_toolchain()
+    if requested == "none":
+        return "none"
+    if requested != "auto":
+        log.warning(
+            "%s=%r is neither 'auto' nor 'none'; detecting the C "
+            "compiler as for 'auto'", _ENV_TOOLCHAIN, requested,
+        )
+    return "cc" if _find_cc() is not None else "none"
 
 
 def toolchain() -> str:
     """The compiled toolchain in use: ``"cc"`` or ``"none"``
-    (override with ``REPRO_COMPILED_TOOLCHAIN=auto|cc|none``)."""
+    (``REPRO_COMPILED_TOOLCHAIN=none`` forces ``"none"``; unset or
+    ``auto`` detects)."""
     with _lock:
         if _state["toolchain"] is None:
             _state["toolchain"] = _detect_toolchain()

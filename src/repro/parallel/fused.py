@@ -4,15 +4,20 @@ This is the hot path of the whole reproduction (DESIGN.md §8).  A
 *task* is one logical decoder thread — ``K`` interleaved lanes walking
 a symbol-index range backwards over a shared word stream — and a
 batch of tasks is one :class:`TaskColumns` plan (DESIGN.md §7).  The
-numpy kernel advances every task at once, one interleave group per
-iteration, as dense ``(tasks, lanes)`` array arithmetic: the data
-layout of the paper's SIMD and CUDA decoders (one warp per task, one
-CUDA lane per rANS lane).  Combining M partitions widens the effective
-vector M-fold and the per-symbol interpreter overhead drops
-accordingly — the paper's decoder-adaptive scalability claim made real
-in Python.
+numpy kernel advances the tasks of a *lockstep group* at once, one
+interleave group per iteration, as dense ``(tasks, lanes)`` array
+arithmetic: the data layout of the paper's SIMD and CUDA decoders (one
+warp per task, one CUDA lane per rANS lane).  Combining M partitions
+widens the effective vector M-fold and the per-symbol interpreter
+overhead drops accordingly — the paper's decoder-adaptive scalability
+claim made real in Python.
 
-Structure of one run:
+A plan runs as one lockstep group when its walks differ by at most 2x
+and it has at most :data:`LOCKSTEP_TASKS` tasks; otherwise
+:func:`fused_run` splits it, by walk length, into groups that do
+(:func:`_lockstep_groups`), so a short task neither collapses the
+steady window of long ones nor stays in their state matrix, finished,
+until they end.  Structure of one group's run:
 
 1. **Head** (generic masked iterations): partial first groups, lane
    activations (the Synchronization Phase), commit-range boundaries.
@@ -78,6 +83,39 @@ class EngineStats:
         return self.symbols_decoded / denom if denom else 0.0
 
 
+#: most tasks one lockstep group holds: the widest ``(tasks, lanes)``
+#: state matrix the numpy walk advances at once.  Wider is slower: a
+#: container at 1024 or 2176 splits decodes faster as groups of 512
+#: tasks than as one group (DESIGN.md §8).
+LOCKSTEP_TASKS = 512
+
+
+def _lockstep_groups(columns: "TaskColumns") -> list[np.ndarray] | None:
+    """The numpy walk's lockstep groups, as rows of the plan in plan
+    order, or ``None`` when the whole plan is one group.
+
+    Tasks sorted by walk length, longest first, fill groups of at most
+    :data:`LOCKSTEP_TASKS` tasks, each at least half as long as its
+    group's longest (DESIGN.md §8): a capacity-1 decode fused with
+    capacity-16 ones walks beside tasks of its own length, not 16
+    times shorter.
+    """
+    lengths = columns.walk_lengths
+    if len(lengths) <= LOCKSTEP_TASKS and 2 * lengths.min() >= lengths.max():
+        return None
+    order = np.argsort(-lengths, kind="stable")
+    neg = -lengths[order]  # ascending
+    groups = []
+    start = 0
+    while start < len(order):
+        # Rows from ``start`` at least half the group's longest walk.
+        end = int(np.searchsorted(neg, neg[start] // 2, side="right"))
+        end = min(end, start + LOCKSTEP_TASKS)
+        groups.append(np.sort(order[start:end]))
+        start = end
+    return groups
+
+
 def _plan_phases(columns: "TaskColumns", lanes: int) -> tuple[int, int, int]:
     """Analytic iteration geometry for a task batch.
 
@@ -138,7 +176,10 @@ def fused_run(
     out: np.ndarray,
 ) -> EngineStats:
     """Decode every task of the plan, writing committed symbols into
-    ``out``.
+    ``out``: one C call on a host with a compiler, else the numpy walk
+    over the plan's lockstep groups (:func:`_lockstep_groups`).  Both
+    report the same counters, and both name a task that fails its
+    terminal drain by its row in ``columns``.
 
     :param provider: model provider shared by all tasks.
     :param lanes: interleaved lanes per task (``K``).
@@ -188,20 +229,65 @@ def _numpy_walk(
     arena: ScratchArena,
     steady: bool,
 ) -> EngineStats:
-    """The numpy walk: head, steady window (when ``steady`` and the
-    plan has one), tail, then the terminal drain."""
+    """The numpy walk.  With ``steady``, each lockstep group of the
+    plan (:func:`_lockstep_groups`) runs through :func:`_walk_group`
+    with its steady window; without, the plan runs as one group with
+    an empty window.  The groups' counters sum, except the iteration
+    counts, which take the longest group's, as the C walk's do."""
+    T = columns.num_tasks
+    if T == 0:
+        return EngineStats()
+    words = np.asarray(words, dtype=np.uint16)
+    W = len(words)
+    ids_dense = (
+        None if provider.is_static else provider.dense_model_ids(len(out))
+    )
+    # One uint64 copy of the stream, made once per run, so every
+    # renormalization gather lands directly in the state dtype.
+    words_u64 = arena.get_at_least("words_u64", W, np.uint64)[:W]
+    words_u64[:] = words
+    _check_starts(columns.geom, W)
+
+    groups = _lockstep_groups(columns) if steady else None
+    stats = EngineStats(tasks=T)
+    for rows in groups or [None]:
+        part = _walk_group(
+            provider, lanes, words, words_u64, ids_dense,
+            columns if rows is None else columns.rows(rows), out, arena,
+            steady, rows,
+        )
+        stats.iterations = max(stats.iterations, part.iterations)
+        stats.symbols_decoded += part.symbols_decoded
+        stats.words_read += part.words_read
+    stats.max_task_iterations = stats.iterations
+    return stats
+
+
+def _walk_group(
+    provider: AdaptiveModelProvider,
+    lanes: int,
+    words: np.ndarray,
+    words_u64: np.ndarray,
+    ids_dense: np.ndarray | None,
+    columns: "TaskColumns",
+    out: np.ndarray,
+    arena: ScratchArena,
+    steady: bool,
+    rows: np.ndarray | None,
+) -> EngineStats:
+    """One lockstep group: head, steady window (when ``steady`` and the
+    group has one), tail, then the terminal drain.  ``rows`` are the
+    group's rows in the caller's plan, which errors name (``None``:
+    the group is the plan)."""
     K = lanes
     T = columns.num_tasks
     stats = EngineStats(tasks=T)
-    if T == 0:
-        return stats
 
     n = provider.quant_bits
     n64 = np.uint64(n)
     rb = np.uint64(RENORM_BITS)
     slot_mask = np.uint64((1 << n) - 1)
     lbound = np.uint64(L_BOUND)
-    words = np.asarray(words, dtype=np.uint16)
     W = len(words)
 
     tables = provider.decode_tables
@@ -215,16 +301,9 @@ def _numpy_walk(
         s_flat = tables.sym_slot.ravel()
         f_flat = tables.freq_slot.ravel()
         b_flat = tables.bias_slot.ravel()
-        ids_dense = provider.dense_model_ids(len(out))
-
-    # One uint64 copy of the stream, made once per run, so every
-    # renormalization gather lands directly in the state dtype.
-    words_u64 = arena.get_at_least("words_u64", W, np.uint64)[:W]
-    words_u64[:] = words
 
     # ---- task state -----------------------------------------------------
     geom = columns.geom
-    _check_starts(geom, W)
     pos = geom[:, 0].copy()
     cur = geom[:, 1].copy()
     lo, c_hi, c_lo, offs = geom[:, 2], geom[:, 3], geom[:, 4], geom[:, 5]
@@ -338,7 +417,7 @@ def _numpy_walk(
         _numpy_steady(
             arena, x, pos, out, out_idx, words_u64, steady_iters,
             static, tables, slot_mask, lbound, n64, rb, slot_count,
-            None if static else ids_dense,
+            ids_dense,
             (f1, b1, s1) if static else (f_flat, b_flat, s_flat),
             T, K,
         )
@@ -356,6 +435,7 @@ def _numpy_walk(
 
     # ---- terminal drain & checks ---------------------------------------
     for ti in np.flatnonzero(geom[:, 6]).tolist():
+        task = ti if rows is None else int(rows[ti])
         terminal_pos = int(geom[ti, 7])
         p = int(pos[ti])
         for lane in range(K - 1, -1, -1):
@@ -363,7 +443,7 @@ def _numpy_walk(
             while xv < L_BOUND:
                 if p <= terminal_pos:
                     raise DecodeError(
-                        f"task {ti}: stream exhausted in terminal drain"
+                        f"task {task}: stream exhausted in terminal drain"
                     )
                 xv = (xv << RENORM_BITS) | int(words[p])
                 p -= 1
@@ -371,12 +451,12 @@ def _numpy_walk(
             x[ti, lane] = xv
         if p != terminal_pos:
             raise DecodeError(
-                f"task {ti}: stream region not fully consumed "
+                f"task {task}: stream region not fully consumed "
                 f"(pos {p}, expected {terminal_pos})"
             )
         if np.any(x[ti] != L_BOUND):
             raise DecodeError(
-                f"task {ti}: lanes did not return to the initial state L"
+                f"task {task}: lanes did not return to the initial state L"
             )
     return stats
 
@@ -730,27 +810,6 @@ def _compiled_walk(
 # ---------------------------------------------------------------------------
 
 
-def geometry_bucket(columns: TaskColumns, lanes: int) -> int:
-    """Walk-geometry bucket for fusion grouping.
-
-    The numpy kernel's steady-state fast path covers the intersection
-    of all tasks' steady windows (DESIGN.md §8): fusing a
-    capacity-1 decode (one task walking the whole sequence) with a
-    capacity-64 decode (64 short tasks) collapses that intersection
-    and — worse — keeps the batch at full width long after the short
-    tasks die.  Decodes therefore only fuse when their longest task
-    walks a similar number of interleave groups; this returns the
-    power-of-two band of that length (≤2x spread within a bucket), so
-    same-shape decodes always share a bucket while pathologically
-    unequal ones never do.  The compiled walk runs each task on its
-    own and has no such window; the bucket only matters on the numpy
-    path.  Used by the serve batcher.
-    """
-    geom = columns.geom
-    longest = int(((geom[:, 1] - geom[:, 2]) // lanes + 1).max())
-    return longest.bit_length()
-
-
 @dataclass
 class StreamSegment:
     """One independent decode joining a fused multi-buffer run.
@@ -759,8 +818,7 @@ class StreamSegment:
     a word stream, the plan walking it, and the output length — for
     one logical request.  :func:`fused_run_multi` concatenates many
     segments into a single virtual stream/output so their tasks
-    advance together in one ``(sum(T_i) * K,)``-wide kernel call
-    (DESIGN.md §12: cross-request fusion).
+    run in one kernel call (DESIGN.md §12: cross-request fusion).
     """
 
     words: np.ndarray
@@ -821,8 +879,9 @@ def fused_run_multi(
     """Decode many independent (words, plan) segments as ONE kernel run.
 
     This is the serving-side payoff of the fused layout: ``S``
-    requests of ``T_i`` tasks each become a single ``(sum(T_i), K)``
-    state matrix, so per-iteration interpreter overhead is paid once
+    requests of ``T_i`` tasks each become one plan of ``sum(T_i)``
+    tasks, so per-call overhead — and on numpy, per-iteration
+    interpreter overhead, paid once per lockstep group — is paid once
     per *batch* instead of once per request.  All segments must share
     ``provider`` and ``lanes``; multi-segment fusion requires a
     *static* provider (adaptive model ids are positional in the

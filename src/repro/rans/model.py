@@ -109,10 +109,7 @@ class SymbolModel:
     -----
     The decoder's symbol search (Eq. 2: find ``t`` with
     ``F(t) <= x mod 2**n < F(t+1)``) is implemented as a direct LUT of
-    size ``2**n`` mapping slot to symbol.  When the alphabet fits in
-    8 bits and ``n <= 12``, :attr:`packed_lut` additionally provides the
-    §4.4 optimization packing ``(symbol, f(s), F(s))`` into a single
-    32-bit integer per slot.
+    size ``2**n`` mapping slot to symbol.
     """
 
     __slots__ = ("freqs", "cdf", "quant_bits", "__dict__")
@@ -217,22 +214,6 @@ class SymbolModel:
         assert len(lut) == 1 << self.quant_bits
         lut.setflags(write=False)
         return lut
-
-    @cached_property
-    def packed_lut(self) -> np.ndarray | None:
-        """§4.4 packed LUT: ``symbol | f << 8 | F << 20`` per slot.
-
-        Only available when symbols fit in 8 bits and ``n <= 12`` (so
-        ``f`` and ``F`` fit in 12 bits each); otherwise ``None``.
-        """
-        if self.alphabet_size > 256 or self.quant_bits > 12:
-            return None
-        syms = self.slot_to_symbol.astype(np.uint32)
-        f = self.freqs.astype(np.uint32)[syms]
-        start = self.cdf[:-1].astype(np.uint32)[syms]
-        packed = syms | (f << np.uint32(8)) | (start << np.uint32(20))
-        packed.setflags(write=False)
-        return packed
 
     @cached_property
     def probabilities(self) -> np.ndarray:

@@ -7,10 +7,9 @@ into a subsystem:
 
 - :mod:`repro.serve.store` — encode-once asset store with an LRU
   shrink cache keyed ``(asset, client_capacity)``;
-- :mod:`repro.serve.batcher` — request batching policy: decompress
-  requests that queue while the dispatcher is busy fuse into ONE
-  wide-lane kernel call (cross-request fusion over the `(P*K,)`
-  layout, DESIGN.md §12);
+- :mod:`repro.serve.batcher` — request batching: decompress requests
+  that queue while the dispatcher is busy fuse into ONE kernel call
+  (cross-request fusion, DESIGN.md §12);
 - :mod:`repro.serve.service` — the :class:`RecoilService` facade:
   dispatcher thread, admission control/backpressure bounded by cost
   model estimates;
@@ -27,7 +26,7 @@ into a subsystem:
   recovery (DESIGN.md §18).
 """
 
-from repro.serve.batcher import BatchPolicy, DecodeRequest, RequestBatcher
+from repro.serve.batcher import DecodeRequest, RequestBatcher
 from repro.serve.client import RecoilClient
 from repro.serve.disk import DiskStore, RecoveryReport
 from repro.serve.metrics import NetMetrics, ServeMetrics
@@ -42,7 +41,6 @@ from repro.serve.store import (
 
 __all__ = [
     "AssetStore",
-    "BatchPolicy",
     "DecodeRequest",
     "DiskStore",
     "NetConfig",

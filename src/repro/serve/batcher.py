@@ -1,22 +1,24 @@
 """Request batching: fuse concurrent decode requests into one kernel.
 
-PRs 1–2 made independent decodes advance as a single ``(P*K,)``-wide
-state vector; this module applies that *across requests*.  The
-service's dispatcher sends a batch off as soon as it is free
-(dispatch on idle): requests that arrive while one batch runs queue
-here and go out together as the next one — ONE
-:func:`~repro.parallel.fused.fused_run_multi` invocation — ``S``
-requests of ``T_i`` tasks each become one ``(sum(T_i), K)`` state
-matrix, so the per-iteration interpreter overhead that dominates small
+The fused kernels decode many tasks of one plan in one call; this
+module applies that *across requests*.  The service's dispatcher sends
+a batch off as soon as it is free (dispatch on idle): requests that
+arrive while one batch runs queue here and go out together as the
+next one — ONE :func:`~repro.parallel.fused.fused_run_multi`
+invocation — ``S`` requests of ``T_i`` tasks each become one plan of
+``sum(T_i)`` tasks, so the per-call overhead (on numpy, the
+per-iteration interpreter overhead) that dominates small
 (low-capacity) decodes is paid once per batch instead of once per
 request.  A lone request never waits for companions.
 
 Fusion compatibility is expressed as a *fuse key*: requests sharing
-``(provider, lanes)`` with a static model may ride in one batch
-(different assets included — the kernel only sees concatenated word
-streams).  Adaptive-model requests get a unique key each, because
-their per-index model ids are positional and do not survive output
-rebasing; they dispatch alone through the same machinery.
+model content, lanes and output dtype with a static model may ride in
+one batch (different assets and capacities included — the kernel only
+sees concatenated word streams, and the numpy walk splits the plan
+into lockstep groups itself, DESIGN.md §8).  Adaptive-model requests
+get a unique key each, because their per-index model ids are
+positional and do not survive output rebasing; they dispatch alone
+through the same machinery.
 
 The batcher is a pure policy object: it holds pending requests and
 decides *what* to dispatch.  Locking and the dispatch loop live in
@@ -29,11 +31,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.fused import StreamSegment, geometry_bucket
+from repro.parallel.fused import StreamSegment
 from repro.rans.adaptive import provider_fingerprint
 from repro.serve.store import ShrunkVariant, StoredAsset
 
@@ -79,7 +80,6 @@ class DecodeRequest:
                 provider_fingerprint(asset.provider),
                 asset.lanes,
                 asset.out_dtype,
-                geometry_bucket(variant.columns, asset.lanes),
             )
         else:
             # Adaptive model ids are positional in the original
@@ -87,11 +87,6 @@ class DecodeRequest:
             self.fuse_key = (id(self),)
 
     # -- batching ------------------------------------------------------
-
-    @property
-    def task_lanes(self) -> int:
-        """Lane-budget weight: decoder threads this request adds."""
-        return self.variant.columns.num_tasks
 
     @property
     def cost_symbols(self) -> int:
@@ -133,31 +128,6 @@ class DecodeRequest:
         return self.completed_at - self.enqueued_at
 
 
-@dataclass
-class BatchPolicy:
-    """How large one batch may grow.
-
-    The dispatcher takes a batch as soon as it is free; this policy
-    only caps it.  ``max_task_lanes`` is the lane budget: total decoder
-    threads (tasks) a single fused call may carry, the knob that keeps
-    one batch's state matrix at a width where vectorization, not
-    memory traffic, dominates.
-    """
-
-    max_requests: int = 64
-    max_task_lanes: int = 512
-
-    def __post_init__(self) -> None:
-        if self.max_requests < 1:
-            raise ValueError(
-                f"max_requests must be >= 1, got {self.max_requests}"
-            )
-        if self.max_task_lanes < 1:
-            raise ValueError(
-                f"max_task_lanes must be >= 1, got {self.max_task_lanes}"
-            )
-
-
 class RequestBatcher:
     """Pending-request queue with fuse-group batch selection.
 
@@ -165,8 +135,10 @@ class RequestBatcher:
     (its condition variable also provides the waiting).
     """
 
-    def __init__(self, policy: BatchPolicy | None = None) -> None:
-        self.policy = policy or BatchPolicy()
+    def __init__(self, max_requests: int) -> None:
+        #: the most requests one batch may carry (at least 1:
+        #: :class:`~repro.serve.service.ServiceConfig` checks it).
+        self.max_requests = max_requests
         self._pending: deque[DecodeRequest] = deque()
 
     def __len__(self) -> int:
@@ -194,29 +166,21 @@ class RequestBatcher:
 
     def pop_batch(self) -> list[DecodeRequest]:
         """Remove and return the next batch: the head request's fuse
-        group in queue order, up to ``max_requests`` requests and
-        ``max_task_lanes`` tasks (a single oversized request still
-        goes out alone).
+        group in queue order, up to ``max_requests`` requests.
 
-        Requests with other fuse keys, and same-key requests past a
+        Requests with other fuse keys, and same-key requests past the
         cap, keep their queue order and form later batches.
         """
         if not self._pending:
             return []
-        p = self.policy
         head_key = self._pending[0].fuse_key
         group: list[DecodeRequest] = []
-        lanes = 0
         for req in self._pending:
             if req.fuse_key != head_key:
                 continue
-            if group and (
-                len(group) >= p.max_requests
-                or lanes + req.task_lanes > p.max_task_lanes
-            ):
-                break
             group.append(req)
-            lanes += req.task_lanes
+            if len(group) == self.max_requests:
+                break
         members = set(map(id, group))
         self._pending = deque(
             r for r in self._pending if id(r) not in members

@@ -3,8 +3,8 @@
 Measures end-to-end multi-client decode throughput of the
 content-delivery service at several concurrency levels, with and
 without cross-request fusion: the baseline is the same service on the
-same kernel with ``ServiceConfig(batching=False)``, which runs one
-request per kernel call in arrival order.  The speedup therefore
+same kernel with ``ServiceConfig(max_batch_requests=1)``, which runs
+one request per kernel call in arrival order.  The speedup therefore
 measures batching alone, never a kernel difference.
 
 Every response of both services is verified bit-identical to the
@@ -56,8 +56,8 @@ def run_serve_bench(
     host's kernel (``workload.kernel`` in the result; numpy under
     ``REPRO_COMPILED_TOOLCHAIN=none``):
 
-    - ``unbatched``: ``batching=False`` — one request per kernel call,
-      in arrival order;
+    - ``unbatched``: ``max_batch_requests=1`` — one request per kernel
+      call, in arrival order;
     - ``batched``: the request batcher fuses them into multi-request
       kernel calls.
 
@@ -88,7 +88,7 @@ def run_serve_bench(
         solo_service = stack.enter_context(
             RecoilService(
                 store=service.store,
-                config=ServiceConfig(batching=False),
+                config=ServiceConfig(max_batch_requests=1),
             )
         )
         service.put_asset("asset", data, num_splits=num_splits)

@@ -10,8 +10,8 @@ DESIGN.md §12:
    batch as soon as it is free, so a lone request never waits for
    companions; concurrent decompress requests that queue while a batch
    runs dispatch next as ONE fused multi-task kernel call (up to the
-   request and lane caps) — cross-request fusion over the `(P*K,)`
-   wide-lane layout of PRs 1–2.
+   request cap) — cross-request fusion over the wide-lane layout of
+   the fused kernels.
 3. **Admission** (backpressure): in-flight work is bounded by the cost
    model's walked-symbol estimates; submitters block (up to a
    timeout) when the bound is saturated, so a burst cannot queue
@@ -53,7 +53,7 @@ from repro.errors import AdmissionError, DeadlineError, ServeError
 from repro.parallel import compiled
 from repro.parallel.fused import MultiRunResult, fused_run_multi
 from repro.rans.model import SymbolModel
-from repro.serve.batcher import BatchPolicy, DecodeRequest, RequestBatcher
+from repro.serve.batcher import DecodeRequest, RequestBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import AssetStore, StoredAsset
 
@@ -62,18 +62,14 @@ from repro.serve.store import AssetStore, StoredAsset
 class ServiceConfig:
     """Tunables of one service instance (see DESIGN.md §12)."""
 
-    #: hard cap on requests fused into one kernel call.
+    #: hard cap on requests fused into one kernel call (1: one
+    #: request per call, in arrival order — the benchmark baseline).
     max_batch_requests: int = 64
-    #: lane budget: max total decoder tasks per fused call.
-    max_batch_task_lanes: int = 512
     #: admission bound on in-flight estimated walked symbols.
     max_inflight_symbols: int = 32_000_000
     #: how long a submitter may block on admission before
     #: :class:`~repro.errors.AdmissionError`.
     admission_timeout_s: float = 30.0
-    #: disable cross-request fusion (one request per kernel call, in
-    #: arrival order) — the benchmark baseline.
-    batching: bool = True
     #: LRU capacity of the shrink cache (entries).
     shrink_cache_entries: int = 256
     #: optional byte bound on the shrink cache (total cached variant
@@ -92,6 +88,11 @@ class ServiceConfig:
     close_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
+        if self.max_batch_requests < 1:
+            raise ServeError(
+                f"max_batch_requests must be >= 1, got "
+                f"{self.max_batch_requests}"
+            )
         if self.close_timeout_s <= 0:
             raise ServeError(
                 f"close_timeout_s must be > 0, got {self.close_timeout_s}"
@@ -105,14 +106,6 @@ class ServiceConfig:
             raise ServeError(
                 f"resident_bytes must be >= 1, got {self.resident_bytes}"
             )
-
-    def batch_policy(self) -> BatchPolicy:
-        if not self.batching:
-            return BatchPolicy(max_requests=1)
-        return BatchPolicy(
-            max_requests=self.max_batch_requests,
-            max_task_lanes=self.max_batch_task_lanes,
-        )
 
 
 class RecoilService:
@@ -132,7 +125,7 @@ class RecoilService:
         )
         self.metrics = ServeMetrics()
         self._cond = threading.Condition()
-        self._batcher = RequestBatcher(self.config.batch_policy())
+        self._batcher = RequestBatcher(self.config.max_batch_requests)
         self._inflight_symbols = 0
         self._running = True
         # close() is reachable from signal handlers and racing threads
@@ -619,9 +612,8 @@ class RecoilService:
             )
             outcomes = result.segment_outputs()
         else:
-            m.record_batch(
-                len(batch), sum(r.task_lanes for r in batch), 0, t1 - t0
-            )
+            tasks = sum(r.variant.columns.num_tasks for r in batch)
+            m.record_batch(len(batch), tasks, 0, t1 - t0)
             if not retry:
                 m.record_poison_batch()
                 for req in batch:

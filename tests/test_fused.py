@@ -24,11 +24,15 @@ import pytest
 
 from repro.core.decoder import RecoilDecoder, build_thread_tasks
 from repro.core.encoder import RecoilEncoder
+from repro.data import text_surrogate
 from repro.errors import DecodeError
+from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
 from repro.parallel.fused import (
+    LOCKSTEP_TASKS,
     StreamSegment,
     TaskColumns,
+    _lockstep_groups,
     _plan_phases,
     _stack_streams,
     fused_run,
@@ -38,6 +42,8 @@ from repro.parallel.fused import (
 from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
+
+from conftest import running_on
 
 LANES = [1, 4, 32]
 THREADS = [1, 2, 8]
@@ -286,6 +292,29 @@ def _run_both(provider, lanes, words, tasks, n):
     return out_k, sk
 
 
+def _segments(enc, capacities) -> list[StreamSegment]:
+    """One segment of ``enc`` per capacity, as the service builds them."""
+    return [
+        StreamSegment(
+            enc.words,
+            build_thread_tasks(
+                enc.metadata.combine(cap), len(enc.words), enc.final_states
+            ),
+            enc.num_symbols,
+        )
+        for cap in capacities
+    ]
+
+
+def _batch_plan(segments) -> tuple[np.ndarray, TaskColumns]:
+    """The stream and plan :func:`fused_run_multi` decodes."""
+    words, bases, _ = _stack_streams(segments)
+    return words, TaskColumns.concat([
+        (seg.columns, word_base, sym_base)
+        for seg, (word_base, sym_base) in zip(segments, bases)
+    ])
+
+
 class TestWholeWalkBatches:
     """Batches the old global steady window ``[H, S)`` could not
     cover: the compiled walk runs every task end to end, so each must
@@ -294,25 +323,11 @@ class TestWholeWalkBatches:
     def test_multi_segment_mixed_capacities(self, payload, kernel_backend):
         provider = _provider("static", payload, None)
         enc = RecoilEncoder(provider).encode(payload, num_threads=64)
-        segments = [
-            StreamSegment(
-                enc.words,
-                build_thread_tasks(
-                    enc.metadata.combine(cap), len(enc.words),
-                    enc.final_states,
-                ),
-                enc.num_symbols,
-            )
-            for cap in (1, 4, 64)
-        ]
+        segments = _segments(enc, (1, 4, 64))
         res = fused_run_multi(provider, 32, segments)
         for seg_out in res.segment_outputs():
             assert np.array_equal(seg_out, payload)
-        words, bases, _ = _stack_streams(segments)
-        plan = TaskColumns.concat([
-            (seg.columns, word_base, sym_base)
-            for seg, (word_base, sym_base) in zip(segments, bases)
-        ])
+        words, plan = _batch_plan(segments)
         out_r = np.empty(3 * enc.num_symbols, dtype=np.uint8)
         sr = reference_walk(provider, 32, words, plan, out_r)
         assert np.array_equal(res.out, out_r)
@@ -403,3 +418,107 @@ class TestWholeWalkBatches:
         assert np.array_equal(res.out, payload)
         assert np.array_equal(res.out, out_r)
         assert _stats_tuple(res.stats) == _stats_tuple(sr)
+
+
+class TestLockstepGroups:
+    """The numpy walk splits a plan into lockstep groups by walk length
+    (at most 2x apart, at most ``LOCKSTEP_TASKS`` tasks each).  The
+    split is invisible: output, counters and error messages are those
+    of the ungrouped ``reference_walk`` and of the C walk."""
+
+    @pytest.fixture(scope="class")
+    def batches(self, payload):
+        provider = _provider("static", payload, None)
+        enc = RecoilEncoder(provider).encode(payload, num_threads=64)
+        other = RecoilEncoder(provider).encode(
+            payload[1_000:5_000], num_threads=16
+        )
+        one_asset = _segments(enc, (1, 4, 64))
+        return provider, {
+            "one_asset": one_asset,
+            "two_assets": one_asset + _segments(other, (2, 16)),
+            # 15 x 41 tasks: more than one group's worth.
+            "over_cap": _segments(enc, (64,) * 15),
+        }
+
+    @pytest.mark.parametrize("batch", ["one_asset", "two_assets", "over_cap"])
+    def test_groups_decode_as_segments_alone(self, batches, batch):
+        provider, segments = batches
+        segments = segments[batch]
+        words, plan = _batch_plan(segments)
+        groups = _lockstep_groups(plan)
+        assert len(groups) >= 2
+        if batch == "over_cap":
+            assert len(groups[0]) == LOCKSTEP_TASKS
+        with running_on("numpy"):
+            res = fused_run_multi(provider, 32, segments)
+            for seg, out in zip(segments, res.segment_outputs()):
+                alone = fused_run_multi(provider, 32, [seg])
+                assert np.array_equal(out, alone.out)
+        out_r = np.empty(len(res.out), dtype=np.uint8)
+        sr = reference_walk(provider, 32, words, plan, out_r)
+        assert np.array_equal(res.out, out_r)
+        assert _stats_tuple(res.stats) == _stats_tuple(sr)
+        if compiled.kernel_available():
+            c = fused_run_multi(provider, 32, segments)
+            assert np.array_equal(c.out, res.out)
+            assert _stats_tuple(c.stats) == _stats_tuple(res.stats)
+
+    def test_group_bounds(self, batches):
+        provider, segments = batches
+        _, plan = _batch_plan(segments["one_asset"])
+        lengths = plan.walk_lengths
+        groups = _lockstep_groups(plan)
+        assert np.array_equal(
+            np.sort(np.concatenate(groups)), np.arange(plan.num_tasks)
+        )
+        for rows in groups:
+            assert np.all(np.diff(rows) > 0)  # plan order
+            assert 2 * lengths[rows].min() >= lengths[rows].max()
+        # Longest walks first: the capacity-1 task walks alone.
+        assert list(groups[0]) == [0]
+
+    def test_task_cap_splits_equal_walks(self):
+        plan = TaskColumns.build(
+            32, start_pos=0, walk_hi=np.full(600, 64), walk_lo=1,
+            commit_hi=64, commit_lo=1,
+        )
+        groups = _lockstep_groups(plan)
+        assert [len(g) for g in groups] == [LOCKSTEP_TASKS, 600 - 512]
+
+    @pytest.mark.parametrize("capacity", [4, 16, 64, 256])
+    def test_served_plan_is_one_group(self, capacity):
+        """A 200k-symbol, 256-split asset, the size perfbench serves,
+        runs as one group at every capacity: no ``rows`` copy."""
+        data = text_surrogate(200_000, 5.29, seed=3)
+        provider = StaticModelProvider(
+            SymbolModel.from_data(data, 11, alphabet_size=256)
+        )
+        enc = RecoilEncoder(provider).encode(data, num_threads=256)
+        _, plan = _batch_plan(_segments(enc, (capacity,)))
+        assert _lockstep_groups(plan) is None
+
+    def test_corrupt_task_in_later_group_names_its_row(self, batches):
+        provider, segments = batches
+        segments = segments["one_asset"]
+        words, plan = _batch_plan(segments)
+        # The capacity-64 segment's terminal task, after the 1 + 4
+        # tasks of the other two segments: not in the first group.
+        row = 5 + int(np.flatnonzero(segments[2].columns.geom[:, 6])[0])
+        assert row not in _lockstep_groups(plan)[0]
+        geom = plan.geom.copy()
+        terminal = int(geom[row, 7])
+        geom[row, 7] -= 1
+        bad = dataclasses.replace(plan, geom=geom)
+        message = (
+            f"task {row}: stream region not fully consumed "
+            f"(pos {terminal}, expected {terminal - 1})"
+        )
+        kernels = ["numpy"]
+        if compiled.kernel_available():
+            kernels.append("compiled")
+        for kernel in kernels:
+            out = np.empty(3 * segments[0].num_symbols, dtype=np.uint8)
+            with running_on(kernel), pytest.raises(DecodeError) as exc:
+                fused_run(provider, 32, words, bad, out)
+            assert str(exc.value) == message, kernel

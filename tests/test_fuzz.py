@@ -21,6 +21,7 @@ import pytest
 
 from repro.core import RecoilCodec, parse_container, recoil_shrink
 from repro.core.decoder import RecoilDecoder
+from repro.core.encoder import RecoilEncoder
 from repro.errors import (
     ContainerError,
     DecodeError,
@@ -47,6 +48,15 @@ def _flip(blob: bytes, pos: int, mask: int = 0xFF) -> bytes:
     b = bytearray(blob)
     b[pos] ^= mask
     return bytes(b)
+
+
+def _head_flips(blob: bytes, head: int, seed: int) -> bytes:
+    """``blob`` with 1-3 seeded byte XORs below offset ``head``."""
+    r = np.random.default_rng(seed)
+    bad = bytearray(blob)
+    for _ in range(int(r.integers(1, 4))):
+        bad[int(r.integers(0, head))] ^= int(r.integers(1, 256))
+    return bytes(bad)
 
 
 def _decompress(codec, blob: bytes) -> np.ndarray:
@@ -112,13 +122,9 @@ class TestContainerFuzz:
         """1-3 XORed bytes inside the header, model and metadata
         (offsets below ``payload_offset``), where prefix cuts change
         no byte: every case decodes or raises a :class:`ReproError`."""
-        r = np.random.default_rng(1000 + seed)
         head = parse_container(blob).payload_offset
-        bad = bytearray(blob)
-        for _ in range(int(r.integers(1, 4))):
-            bad[int(r.integers(0, head))] ^= int(r.integers(1, 256))
         try:
-            _decompress(codec, bytes(bad))
+            _decompress(codec, _head_flips(blob, head, 1000 + seed))
         except ReproError:
             pass
 
@@ -231,13 +237,11 @@ def differential_chunk(first_seed: int, count: int) -> dict:
                          s.tasks, s.max_task_iterations)
 
     for seed in range(first_seed, first_seed + count):
-        r = np.random.default_rng(seed)
-        bad = bytearray(blob)
         hi = len(blob) if seed % 2 else 600
-        for _ in range(int(r.integers(1, 4))):
-            bad[int(r.integers(0, hi))] ^= int(r.integers(1, 256))
         try:
-            asset = AssetStore().put_container("x", bytes(bad))
+            asset = AssetStore().put_container(
+                "x", _head_flips(blob, hi, seed)
+            )
         except ReproError:
             tally["rejected"] += 1
             continue
@@ -277,6 +281,67 @@ def test_kernels_agree_on_corrupt_containers(chunk):
         f"exit status {proc.returncode} (negative: killed by that "
         f"signal)\n{proc.stdout[-2000:]}{proc.stderr[-4000:]}"
     )
+
+
+#: seeded cases per parser in :class:`TestHeadFuzz`.
+HEAD_CASES = 100
+
+
+class TestHeadFuzz:
+    """1-3 XORed bytes in everything but the payload of the parsers
+    beside ``parse_container`` (whose head fuzz is
+    :meth:`TestContainerFuzz.test_head_corruption`): sidecars, the
+    Conventional and multians containers and the disk records.  The
+    prefix tests cannot reach a flipped count or width; every case
+    must parse and decode, or raise a :class:`ReproError`."""
+
+    @staticmethod
+    def _cases(blob, head, call):
+        for seed in range(HEAD_CASES):
+            try:
+                call(_head_flips(blob, head, seed))
+            except ReproError:
+                pass
+
+    def test_sidecar(self, skewed_bytes, provider11, kernel_backend):
+        from repro.core import build_sidecar, parse_sidecar, shrink_sidecar
+
+        enc = RecoilEncoder(provider11).encode(skewed_bytes[:5_000], 8)
+        decoder = RecoilDecoder(provider11)
+
+        def call(bad):
+            shrink_sidecar(bad, 2)
+            decoder.decode(
+                enc.words, enc.final_states, parse_sidecar(bad, enc.words)
+            )
+
+        sidecar = build_sidecar(enc.metadata, enc.words)
+        self._cases(sidecar, len(sidecar), call)
+
+    def test_conventional(self, skewed_bytes, provider11, kernel_backend):
+        from repro.baselines.conventional import ConventionalCodec
+
+        codec = ConventionalCodec(provider11)
+        blob = codec.compress(skewed_bytes[:5_000], 4)
+        head = len(blob) - 2 * len(codec.parse_container(blob).words)
+        self._cases(blob, head, codec.decompress)
+
+    def test_multians(self, skewed_bytes):
+        codec = MultiansCodec(
+            TansTable.from_data(skewed_bytes, 11, alphabet_size=256)
+        )
+        blob = codec.compress(skewed_bytes[:5_000])
+        head = len(blob) - len(codec.parse(blob)[0].payload)
+        self._cases(
+            blob, head, lambda bad: codec.decompress(bad, num_threads=8)
+        )
+
+    def test_disk_record(self, blob):
+        from repro.serve.disk import decode_record, encode_record
+
+        record = encode_record("asset-1", blob)
+        head = len(record) - len(blob) - 4  # the CRC-32 footer
+        self._cases(record, head, lambda bad: decode_record(bad, "rec"))
 
 
 class TestMultiansFuzz:

@@ -149,24 +149,6 @@ class TestSymbolModel:
         with pytest.raises(ModelError):
             SymbolModel(np.array([1, 2], dtype=np.uint32), 8)
 
-    def test_packed_lut_small_alphabet(self, model11):
-        packed = model11.packed_lut
-        assert packed is not None
-        # Unpack and compare with the explicit tables (§4.4 layout).
-        syms = packed & 0xFF
-        f = (packed >> np.uint32(8)) & np.uint32(0xFFF)
-        start = packed >> np.uint32(20)
-        assert np.array_equal(syms, model11.slot_to_symbol)
-        assert np.array_equal(f, model11.freqs[syms])
-        assert np.array_equal(start, model11.cdf[:-1][syms])
-
-    def test_packed_lut_unavailable_large_n(self, model16):
-        assert model16.packed_lut is None
-
-    def test_packed_lut_unavailable_large_alphabet(self):
-        m = SymbolModel.uniform(4096, 12)
-        assert m.packed_lut is None
-
     def test_uniform_model(self):
         m = SymbolModel.uniform(256, 11)
         assert m.freqs.sum() == 2**11

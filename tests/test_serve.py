@@ -19,13 +19,12 @@ from repro.errors import AdmissionError, MetadataError, ServeError
 from repro.parallel.fused import StreamSegment, fused_run_multi
 from repro.serve import (
     AssetStore,
-    BatchPolicy,
     RecoilService,
     RequestBatcher,
     ServiceConfig,
     ShrinkCache,
 )
-from repro.serve.batcher import DecodeRequest, geometry_bucket
+from repro.serve.batcher import DecodeRequest
 
 from conftest import ParkedDispatcher
 from golden_cases import rans_cases
@@ -290,17 +289,6 @@ def _request(store, capacity):
 
 
 class TestBatcher:
-    def test_geometry_bucket_separates_capacities(self, store):
-        r1 = _request(store, 1)
-        r16 = _request(store, 16)
-        r16b = _request(store, 16)
-        assert r1.fuse_key != r16.fuse_key
-        assert r16.fuse_key == r16b.fuse_key
-        asset = store.get("hero")
-        assert geometry_bucket(r1.variant.columns, asset.lanes) > (
-            geometry_bucket(r16.variant.columns, asset.lanes)
-        )
-
     def test_same_model_different_assets_share_fuse_key(
         self, payload, model11
     ):
@@ -316,9 +304,21 @@ class TestBatcher:
         assert ra.asset.provider is not rb.asset.provider
         assert ra.fuse_key == rb.fuse_key
 
-    def test_pop_batch_keeps_foreign_keys_queued(self, store):
-        batcher = RequestBatcher(BatchPolicy())
-        reqs = [_request(store, c) for c in (16, 1, 16, 1, 16)]
+    def test_pop_batch_keeps_foreign_keys_queued(
+        self, store, payload, model16
+    ):
+        other = AssetStore(default_num_splits=16)
+        other.put("other", payload[:8_000], model=model16)
+        variant, _ = other.shrunk("other", 16)
+
+        def foreign():
+            return DecodeRequest(variant.asset, variant)
+
+        batcher = RequestBatcher(max_requests=64)
+        reqs = [
+            _request(store, 16), foreign(), _request(store, 16), foreign(),
+            _request(store, 16),
+        ]
         for r in reqs:
             batcher.add(r)
         first = batcher.pop_batch()
@@ -327,27 +327,20 @@ class TestBatcher:
         assert second == [reqs[1], reqs[3]]
         assert len(batcher) == 0
 
-    def test_lane_budget_saturates_batch(self, store):
-        policy = BatchPolicy(max_task_lanes=40)
-        batcher = RequestBatcher(policy)
-        for _ in range(4):
-            batcher.add(_request(store, 16))  # 16 tasks each
-        batch = batcher.pop_batch()
-        assert sum(r.task_lanes for r in batch) <= policy.max_task_lanes
-        assert len(batch) == 2  # 32 lanes fit, 48 would not
-        assert len(batcher) == 2
-
-    def test_oversized_single_request_dispatches_alone(self, store):
-        policy = BatchPolicy(max_task_lanes=4)
-        batcher = RequestBatcher(policy)
-        batcher.add(_request(store, 16))
-        assert batcher.pop_batch()  # never starves
+    def test_request_cap_alone_sizes_batches(self, store):
+        # Capacities 1 and 16 share a key; only the count caps a batch.
+        batcher = RequestBatcher(max_requests=2)
+        reqs = [_request(store, c) for c in (16, 1, 16, 1, 16)]
+        for r in reqs:
+            batcher.add(r)
+        assert batcher.pop_batch() == reqs[:2]
+        assert batcher.pop_batch() == reqs[2:4]
+        assert batcher.pop_batch() == reqs[4:]
+        assert len(batcher) == 0
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BatchPolicy(max_requests=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_task_lanes=0)
+        with pytest.raises(ServeError, match="max_batch_requests"):
+            ServiceConfig(max_batch_requests=0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +373,23 @@ class TestService:
         assert snap["batches"]["largest_requests"] == 6
         assert snap["batches"]["batched_requests"] == 6
 
+    def test_mixed_capacities_share_one_batch(
+        self, store, payload, kernel_backend
+    ):
+        # Capacities 1/4/16 of one asset queued behind a busy
+        # dispatcher go out as one kernel call on either kernel.
+        with RecoilService(store=store) as svc:
+            assert svc.decode_kernel == kernel_backend
+            with ParkedDispatcher(svc, "hero", 4):
+                requests = [svc.submit("hero", c) for c in (1, 4, 16)]
+            for request in requests:
+                assert np.array_equal(request.result(120), payload)
+            snap = svc.metrics_snapshot()
+        assert snap["batches"]["dispatched"] == 2  # the blocker, then 3
+        assert snap["batches"]["largest_requests"] == 3
+
     def test_unbatched_mode_serves_singly(self, store, payload):
-        config = ServiceConfig(batching=False)
+        config = ServiceConfig(max_batch_requests=1)
         with RecoilService(store=store, config=config) as svc:
             requests = [svc.submit("hero", 4) for _ in range(3)]
             for request in requests:
