@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("input")
     d.add_argument("output")
     d.add_argument("--max-parallelism", type=int, default=None,
-                   help="combine splits client-side before decoding")
+                   help="combine splits client-side before decoding; "
+                   "the splits run as tasks of one kernel call")
     d.set_defaults(func=_cmd_decompress)
 
     s = sub.add_parser("shrink", help="combine splits without re-encoding")

@@ -84,7 +84,10 @@ class RecoilCodec:
         """Decode a container encoded with this codec's provider.
 
         :param max_threads: optionally combine splits client-side
-            before decoding (caps decoder parallelism).
+            to at most this many before decoding.  The splits run as
+            tasks of one kernel call on the calling thread;
+            :func:`~repro.parallel.executor.decode_with_pool` is the
+            path that runs them on threads (DESIGN.md §14).
         :returns: the decoded symbol array.
         :raises ContainerError: malformed container bytes.
         :raises MetadataError: corrupt/inconsistent split metadata, or
@@ -170,9 +173,11 @@ def recoil_decompress(
 ) -> np.ndarray:
     """Decompress a Recoil container.
 
-    ``max_parallelism`` caps the number of decoder threads by
-    combining splits client-side; ``provider`` is required for
-    containers encoded with adaptive (out-of-band) models.
+    ``max_parallelism`` caps the number of splits by combining them
+    client-side; the splits run as tasks of one kernel call on the
+    calling thread (:func:`~repro.parallel.executor.decode_with_pool`
+    runs them on threads, DESIGN.md §14).  ``provider`` is required
+    for containers encoded with adaptive (out-of-band) models.
 
     :returns: the decoded symbol array.
     :raises ContainerError: malformed container bytes.

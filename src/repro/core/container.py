@@ -34,12 +34,7 @@ from repro.bitio.varint import decode_uvarint, encode_uvarint
 from repro.core.encoder import RecoilEncoded
 from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import parse_metadata, serialize_metadata
-from repro.errors import (
-    ContainerError,
-    DecodeError,
-    MetadataError,
-    ModelError,
-)
+from repro.errors import ContainerError, MetadataError, ModelError
 from repro.rans.adaptive import AdaptiveModelProvider, StaticModelProvider
 from repro.rans.model import SymbolModel
 
@@ -143,8 +138,6 @@ def parse_container(
         return _parse_container(blob, provider, require_model)
     except (ContainerError, MetadataError):
         raise
-    except DecodeError as exc:  # the bit reader, inside parse_metadata
-        raise MetadataError(f"malformed metadata section: {exc}") from exc
     except ModelError as exc:
         raise ContainerError(f"embedded model invalid: {exc}") from exc
     except (

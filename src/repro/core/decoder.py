@@ -111,9 +111,11 @@ class RecoilDecoder:
 
         ``max_threads`` optionally combines splits first (client-side
         equivalent of the server's shrinking — useful when the decoder
-        received more metadata than it has cores).  Runs the fused
-        kernel: the compiled walk on a host with a C compiler, numpy
-        otherwise (DESIGN.md §19).
+        received more metadata than it wants tasks).  Every split runs
+        as a task of one fused kernel call on the calling thread: the
+        compiled walk on a host with a C compiler, numpy otherwise
+        (DESIGN.md §19).  :func:`~repro.parallel.executor.decode_with_pool`
+        is the path that spreads the tasks over threads (DESIGN.md §14).
         """
         if metadata.lanes != self.lanes:
             raise DecodeError(

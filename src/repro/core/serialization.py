@@ -26,14 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitio import (
-    BitReader,
     BitWriter,
     decode_uvarint,
     encode_uvarint,
     gather_bits,
+    read_bits,
 )
 from repro.core.metadata import RecoilMetadata, lane_group_ids
-from repro.errors import MetadataError
+from repro.errors import ContainerError, DecodeError, MetadataError
 
 _WIDTH_FIELD_BITS = 5
 _MAX_WIDTH = 1 << _WIDTH_FIELD_BITS  # widths 1..32
@@ -57,25 +57,32 @@ def write_signed_series(writer: BitWriter, values: np.ndarray) -> None:
     width = _series_width(values)
     if width > _MAX_WIDTH:
         raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
-    has_neg = bool(np.any(values < 0))
-    writer.write_bits(width - 1, _WIDTH_FIELD_BITS)
-    writer.write_bit(1 if has_neg else 0)
-    if has_neg:
-        # sign bit + magnitude per element == one (width + 1)-bit field.
-        combined = ((values < 0).astype(np.int64) << width) | np.abs(values)
-        writer.write_bits_array(combined, width + 1)
-    else:
-        writer.write_bits_array(values, width)
+    neg = values < 0
+    has_neg = int(neg.any())
+    writer.write_bits((width - 1) << 1 | has_neg, _WIDTH_FIELD_BITS + 1)
+    # With the flag set, sign bit + magnitude is one (width + 1)-bit
+    # field per element.
+    writer.write_bits_array(
+        neg.astype(np.int64) << width | np.abs(values), width + has_neg
+    )
 
 
-def read_signed_series(reader: BitReader, count: int) -> np.ndarray:
-    width = reader.read_bits(_WIDTH_FIELD_BITS) + 1
-    has_neg = reader.read_bit()
-    if not has_neg:
-        return reader.read_bits_array(count, width)
-    combined = reader.read_bits_array(count, width + 1)
-    mag = combined & ((1 << width) - 1)
-    return np.where(combined >> width, -mag, mag)
+def read_signed_series(
+    data, pos: int, count: int
+) -> tuple[np.ndarray, int]:
+    """The ``count`` values :func:`write_signed_series` wrote at bit
+    offset ``pos`` of ``data``, and the bit offset just past them."""
+    head = read_bits(data, pos, _WIDTH_FIELD_BITS + 1)
+    width, has_neg = (head >> 1) + 1, head & 1
+    field = width + has_neg  # a sign bit, when present, leads
+    first = pos + _WIDTH_FIELD_BITS + 1
+    starts = first + field * np.arange(count, dtype=np.int64)
+    # One gather: the sign bits (zero-width without the flag) and the
+    # magnitudes.
+    neg, mag = gather_bits(
+        data, starts + [[0], [has_neg]], np.array([[has_neg], [width]])
+    )
+    return np.where(neg, -mag, mag), first + field * count
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +148,46 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
     Returns ``(metadata, next_offset)`` where ``next_offset`` points
     just past the metadata section (byte-aligned).
 
-    :raises MetadataError: a section declaring no lanes, an
-        implausible entry count, or a truncated section.
+    :raises MetadataError: for every malformed section — a truncated
+        varint, a series or record cut short, no lanes, an implausible
+        entry count or entries that break the metadata invariants.
     """
+    try:
+        return _parse_metadata(blob, offset)
+    except (ContainerError, DecodeError) as exc:  # a short varint or read
+        raise MetadataError(f"malformed metadata section: {exc}") from exc
+
+
+def _parse_metadata(blob: bytes, offset: int) -> tuple[RecoilMetadata, int]:
     lanes, pos = decode_uvarint(blob, offset)
-    if lanes < 1:  # before any arithmetic divides by it
-        raise MetadataError(f"metadata declares {lanes} lanes")
     num_symbols, pos = decode_uvarint(blob, pos)
     num_words, pos = decode_uvarint(blob, pos)
     num_entries, pos = decode_uvarint(blob, pos)
+    # The counts divide and size int64 arrays, even an empty
+    # (0, lanes) one: check them before any arithmetic uses them.
+    if not 1 <= lanes < 1 << 32:
+        raise MetadataError(f"metadata declares {lanes} lanes")
+    if max(num_symbols, num_words) >= 1 << 63:
+        raise MetadataError(
+            f"metadata declares {num_symbols} symbols and {num_words} "
+            f"words, beyond int64"
+        )
     if num_entries == 0:
         none = np.zeros((0, lanes), dtype=np.int64)
         md = RecoilMetadata(num_symbols, num_words, lanes, [], none, none)
         return md, pos
-    # Every entry consumes at least one bit of the section; a count
-    # beyond that is a corrupt length field, not a real container —
-    # refuse before sizing arrays (or looping) on it.
-    if num_entries > 8 * max(len(blob) - pos, 0):
+    # Each entry takes at least 1 + 1 bits of series and a record of
+    # 16 + 1 bits per lane plus its width field, after the two series
+    # heads.  A count beyond what the section holds is a corrupt
+    # length field or a cut section: refuse before sizing arrays (or
+    # looping) on it.
+    least = 2 * (_WIDTH_FIELD_BITS + 1) + num_entries * (
+        2 + 17 * lanes + _WIDTH_FIELD_BITS
+    )
+    if least > 8 * (len(blob) - pos):
         raise MetadataError(
-            f"implausible metadata entry count {num_entries} for "
-            f"{len(blob) - pos} remaining bytes"
+            f"implausible metadata: {num_entries} entries of {lanes} "
+            f"lanes need {least} bits, {len(blob) - pos} bytes remain"
         )
 
     M = num_entries + 1
@@ -168,59 +195,41 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
     total_groups = -(-num_symbols // lanes)
     expected_grp = -(-total_groups // M)
 
-    body = blob[pos:]
-    r = BitReader(body)
-    off_diffs = read_signed_series(r, num_entries)
-    grp_diffs = read_signed_series(r, num_entries)
+    # Bit offsets run from the start of ``blob``.
+    off_diffs, bit = read_signed_series(blob, 8 * pos, num_entries)
+    grp_diffs, bit = read_signed_series(blob, bit, num_entries)
     i = np.arange(1, num_entries + 1, dtype=np.int64)
     offsets = off_diffs + i * expected_off
     anchors = grp_diffs + i * expected_grp
 
     # Entry records are [lanes x 16-bit states][5-bit width field]
-    # [lanes x width-bit diffs].  Only the tiny width fields chain
-    # record offsets sequentially; scan those with scalar reads, then
-    # gather every record's state and diff payloads in two vectorized
-    # passes (the PR 2 bulk-bit-I/O path) instead of per-entry reader
-    # calls.
-    base = r.bit_position
-    total_bits = 8 * len(body)
-    starts = np.empty(num_entries, dtype=np.int64)
-    widths = np.empty(num_entries, dtype=np.int64)
-    b = base
-    states_bits = 16 * lanes
-    for k in range(num_entries):
-        wf = b + states_bits
-        if wf + _WIDTH_FIELD_BITS > total_bits:
-            raise MetadataError("metadata truncated inside entry records")
-        byte = wf >> 3
-        chunk = int.from_bytes(body[byte : byte + 2].ljust(2, b"\0"), "big")
-        width = ((chunk >> (16 - (wf & 7) - _WIDTH_FIELD_BITS)) & 31) + 1
-        starts[k] = b
-        widths[k] = width
-        b = wf + _WIDTH_FIELD_BITS + width * lanes
-    if b > total_bits:
-        raise MetadataError("metadata truncated inside entry records")
-
-    # The gathers build bit windows over their whole buffer, and
-    # ``body`` extends through the words payload — trim it to the
-    # metadata extent (known once the width scan fixed ``b``).
-    section = body[: (b + 7) // 8]
+    # [lanes x width-bit diffs].  Only the width fields chain one
+    # record to the next: read those one at a time, then gather every
+    # record's states and diffs.
+    state_bits = 16 * lanes
+    widths = []
+    field = bit + state_bits  # the first record's width field
+    for _ in range(num_entries):
+        width = read_bits(blob, field, _WIDTH_FIELD_BITS) + 1
+        widths.append(width)
+        field += _WIDTH_FIELD_BITS + lanes * width + state_bits
+    row_widths = np.array(widths, dtype=np.int64)[:, None]
+    sizes = state_bits + _WIDTH_FIELD_BITS + lanes * row_widths
+    ends = bit + np.cumsum(sizes)
+    rows = ends[:, None] - sizes  # each record's first bit
     lane_idx = np.arange(lanes, dtype=np.int64)
-    state_pos = starts[:, None] + 16 * lane_idx
-    states_all = gather_bits(section, state_pos, 16).astype(np.uint32)
-    diff_pos = (
-        starts[:, None]
-        + states_bits
-        + _WIDTH_FIELD_BITS
-        + widths[:, None] * lane_idx
+    states_all = gather_bits(blob, rows + 16 * lane_idx, 16)
+    diffs_all = gather_bits(
+        blob,
+        rows + state_bits + _WIDTH_FIELD_BITS + row_widths * lane_idx,
+        row_widths,
     )
-    diffs_all = gather_bits(section, diff_pos, widths[:, None])
     # Group IDs back to lane indices (inverse of lane_group_ids).
     indices = (anchors[:, None] - diffs_all - 1) * lanes + lane_idx + 1
     md = RecoilMetadata(
         num_symbols, num_words, lanes, offsets, indices, states_all
     )
-    return md, pos + (b + 7) // 8
+    return md, (int(ends[-1]) + 7) >> 3
 
 
 def metadata_size_bytes(md: RecoilMetadata) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import parse_metadata, serialize_metadata
-from repro.errors import ContainerError, DecodeError, MetadataError
+from repro.errors import ContainerError, MetadataError
 
 MAGIC = b"RCSC"
 VERSION = 1
@@ -113,6 +113,6 @@ def _parse(blob: bytes) -> RecoilMetadata:
         raise ContainerError(f"unsupported sidecar version {blob[4]}")
     try:
         metadata, _ = parse_metadata(blob, HEADER_BYTES)
-    except (MetadataError, DecodeError) as exc:
+    except MetadataError as exc:
         raise ContainerError(f"malformed sidecar metadata: {exc}") from exc
     return metadata

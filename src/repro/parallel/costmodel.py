@@ -27,13 +27,12 @@ summary alike.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.parallel.fused import TaskColumns
-from repro.parallel.workload import WorkloadSummary
+from repro.parallel.workload import WorkloadSummary, lpt_schedule
 
 
 @dataclass(frozen=True)
@@ -176,24 +175,15 @@ def assign_tasks(columns: TaskColumns, workers: int) -> list[np.ndarray]:
     """Partition the plan's tasks across at most ``workers`` buckets,
     each an array of row indices (:meth:`TaskColumns.rows`).
 
-    A longest-processing-time greedy assignment weighted by
-    :func:`estimate_task_symbols` — the same makespan model
+    The longest-processing-time greedy assignment
+    (:func:`~repro.parallel.workload.lpt_schedule`) weighted by
+    :func:`estimate_task_symbols` — the same schedule whose makespan
     :meth:`WorkloadSummary.makespan_symbols` uses to project device
     time — so stragglers (long cross-boundary walks, uneven splits)
     are spread instead of landing on one worker.  Empty buckets are
     dropped.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    weight = estimate_task_symbols(columns)
-    buckets: list[list[int]] = [[] for _ in range(workers)]
-    heap = [(0, w) for w in range(workers)]
-    # Heaviest first, ties by row.
-    order = np.lexsort((np.arange(len(weight)), -weight))
-    for i, cost in zip(order.tolist(), weight[order].tolist()):
-        load, w = heapq.heappop(heap)
-        buckets[w].append(i)
-        heapq.heappush(heap, (load + cost, w))
+    buckets, _ = lpt_schedule(estimate_task_symbols(columns), workers)
     return [np.array(b, dtype=np.int64) for b in buckets if b]
 
 

@@ -9,7 +9,8 @@ thread/task:
   Recoil's runtime overhead, paper §4.2),
 - the makespan proxy: with ``P`` hardware workers executing ``T``
   tasks, time scales with the max per-worker total after longest-
-  processing-time (LPT) assignment.
+  processing-time (LPT) assignment, :func:`lpt_schedule` — the one
+  schedule :func:`~repro.parallel.costmodel.assign_tasks` also uses.
 """
 
 from __future__ import annotations
@@ -52,26 +53,37 @@ class WorkloadSummary:
         return float(self.per_task_symbols.max() / mean) if mean else 1.0
 
     def makespan_symbols(self, workers: int) -> float:
-        """Max per-worker symbols after LPT assignment of tasks.
+        """Max per-worker symbols after LPT assignment of tasks
+        (:func:`lpt_schedule`).
 
         Models a pool of ``workers`` cores/warps executing the tasks;
         equals total/workers for balanced work, and the longest task
         when tasks >> workers does not hold.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        w = self.per_task_symbols
-        if len(w) == 0:
-            return 0.0
-        if workers == 1:
-            return float(w.sum())
-        if len(w) <= workers:
-            return float(w.max())
-        heap = [0.0] * workers
-        for v in sorted(w.tolist(), reverse=True):
-            least = heapq.heappop(heap)
-            heapq.heappush(heap, least + v)
-        return max(heap)
+        return float(lpt_schedule(self.per_task_symbols, workers)[1])
+
+
+def lpt_schedule(
+    weights: np.ndarray, workers: int
+) -> tuple[list[list[int]], float]:
+    """The longest-processing-time (LPT) greedy schedule of tasks
+    with ``weights`` on ``workers`` workers: heaviest task first (ties
+    by row), each onto the least-loaded worker (ties by worker).
+
+    Returns each worker's task rows and the makespan, the largest
+    worker load; the makespan does not depend on how ties break.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    weights = np.asarray(weights)
+    buckets: list[list[int]] = [[] for _ in range(workers)]
+    heap = [(0, w) for w in range(workers)]
+    order = np.lexsort((np.arange(len(weights)), -weights))
+    for i, cost in zip(order.tolist(), weights[order].tolist()):
+        load, w = heapq.heappop(heap)
+        buckets[w].append(i)
+        heapq.heappush(heap, (load + cost, w))
+    return buckets, max(load for load, _ in heap)
 
 
 def summarize_tasks(columns: TaskColumns) -> WorkloadSummary:

@@ -44,14 +44,6 @@ class _StageMetrics:
         #: histograms — bounded memory, own leaf locks).
         self.stages = {s: LatencyHistogram() for s in self.SPANS}
 
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Add one sample to a stage's latency histogram.
-
-        Histograms carry their own leaf lock, so this never takes the
-        counter lock — stage recording stays off the counter hot path.
-        """
-        self.stages[stage].record(seconds)
-
     def stage(
         self,
         name: str,

@@ -168,13 +168,6 @@ class ShrinkCache:
         self.evictions_capacity = 0
         self.evictions_bytes = 0
 
-    @staticmethod
-    def _cost(variant) -> int:
-        # Duck-typed: tests cache sentinel values with no .blob; those
-        # cost 0 bytes and are bounded by the entry cap alone.
-        blob = getattr(variant, "blob", None)
-        return len(blob) if blob is not None else 0
-
     def get(self, key: tuple[str, int]) -> ShrunkVariant | None:
         with self._lock:
             variant = self._entries.get(key)
@@ -186,13 +179,13 @@ class ShrinkCache:
         with self._lock:
             old = self._entries.get(key)
             if old is not None:
-                self.bytes -= self._cost(old)
+                self.bytes -= len(old.blob)
             self._entries[key] = variant
-            self.bytes += self._cost(variant)
+            self.bytes += len(variant.blob)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 _, evicted = self._entries.popitem(last=False)
-                self.bytes -= self._cost(evicted)
+                self.bytes -= len(evicted.blob)
                 self.evictions += 1
                 self.evictions_capacity += 1
             while (
@@ -201,14 +194,14 @@ class ShrinkCache:
                 and self._entries
             ):
                 _, evicted = self._entries.popitem(last=False)
-                self.bytes -= self._cost(evicted)
+                self.bytes -= len(evicted.blob)
                 self.evictions += 1
                 self.evictions_bytes += 1
 
     def invalidate(self, name: str) -> None:
         with self._lock:
             for key in [k for k in self._entries if k[0] == name]:
-                self.bytes -= self._cost(self._entries.pop(key))
+                self.bytes -= len(self._entries.pop(key).blob)
 
     def __len__(self) -> int:
         with self._lock:

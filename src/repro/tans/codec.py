@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitio import BitWriter
 from repro.errors import DecodeError, EncodeError
 from repro.tans.fused import staged_single_decode
 from repro.tans.table import TansTable
@@ -70,27 +69,22 @@ class TansEncoder:
                 vals.append(x & ((1 << nb) - 1))
                 nbs.append(nb)
             x = nxt[offs[s] + y - f]
-        w = BitWriter()
-        # Bulk emission: expand the variable-width chunks (reversed to
-        # stream order) into one flat bit vector and pack it in a
-        # single vectorized pass instead of one write_bits per symbol.
-        if vals:
-            vals.reverse()
-            nbs.reverse()
-            v = np.array(vals, dtype=np.uint64)
-            widths = np.array(nbs, dtype=np.int64)
-            total = int(widths.sum())
-            ends = np.cumsum(widths)
-            # Bit p of the stream belongs to the chunk ending at
-            # ends[i] > p and holds value bit (end - 1 - p).
-            shifts = (
-                np.repeat(ends, widths) - 1 - np.arange(total, dtype=np.int64)
-            ).astype(np.uint64)
-            bits = (np.repeat(v, widths) >> shifts) & np.uint64(1)
-            w.write_bits_array(bits, 1)
-        bit_count = len(w)
+        # Expand the variable-width chunks (reversed to stream order)
+        # into one flat bit vector and pack it in one vectorized pass.
+        vals.reverse()
+        nbs.reverse()
+        v = np.array(vals, dtype=np.uint64)
+        widths = np.array(nbs, dtype=np.int64)
+        bit_count = int(widths.sum())
+        ends = np.cumsum(widths)
+        # Bit p of the stream belongs to the chunk ending at
+        # ends[i] > p and holds value bit (end - 1 - p).
+        shifts = (
+            np.repeat(ends, widths) - 1 - np.arange(bit_count, dtype=np.int64)
+        ).astype(np.uint64)
+        bits = (np.repeat(v, widths) >> shifts) & np.uint64(1)
         return TansEncodeResult(
-            payload=w.to_bytes(),
+            payload=np.packbits(bits).tobytes(),
             bit_count=bit_count,
             initial_state=x,
             num_symbols=len(data),

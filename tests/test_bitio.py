@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.bitio import (
-    BitReader,
     BitWriter,
     decode_uvarint,
     encode_uvarint,
     gather_bits,
+    read_bits,
 )
 from repro.errors import ContainerError, DecodeError
 
@@ -24,13 +25,13 @@ class TestBitWriter:
     def test_single_bits_msb_first(self):
         w = BitWriter()
         for b in (1, 0, 1, 1):
-            w.write_bit(b)
+            w.write_bits(b, 1)
         assert w.to_bytes() == bytes([0b10110000])
 
     def test_write_bits_value(self):
         w = BitWriter()
         w.write_bits(0b101, 3)
-        w.write_bit(1)
+        w.write_bits(1, 1)
         assert w.to_bytes() == bytes([0b10110000])
 
     def test_multibyte(self):
@@ -57,7 +58,7 @@ class TestBitWriter:
     def test_bad_bit_rejected(self):
         w = BitWriter()
         with pytest.raises(ValueError):
-            w.write_bit(2)
+            w.write_bits_array(np.array([1, 2]), 1)
 
     def test_negative_width_rejected(self):
         w = BitWriter()
@@ -67,37 +68,38 @@ class TestBitWriter:
 
 
 class TestBitReader:
+    """:func:`read_bits`, the one-field reader, at absolute bit
+    offsets."""
+
     def test_roundtrip_simple(self):
-        r = BitReader(bytes([0b10110000]))
-        assert [r.read_bit() for _ in range(4)] == [1, 0, 1, 1]
+        data = bytes([0b10110000])
+        assert [read_bits(data, p, 1) for p in range(4)] == [1, 0, 1, 1]
 
     def test_read_bits(self):
-        r = BitReader(bytes([0xAB, 0xCD, 0xEF]))
-        assert r.read_bits(12) == 0xABC
-        assert r.read_bits(12) == 0xDEF
+        data = bytes([0xAB, 0xCD, 0xEF])
+        assert read_bits(data, 0, 12) == 0xABC
+        assert read_bits(data, 12, 12) == 0xDEF
 
     def test_exhaustion_raises(self):
-        r = BitReader(b"\x00")
-        r.read_bits(8)
+        assert read_bits(b"\x00", 0, 8) == 0
         with pytest.raises(DecodeError):
-            r.read_bit()
+            read_bits(b"\x00", 8, 1)
 
     def test_read_past_end_raises(self):
-        r = BitReader(b"\x00")
         with pytest.raises(DecodeError):
-            r.read_bits(9)
+            read_bits(b"\x00", 0, 9)
 
     def test_zero_width_read(self):
-        r = BitReader(b"")
-        assert r.read_bits(0) == 0
+        assert read_bits(b"", 0, 0) == 0
 
     def test_start_bit(self):
-        r = BitReader(bytes([0xAB]), start_bit=4)
-        assert r.read_bits(4) == 0xB
+        assert read_bits(bytes([0xAB]), 4, 4) == 0xB
 
     def test_bad_start_bit(self):
-        with pytest.raises(ValueError):
-            BitReader(b"\x00", start_bit=9)
+        with pytest.raises(DecodeError):
+            read_bits(b"\x00", 9, 0)
+        with pytest.raises(DecodeError):
+            read_bits(b"\x00", -1, 1)
 
 
 @given(
@@ -112,15 +114,34 @@ def test_bitio_roundtrip_property(pairs):
     w = BitWriter()
     for value, width in pairs:
         w.write_bits(value, width)
-    r = BitReader(w.to_bytes())
+    data = w.to_bytes()
+    pos = 0
     for value, width in pairs:
-        assert r.read_bits(width) == value
+        assert read_bits(data, pos, width) == value
+        pos += width
+
+
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=64),
+    st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=40),
+)
+def test_write_bits_array_matches_field_writes(lead, width, values):
+    """The array write lays down the bits of one ``write_bits`` per
+    value, after any number of pending bits."""
+    values = [v & ((1 << width) - 1) for v in values]
+    a, b = BitWriter(), BitWriter()
+    a.write_bits(0b1011001 >> (7 - lead), lead)
+    b.write_bits(0b1011001 >> (7 - lead), lead)
+    a.write_bits_array(np.array(values, dtype=np.int64), width)
+    for v in values:
+        b.write_bits(v, width)
+    assert len(a) == len(b) == lead + width * len(values)
+    assert a.to_bytes() == b.to_bytes()
 
 
 class TestGatherBits:
-    def test_matches_bitreader(self):
-        import numpy as np
-
+    def test_matches_read_bits(self):
         w = BitWriter()
         values = [0, 1, 2**16 - 1, 12345, 2**31 - 1, 7]
         widths = [1, 3, 16, 17, 32, 5]
@@ -133,13 +154,12 @@ class TestGatherBits:
         blob = w.to_bytes()
         got = gather_bits(blob, np.array(positions), np.array(widths))
         assert got.tolist() == values
-        # Cross-check against sequential reads.
-        r = BitReader(blob)
-        assert [r.read_bits(width) for width in widths] == values
+        # Cross-check against one-field reads.
+        assert [
+            read_bits(blob, p, width) for p, width in zip(positions, widths)
+        ] == values
 
     def test_broadcasts_row_widths(self):
-        import numpy as np
-
         blob = bytes(range(32))
         pos = np.arange(0, 64, 8).reshape(2, 4)
         out = gather_bits(blob, pos, np.array([[8], [4]]))
@@ -148,20 +168,14 @@ class TestGatherBits:
         assert out[1].tolist() == [0, 0, 0, 0]  # top nibbles of 4..7
 
     def test_out_of_range_rejected(self):
-        import numpy as np
-
         with pytest.raises(DecodeError):
             gather_bits(b"\xff", np.array([4]), 8)
 
     def test_width_cap(self):
-        import numpy as np
-
         with pytest.raises(ValueError):
             gather_bits(b"\xff" * 16, np.array([0]), 33)
 
     def test_empty_positions(self):
-        import numpy as np
-
         assert gather_bits(b"", np.array([], dtype=np.int64), 8).size == 0
 
 

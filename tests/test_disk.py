@@ -398,16 +398,21 @@ class TestTieredStore:
         assert cache.get(("a", 2)) is v2
         assert snap["bytes"] == len(v2.blob)
 
-    def test_shrink_cache_entry_cap_counted_separately(self):
+    def test_shrink_cache_entry_cap_counted_separately(self, blobs):
         from repro.serve import ShrinkCache
 
+        store = AssetStore()
+        store.put_container("a", blobs["asset0"])
+        v1, _ = store.shrunk("a", 1)
+        v2, _ = store.shrunk("a", 2)
         cache = ShrinkCache(max_entries=1)
-        cache.put(("a", 1), "x")
-        cache.put(("a", 2), "y")
+        cache.put(("a", 1), v1)
+        cache.put(("a", 2), v2)
         snap = cache.snapshot()
         assert snap["evictions"] == {
             "total": 1, "capacity": 1, "bytes": 0,
         }
+        assert snap["bytes"] == len(v2.blob)
 
 
 # ---------------------------------------------------------------------------

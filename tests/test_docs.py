@@ -1,4 +1,5 @@
-"""Documentation stays honest: links resolve, quickstart runs.
+"""Documentation stays honest: links and citations resolve,
+quickstart runs.
 
 The full check (executing every README/docs python block) is the CI
 ``docs`` job (``tools/check_docs.py``); the tier-1 suite keeps the
@@ -33,6 +34,42 @@ def test_intra_repo_links_resolve():
     files = check_docs._doc_files(check_docs.LINKED_DOCS)
     assert files, "no documentation files found"
     assert check_docs.check_links(files) == []
+
+
+def test_design_citations_resolve():
+    files = check_docs._citing_files(check_docs.CITING_TREES)
+    assert len(files) > 50
+    assert check_docs.check_design_refs(files) == []
+
+
+def test_checks_flag_planted_references(tmp_path):
+    """A citation of a missing section and a fragment that matches no
+    heading are each reported; their valid twins are not."""
+    name = "DESIGN.md"  # spelled apart, so this file cites nothing
+    cites = tmp_path / "cites.py"
+    cites.write_text(
+        f'"""See {name} §5 and {name} §7/§99."""\n'
+        f"# the layout ({name}\n# §98)\n"
+    )
+    problems = check_docs.check_design_refs([str(cites)])
+    assert len(problems) == 2
+    assert "§99" in problems[0] and "§98" in problems[1]
+
+    design = os.path.join(REPO, "DESIGN.md")
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "## §5 Real `heading`\n\n"
+        "[ok](#5-real-heading) [bad](#5-real-headings)\n"
+        f"[design]({design}#19-compiled-kernel-backend) "
+        f"[gone]({design}#19-gone)\n"
+        "```bash\n# not a heading\n```\n[code](#not-a-heading)\n"
+    )
+    problems = check_docs.check_links([str(doc)])
+    assert [p.rsplit("-> ", 1)[1] for p in problems] == [
+        "#5-real-headings",
+        f"{design}#19-gone",
+        "#not-a-heading",
+    ]
 
 
 def test_pyproject_readme_is_the_readme():

@@ -140,3 +140,20 @@ class TestPoolDecode:
                 provider11, 32, encoded.words, tasks,
                 encoded.num_symbols, np.uint8, -3,
             )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5, 24, 30])
+def test_buckets_carry_the_projected_makespan(tasks, workers):
+    """The pool's buckets and the cost model's makespan come from one
+    LPT schedule: every task lands once, and the heaviest bucket is
+    the makespan the device projection uses."""
+    from repro.parallel.costmodel import assign_tasks, estimate_task_symbols
+    from repro.parallel.workload import summarize_tasks
+
+    weights = estimate_task_symbols(tasks)
+    buckets = assign_tasks(tasks, workers)
+    rows = np.concatenate(buckets)
+    assert sorted(rows.tolist()) == list(range(tasks.num_tasks))
+    assert max(int(weights[b].sum()) for b in buckets) == (
+        summarize_tasks(tasks).makespan_symbols(workers)
+    )

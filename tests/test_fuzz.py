@@ -19,7 +19,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import RecoilCodec, parse_container, recoil_shrink
+from repro.core import (
+    RecoilCodec,
+    parse_container,
+    recoil_compress,
+    recoil_shrink,
+)
 from repro.core.decoder import RecoilDecoder
 from repro.core.encoder import RecoilEncoder
 from repro.errors import (
@@ -342,6 +347,31 @@ class TestHeadFuzz:
         record = encode_record("asset-1", blob)
         head = len(record) - len(blob) - 4  # the CRC-32 footer
         self._cases(record, head, lambda bad: decode_record(bad, "rec"))
+
+
+class TestMetadataErrorType:
+    """``parse_metadata`` raises one error type.  Every prefix of a
+    metadata section, and 1-3 XORed bytes in its first 64 bytes,
+    either parses or raises :class:`MetadataError`, wherever the cut
+    or the flip lands: a varint, a difference series, a width field or
+    an entry record."""
+
+    @pytest.mark.parametrize("splits", [8, 64, 256])
+    def test_prefixes_and_head_flips(self, splits):
+        from repro.core.serialization import parse_metadata
+        from repro.data import text_surrogate
+
+        data = text_surrogate(60_000, target_entropy=5.29, seed=11)
+        blob = recoil_compress(data, num_splits=splits)
+        parsed = parse_container(blob)
+        section = blob[parsed.metadata_offset : parsed.payload_offset]
+        cases = [section[:n] for n in range(len(section))]
+        cases += [_head_flips(section, 64, seed) for seed in range(500)]
+        for case in cases:
+            try:
+                parse_metadata(case)
+            except MetadataError:
+                pass
 
 
 class TestMultiansFuzz:

@@ -104,7 +104,7 @@ class TestSnapshotSchema:
 
     def test_stage_histograms_in_snapshot(self, cls):
         metrics = cls()
-        metrics.record_stage(next(iter(metrics.stages)), 0.01)
+        metrics.stage(next(iter(metrics.stages)), 0.0, 0.01)
         stages = metrics.snapshot()["stage_latency_ms"]
         assert set(stages) == set(metrics.stages)
         recorded = next(iter(metrics.stages))
@@ -129,7 +129,7 @@ def test_record_methods_feed_snapshot_smoke():
     n = NetMetrics()
     n.connection_opened()
     n.record_request(ok=True)
-    n.record_stage("e2e", 0.02)
+    n.stage("e2e", 0.0, 0.02)
     snap = n.snapshot()
     assert snap["connections"]["opened"] == 1
     assert snap["connections"]["active"] == 1

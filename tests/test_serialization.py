@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bitio import BitReader, BitWriter
+from repro.bitio import BitWriter
 from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import (
     metadata_size_bytes,
@@ -34,8 +34,9 @@ class TestSeries:
         w = BitWriter()
         values = np.array([-4, 0, 9, -1])
         write_signed_series(w, values)
-        out = read_signed_series(BitReader(w.to_bytes()), 4)
+        out, end = read_signed_series(w.to_bytes(), 0, 4)
         assert np.array_equal(out, values)
+        assert end == len(w)
 
     def test_signed_all_positive_omits_sign_bits(self):
         w1 = BitWriter()
@@ -52,8 +53,9 @@ class TestSeries:
         w = BitWriter()
         arr = np.array(values, dtype=np.int64)
         write_signed_series(w, arr)
-        out = read_signed_series(BitReader(w.to_bytes()), len(values))
+        out, end = read_signed_series(w.to_bytes(), 0, len(values))
         assert np.array_equal(out, arr)
+        assert end == len(w)
 
 
 def _random_metadata(seed: int, lanes: int = 8, entries: int = 12):

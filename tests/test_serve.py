@@ -234,14 +234,16 @@ class TestMetadataSplice:
 
 
 class TestShrinkCache:
-    def test_lru_order(self):
+    def test_lru_order(self, store):
+        v1, v2, v3 = (store.shrunk("hero", c)[0] for c in (1, 2, 3))
         cache = ShrinkCache(max_entries=2)
-        cache.put(("a", 1), "x")
-        cache.put(("a", 2), "y")
-        assert cache.get(("a", 1)) == "x"  # refresh (a, 1)
-        cache.put(("a", 3), "z")  # evicts (a, 2)
+        cache.put(("a", 1), v1)
+        cache.put(("a", 2), v2)
+        assert cache.get(("a", 1)) is v1  # refresh (a, 1)
+        cache.put(("a", 3), v3)  # evicts (a, 2)
         assert cache.get(("a", 2)) is None
-        assert cache.get(("a", 1)) == "x"
+        assert cache.get(("a", 1)) is v1
+        assert cache.bytes == len(v1.blob) + len(v3.blob)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ServeError):
