@@ -11,11 +11,13 @@ Three views of the same decode workload (paper §5.3 / Figure 7):
    instruction overhead across parallel work).
 2. **Real OS threads**: the tasks are genuinely independent (disjoint
    stream regions, disjoint outputs), so a thread pool decodes them
-   concurrently and correctly.  Note: in CPython the batched kernel
-   already saturates the interpreter, so wall-clock gains from
-   *threads* are limited by the GIL — the honest takeaway is that
-   parallel correctness is free, parallel speed in Python comes from
-   batching.
+   concurrently and correctly.  The C walk releases the GIL, so the
+   threads do run on separate cores, yet on a 2-CPU AVX2 host two of
+   them ran the SIMD body at 0.79-0.95x of one call and
+   ``decode_with_pool(2)`` at 0.71-0.84x; only the scalar C body
+   gained, up to 1.74x at 64 splits (DESIGN.md §14).  The numpy
+   kernels hold the GIL, so there threads take turns.  Parallel
+   correctness is free; parallel speed comes from batching first.
 3. **Projected device throughput**: the measured work (symbols,
    renormalization reads, sync overhead, imbalance) drives the
    calibrated AVX2/AVX512/Turing cost model.
@@ -72,8 +74,8 @@ assert np.array_equal(out, data)
 print(f"  {'all 512 tasks in one batch':<42} {wall_batched:6.2f}s  "
       f"({len(data) / wall_batched / 1e6:6.1f} Msym/s)\n")
 
-# ---- 2. real threads: correct, GIL-bound -----------------------------
-print("real OS threads (correctness demo; GIL caps the speedup):")
+# ---- 2. real threads: correct; their speed is in DESIGN.md §14 -------
+print("real OS threads (correctness demo; DESIGN.md §14 has the speed):")
 for workers in (1, 4):
     t0 = time.perf_counter()
     result = decode_with_pool(

@@ -258,17 +258,27 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.action == "scrub":
+        # Rot the open's recovery found is quarantined before scrub()
+        # runs, so both count.
+        at_open = rec.quarantined if rec is not None else []
         result = store.scrub()
         if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
+            print(json.dumps(
+                {**result, "recovery": rec.to_dict() if rec else None},
+                indent=2, sort_keys=True,
+            ))
         else:
             print(
-                f"scrub: {result['verified']} verified, "
-                f"{len(result['quarantined'])} quarantined"
+                f"scrub: {len(result['verified'])} verified, "
+                f"{len(at_open) + len(result['quarantined'])} quarantined "
+                f"({len(at_open)} at open)"
             )
+            for item in at_open:
+                print(f"  quarantined at open {item['file']}: "
+                      f"{item['reason']}")
             for item in result["quarantined"]:
-                print(f"  quarantined {item['file']}: {item['reason']}")
-        return 1 if result["quarantined"] else 0
+                print(f"  quarantined {item['name']}: {item['reason']}")
+        return 1 if at_open or result["quarantined"] else 0
 
     # stat
     if not args.name:
@@ -440,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("action", choices=("ls", "scrub", "stat"),
                     help="ls: list recovered assets; scrub: re-verify "
-                    "every record (exit 1 if any quarantined); stat: "
-                    "verify one asset (exit 1 if bad)")
+                    "every record (exit 1 if it or the open's recovery "
+                    "quarantined any); stat: verify one asset (exit 1 "
+                    "if bad)")
     st.add_argument("name", nargs="?", default=None,
                     help="asset name (stat only)")
     st.add_argument("--store-dir", required=True, metavar="DIR",

@@ -14,15 +14,20 @@ and decode massively in parallel.
 Layout::
 
     magic   b"RCSC"
-    u8      version (=1)
-    u32 LE  payload checksum (FNV-1a over the word bytes)
+    u8      version (=2)
+    u32 LE  payload checksum (CRC-32 over all the word bytes, LE u16)
     metadata section (§4.3 format)
+
+Version 1 folded only the first 512 KiB of the payload into its
+checksum, so it is refused.
 
 Parsing and shrinking are strict: any malformed sidecar — truncated,
 bit-flipped, or not a sidecar at all — raises :class:`ContainerError`.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -31,32 +36,19 @@ from repro.core.serialization import parse_metadata, serialize_metadata
 from repro.errors import ContainerError, MetadataError
 
 MAGIC = b"RCSC"
-VERSION = 1
+VERSION = 2
 HEADER_BYTES = 9  # magic, version, checksum
-_FNV_OFFSET = 0x811C9DC5
-_FNV_PRIME = 0x01000193
 
 
 def payload_checksum(words: np.ndarray) -> int:
-    """FNV-1a over the word stream, vectorized in 64-bit chunks.
+    """CRC-32 over every byte of the word stream (little-endian u16),
+    the CRC the disk records and the wire use.
 
-    Cheap binding between sidecar and payload — catches pairing a
-    sidecar with the wrong (or re-encoded) bitstream before the
-    decoder trips over misaligned reads.
+    Binds sidecar and payload — catches pairing a sidecar with the
+    wrong (or re-encoded, or damaged) bitstream before the decoder
+    trips over misaligned reads or decodes silently wrong.
     """
-    data = np.ascontiguousarray(words, dtype="<u2").tobytes()
-    h = _FNV_OFFSET
-    # Classic byte-at-a-time FNV is too slow in Python; fold 8-byte
-    # blocks through the same recurrence instead (documented format).
-    pad = (-len(data)) % 8
-    arr = np.frombuffer(data + b"\x00" * pad, dtype="<u8")
-    for block in arr[: 1 << 16]:  # cap work for huge payloads
-        h ^= int(block) & 0xFFFFFFFF
-        h = (h * _FNV_PRIME) & 0xFFFFFFFF
-        h ^= int(block) >> 32
-        h = (h * _FNV_PRIME) & 0xFFFFFFFF
-    h ^= len(data)
-    return (h * _FNV_PRIME) & 0xFFFFFFFF
+    return zlib.crc32(np.ascontiguousarray(words, dtype="<u2"))
 
 
 def build_sidecar(metadata: RecoilMetadata, words: np.ndarray) -> bytes:

@@ -11,8 +11,9 @@ counterparts:
   bounds-checked (:func:`rans_walk`); on an AVX2 host its full
   interleave groups run a SIMD body with the same arithmetic,
   chosen at run time in C (:func:`avx2_host`, DESIGN.md §19);
-- the rANS encode sweep, twin of the steady inner loop of
-  ``fused_encode.run_blocks`` (:func:`encode_sweep`).
+- the rANS encode sweep, twin of the sequential loop over each
+  staged block in ``fused_encode.fused_encode_run``
+  (:func:`encode_sweep`).
 
 They are C, compiled once into a shared library with the host C
 compiler and driven through :mod:`ctypes` (foreign calls release the
@@ -432,9 +433,10 @@ fail:
     return err;
 }
 
-/* Steady-phase rANS encode sweep (twin of run_blocks' zip loop):
-   stage the pre-renormalization state trajectory X and the keep
-   masks; word emission is reconstructed from them by the caller. */
+/* rANS encode sweep over one staged block (twin of the numpy loop
+   in fused_encode_run): stage the pre-renormalization state
+   trajectory X and the keep masks; word emission is reconstructed
+   from them by the caller. */
 void recoil_rans_encode_sweep(
     uint64_t *X, const uint64_t *bb, const uint64_t *fb,
     const uint64_t *cb, const uint64_t *db, uint8_t *need,
@@ -737,8 +739,9 @@ def encode_sweep(
     renorm_bits: int,
 ) -> bool:
     """Run one staged encode block compiled (twin of the sequential
-    sweep in ``fused_encode.run_blocks``).  ``X[0]`` must hold the
-    incoming states; on success ``X[1:]`` and ``need`` are filled."""
+    sweep in ``fused_encode.fused_encode_run``).  ``X[0]`` must hold
+    the incoming states; on success ``X[1:]`` and ``need`` are
+    filled."""
     impl = _impl()
     if impl is None:
         return False

@@ -9,20 +9,27 @@ arithmetic.  This kernel keeps the exact same stream semantics (forward
 symbol walk, one word per renormalization, increasing-lane emission
 order inside a group) while restructuring the work:
 
-1. **Symbol-indexed gather tables** — every per-group operand
-   (``f``, ``2**n - f``, ``F``, the Eq. 3 threshold) is one gather from
-   provider-cached :class:`~repro.rans.adaptive.EncodeTables`, done for
-   a whole block of groups at once, outside the sequential loop.
-2. **Trajectory staging** — the sequential loop only advances the lane
+1. **Symbol-indexed gather tables** — ``f`` and ``F`` are one gather
+   each from provider-cached :class:`~repro.rans.adaptive.EncodeTables`,
+   done for a whole block of groups at once, outside the sequential
+   loop; ``2**n - f`` and the Eq. 3 threshold are one elementwise op
+   each on the gathered ``f``.
+2. **One schedule** — every task runs to the longest task's number of
+   interleave groups.  Lanes past a task's last symbol encode the
+   tables' *identity symbol* (``f = 2**n``, ``F = 0``), which never
+   renormalizes and leaves the state unchanged, so there are no
+   partial groups and no per-task tails: one blocked sweep covers
+   every group of every task.
+3. **Trajectory staging** — the sequential loop only advances the lane
    states, writing each group's *pre-renormalization* state vector into
    a block-sized trajectory buffer: 7 in-place vectorized ops per
    group, no masks, no data-dependent branches, no allocation.
-3. **In-kernel event recording** — words and split events are
+4. **In-kernel event recording** — words and split events are
    reconstructed from the staged trajectory *after* the block's
    sequential sweep, as bulk vectorized writes (a renormalizing lane's
    word is the pre-state's low 16 bits, its recorded state the high
    bits), so recording costs the same whether or not it is enabled.
-4. **Multi-task fusion** — independent encodes (e.g. Conventional
+5. **Multi-task fusion** — independent encodes (e.g. Conventional
    partitions) advance as one flat ``(T*K,)`` state vector; the
    per-group dispatch cost is amortized ``T``-fold exactly as the
    decode kernel amortizes it across decoder threads.
@@ -45,8 +52,9 @@ from repro.parallel import compiled
 from repro.parallel.buffers import thread_arena
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS, RENORM_MASK
+from repro.rans.interleaved import RenormEvents
 
-#: Steady-phase staging target, in symbols per block.  Blocks bound the
+#: Staging target, in symbols per block.  Blocks bound the
 #: trajectory/operand scratch to a few MB regardless of task count and
 #: keep the working set cache-resident.  Each block buffer is one flat
 #: scratch of this many elements (``2 * W`` for a fused width ``W``
@@ -74,15 +82,15 @@ class EncodeTask:
     record_events: bool = False
 
 
+
+
 @dataclass
 class EncodeTaskOut:
     """Kernel output for one task (fresh arrays, never arena scratch)."""
 
     words: np.ndarray  # uint16, emission order
     final_states: np.ndarray  # (K,) uint64
-    event_symbol: np.ndarray | None = None  # uint64, 1-based local
-    event_lane: np.ndarray | None = None  # uint16
-    event_state: np.ndarray | None = None  # uint16
+    events: RenormEvents | None = None  # symbol indices 1-based, local
 
 
 def _zero_freq_error(
@@ -95,6 +103,22 @@ def _zero_freq_error(
     )
 
 
+def _alphabet_error(
+    task: EncodeTask, data: np.ndarray, alphabet: int
+) -> EncodeError:
+    """Name the first symbol outside ``[0, alphabet)``.  Such a symbol
+    must never reach the gathers: ``take`` wraps a negative one, and
+    ``alphabet`` itself selects the identity column, which would drop
+    the symbol from the stream."""
+    if data.dtype.kind not in "iu":
+        return EncodeError(f"symbols must be integers, got {data.dtype}")
+    k = int(np.flatnonzero((data < 0) | (data >= alphabet))[0])
+    return EncodeError(
+        f"symbol {int(data[k])} at index {task.start_index + k} is "
+        f"outside the alphabet [0, {alphabet})"
+    )
+
+
 def fused_encode_run(
     provider: AdaptiveModelProvider,
     lanes: int,
@@ -102,15 +126,19 @@ def fused_encode_run(
 ) -> list[EncodeTaskOut]:
     """Encode every task, bit-identical to the reference loop.
 
-    Tasks are independent; their lane states advance together through
-    the fused steady phase (full interleave groups present in every
-    task), then each task finishes its remaining groups alone.
+    Tasks are independent; their lane states advance together as one
+    ``(T*K,)`` vector over the longest task's interleave groups, each
+    shorter task padded with the identity symbol (DESIGN.md §10).
     Scratch comes from the calling thread's arena (DESIGN.md §9).
 
     On a host with a C compiler the sequential trajectory sweep — the
     only data-dependent chain — runs on the compiled twin
     (:mod:`repro.parallel.compiled`); gathers, word emission and event
     reconstruction stay vectorized numpy either way.  Bit-identical.
+
+    :raises EncodeError: a task's data is not 1-D, its ``start_index``
+        is below 1, or it holds a symbol outside ``[0, alphabet)``.
+    :raises ModelError: a symbol with zero quantized frequency.
     """
     K = lanes
     T = len(tasks)
@@ -121,19 +149,10 @@ def fused_encode_run(
     rb = np.uint64(RENORM_BITS)
     mask16 = np.uint64(RENORM_MASK)
     tables = provider.encode_tables
-    A = tables.alphabet
+    A = tables.alphabet  # also the identity symbol's column
+    f_tab = tables.freq_sym.ravel()
+    d_tab = tables.cdf_sym.ravel()
     static = provider.is_static
-    if static:
-        f_tab = tables.freq_sym[0]
-        c_tab = tables.comp_sym[0]
-        d_tab = tables.cdf_sym[0]
-        b_tab = tables.bound_sym[0]
-        ids_full = None
-    else:
-        f_tab = tables.freq_sym.ravel()
-        c_tab = tables.comp_sym.ravel()
-        d_tab = tables.cdf_sym.ravel()
-        b_tab = tables.bound_sym.ravel()
 
     datas: list[np.ndarray] = []
     for ti, t in enumerate(tasks):
@@ -146,8 +165,13 @@ def fused_encode_run(
             raise EncodeError(
                 f"task {ti}: start_index must be >= 1, got {t.start_index}"
             )
+        if len(d) and (
+            d.dtype.kind not in "iu" or d.min() < 0 or d.max() >= A
+        ):
+            raise _alphabet_error(t, d, A)
         datas.append(d)
     sizes = [len(d) for d in datas]
+    groups = max(-(-sz // K) for sz in sizes)  # every task runs these
 
     if not static:
         total = max(
@@ -161,208 +185,138 @@ def fused_encode_run(
 
     # ---- per-task output buffers (<= 1 word per symbol) -----------------
     words_bufs = [np.empty(sz + 8, dtype=np.uint16) for sz in sizes]
+    ev_bufs = [
+        RenormEvents(
+            np.empty(sz + 8, dtype=np.uint64),
+            np.empty(sz + 8, dtype=np.uint16),
+            np.empty(sz + 8, dtype=np.uint16),
+        )
+        if t.record_events
+        else None
+        for t, sz in zip(tasks, sizes)
+    ]
     wcs = [0] * T
-    ev_sym_bufs: list[np.ndarray | None] = []
-    ev_lane_bufs: list[np.ndarray | None] = []
-    ev_state_bufs: list[np.ndarray | None] = []
-    for t, sz in zip(tasks, sizes):
-        if t.record_events:
-            ev_sym_bufs.append(np.empty(sz + 8, dtype=np.uint64))
-            ev_lane_bufs.append(np.empty(sz + 8, dtype=np.uint16))
-            ev_state_bufs.append(np.empty(sz + 8, dtype=np.uint16))
-        else:
-            ev_sym_bufs.append(None)
-            ev_lane_bufs.append(None)
-            ev_state_bufs.append(None)
 
     arena = thread_arena()
     x2d = arena.get("enc_x", (T, K), np.uint64)
     x2d[:] = L_BOUND
+    W = T * K  # the fused vector width: every row below is (W,)
+    xv = x2d.reshape(W)
+    # The trajectory ``X`` takes ``block + 1`` rows of the scratch.
+    flat = max(_BLOCK_SYMBOLS, 2 * W)
+    block = flat // W - 1
+
+    def staged(name: str, dtype, rows: int = block) -> np.ndarray:
+        buf = arena.get_at_least(name, flat, dtype)
+        return buf[: rows * W].reshape(rows, W)
+
+    symb_f = staged("enc_sym", np.intp)
+    fb_f = staged("enc_f", np.uint64)
+    cb_f = staged("enc_c", np.uint64)
+    db_f = staged("enc_d", np.uint64)
+    bb_f = staged("enc_b", np.uint64)
+    X_f = staged("enc_X", np.uint64, block + 1)
+    need_f = staged("enc_need", bool)
+    xr = arena.get_at_least("enc_xr", W, np.uint64)[:W]
+    q = arena.get_at_least("enc_q", W, np.uint64)[:W]
+    tmp = arena.get_at_least("enc_tmp", W, np.uint64)[:W]
 
     two_n = np.uint64(1 << n)
     bshift = np.uint64(RENORM_BITS + 16 - n)  # Eq. 3: bound = f << (32 - n)
+    less = np.less
+    right_shift = np.right_shift
+    copyto = np.copyto
+    floor_divide = np.floor_divide
+    multiply = np.multiply
+    add = np.add
 
-    # ------------------------------------------------------------------
-    def run_blocks(sel: list[int], g_from: int, g_to: int) -> None:
-        """Advance the selected tasks over full groups [g_from, g_to).
+    for g0 in range(0, groups, block):
+        bg = min(block, groups - g0)
+        lo, hi = g0 * K, (g0 + bg) * K
+        symb = symb_f[:bg]
+        fb = fb_f[:bg]
+        cb = cb_f[:bg]
+        db = db_f[:bg]
+        bb = bb_f[:bg]
 
-        Every selected task must own all those groups in full, and
-        ``sel`` must be a contiguous run of task ids.  The selected
-        rows of ``x2d`` advance in place; words and events are
-        reconstructed from the staged trajectory per block.
-        """
-        Tb = len(sel)
-        if Tb == 0 or g_to <= g_from:
-            return
-        W = Tb * K  # the fused vector width: every row below is (W,)
-        xv = x2d[sel[0] : sel[0] + Tb].reshape(W)
-        # The trajectory ``X`` takes ``block + 1`` rows of the scratch.
-        flat = max(_BLOCK_SYMBOLS, 2 * W)
-        block = flat // W - 1
+        # ---- stage each task's symbols as flat gather indices ----------
+        s3 = symb.reshape(bg, T, K)
+        for j, d in enumerate(datas):
+            full, rem = divmod(min(max(sizes[j] - lo, 0), hi - lo), K)
+            src = d[lo : lo + full * K + rem]
+            if not static:  # model_id * (alphabet + 1) + symbol
+                ids = ids_views[j][lo : lo + len(src)]
+                src = ids.astype(np.intp) * (A + 1) + src
+            s = s3[:, j, :]
+            s[:full] = src[: full * K].reshape(full, K)
+            if full < bg:  # the task ends here: pad with the identity
+                s[full:] = A
+                s[full, :rem] = src[full * K :]
+        f_tab.take(symb, None, fb)
+        d_tab.take(symb, None, db)
+        if not int(fb.min()):
+            g, w = np.argwhere(fb == 0)[0]
+            ti, k = divmod(int(w), K)
+            pos = (g0 + int(g)) * K + k
+            raise _zero_freq_error(tasks[ti], pos, int(datas[ti][pos]))
+        # comp and bound are one elementwise op each — cheaper
+        # than two more table gathers.
+        np.subtract(two_n, fb, cb)
+        np.left_shift(fb, bshift, bb)
 
-        def staged(name: str, dtype, n: int = block) -> np.ndarray:
-            buf = arena.get_at_least(name, flat, dtype)
-            return buf[: n * W].reshape(n, W)
-
-        symb_f = staged("enc_sym", np.intp)
-        fb_f = staged("enc_f", np.uint64)
-        cb_f = staged("enc_c", np.uint64)
-        db_f = staged("enc_d", np.uint64)
-        bb_f = staged("enc_b", np.uint64)
-        X_f = staged("enc_X", np.uint64, block + 1)
-        need_f = staged("enc_need", bool)
-        xr = arena.get_at_least("enc_xr", W, np.uint64)[:W]
-        q = arena.get_at_least("enc_q", W, np.uint64)[:W]
-        tmp = arena.get_at_least("enc_tmp", W, np.uint64)[:W]
-
-        less = np.less
-        right_shift = np.right_shift
-        copyto = np.copyto
-        floor_divide = np.floor_divide
-        multiply = np.multiply
-        add = np.add
-
-        g0 = g_from
-        while g0 < g_to:
-            bg = min(block, g_to - g0)
-            lo, hi = g0 * K, (g0 + bg) * K
-            fb = fb_f[:bg]
-            cb = cb_f[:bg]
-            db = db_f[:bg]
-            bb = bb_f[:bg]
-            if static and Tb == 1:
-                # Single stream: gather straight off the data view.
-                sym = datas[sel[0]][lo:hi].reshape(bg, K)
-                f_tab.take(sym, None, fb)
-                d_tab.take(sym, None, db)
-            else:
-                symb = symb_f[:bg]
-                s3 = symb.reshape(bg, Tb, K)
-                for j, ti in enumerate(sel):
-                    s3[:, j, :] = datas[ti][lo:hi].reshape(bg, K)
-                if not static:
-                    for j, ti in enumerate(sel):
-                        s3[:, j, :] += (
-                            ids_views[ti][lo:hi]
-                            .reshape(bg, K)
-                            .astype(np.intp)
-                            * A
-                        )
-                f_tab.take(symb, None, fb)
-                d_tab.take(symb, None, db)
-            if not int(fb.min()):
-                g, w = np.argwhere(fb == 0)[0]
-                ti = sel[int(w) // K]
-                pos = (g0 + int(g)) * K + int(w) % K
-                raise _zero_freq_error(
-                    tasks[ti], pos, int(datas[ti][pos])
-                )
-            # comp and bound are one elementwise op each — cheaper
-            # than two more table gathers.
-            np.subtract(two_n, fb, cb)
-            np.left_shift(fb, bshift, bb)
-
-            # ---- the sequential sweep: 7 in-place ops per group ----
-            # ``need`` rows collect the *keep* mask (state below the
-            # Eq. 3 threshold); inverted in bulk afterwards.
-            X = X_f[: bg + 1]
-            X[0] = xv
-            # The zero-frequency check above is the only guard in
-            # front of the C sweep's division by ``f``.
-            if not compiled.encode_sweep(
-                X, bb, fb, cb, db, need_f[:bg], RENORM_BITS
+        # ---- the sequential sweep: 7 in-place ops per group ------------
+        # ``need`` rows collect the *keep* mask (state below the
+        # Eq. 3 threshold); inverted in bulk afterwards.
+        X = X_f[: bg + 1]
+        X[0] = xv
+        # The zero-frequency check above is the only guard in front
+        # of the C sweep's division by ``f``.
+        if not compiled.encode_sweep(
+            X, bb, fb, cb, db, need_f[:bg], RENORM_BITS
+        ):
+            xprev = X[0]
+            for b_row, f_row, c_row, d_row, n_row, xnext in zip(
+                bb, fb, cb, db, need_f, X[1:]
             ):
-                xprev = X[0]
-                for b_row, f_row, c_row, d_row, n_row, xnext in zip(
-                    bb, fb, cb, db, need_f, X[1:]
-                ):
-                    less(xprev, b_row, n_row)
-                    right_shift(xprev, rb, xr)
-                    copyto(xr, xprev, where=n_row)
-                    floor_divide(xr, f_row, q)
-                    multiply(q, c_row, tmp)
-                    add(tmp, d_row, tmp)
-                    add(xr, tmp, xnext)
-                    xprev = xnext
-            xv[:] = X[bg]
+                less(xprev, b_row, n_row)
+                right_shift(xprev, rb, xr)
+                copyto(xr, xprev, where=n_row)
+                floor_divide(xr, f_row, q)
+                multiply(q, c_row, tmp)
+                add(tmp, d_row, tmp)
+                add(xr, tmp, xnext)
+                xprev = xnext
+        xv[:] = X[bg]
 
-            # ---- bulk word emission + event recording --------------
-            need = need_f[:bg]
-            np.logical_not(need, need)
-            n3 = need.reshape(bg, Tb, K)
-            for j, ti in enumerate(sel):
-                rows, cols = np.nonzero(n3[:, j, :])
-                e = len(rows)
-                if not e:
-                    continue
-                pre = X[rows, j * K + cols]
-                wc = wcs[ti]
-                words_bufs[ti][wc : wc + e] = pre & mask16
-                if tasks[ti].record_events:
-                    ev_sym_bufs[ti][wc : wc + e] = (
-                        (rows + g0) * K + cols + 1
-                    )
-                    ev_lane_bufs[ti][wc : wc + e] = cols
-                    ev_state_bufs[ti][wc : wc + e] = pre >> rb
-                wcs[ti] = wc + e
-            g0 += bg
-
-    # ------------------------------------------------------------------
-    def run_partial(ti: int, g: int, cnt: int) -> None:
-        """The task's final partial group: lanes 0..cnt-1 only."""
-        base = g * K
-        sym = datas[ti][base : base + cnt]
-        if static:
-            idx = np.asarray(sym, dtype=np.intp)
-        else:
-            idx = (
-                np.asarray(ids_views[ti][base : base + cnt], dtype=np.intp)
-                * A
-                + sym
-            )
-        f1 = f_tab[idx]
-        if not int(f1.min()):
-            k = int(np.flatnonzero(f1 == 0)[0])
-            raise _zero_freq_error(tasks[ti], base + k, int(sym[k]))
-        xs = x2d[ti, :cnt]
-        pre = xs.copy()
-        ren = pre >= b_tab[idx]
-        lanes_idx = np.flatnonzero(ren)
-        e = len(lanes_idx)
-        if e:
-            emitted = pre[lanes_idx]
-            wc = wcs[ti]
-            words_bufs[ti][wc : wc + e] = emitted & mask16
-            if tasks[ti].record_events:
-                ev_sym_bufs[ti][wc : wc + e] = base + lanes_idx + 1
-                ev_lane_bufs[ti][wc : wc + e] = lanes_idx
-                ev_state_bufs[ti][wc : wc + e] = emitted >> rb
-            wcs[ti] = wc + e
-            pre[lanes_idx] = emitted >> rb
-        quot = pre // f1
-        xs[:] = pre + quot * c_tab[idx] + d_tab[idx]
-
-    # ---- steady fused phase, then per-task remainders -------------------
-    g_min = min(sz // K for sz in sizes)
-    run_blocks(list(range(T)), 0, g_min)
-    for ti, sz in enumerate(sizes):
-        g_full = sz // K
-        run_blocks([ti], g_min, g_full)
-        cnt = sz - g_full * K
-        if cnt:
-            run_partial(ti, g_full, cnt)
+        # ---- bulk word emission + event recording ----------------------
+        need = need_f[:bg]
+        np.logical_not(need, need)
+        n3 = need.reshape(bg, T, K)
+        for j, (words, ev) in enumerate(zip(words_bufs, ev_bufs)):
+            rows, cols = np.nonzero(n3[:, j, :])
+            e = len(rows)
+            if not e:
+                continue
+            pre = X[rows, j * K + cols]
+            wc = wcs[j]
+            words[wc : wc + e] = pre & mask16
+            if ev is not None:
+                ev.symbol_index[wc : wc + e] = (rows + g0) * K + cols + 1
+                ev.lane[wc : wc + e] = cols
+                ev.state_after[wc : wc + e] = pre >> rb
+            wcs[j] = wc + e
 
     # ---- compact results (fresh arrays; scratch never escapes) ----------
     results: list[EncodeTaskOut] = []
-    for ti, t in enumerate(tasks):
+    for ti, (words, ev) in enumerate(zip(words_bufs, ev_bufs)):
         wc = wcs[ti]
-        out = EncodeTaskOut(
-            words=words_bufs[ti][:wc].copy(),
-            final_states=x2d[ti].copy(),
+        if ev is not None:
+            ev = RenormEvents(
+                ev.symbol_index[:wc].copy(),
+                ev.lane[:wc].copy(),
+                ev.state_after[:wc].copy(),
+            )
+        results.append(
+            EncodeTaskOut(words[:wc].copy(), x2d[ti].copy(), ev)
         )
-        if t.record_events:
-            out.event_symbol = ev_sym_bufs[ti][:wc].copy()
-            out.event_lane = ev_lane_bufs[ti][:wc].copy()
-            out.event_state = ev_state_bufs[ti][:wc].copy()
-        results.append(out)
     return results

@@ -38,32 +38,33 @@ from repro.rans.model import SymbolModel
 class EncodeTables:
     """Symbol-indexed gather tables for the fused encode kernel.
 
-    One row per model, one column per symbol, everything uint64 so the
-    kernel's per-group gathers land directly in the state dtype — the
-    encode-side mirror of :class:`DecodeTables`:
+    One row per model, one column per symbol plus a last column for
+    the *identity symbol*, everything uint64 so the kernel's per-group
+    gathers land directly in the state dtype — the encode-side mirror
+    of :class:`DecodeTables`:
 
-    - ``freq_sym[m, s]``  — ``f(s)``, the Eq. 1 divisor;
-    - ``comp_sym[m, s]``  — ``2**n - f(s)``, so Eq. 1 collapses to
-      ``x' = x + (x // f) * comp + cdf`` (exact integer identity with
-      the quotient/remainder form, one op fewer);
-    - ``cdf_sym[m, s]``   — ``F(s)``;
-    - ``bound_sym[m, s]`` — the Eq. 3 renormalization threshold
-      ``f << (32 - n)``.
+    - ``freq_sym[m, s]`` — ``f(s)``, the Eq. 1 divisor;
+    - ``cdf_sym[m, s]``  — ``F(s)``.
+
+    The identity column holds ``f = 2**n`` and ``F = 0``.  Its Eq. 3
+    threshold ``f << (32 - n)`` is ``2**32``, above every encoder
+    state, so a lane on it never renormalizes, and Eq. 1 gives
+    ``x + (x // 2**n) * 0 + 0 = x``: the kernel pads every task to
+    whole interleave groups with it and no output changes.
 
     The 2-D tables are C-contiguous; ``.ravel()`` views of them are
-    used for flat gathers of ``model_id * alphabet + symbol``.
+    used for flat gathers of ``model_id * (alphabet + 1) + symbol``.
     Zero-frequency symbols keep a zero ``freq_sym`` entry; the kernel
     checks gathered frequencies and rejects them before dividing.
     """
 
-    freq_sym: np.ndarray  # (num_models, alphabet) uint64
-    comp_sym: np.ndarray  # (num_models, alphabet) uint64
-    cdf_sym: np.ndarray  # (num_models, alphabet) uint64
-    bound_sym: np.ndarray  # (num_models, alphabet) uint64
+    freq_sym: np.ndarray  # (num_models, alphabet + 1) uint64
+    cdf_sym: np.ndarray  # (num_models, alphabet + 1) uint64
 
     @property
     def alphabet(self) -> int:
-        return self.freq_sym.shape[1]
+        """The alphabet size, which is also the identity symbol."""
+        return self.freq_sym.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -219,24 +220,16 @@ class AdaptiveModelProvider:
         """Pre-materialized symbol-indexed tables (built once, cached).
 
         The fused encode kernel gathers from these; building them here
-        keeps every per-call ``.astype`` and threshold shift out of the
-        hot loop (the encode mirror of :attr:`decode_tables`).
+        keeps every per-call ``.astype`` out of the hot loop (the
+        encode mirror of :attr:`decode_tables`).
         """
         if self._encode_tables is None:
-            from repro.rans.constants import RENORM_BITS
-
-            n = self.quant_bits
-            shift = np.uint64(RENORM_BITS + 16 - n)  # bound = f << (32 - n)
-            freq = self.freq_table.astype(np.uint64)
-            cdf = self.cdf_table[:, :-1].astype(np.uint64)
-            comp = np.uint64(1 << n) - freq
-            bound = freq << shift
-            self._encode_tables = EncodeTables(
-                np.ascontiguousarray(freq),
-                np.ascontiguousarray(comp),
-                np.ascontiguousarray(cdf),
-                np.ascontiguousarray(bound),
-            )
+            shape = (self.num_models, self.alphabet_size + 1)
+            freq = np.full(shape, 1 << self.quant_bits, dtype=np.uint64)
+            cdf = np.zeros(shape, dtype=np.uint64)
+            freq[:, :-1] = self.freq_table
+            cdf[:, :-1] = self.cdf_table[:, :-1]
+            self._encode_tables = EncodeTables(freq, cdf)
         return self._encode_tables
 
     def dense_model_ids(self, total_symbols: int) -> np.ndarray:

@@ -133,19 +133,12 @@ class InterleavedEncoder:
             raise EncodeError(f"data must be 1-D, got shape {data.shape}")
         task = EncodeTask(data, start_index=1, record_events=record_events)
         out = fused_encode_run(self.provider, self.lanes, [task])[0]
-        events = None
-        if record_events:
-            events = RenormEvents(
-                symbol_index=out.event_symbol,
-                lane=out.event_lane,
-                state_after=out.event_state,
-            )
         return InterleavedEncodeResult(
             words=out.words,
             final_states=out.final_states,
             num_symbols=len(data),
             lanes=self.lanes,
-            events=events,
+            events=out.events,
         )
 
     def encode_reference(

@@ -35,13 +35,16 @@ from repro.errors import AdmissionError, ProtocolError, ServeError
 from repro.serve import protocol
 
 
+#: TCP connect deadline, in seconds.
+CONNECT_TIMEOUT_S = 5.0
+
+
 class RecoilClient:
     """One connection to a Recoil network server.
 
     :param host: server host.
     :param port: server port.
     :param timeout_s: per-request response deadline (client side).
-    :param connect_timeout_s: TCP connect deadline.
     :param max_retries: additional attempts after a ``RETRY_AFTER``.
     :param backoff_base_s: first backoff delay; doubles per attempt.
     :param backoff_cap_s: ceiling on one backoff delay.
@@ -54,21 +57,17 @@ class RecoilClient:
         port: int,
         *,
         timeout_s: float = 30.0,
-        connect_timeout_s: float = 5.0,
         max_retries: int = 6,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         seed: int | None = None,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.connect_timeout_s = connect_timeout_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.max_frame_bytes = max_frame_bytes
         self._rng = random.Random(seed)
         self._sock: socket.socket | None = None
         #: RETRY_AFTER frames honored (visible to the load generator).
@@ -78,7 +77,7 @@ class RecoilClient:
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout_s
+            (self.host, self.port), timeout=CONNECT_TIMEOUT_S
         )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
@@ -127,9 +126,7 @@ class RecoilClient:
         self, sock: socket.socket, deadline: float
     ) -> tuple[int, bytes]:
         header = self._recv_exact(sock, protocol.HEADER_BYTES, deadline)
-        ftype, length = protocol.parse_header(
-            header, protocol.RESPONSE_TYPES, self.max_frame_bytes
-        )
+        ftype, length = protocol.parse_header(header, protocol.RESPONSE_TYPES)
         body = self._recv_exact(sock, length, deadline) if length else b""
         return ftype, body
 

@@ -97,6 +97,12 @@ class _PeerClosed(Exception):
         self.midframe = midframe
 
 
+#: delay suggested in ``RETRY_AFTER`` shed frames, in seconds.
+RETRY_AFTER_S = 0.05
+#: pending-connection queue of the listening socket.
+LISTEN_BACKLOG = 128
+
+
 @dataclass(frozen=True)
 class NetConfig:
     """Tunables of one network front-end (DESIGN.md §16)."""
@@ -119,16 +125,11 @@ class NetConfig:
     drain_timeout_s: float = 5.0
     #: streamed-response chunk size.
     chunk_bytes: int = 64 * 1024
-    #: single-frame body cap (requests and non-streamed responses).
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: delay suggested in ``RETRY_AFTER`` shed frames.
-    retry_after_s: float = 0.05
     #: sleep injected when the ``net.stall`` fault point triggers.
     stall_inject_s: float = 0.25
     #: per-connection ``SO_SNDBUF`` override (tests use a tiny buffer
     #: to make slow-reader write kills deterministic).
     send_buffer_bytes: int | None = None
-    listen_backlog: int = 128
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -140,7 +141,6 @@ class NetConfig:
             "read_timeout_s",
             "write_timeout_s",
             "drain_timeout_s",
-            "retry_after_s",
         ):
             if getattr(self, name) <= 0:
                 raise ServeError(
@@ -249,7 +249,7 @@ class NetServer:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             listener.bind((self.config.host, self.config.port))
-            listener.listen(self.config.listen_backlog)
+            listener.listen(LISTEN_BACKLOG)
         except OSError:
             listener.close()
             raise
@@ -406,7 +406,7 @@ class NetServer:
         try:
             sock.settimeout(1.0)
             sock.sendall(
-                protocol.encode_retry_after(self.config.retry_after_s)
+                protocol.encode_retry_after(RETRY_AFTER_S)
             )
         except OSError:
             pass
@@ -541,9 +541,7 @@ class NetServer:
         header = first + self._recv_exact(
             conn, protocol.HEADER_BYTES - 1, deadline
         )
-        ftype, length = protocol.parse_header(
-            header, protocol.REQUEST_TYPES, self.config.max_frame_bytes
-        )
+        ftype, length = protocol.parse_header(header, protocol.REQUEST_TYPES)
         body = self._recv_exact(conn, length, deadline) if length else b""
         return ftype, body, t_first
 
@@ -661,7 +659,7 @@ class NetServer:
             self.metrics.record_request(ok=False)
             self._respond(
                 conn,
-                [protocol.encode_retry_after(self.config.retry_after_s)],
+                [protocol.encode_retry_after(RETRY_AFTER_S)],
             )
             return
         except TimeoutError as exc:

@@ -184,9 +184,7 @@ def encode_frame(ftype: int, body: bytes = b"") -> bytes:
 
 
 def parse_header(
-    header: bytes,
-    expect: tuple[int, ...],
-    max_frame_bytes: int = MAX_FRAME_BYTES,
+    header: bytes, expect: tuple[int, ...]
 ) -> tuple[int, int]:
     """Validate a 7-byte header; returns ``(frame_type, body_len)``.
 
@@ -195,7 +193,7 @@ def parse_header(
     is a protocol violation, not a dispatch case.
 
     :raises ProtocolError: short header, bad magic, unknown/unexpected
-        frame type, or a declared length above ``max_frame_bytes``
+        frame type, or a declared length above ``MAX_FRAME_BYTES``
         (checked *here*, before any body allocation).
     """
     if len(header) < HEADER_BYTES:
@@ -214,10 +212,10 @@ def parse_header(
         raise ProtocolError(
             f"unexpected frame type 0x{ftype:02x} for this direction"
         )
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"declared body length {length:,} exceeds the "
-            f"{max_frame_bytes:,}-byte frame cap"
+            f"{MAX_FRAME_BYTES:,}-byte frame cap"
         )
     return ftype, length
 

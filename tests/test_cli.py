@@ -237,3 +237,44 @@ class TestEncodingExperiment:
             "conventional per-request re-encode (s)"
         ]
         assert "MB/s" in res.table.render()
+
+
+class TestStoreCli:
+    """``recoil store scrub`` counts what the open's recovery
+    quarantined as well as what the scrub itself finds."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        from repro.serve.disk import DiskStore
+
+        store = DiskStore(tmp_path / "store")
+        store.put("a", b"alpha" * 100)
+        store.put("b", b"bravo" * 100)
+        return store
+
+    def _scrub(self, store) -> int:
+        return main(["store", "scrub", "--store-dir", str(store.root)])
+
+    def test_clean_store(self, store, capsys):
+        assert self._scrub(store) == 0
+        out = capsys.readouterr().out
+        assert "scrub: 2 verified, 0 quarantined (0 at open)" in out
+
+    def test_rot_quarantined_at_open(self, store, capsys):
+        path = store.path_for("a")
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert self._scrub(store) == 1
+        out = capsys.readouterr().out
+        assert "scrub: 1 verified, 1 quarantined (1 at open)" in out
+        assert "quarantined at open" in out and "a.rca" in out
+
+    def test_rot_quarantined_by_scrub(self, store, capsys):
+        from repro import faults
+
+        with faults.inject(faults.DISK_CORRUPT, nth=1, key="b"):
+            assert self._scrub(store) == 1
+        out = capsys.readouterr().out
+        assert "scrub: 1 verified, 1 quarantined (0 at open)" in out
+        assert "quarantined b:" in out

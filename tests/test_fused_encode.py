@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.conventional import ConventionalCodec
+from repro.core.api import recoil_compress
 from repro.core.decoder import RecoilDecoder
 from repro.core.encoder import RecoilEncoder
 from repro.errors import EncodeError, ModelError
@@ -154,6 +155,29 @@ class TestFusedVsReference:
                     bad
                 )
 
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_out_of_alphabet_symbol_rejected(self, bad, kernel_backend):
+        """A symbol outside ``[0, alphabet)`` is a typed error naming
+        it and its 1-based index, on every encode path.  Unchecked,
+        ``take`` wraps -1 to symbol 255 (which then decodes without
+        error), and the alphabet size selects the tables' identity
+        column, which would drop the symbol from the stream."""
+        model = SymbolModel.from_counts(np.ones(256), 11)
+        data = np.array([1, 2, bad, 3] * 50)
+        msg = f"symbol {bad} at index 3 is outside the alphabet"
+        with pytest.raises(EncodeError, match=msg):
+            InterleavedEncoder(model).encode(data)
+        with pytest.raises(EncodeError, match=msg):
+            ConventionalCodec(model).encode(data, 4)
+        with pytest.raises(EncodeError, match=msg):
+            recoil_compress(data, num_splits=4, model=model)
+
+    def test_non_integer_symbols_rejected(self, kernel_backend):
+        """Staging casts to gather indices, so 2.5 would encode as 2."""
+        model = SymbolModel.from_counts(np.ones(256), 11)
+        with pytest.raises(EncodeError, match="must be integers"):
+            InterleavedEncoder(model).encode(np.array([1.0, 2.5, 3.0]))
+
     def test_non_1d_rejected(self, payload):
         provider = _provider("static", payload, None)
         with pytest.raises(EncodeError):
@@ -187,13 +211,15 @@ class TestRoundTripThroughFusedDecoder:
 
 
 class TestMultiTaskFusion:
-    @pytest.mark.parametrize("partitions", [1, 3, 8, 17])
+    @pytest.mark.parametrize("partitions", [1, 3, 8, 17, 2176])
     @pytest.mark.parametrize("kind", ["static", "adaptive"])
     def test_conventional_partitions_bit_identical(
         self, payload, adaptive_provider, partitions, kind
     ):
         """All partitions fused into one kernel call == per-partition
-        reference loops, word for word."""
+        reference loops, word for word.  At 2176 (Figure 7's Large
+        count) the 6,000 symbols make 2,000 partitions of 3, so every
+        task is one partial group padded with the identity symbol."""
         provider = _provider(kind, payload, adaptive_provider)
         codec = ConventionalCodec(provider, lanes=32)
         a = codec.encode(payload, partitions)
@@ -205,8 +231,10 @@ class TestMultiTaskFusion:
         assert np.array_equal(out, payload)
 
     def test_unequal_task_lengths(self, payload, kernel_backend):
-        """Tasks of very different sizes: short ones drain in the
-        steady window, long ones continue through per-task tails."""
+        """Tasks of very different sizes: every task runs to the
+        longest task's groups, the short ones padded with the identity
+        symbol, which must emit nothing and leave their states as the
+        reference loop ends them."""
         provider = _provider("static", payload, None)
         sizes = [0, 7, 65, 2_000, 31, 6_000]
         tasks = [
@@ -219,11 +247,11 @@ class TestMultiTaskFusion:
             assert np.array_equal(out.words, ref.words)
             assert np.array_equal(out.final_states, ref.final_states)
             assert np.array_equal(
-                out.event_symbol, ref.events.symbol_index
+                out.events.symbol_index, ref.events.symbol_index
             )
-            assert np.array_equal(out.event_lane, ref.events.lane)
+            assert np.array_equal(out.events.lane, ref.events.lane)
             assert np.array_equal(
-                out.event_state, ref.events.state_after
+                out.events.state_after, ref.events.state_after
             )
 
     def test_results_never_alias_scratch(self, payload):

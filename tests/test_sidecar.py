@@ -13,8 +13,10 @@ from repro.core import (
 )
 from repro.core.decoder import RecoilDecoder
 from repro.core.encoder import RecoilEncoder
+from repro.data.textgen import text_surrogate
 from repro.errors import ContainerError
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
+from repro.rans.model import SymbolModel
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,24 @@ class TestSidecar:
         flipped = encoded.words.copy()
         flipped[0] ^= 1
         assert payload_checksum(flipped) != base
+
+    def test_checksum_binds_whole_payload(self):
+        """A word flipped near the end of a payload well past 512 KiB
+        (where the version-1 checksum stopped reading) is refused, not
+        decoded silently wrong."""
+        data = text_surrogate(1_200_000, 5.29, seed=3)
+        model = SymbolModel.from_data(data, 11, alphabet_size=256)
+        enc = RecoilEncoder(model).encode(data, num_threads=4)
+        assert 2 * len(enc.words) > 3 << 18
+        sidecar = build_sidecar(enc.metadata, enc.words)
+        flipped = enc.words.copy()
+        flipped[-100] ^= 1
+        with pytest.raises(ContainerError, match="checksum"):
+            parse_sidecar(sidecar, flipped)
+
+    def test_version_1_refused(self, sidecar):
+        with pytest.raises(ContainerError, match="version 1"):
+            parse_sidecar(sidecar[:4] + b"\x01" + sidecar[5:])
 
     def test_sidecar_size_is_metadata_only(self, encoded, sidecar):
         """A sidecar costs ~80 bytes/split + 9-byte header — no

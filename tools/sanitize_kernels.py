@@ -35,6 +35,7 @@ SUITES = [
     "tests/test_fuzz.py",
     "tests/test_compiled.py",
     "tests/test_fused.py",
+    "tests/test_fused_encode.py",
     "tests/test_simd_engine.py",
     "tests/test_buffers.py",
 ]
