@@ -25,8 +25,9 @@ vs the seed loop at the widest sweep point; the single-stream ratio is
 reported alongside.  These columns time the numpy kernels: on a host
 with a C compiler they run as a host without one (``numpy_host``,
 docs/BENCHMARKS.md).  The ``compiled`` section re-times ``fused`` and
-``compress_splits256`` on the compiled kernel twin (DESIGN.md §19),
-the host's own kernel, when a toolchain is present.  Every column is
+``compress_splits256`` on the host's own kernel when a toolchain is
+present: there one C call makes the whole encode with its events, and
+one more the split selection (DESIGN.md §6, §10, §19).  Every column is
 the median (``q1``/``q3`` alongside) of ``--repeats`` alternating
 rounds over all columns of its section
 (``repro.stats.timing.alternating_rounds``).
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import time
 
@@ -207,12 +209,12 @@ def run(symbols: int, rounds: int) -> dict:
         }
 
     # -- compiled kernel column (DESIGN.md §19) -------------------------
-    # The fused encode and the whole compress, inner loop on the
-    # compiled twin; warmed before timing, compile counter checked
-    # after.
+    # The encode with events and the whole compress on the C kernels;
+    # warmed before timing, compile counter checked after.
     compiled_col: dict = {
         "available": compiled.kernel_available(),
         "toolchain": compiled.toolchain(),
+        "host_cpus": os.cpu_count(),
     }
     if compiled.kernel_available():
         compiled.warm_up()
@@ -231,6 +233,9 @@ def run(symbols: int, rounds: int) -> dict:
             "compiled": round(on_c["compiled"][1], 1),
             "compress_splits256": round(on_c["compress_splits256"][1], 1),
         }
+        compiled_col["symbols_per_sec_q1_q3"] = {
+            k: [round(on_c[k][0], 1), round(on_c[k][2], 1)] for k in on_c
+        }
         compiled_col["speedup_compiled_vs_numpy"] = round(
             on_c["compiled"][1] / rates["fused"], 3
         )
@@ -242,6 +247,7 @@ def run(symbols: int, rounds: int) -> dict:
             "symbols": symbols,
             "quant_bits": QUANT_BITS,
             "lanes": LANES,
+            "host_cpus": os.cpu_count(),
         },
         "rounds": rounds,
         "symbols_per_sec": {k: median(k) for k in tier_names},

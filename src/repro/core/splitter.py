@@ -18,12 +18,14 @@ DESIGN.md §7).  All indices below are metadata (``m``) indices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.metadata import RecoilMetadata
 from repro.errors import MetadataError
+from repro.parallel import compiled
 from repro.rans.interleaved import RenormEvents
 
 #: metadata index standing in for a lane's "no event yet" during the
@@ -72,18 +74,29 @@ class SplitSelector:
         self.lanes = lanes
         self.num_symbols = num_symbols
         self.window = window
-        # Per-lane event positions (indices into the event log), used
-        # for the backward scan's starting point: one stable sort by
-        # lane keeps each lane's positions ascending.
-        ev_lane = np.asarray(events.lane)
-        self._ev_lane = ev_lane.astype(np.int64)
-        by_lane = np.argsort(ev_lane, kind="stable")
-        counts = np.bincount(self._ev_lane, minlength=lanes)
-        self._lane_positions = np.split(by_lane, np.cumsum(counts)[:-1])
-        # Metadata init index of each event; events are symbol-ordered,
-        # so this array is strictly increasing.
-        self._ev_m = (
-            np.asarray(events.symbol_index, dtype=np.int64) - lanes
+
+    # -- the numpy scan's views of the log (built on its first use) ------
+
+    @functools.cached_property
+    def _ev_lane(self) -> np.ndarray:
+        return np.asarray(self.events.lane).astype(np.int64)
+
+    @functools.cached_property
+    def _lane_positions(self) -> list[np.ndarray]:
+        """Per-lane event positions (indices into the event log), for
+        the backward scan's starting point: one stable sort by lane
+        keeps each lane's positions ascending."""
+        by_lane = np.argsort(np.asarray(self.events.lane), kind="stable")
+        counts = np.bincount(self._ev_lane, minlength=self.lanes)
+        return np.split(by_lane, np.cumsum(counts)[:-1])
+
+    @functools.cached_property
+    def _ev_m(self) -> np.ndarray:
+        """Metadata init index of each event; events are
+        symbol-ordered, so this array is strictly increasing."""
+        return (
+            np.asarray(self.events.symbol_index, dtype=np.int64)
+            - self.lanes
         )
 
     # ------------------------------------------------------------------
@@ -144,9 +157,11 @@ class SplitSelector:
         than requested when the stream is too short or events too
         sparse — the metadata then simply supports fewer threads.
 
-        Every window is scanned in one batched pass
-        (:meth:`_scan_windows`); only the ``prev_S`` rule is
-        sequential, and it runs on the precomputed ``S``/``C`` rows.
+        On a host with a C compiler one C call makes the whole
+        selection, entries included (:func:`repro.parallel.compiled.
+        split_scan`).  Elsewhere every window is scanned in one
+        batched numpy pass (:meth:`_scan_windows`), and only the
+        ``prev_S`` rule runs boundary by boundary (:meth:`_choose`).
         """
         if num_threads < 1:
             raise MetadataError(f"num_threads must be >= 1, got {num_threads}")
@@ -154,11 +169,45 @@ class SplitSelector:
         E = len(self.events)
         K = self.lanes
         if num_threads == 1 or E == 0 or N <= K:
-            return self._metadata([]), SplitterStats(num_threads, 1, 0, 0.0)
+            empty = np.empty((0, K), dtype=np.int64)
+            md = RecoilMetadata(N, E, K, [], empty, empty)
+            return md, SplitterStats(num_threads, 1, 0, 0.0)
 
         T = -(-N // num_threads)  # ceil: expected symbols per split
         # Ideal boundaries t * T, for t < num_threads and t * T < N.
-        ideal = T * np.arange(1, min(num_threads, -(-N // T)), dtype=np.int64)
+        boundaries = min(num_threads, -(-N // T)) - 1
+        if compiled.kernel_available():
+            ev = self.events
+            got = compiled.split_scan(
+                np.ascontiguousarray(ev.symbol_index, dtype=np.uint64),
+                np.ascontiguousarray(ev.lane, dtype=np.uint16),
+                np.ascontiguousarray(ev.state_after, dtype=np.uint16),
+                K, N, T, boundaries, self.window,
+            )
+            if got is None:
+                raise MetadataError(f"event lane outside [0, {K})")
+            chosen, costs, indices, states = got
+            md = RecoilMetadata(N, E, K, chosen, indices, states)
+        else:
+            chosen, costs = self._choose(T, boundaries)
+            md = self._metadata(chosen)
+        stats = SplitterStats(
+            requested_threads=num_threads,
+            achieved_threads=md.num_threads,
+            total_sync_symbols=md.sync_overhead_symbols(),
+            mean_heuristic_cost=(
+                float(np.mean(np.asarray(costs, dtype=np.float64)))
+                if len(costs) else 0.0
+            ),
+        )
+        return md, stats
+
+    def _choose(self, T: int, boundaries: int) -> tuple[list[int], list[int]]:
+        """The numpy selection: the chosen event ids and their costs."""
+        N = self.num_symbols
+        E = len(self.events)
+        K = self.lanes
+        ideal = T * np.arange(1, boundaries + 1, dtype=np.int64)
         center = np.searchsorted(self._ev_m, ideal)
         lo = np.maximum(0, center - self.window // 2)
         width = np.clip(np.minimum(E, lo + self.window) - lo, 0, None)
@@ -174,7 +223,7 @@ class SplitSelector:
         # are asked for.
         block = max(1, _SCAN_CELLS // max(self.window, K))
         chosen: list[int] = []
-        costs: list[float] = []
+        costs: list[int] = []
         prev_S = 0
         for b0 in range(0, len(lo), block):
             blo, bwidth = lo[b0 : b0 + block], width[b0 : b0 + block]
@@ -192,17 +241,9 @@ class SplitSelector:
                 )
                 best = first + int(np.argmin(cost))  # first minimum
                 chosen.append(int(blo[b]) + best)
-                costs.append(float(cost[best - first]))
+                costs.append(int(cost[best - first]))
                 prev_S = int(S[b, best])
-
-        md = self._metadata(chosen)
-        stats = SplitterStats(
-            requested_threads=num_threads,
-            achieved_threads=md.num_threads,
-            total_sync_symbols=md.sync_overhead_symbols(),
-            mean_heuristic_cost=float(np.mean(costs)) if costs else 0.0,
-        )
-        return md, stats
+        return chosen, costs
 
     def _metadata(self, chosen: list[int]) -> RecoilMetadata:
         """Metadata of the ``chosen`` split events, from one gather of

@@ -11,9 +11,15 @@ counterparts:
   bounds-checked (:func:`rans_walk`); on an AVX2 host its full
   interleave groups run a SIMD body with the same arithmetic,
   chosen at run time in C (:func:`avx2_host`, DESIGN.md §19);
-- the rANS encode sweep, twin of the sequential loop over each
-  staged block in ``fused_encode.fused_encode_run``
-  (:func:`encode_sweep`).
+- the whole rANS encode of a task batch — per-symbol table
+  gathers, renormalization, Eq. 1, word emission and split-event
+  recording, with every gather index and frequency checked
+  (:func:`rans_encode`), twin of ``fused_encode``'s blocked numpy
+  sweep;
+- the split scan of ``core.splitter.SplitSelector.select`` —
+  Definition 4.1 over every boundary's window under the sequential
+  ``prev_S`` rule, and the chosen entries' lane rows
+  (:func:`split_scan`), twin of the batched numpy scan.
 
 They are C, compiled once into a shared library with the host C
 compiler and driven through :mod:`ctypes` (foreign calls release the
@@ -31,9 +37,10 @@ Bit-identity contract: on success paths the compiled code performs
 the *same* arithmetic in the same order as the numpy kernels (uint64
 wraparound, descending-lane renormalization reads, truncating output
 stores), so the differential suites assert identical streams, split
-events, outputs and work counters on both kinds of host.  On error
-paths (corrupt input) both raise a :class:`~repro.errors.DecodeError`;
-intermediate buffer contents are then unobservable and may differ.
+events, split metadata, outputs and work counters on both kinds of
+host.  On error paths (corrupt input) both raise the same typed
+error; intermediate buffer contents are then unobservable and may
+differ.
 """
 
 from __future__ import annotations
@@ -137,6 +144,8 @@ def reset_for_tests() -> None:
 #: in the C source; see :func:`rans_walk`.
 WALK_READ, WALK_STORE, WALK_MODEL, WALK_LANE = 1, 2, 3, 4
 WALK_DRAIN, WALK_CONSUMED, WALK_FINAL = 5, 6, 7
+#: ``recoil_rans_encode`` return codes; see :func:`rans_encode`.
+ENC_TABLE, ENC_FREQ = 1, 2
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -149,6 +158,7 @@ _C_SOURCE = r"""
 
 enum { WALK_READ = 1, WALK_STORE, WALK_MODEL, WALK_LANE,
        WALK_DRAIN, WALK_CONSUMED, WALK_FINAL };
+enum { ENC_TABLE = 1, ENC_FREQ };
 
 static inline int64_t floordiv(int64_t a, int64_t b)
 {
@@ -433,32 +443,247 @@ fail:
     return err;
 }
 
-/* rANS encode sweep over one staged block (twin of the numpy loop
-   in fused_encode_run): stage the pre-renormalization state
-   trajectory X and the keep masks; word emission is reconstructed
-   from them by the caller. */
-void recoil_rans_encode_sweep(
-    uint64_t *X, const uint64_t *bb, const uint64_t *fb,
-    const uint64_t *cb, const uint64_t *db, uint8_t *need,
-    uint64_t rb, int64_t bg, int64_t W)
+static inline uint64_t load_symbol(const void *data, int64_t i,
+                                   int64_t itemsize)
 {
-    for (int64_t i = 0; i < bg; ++i) {
-        const uint64_t *b = bb + i * W;
-        const uint64_t *f = fb + i * W;
-        const uint64_t *c = cb + i * W;
-        const uint64_t *d = db + i * W;
-        uint8_t *n = need + i * W;
-        const uint64_t *xp = X + i * W;
-        uint64_t *xn = X + (i + 1) * W;
-        for (int64_t w = 0; w < W; ++w) {
-            uint64_t x0 = xp[w];
-            uint8_t keep = x0 < b[w];
-            n[w] = keep;
-            uint64_t xr = keep ? x0 : (x0 >> rb);
-            uint64_t q = xr / f[w];
-            xn[w] = xr + q * c[w] + d[w];
-        }
+    switch (itemsize) {
+    case 1: return ((const uint8_t *)data)[i];
+    case 2: return ((const uint16_t *)data)[i];
+    case 4: return ((const uint32_t *)data)[i];
+    default: return ((const uint64_t *)data)[i];
     }
+}
+
+/* One task of recoil_rans_encode, from L in every lane.  Always
+   inlined, so each call site's constant itemsize gets its own loop.
+   Stores a word (and an event) at every symbol and keeps it only when
+   the lane renormalizes: at most one word per symbol, so the stores
+   stay inside the task's share of the buffers. */
+static inline __attribute__((always_inline)) int64_t encode_task(
+    const void *data, int64_t size, int64_t itemsize,
+    const uint64_t *ids, int64_t n_ids,
+    const uint64_t *freq, const uint64_t *cdf, uint64_t stride,
+    uint64_t n_models, uint64_t quant_bits, int64_t K, uint64_t *x,
+    uint16_t *words, uint64_t *ev_sym, uint16_t *ev_lane,
+    uint16_t *ev_state, int64_t *count)
+{
+    const uint64_t two_n = (uint64_t)1 << quant_bits;
+    const uint64_t bshift = 32 - quant_bits;  /* Eq. 3: f << (32 - n) */
+    for (int64_t l = 0; l < K; ++l)
+        x[l] = (uint64_t)1 << 16;
+    int64_t wc = 0, l = 0;
+    for (int64_t i = 0; i < size; ++i) {
+        uint64_t gi = load_symbol(data, i, itemsize);
+        if (gi >= stride - 1) { *count = i; return ENC_TABLE; }
+        if (ids) {
+            if (i >= n_ids || ids[i] >= n_models) {
+                *count = i;
+                return ENC_TABLE;
+            }
+            gi += ids[i] * stride;
+        }
+        const uint64_t f = freq[gi];
+        if (!f) { *count = i; return ENC_FREQ; }
+        uint64_t xv = x[l];
+        const int64_t renorm = xv >= f << bshift;
+        words[wc] = (uint16_t)xv;
+        if (ev_sym) {
+            ev_sym[wc] = (uint64_t)(i + 1);
+            ev_lane[wc] = (uint16_t)l;
+            ev_state[wc] = (uint16_t)(xv >> 16);
+        }
+        wc += renorm;
+        xv = renorm ? xv >> 16 : xv;
+        /* A 32-bit division where both operands fit: the same
+           quotient, at a fraction of the latency. */
+        const uint64_t q = (xv | f) >> 32
+            ? xv / f : (uint64_t)((uint32_t)xv / (uint32_t)f);
+        x[l] = xv + q * (two_n - f) + cdf[gi];
+        if (++l == K)
+            l = 0;
+    }
+    *count = wc;
+    return 0;
+}
+
+/* The whole rANS encode of a task batch (DESIGN.md §10/§19), one task
+   after another.  Symbol i of a task (0-based) is on lane i % K, so
+   walking a task's symbols forward walks its interleave groups in
+   order, lanes ascending inside each: the reference loop's emission
+   order.  Per symbol: gather f and F from the symbol's model row of
+   the encode tables (stride = alphabet + 1 columns); when the state
+   reaches the Eq. 3 threshold, emit its low 16 bits and shift them
+   out; then Eq. 1 as x + (x / f) * (2^n - f) + F.  The words of every
+   task land in `words` back to back, and the tasks with rec[t] set
+   append their events (1-based symbol index in the task, lane, state
+   after) to the event arrays in the same way: `words` needs
+   sum(sizes) entries, the event arrays the recording tasks' share.
+   data[t] is the address of task t's symbols, itemsizes[t] their
+   width; ids (NULL: a static model) the dense model ids, task t's
+   from id_off[t].  Every gather index is checked against the tables
+   and every frequency against zero.
+   x: the (T, K) final states; counts[t]: task t's words, or on
+   failure its failing position; returns 0 or an ENC_* code for
+   task where[0]. */
+int64_t recoil_rans_encode(
+    const uint64_t *data, const int64_t *sizes, const int64_t *itemsizes,
+    const int64_t *id_off, const uint8_t *rec, int64_t T,
+    const uint64_t *freq, const uint64_t *cdf, uint64_t stride,
+    uint64_t n_models, const uint64_t *ids, int64_t n_ids,
+    uint64_t quant_bits, int64_t K, uint16_t *words, uint64_t *ev_sym,
+    uint16_t *ev_lane, uint16_t *ev_state, uint64_t *x, int64_t *counts,
+    int64_t *where)
+{
+    int64_t w0 = 0, e0 = 0;
+    for (int64_t t = 0; t < T; ++t) {
+        const void *d = (const void *)(uintptr_t)data[t];
+        const int64_t sz = sizes[t];
+        const uint64_t *tid = 0;
+        int64_t tn = 0;
+        if (ids) {
+            if (id_off[t] < 0 || id_off[t] > n_ids) {
+                counts[t] = 0;
+                where[0] = t;
+                return ENC_TABLE;
+            }
+            tid = ids + id_off[t];
+            tn = n_ids - id_off[t];
+        }
+        uint64_t *es = rec[t] ? ev_sym + e0 : 0;
+        uint16_t *el = ev_lane + e0, *et = ev_state + e0;
+        uint64_t *xt = x + K * t;
+        int64_t err;
+        switch (itemsizes[t]) {
+        case 1:
+            err = encode_task(d, sz, 1, tid, tn, freq, cdf, stride,
+                              n_models, quant_bits, K, xt, words + w0,
+                              es, el, et, counts + t);
+            break;
+        case 2:
+            err = encode_task(d, sz, 2, tid, tn, freq, cdf, stride,
+                              n_models, quant_bits, K, xt, words + w0,
+                              es, el, et, counts + t);
+            break;
+        case 4:
+            err = encode_task(d, sz, 4, tid, tn, freq, cdf, stride,
+                              n_models, quant_bits, K, xt, words + w0,
+                              es, el, et, counts + t);
+            break;
+        default:
+            err = encode_task(d, sz, 8, tid, tn, freq, cdf, stride,
+                              n_models, quant_bits, K, xt, words + w0,
+                              es, el, et, counts + t);
+            break;
+        }
+        if (err) {
+            where[0] = t;
+            return err;
+        }
+        w0 += counts[t];
+        if (rec[t])
+            e0 += counts[t];
+    }
+    return 0;
+}
+
+/* The least metadata index over the lanes' last events (event ids,
+   every one present). */
+static int64_t lanes_min(const int64_t *last, const uint64_t *ev_sym,
+                         int64_t K)
+{
+    uint64_t c = UINT64_MAX;
+    for (int64_t l = 0; l < K; ++l)
+        if (ev_sym[last[l]] < c)
+            c = ev_sym[last[l]];
+    return (int64_t)c - K;
+}
+
+static inline int64_t iabs(int64_t v)
+{
+    return v < 0 ? -v : v;
+}
+
+/* Split selection (paper §4.1-4.2, DESIGN.md §6) over an encoder's
+   event log, whose symbol indices ascend.  An event's metadata index
+   is m = symbol_index - K.  Boundary t = 1..B scans the `window`
+   events from lo = max(0, c - window / 2), c the first event with
+   m >= t * T.  Candidate e has S = m(e) and C, the least m over every
+   lane's last event at or before e; it is valid when every lane has
+   one, C > prev_S and S < N, and costs
+   |S - prev_S - T| + |C - 1 - prev_S - T| (Definition 4.1).  The
+   first minimum wins and its S becomes prev_S.  One walk of the log
+   keeps each lane's last event before lo in `base`; each window runs
+   on a copy in `win` (both K entries, from the caller), and the
+   winner's row is gathered by replaying its window up to it.
+   Writes the chosen events, their costs and their (n, K) lane indices
+   and states; returns n, or -1 for an event lane outside [0, K). */
+int64_t recoil_split_scan(
+    const uint64_t *ev_sym, const uint16_t *ev_lane,
+    const uint16_t *ev_state, int64_t E, int64_t K, int64_t N,
+    int64_t T, int64_t B, int64_t window, int64_t *chosen,
+    int64_t *costs, int64_t *lane_idx, uint32_t *lane_state,
+    int64_t *base, int64_t *win)
+{
+    int64_t n = 0, next = 0, center = 0, prev_S = 0, missing = K;
+    for (int64_t l = 0; l < K; ++l)
+        base[l] = -1;
+    for (int64_t t = 1; t <= B; ++t) {
+        while (center < E && (int64_t)ev_sym[center] - K < t * T)
+            ++center;
+        const int64_t lo = center > window / 2 ? center - window / 2 : 0;
+        const int64_t hi = E - lo > window ? lo + window : E;
+        if (hi <= lo)
+            continue;
+        for (; next < lo; ++next) {
+            if (ev_lane[next] >= K)
+                return -1;
+            missing -= base[ev_lane[next]] < 0;
+            base[ev_lane[next]] = next;
+        }
+        for (int64_t l = 0; l < K; ++l)
+            win[l] = base[l];
+        int64_t miss = missing;
+        int64_t C = miss ? 0 : lanes_min(win, ev_sym, K);
+        int64_t best = -1, best_cost = 0;
+        for (int64_t e = lo; e < hi; ++e) {
+            const int64_t S = (int64_t)ev_sym[e] - K;
+            if (S >= N)
+                break;
+            if (ev_lane[e] >= K)
+                return -1;
+            const int64_t old = win[ev_lane[e]];
+            win[ev_lane[e]] = e;
+            if (old < 0) {
+                if (--miss == 0)
+                    C = lanes_min(win, ev_sym, K);
+            } else if (!miss && (int64_t)ev_sym[old] - K == C) {
+                C = lanes_min(win, ev_sym, K);  /* C only rises */
+            }
+            if (miss || C <= prev_S)
+                continue;
+            const int64_t cost = iabs(S - prev_S - T)
+                + iabs(C - 1 - prev_S - T);
+            if (best < 0 || cost < best_cost) {
+                best = e;
+                best_cost = cost;
+            }
+        }
+        if (best < 0)
+            continue;
+        for (int64_t l = 0; l < K; ++l)
+            win[l] = base[l];
+        for (int64_t e = lo; e <= best; ++e)
+            win[ev_lane[e]] = e;
+        for (int64_t l = 0; l < K; ++l) {
+            lane_idx[n * K + l] = (int64_t)ev_sym[win[l]] - K;
+            lane_state[n * K + l] = ev_state[win[l]];
+        }
+        chosen[n] = best;
+        costs[n] = best_cost;
+        prev_S = (int64_t)ev_sym[best] - K;
+        ++n;
+    }
+    return n;
 }
 """
 
@@ -514,22 +739,20 @@ def _build_cc_lib():
     ]
     lib.recoil_avx2_host.restype = i64
     lib.recoil_avx2_host.argtypes = []
-    lib.recoil_rans_encode_sweep.restype = None
-    lib.recoil_rans_encode_sweep.argtypes = [
-        p, p, p, p, p, p, u64, i64, i64,
+    lib.recoil_rans_encode.restype = i64
+    lib.recoil_rans_encode.argtypes = [
+        p, p, p, p, p, i64, p, p, u64, u64, p, i64, u64, i64,
+        p, p, p, p, p, p, p,
     ]
-
-    def encode_sweep(X, bb, fb, cb, db, need, rb, bg, W):
-        lib.recoil_rans_encode_sweep(
-            X.ctypes.data, bb.ctypes.data, fb.ctypes.data,
-            cb.ctypes.data, db.ctypes.data, need.ctypes.data,
-            rb, bg, W,
-        )
-
+    lib.recoil_split_scan.restype = i64
+    lib.recoil_split_scan.argtypes = [
+        p, p, p, i64, i64, i64, i64, i64, i64, p, p, p, p, p, p,
+    ]
     return {
         "rans_walk": lib.recoil_rans_walk,
         "avx2_host": bool(lib.recoil_avx2_host()),
-        "encode_sweep": encode_sweep,
+        "rans_encode": lib.recoil_rans_encode,
+        "split_scan": lib.recoil_split_scan,
     }
 
 
@@ -589,10 +812,17 @@ def warm_up() -> str:
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.uint64),
         )
-    X = np.full((2, 1), 1 << 16, dtype=np.uint64)
-    ops = np.ones((1, 1), dtype=np.uint64)
-    need = np.zeros((1, 1), dtype=bool)
-    impl["encode_sweep"](X, ops, ops, ops, ops, need, 16, 1, 1)
+    # rANS encode of one symbol, static and adaptive, and a split scan
+    # of a one-event log.
+    for ids in (None, np.zeros(1, dtype=np.uint64)):
+        rans_encode(
+            tab[None], tab[None] - 1, ids, 1, 1,
+            [np.zeros(1, dtype=np.uint8)], [0], [True],
+        )
+    split_scan(
+        np.full(1, 2, dtype=np.uint64), np.zeros(1, dtype=np.uint16),
+        np.zeros(1, dtype=np.uint16), 1, 2, 1, 1, 1,
+    )
     return "compiled"
 
 
@@ -729,31 +959,157 @@ def rans_walk(
     return counters[:4]
 
 
-def encode_sweep(
-    X: np.ndarray,
-    bb: np.ndarray,
-    fb: np.ndarray,
-    cb: np.ndarray,
-    db: np.ndarray,
-    need: np.ndarray,
-    renorm_bits: int,
-) -> bool:
-    """Run one staged encode block compiled (twin of the sequential
-    sweep in ``fused_encode.fused_encode_run``).  ``X[0]`` must hold
-    the incoming states; on success ``X[1:]`` and ``need`` are
-    filled."""
+def rans_encode(
+    freq: np.ndarray,
+    cdf: np.ndarray,
+    ids: np.ndarray | None,
+    quant_bits: int,
+    lanes: int,
+    datas: list[np.ndarray],
+    id_offsets: list[int],
+    record: list[bool],
+) -> tuple:
+    """Run the whole rANS encode of a task batch in one C call.
+
+    ``freq``/``cdf`` are :class:`~repro.rans.adaptive.EncodeTables`'
+    ``(models, alphabet + 1)`` uint64 tables; ``ids`` the dense uint64
+    model ids (``None`` for a static model), task ``t``'s starting at
+    ``id_offsets[t]``; ``datas`` each task's 1-D symbols, read in their
+    own native integer dtype; ``record[t]`` whether task ``t`` records
+    its events.  Every output array is fresh and exactly sized: the
+    words of all tasks back to back, then the events of the recording
+    tasks the same way.
+
+    :returns: ``(err, where, words, events, finals, counts)``: ``err``
+        0 or :data:`ENC_TABLE` (a gather index outside the tables) or
+        :data:`ENC_FREQ` (a zero frequency), ``where`` the failing
+        ``(task, position)``; ``events`` a ``(symbol_index, lane,
+        state_after)`` triple; ``finals`` the ``(T, K)`` final states
+        and ``counts`` each task's words.  After an error only
+        ``err`` and ``where`` mean anything.
+    :raises ValueError: arrays whose dtype, layout or shape the C
+        code would misread (a caller bug, checked before any pointer
+        is passed).
+    """
     impl = _impl()
     if impl is None:
-        return False
-    bg, W = need.shape
+        raise RuntimeError("compiled kernel unavailable")
+    T = len(datas)
+    tables = [freq, cdf] + ([] if ids is None else [ids])
     if not (
-        X.flags["C_CONTIGUOUS"]
-        and need.flags["C_CONTIGUOUS"]
-        and bb.flags["C_CONTIGUOUS"]
-        and fb.flags["C_CONTIGUOUS"]
-        and cb.flags["C_CONTIGUOUS"]
-        and db.flags["C_CONTIGUOUS"]
+        all(
+            a.dtype == np.uint64 and a.flags["C_CONTIGUOUS"]
+            and a.flags["ALIGNED"]
+            for a in tables
+        )
+        and freq.ndim == 2 and freq.shape == cdf.shape
+        and freq.shape[1] >= 1
+        and (ids is None or ids.ndim == 1)
+        and 1 <= quant_bits <= 16 and lanes >= 1
+        and len(id_offsets) == len(record) == T
+        and all(
+            d.ndim == 1 and d.dtype.kind in "iu" and d.dtype.isnative
+            and d.dtype.itemsize in (1, 2, 4, 8)
+            and d.flags["C_CONTIGUOUS"] and d.flags["ALIGNED"]
+            for d in datas
+        )
     ):
-        return False
-    impl["encode_sweep"](X, bb, fb, cb, db, need, renorm_bits, bg, W)
-    return True
+        raise ValueError("rans_encode arguments violate the kernel's layout")
+    # Every array passed by address stays bound to a name until the
+    # call returns.
+    addresses = np.fromiter((d.ctypes.data for d in datas), np.uint64, T)
+    sizes = np.fromiter(map(len, datas), np.int64, T)
+    itemsizes = np.fromiter((d.itemsize for d in datas), np.int64, T)
+    offsets = np.asarray(id_offsets, dtype=np.int64)
+    rec = np.fromiter(record, np.uint8, T)
+    E = int(sizes @ rec)
+    words = np.empty(int(sizes.sum()), dtype=np.uint16)
+    events = (
+        np.empty(E, dtype=np.uint64),
+        np.empty(E, dtype=np.uint16),
+        np.empty(E, dtype=np.uint16),
+    )
+    finals = np.empty((T, lanes), dtype=np.uint64)
+    counts = np.zeros(T, dtype=np.int64)
+    where = np.zeros(1, dtype=np.int64)
+    err = impl["rans_encode"](
+        addresses.ctypes.data, sizes.ctypes.data, itemsizes.ctypes.data,
+        offsets.ctypes.data, rec.ctypes.data, T,
+        freq.ctypes.data, cdf.ctypes.data, freq.shape[1], freq.shape[0],
+        None if ids is None else ids.ctypes.data,
+        0 if ids is None else len(ids),
+        quant_bits, lanes, words.ctypes.data,
+        events[0].ctypes.data, events[1].ctypes.data,
+        events[2].ctypes.data, finals.ctypes.data, counts.ctypes.data,
+        where.ctypes.data,
+    )
+    if not err:
+        # The C code packs the words and events at the front: trim
+        # each buffer to that prefix with a shrinking realloc (no
+        # copy; no view of them exists yet), so a held result keeps
+        # its own words and events, not one slot per symbol.
+        words.resize(int(counts.sum()), refcheck=False)
+        for a in events:
+            a.resize(int(counts @ rec), refcheck=False)
+    t = int(where[0])
+    return (
+        err, (t, int(counts[t]) if err else 0), words,
+        events, finals, counts,
+    )
+
+
+def split_scan(
+    symbol_index: np.ndarray,
+    lane: np.ndarray,
+    state_after: np.ndarray,
+    lanes: int,
+    num_symbols: int,
+    per_split: int,
+    boundaries: int,
+    window: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Choose the splits of an event log in one C call: the scan of
+    ``core.splitter.SplitSelector.select`` (DESIGN.md §6).
+
+    The log's arrays are a :class:`~repro.rans.interleaved.RenormEvents`'
+    (uint64, uint16, uint16; symbol indices ascending).
+    ``per_split`` is Definition 4.1's ``T`` and ``boundaries`` the
+    number of ideal boundaries ``t * T``, ``t = 1..boundaries``.
+
+    :returns: fresh ``(chosen, costs, lane_indices, lane_states)``:
+        the chosen event ids and their int64 costs, and the ``(n, K)``
+        int64 metadata indices and uint32 states of each lane's last
+        event at each; ``None`` when an event's lane lies outside
+        ``[0, lanes)``.
+    :raises ValueError: arrays the C code would misread.
+    """
+    impl = _impl()
+    if impl is None:
+        raise RuntimeError("compiled kernel unavailable")
+    E = len(symbol_index)
+    if not (
+        all(
+            a.dtype == dt and a.shape == (E,) and a.flags["C_CONTIGUOUS"]
+            and a.flags["ALIGNED"]
+            for a, dt in (
+                (symbol_index, np.uint64), (lane, np.uint16),
+                (state_after, np.uint16),
+            )
+        )
+        and lanes >= 1 and boundaries >= 0
+    ):
+        raise ValueError("split_scan arguments violate the kernel's layout")
+    chosen = np.empty(boundaries, dtype=np.int64)
+    costs = np.empty(boundaries, dtype=np.int64)
+    indices = np.empty((boundaries, lanes), dtype=np.int64)
+    states = np.empty((boundaries, lanes), dtype=np.uint32)
+    base, win = np.empty((2, lanes), dtype=np.int64)
+    n = impl["split_scan"](
+        symbol_index.ctypes.data, lane.ctypes.data, state_after.ctypes.data,
+        E, lanes, num_symbols, per_split, boundaries, window,
+        chosen.ctypes.data, costs.ctypes.data, indices.ctypes.data,
+        states.ctypes.data, base.ctypes.data, win.ctypes.data,
+    )
+    if n < 0:
+        return None
+    return chosen[:n], costs[:n], indices[:n], states[:n]

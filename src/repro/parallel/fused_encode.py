@@ -1,6 +1,13 @@
 """Fused wide-lane rANS encode kernel.
 
 The encode-side sibling of :mod:`repro.parallel.fused` (DESIGN.md §10).
+On a host with a C compiler one C call encodes every task
+(:func:`repro.parallel.compiled.rans_encode`): it walks each task's
+symbols in order, gathering ``f`` and ``F`` per symbol straight from
+the encode tables, and writes the words and split events of all tasks
+into fresh flat buffers.  It stages nothing.  Everything below
+describes the numpy kernel, the portable path of a host without one.
+
 The reference loop (:meth:`~repro.rans.interleaved.InterleavedEncoder.
 encode_reference`) advances one interleave group per iteration with
 per-group participation masks, boolean fancy indexing, and Python-level
@@ -86,7 +93,8 @@ class EncodeTask:
 
 @dataclass
 class EncodeTaskOut:
-    """Kernel output for one task (fresh arrays, never arena scratch)."""
+    """Kernel output for one task: fresh arrays, or views of one
+    call's fresh buffers, never arena scratch."""
 
     words: np.ndarray  # uint16, emission order
     final_states: np.ndarray  # (K,) uint64
@@ -101,6 +109,49 @@ def _zero_freq_error(
         f"symbol {symbol} at index {task.start_index + local_pos} "
         "has zero quantized frequency"
     )
+
+
+def _first_zero_freq(
+    tasks: list[EncodeTask],
+    datas: list[np.ndarray],
+    f_tab: np.ndarray,
+    ids: np.ndarray | None,
+    alphabet: int,
+) -> ModelError:
+    """The first zero-frequency symbol of the first task holding one:
+    the order of the reference loop and of the C encode's check."""
+    for t, d in zip(tasks, datas):
+        gi = d.astype(np.intp)
+        if ids is not None:
+            i0 = t.start_index - 1
+            gi += ids[i0 : i0 + len(d)].astype(np.intp) * (alphabet + 1)
+        hit = np.flatnonzero(f_tab[gi] == 0)
+        if len(hit):
+            return _zero_freq_error(t, int(hit[0]), int(d[hit[0]]))
+    raise AssertionError("no zero-frequency symbol")
+
+
+def _checked_data(ti: int, task: EncodeTask, alphabet: int) -> np.ndarray:
+    """Task ``ti``'s symbols as a contiguous, native-endian integer
+    array, after refusing a non-1-D array, a ``start_index`` below 1
+    and a symbol outside ``[0, alphabet)``."""
+    d = np.ascontiguousarray(task.data)
+    if d.ndim != 1:
+        raise EncodeError(f"task {ti}: data must be 1-D, got shape {d.shape}")
+    if task.start_index < 1:
+        raise EncodeError(
+            f"task {ti}: start_index must be >= 1, got {task.start_index}"
+        )
+    if not len(d):
+        return np.empty(0, dtype=np.uint8)
+    kind, bits = d.dtype.kind, 8 * d.dtype.itemsize
+    # An unsigned dtype the alphabet covers (bytes under a 256-symbol
+    # model) needs no scan.
+    if not (kind == "u" and 1 << bits <= alphabet) and (
+        kind not in "iu" or d.min() < 0 or d.max() >= alphabet
+    ):
+        raise _alphabet_error(task, d, alphabet)
+    return d if d.dtype.isnative else d.astype(d.dtype.newbyteorder("="))
 
 
 def _alphabet_error(
@@ -126,25 +177,78 @@ def fused_encode_run(
 ) -> list[EncodeTaskOut]:
     """Encode every task, bit-identical to the reference loop.
 
-    Tasks are independent; their lane states advance together as one
-    ``(T*K,)`` vector over the longest task's interleave groups, each
-    shorter task padded with the identity symbol (DESIGN.md §10).
-    Scratch comes from the calling thread's arena (DESIGN.md §9).
-
-    On a host with a C compiler the sequential trajectory sweep — the
-    only data-dependent chain — runs on the compiled twin
-    (:mod:`repro.parallel.compiled`); gathers, word emission and event
-    reconstruction stay vectorized numpy either way.  Bit-identical.
+    On a host with a C compiler one C call encodes every task, one
+    after another (:func:`repro.parallel.compiled.rans_encode`); each
+    task's results are views of that call's fresh buffers.  Elsewhere
+    the numpy kernel runs: the tasks' lane states advance together as
+    one ``(T*K,)`` vector over the longest task's interleave groups,
+    each shorter task padded with the identity symbol, in blocks
+    staged in the calling thread's arena (DESIGN.md §9, §10).
 
     :raises EncodeError: a task's data is not 1-D, its ``start_index``
         is below 1, or it holds a symbol outside ``[0, alphabet)``.
-    :raises ModelError: a symbol with zero quantized frequency.
+    :raises ModelError: a symbol with zero quantized frequency: the
+        first one of the first task holding one, on both kernels.
     """
-    K = lanes
-    T = len(tasks)
-    if T == 0:
+    if not tasks:
         return []
+    A = provider.encode_tables.alphabet
+    datas = [_checked_data(ti, t, A) for ti, t in enumerate(tasks)]
+    ids = None
+    if not provider.is_static:
+        ids = provider.dense_model_ids(
+            max(t.start_index - 1 + len(d) for t, d in zip(tasks, datas))
+        )
+    if compiled.kernel_available():
+        return _encode_compiled(provider, lanes, tasks, datas, ids)
+    return _encode_numpy(provider, lanes, tasks, datas, ids)
 
+
+def _encode_compiled(
+    provider: AdaptiveModelProvider,
+    K: int,
+    tasks: list[EncodeTask],
+    datas: list[np.ndarray],
+    ids: np.ndarray | None,
+) -> list[EncodeTaskOut]:
+    """:func:`fused_encode_run` in one C call."""
+    tables = provider.encode_tables
+    err, (ti, pos), words, events, finals, counts = compiled.rans_encode(
+        tables.freq_sym, tables.cdf_sym, ids, provider.quant_bits, K, datas,
+        [t.start_index - 1 for t in tasks],
+        [t.record_events for t in tasks],
+    )
+    if err:
+        task, symbol = tasks[ti], int(datas[ti][pos])
+        if err == compiled.ENC_FREQ:
+            raise _zero_freq_error(task, pos, symbol)
+        raise ModelError(
+            f"symbol {symbol} at index {task.start_index + pos} lies "
+            "outside the provider's encode tables"
+        )
+    sym, lane, state = events
+    results: list[EncodeTaskOut] = []
+    w0 = e0 = 0
+    for t, w1, x in zip(tasks, np.cumsum(counts).tolist(), finals):
+        ev = None
+        if t.record_events:
+            e1 = e0 + w1 - w0
+            ev = RenormEvents(sym[e0:e1], lane[e0:e1], state[e0:e1])
+            e0 = e1
+        results.append(EncodeTaskOut(words[w0:w1], x, ev))
+        w0 = w1
+    return results
+
+
+def _encode_numpy(
+    provider: AdaptiveModelProvider,
+    K: int,
+    tasks: list[EncodeTask],
+    datas: list[np.ndarray],
+    ids_dense: np.ndarray | None,
+) -> list[EncodeTaskOut]:
+    """:func:`fused_encode_run` as the blocked numpy sweep."""
+    T = len(tasks)
     n = provider.quant_bits
     rb = np.uint64(RENORM_BITS)
     mask16 = np.uint64(RENORM_MASK)
@@ -152,32 +256,9 @@ def fused_encode_run(
     A = tables.alphabet  # also the identity symbol's column
     f_tab = tables.freq_sym.ravel()
     d_tab = tables.cdf_sym.ravel()
-    static = provider.is_static
-
-    datas: list[np.ndarray] = []
-    for ti, t in enumerate(tasks):
-        d = np.ascontiguousarray(t.data)
-        if d.ndim != 1:
-            raise EncodeError(
-                f"task {ti}: data must be 1-D, got shape {d.shape}"
-            )
-        if t.start_index < 1:
-            raise EncodeError(
-                f"task {ti}: start_index must be >= 1, got {t.start_index}"
-            )
-        if len(d) and (
-            d.dtype.kind not in "iu" or d.min() < 0 or d.max() >= A
-        ):
-            raise _alphabet_error(t, d, A)
-        datas.append(d)
     sizes = [len(d) for d in datas]
     groups = max(-(-sz // K) for sz in sizes)  # every task runs these
-
-    if not static:
-        total = max(
-            t.start_index - 1 + sz for t, sz in zip(tasks, sizes)
-        )
-        ids_dense = provider.dense_model_ids(total)
+    if ids_dense is not None:
         ids_views = [
             ids_dense[t.start_index - 1 : t.start_index - 1 + sz]
             for t, sz in zip(tasks, sizes)
@@ -244,7 +325,7 @@ def fused_encode_run(
         for j, d in enumerate(datas):
             full, rem = divmod(min(max(sizes[j] - lo, 0), hi - lo), K)
             src = d[lo : lo + full * K + rem]
-            if not static:  # model_id * (alphabet + 1) + symbol
+            if ids_dense is not None:  # model_id * (alphabet + 1) + symbol
                 ids = ids_views[j][lo : lo + len(src)]
                 src = ids.astype(np.intp) * (A + 1) + src
             s = s3[:, j, :]
@@ -255,10 +336,7 @@ def fused_encode_run(
         f_tab.take(symb, None, fb)
         d_tab.take(symb, None, db)
         if not int(fb.min()):
-            g, w = np.argwhere(fb == 0)[0]
-            ti, k = divmod(int(w), K)
-            pos = (g0 + int(g)) * K + k
-            raise _zero_freq_error(tasks[ti], pos, int(datas[ti][pos]))
+            raise _first_zero_freq(tasks, datas, f_tab, ids_dense, A)
         # comp and bound are one elementwise op each — cheaper
         # than two more table gathers.
         np.subtract(two_n, fb, cb)
@@ -269,23 +347,18 @@ def fused_encode_run(
         # Eq. 3 threshold); inverted in bulk afterwards.
         X = X_f[: bg + 1]
         X[0] = xv
-        # The zero-frequency check above is the only guard in front
-        # of the C sweep's division by ``f``.
-        if not compiled.encode_sweep(
-            X, bb, fb, cb, db, need_f[:bg], RENORM_BITS
+        xprev = X[0]
+        for b_row, f_row, c_row, d_row, n_row, xnext in zip(
+            bb, fb, cb, db, need_f, X[1:]
         ):
-            xprev = X[0]
-            for b_row, f_row, c_row, d_row, n_row, xnext in zip(
-                bb, fb, cb, db, need_f, X[1:]
-            ):
-                less(xprev, b_row, n_row)
-                right_shift(xprev, rb, xr)
-                copyto(xr, xprev, where=n_row)
-                floor_divide(xr, f_row, q)
-                multiply(q, c_row, tmp)
-                add(tmp, d_row, tmp)
-                add(xr, tmp, xnext)
-                xprev = xnext
+            less(xprev, b_row, n_row)
+            right_shift(xprev, rb, xr)
+            copyto(xr, xprev, where=n_row)
+            floor_divide(xr, f_row, q)
+            multiply(q, c_row, tmp)
+            add(tmp, d_row, tmp)
+            add(xr, tmp, xnext)
+            xprev = xnext
         xv[:] = X[bg]
 
         # ---- bulk word emission + event recording ----------------------

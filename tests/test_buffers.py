@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import needs_compiled, running_on
 from repro.baselines import ConventionalCodec
 from repro.core import RecoilCodec, recoil_compress
 from repro.core.decoder import RecoilDecoder
@@ -115,25 +116,44 @@ def test_one_instance_shared_by_threads(
         assert results == serial
 
 
-def test_recoil_compress_reuses_the_threads_encode_scratch(skewed_bytes):
-    """A fresh codec per call still encodes on its thread's scratch:
-    the second call gets the first call's buffers back."""
+def _compress_twice(data) -> tuple[dict, dict]:
+    """A thread's arena after one and after two ``recoil_compress``
+    calls, each with a fresh codec."""
 
     def two_calls():
         arena = thread_arena()
-        recoil_compress(skewed_bytes[:40_000], num_splits=64)
+        recoil_compress(data[:40_000], num_splits=64)
         first = dict(arena._bufs)
-        recoil_compress(skewed_bytes[9_000:], num_splits=64)
+        recoil_compress(data[9_000:], num_splits=64)
         return first, dict(arena._bufs)
 
-    first, after = _in_thread(two_calls)
+    return _in_thread(two_calls)
+
+
+def test_recoil_compress_reuses_the_threads_encode_scratch(skewed_bytes):
+    """A fresh codec per call still encodes on its thread's scratch
+    (the numpy encode's blocks): the second call gets the first call's
+    buffers back."""
+    with running_on("numpy"):
+        first, after = _compress_twice(skewed_bytes)
     assert first
     assert all(after[name] is buf for name, buf in first.items())
 
 
-def test_encode_scratch_does_not_grow_with_widths(model11, skewed_bytes):
-    """Conventional encodes at 1 to 64 partitions (64 fused widths)
-    leave one buffer per name, and about the bytes one width needs."""
+@needs_compiled
+def test_compiled_compress_stages_nothing(skewed_bytes):
+    """The C encode and split scan take no arena scratch: every buffer
+    they write is a fresh result (DESIGN.md §9, §10)."""
+    with running_on("compiled"):
+        assert _compress_twice(skewed_bytes) == ({}, {})
+
+
+def test_encode_scratch_does_not_grow_with_widths(
+    model11, skewed_bytes
+):
+    """Conventional encodes at 1 to 64 partitions (64 fused widths) on
+    the numpy kernel leave one buffer per name, and about the bytes one
+    width needs."""
     codec = ConventionalCodec(model11)
 
     def held(arena) -> tuple[set, int]:
@@ -147,6 +167,7 @@ def test_encode_scratch_does_not_grow_with_widths(model11, skewed_bytes):
             codec.encode(skewed_bytes, partitions)
         return one, held(arena)
 
-    (names_one, bytes_one), (names_all, bytes_all) = _in_thread(sweep)
+    with running_on("numpy"):
+        (names_one, bytes_one), (names_all, bytes_all) = _in_thread(sweep)
     assert names_all == names_one
     assert bytes_all < 1.25 * bytes_one

@@ -20,7 +20,9 @@ from repro.baselines.conventional import ConventionalCodec
 from repro.core.api import recoil_compress
 from repro.core.decoder import RecoilDecoder
 from repro.core.encoder import RecoilEncoder
+from conftest import needs_compiled, running_on
 from repro.errors import EncodeError, ModelError
+from repro.parallel import compiled
 from repro.parallel.fused_encode import EncodeTask, fused_encode_run
 from repro.rans.adaptive import IndexedModelProvider, StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
@@ -155,6 +157,23 @@ class TestFusedVsReference:
                     bad
                 )
 
+    def test_zero_frequency_named_alike_across_tasks(self, kernel_backend):
+        """A multi-task encode names the first zero-frequency symbol
+        of the first task holding one, as the per-partition reference
+        loop does: here partition 0's, although partition 1's zero
+        lies in an earlier interleave group."""
+        counts = np.zeros(256)
+        counts[:4] = [5, 3, 2, 1]
+        codec = ConventionalCodec(SymbolModel.from_counts(counts, 11))
+        data = np.resize(np.arange(4, dtype=np.uint8), 8_000)
+        data[3_000] = 200  # partition 0, group 93
+        data[4_010] = 201  # partition 1, group 0
+        msg = "symbol 200 at index 3001 has zero quantized"
+        with pytest.raises(ModelError, match=msg):
+            codec.encode(data, 2)
+        with pytest.raises(ModelError, match=msg):
+            codec.encode_reference(data, 2)
+
     @pytest.mark.parametrize("bad", [-1, 256])
     def test_out_of_alphabet_symbol_rejected(self, bad, kernel_backend):
         """A symbol outside ``[0, alphabet)`` is a typed error naming
@@ -184,6 +203,58 @@ class TestFusedVsReference:
             InterleavedEncoder(provider).encode(
                 np.zeros((2, 2), dtype=int)
             )
+
+
+@needs_compiled
+class TestCompiledEncodeChecks:
+    """The C encode checks its own gathers, so a table or a symbol the
+    Python checks never saw returns an error code, not a signal."""
+
+    @staticmethod
+    def _encode(freq, data, ids=None, offset=0):
+        freq = np.asarray(freq, dtype=np.uint64)
+        return compiled.rans_encode(
+            freq, np.zeros_like(freq), ids, 11, 4,
+            [np.asarray(d, dtype=np.uint8) for d in data],
+            [offset] * len(data), [True] * len(data),
+        )[:2]
+
+    def test_zero_frequency_is_an_error_code(self):
+        freq = [[5, 0, 2041, 2, 2048]]  # symbol 1 has no frequency
+        assert self._encode(freq, [[0, 2, 3, 2, 1, 0]]) == (
+            compiled.ENC_FREQ, (0, 4),
+        )
+        assert self._encode(freq, [[0, 2], [3, 3, 1]]) == (
+            compiled.ENC_FREQ, (1, 2),
+        )
+
+    def test_gather_outside_the_tables_is_an_error_code(self):
+        freq = [[5, 1, 2040, 2, 2048], [1, 1, 1, 2045, 2048]]
+        # The identity column is no symbol.
+        assert self._encode(freq[:1], [[0, 4, 1]]) == (
+            compiled.ENC_TABLE, (0, 1),
+        )
+        # A model id outside the bank, and an id read past the array.
+        ids = np.array([0, 1, 2, 0], dtype=np.uint64)
+        assert self._encode(freq, [[0, 1, 2]], ids) == (
+            compiled.ENC_TABLE, (0, 2),
+        )
+        ids[2] = 1
+        assert self._encode(freq, [[0, 1, 2]], ids, offset=2) == (
+            compiled.ENC_TABLE, (0, 2),
+        )
+
+    def test_clean_call_after_a_failed_one(self):
+        freq = [[5, 1, 2040, 2, 2048]]
+        err, _, words, events, finals, counts = compiled.rans_encode(
+            np.asarray(freq, dtype=np.uint64),
+            np.array([[0, 5, 6, 2046, 0]], dtype=np.uint64), None, 11, 2,
+            [np.array([0, 1, 2, 3] * 20, dtype=np.uint8)], [0], [False],
+        )
+        assert err == 0 and counts.shape == (1,) and finals.shape == (1, 2)
+        # Every buffer is trimmed to what the call wrote.
+        assert 0 < len(words) == counts[0] < 80
+        assert all(len(a) == 0 for a in events)
 
 
 class TestRoundTripThroughFusedDecoder:
@@ -265,6 +336,30 @@ class TestMultiTaskFusion:
         fused_encode_run(provider, 32, [EncodeTask(payload[1000:3000])])
         assert np.array_equal(first.words, words_copy)
         assert np.array_equal(first.final_states, states_copy)
+
+    @needs_compiled
+    def test_compiled_results_hold_only_what_they_wrote(self, payload):
+        """On C every result views one flat buffer per call, trimmed to
+        the words and events the call wrote: a held result keeps those,
+        not a slot per input symbol."""
+        provider = _provider("static", payload, None)
+        tasks = [
+            EncodeTask(payload[:sz], record_events=rec)
+            for sz, rec in ((2_000, True), (65, False), (6_000, True))
+        ]
+        with running_on("compiled"):
+            outs = fused_encode_run(provider, 32, tasks)
+        words = sum(len(o.words) for o in outs)
+        events = sum(
+            len(o.events.lane) for o in outs if o.events is not None
+        )
+        assert 0 < words < sum(len(t.data) for t in tasks)
+        for o in outs:
+            assert len(o.words.base) == words
+            if o.events is not None:
+                ev = o.events
+                for a in (ev.symbol_index, ev.lane, ev.state_after):
+                    assert len(a.base) == events
 
 
 class TestEncodeProperties:

@@ -7,12 +7,14 @@ import bisect
 import numpy as np
 import pytest
 
+from conftest import needs_compiled, running_on
 from repro.core import splitter
 from repro.core.decoder import build_thread_tasks
 from repro.core.splitter import SplitSelector
 from repro.errors import MetadataError
+from repro.parallel import compiled
 from repro.rans.constants import L_BOUND
-from repro.rans.interleaved import InterleavedEncoder
+from repro.rans.interleaved import InterleavedEncoder, RenormEvents
 from repro.rans.model import SymbolModel
 
 
@@ -212,43 +214,104 @@ _ORACLE_INPUTS = {1: (6, 40, 3_000), 4: (3, 90, 6_000), 32: (20, 300, 12_000)}
 def test_select_matches_definition_oracle(lanes, splits, window):
     for n in _ORACLE_INPUTS[lanes]:
         enc = _oracle_case(lanes, n, seed=7 * lanes + n)
-        _assert_matches_oracle(enc, lanes, splits, window)
+        _assert_matches_oracle(enc, lanes, splits, window, _host_kernels())
 
 
 def test_select_matches_oracle_at_ingest_shape():
     """The served write path: 150k symbols, K=32, 256 splits."""
     enc = _oracle_case(32, 150_000, seed=150)
-    _assert_matches_oracle(enc, 32, 256, 48)
+    _assert_matches_oracle(enc, 32, 256, 48, _host_kernels())
 
 
 def test_select_matches_oracle_across_scan_blocks(monkeypatch):
-    """The scan's boundary blocks carry ``prev_S`` across: many small
-    blocks choose exactly what one block does."""
+    """The numpy scan's boundary blocks carry ``prev_S`` across: many
+    small blocks choose exactly what one block does."""
     monkeypatch.setattr(splitter, "_SCAN_CELLS", 100)
     for lanes, splits, window in ((32, 256, 48), (4, 1024, 7)):
         enc = _oracle_case(lanes, 6_000, seed=lanes)
-        _assert_matches_oracle(enc, lanes, splits, window)
+        _assert_matches_oracle(enc, lanes, splits, window, ["numpy"])
 
 
-def _assert_matches_oracle(enc, lanes, splits, window):
+#: (lanes, symbols, splits, window) of the C-vs-numpy differential:
+#: E < window, N <= K, dense splits whose windows overlap, and the
+#: served shape, at K = 1, 4 and 32.
+_SCAN_CASES = [
+    (1, 30, 8, 48),
+    (1, 3_000, 1024, 48),
+    (4, 4, 16, 48),
+    (4, 60, 4, 48),
+    (4, 6_000, 1024, 7),
+    (32, 32, 8, 48),
+    (32, 200, 64, 48),
+    (32, 12_000, 1024, 48),
+    (32, 40_000, 256, 48),
+    (32, 40_000, 16, 1),
+]
+
+
+def _select_on(kernel, events, lanes, N, splits, window):
+    with running_on(kernel):
+        return SplitSelector(events, lanes, N, window=window).select(splits)
+
+
+@needs_compiled
+@pytest.mark.parametrize("lanes,n,splits,window", _SCAN_CASES)
+def test_c_scan_matches_numpy_scan(lanes, n, splits, window):
+    """The C split scan chooses what the numpy scan chooses: the same
+    metadata arrays and the same stats, on seeded encodes."""
+    for seed in range(3):
+        enc = _oracle_case(lanes, n, seed=1_000 * seed + n)
+        got = [
+            _select_on(k, enc.events, lanes, n, splits, window)
+            for k in ("compiled", "numpy")
+        ]
+        (md_c, stats_c), (md_np, stats_np) = got
+        assert stats_c == stats_np
+        assert md_c.num_words == md_np.num_words
+        for field in ("word_offsets", "lane_indices", "lane_states"):
+            a, b = getattr(md_c, field), getattr(md_np, field)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+@needs_compiled
+def test_c_scan_refuses_a_lane_outside_the_interleave():
+    """A log whose lane lies outside ``[0, K)`` is a typed error from
+    the C scan, not a write past its per-lane scratch."""
+    events = RenormEvents(
+        np.arange(40, 1_040, 10, dtype=np.uint64),
+        np.full(100, 4, dtype=np.uint16),
+        np.zeros(100, dtype=np.uint16),
+    )
+    with running_on("compiled"):
+        with pytest.raises(MetadataError, match="lane outside"):
+            SplitSelector(events, 4, 1_200).select(8)
+
+
+def _host_kernels() -> list[str]:
+    """The split scans this host runs: numpy everywhere, and the C
+    scan where a compiler is, so one leg pins both."""
+    return ["numpy"] + (["compiled"] if compiled.kernel_available() else [])
+
+
+def _assert_matches_oracle(enc, lanes, splits, window, kernels):
     N = enc.num_symbols
     want, costs = _oracle_select(enc.events, lanes, N, splits, window)
-    md, stats = SplitSelector(enc.events, lanes, N, window=window).select(
-        splits
-    )
-    got = list(
-        zip(
-            md.word_offsets.tolist(),
-            md.lane_indices.tolist(),
-            md.lane_states.tolist(),
+    for kernel in kernels:
+        md, stats = _select_on(kernel, enc.events, lanes, N, splits, window)
+        got = list(
+            zip(
+                md.word_offsets.tolist(),
+                md.lane_indices.tolist(),
+                md.lane_states.tolist(),
+            )
         )
-    )
-    assert got == want
-    assert stats.requested_threads == splits
-    assert stats.achieved_threads == len(want) + 1
-    assert stats.total_sync_symbols == sum(
-        max(idx) - min(idx) + 1 for _, idx, _ in want
-    )
-    assert stats.mean_heuristic_cost == (
-        float(np.mean(costs)) if costs else 0.0
-    )
+        assert got == want, kernel
+        assert stats.requested_threads == splits
+        assert stats.achieved_threads == len(want) + 1
+        assert stats.total_sync_symbols == sum(
+            max(idx) - min(idx) + 1 for _, idx, _ in want
+        )
+        assert stats.mean_heuristic_cost == (
+            float(np.mean(costs)) if costs else 0.0
+        )

@@ -4,8 +4,9 @@
 Builds the kernel source (``repro.parallel.compiled._C_SOURCE``) with
 ``-fsanitize=address,undefined`` into the kernel cache of a fresh
 ``TMPDIR``, where the library loader finds it in place of a normal
-build, then runs the suites that drive the C walk and the encode
-sweep with the sanitizer runtimes preloaded into the interpreter.
+build, then runs the suites that drive the C walk, the C encode and
+the C split scan with the sanitizer runtimes preloaded into the
+interpreter.
 Any out-of-bounds access or undefined behaviour in C aborts the run.
 Afterwards it checks that the planted library is the one that ran:
 unchanged on disk, and no other kernel library built beside it.
@@ -36,6 +37,8 @@ SUITES = [
     "tests/test_compiled.py",
     "tests/test_fused.py",
     "tests/test_fused_encode.py",
+    "tests/test_splitter.py",
+    "tests/test_conventional.py",
     "tests/test_simd_engine.py",
     "tests/test_buffers.py",
 ]
